@@ -12,12 +12,6 @@ structured embeddings, far beyond the laptop-scale graph sweeps above):
 blocking at reduction ratio >= 0.9 must deliver a wall-clock speedup that
 tracks the fraction of pairs it skips — the paper conclusion's case for
 blocking, measured rather than assumed.
-
-A second companion times graph construction (Algorithm 1) itself: the bulk
-engine against the reference per-term loop on the default benchmark
-corpora (the Table I IMDb world, table-anchored so column nodes are
-built), with exact node/edge parity asserted and a speedup floor — the
-PR 4 case for interned bulk construction, measured rather than assumed.
 """
 
 from __future__ import annotations
@@ -28,13 +22,12 @@ import numpy as np
 
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
-from repro.datasets import ScenarioSize, generate_scenario, generate_sts_scenario
+from repro.datasets import ScenarioSize, generate_sts_scenario
 from repro.eval.report import format_table
-from repro.graph.builder import GraphBuilder, GraphBuilderConfig
 from repro.retrieval import BlockedTopK, DenseTopK
 from repro.utils.rng import ensure_rng
 
-from benchmarks.bench_utils import BENCH_SEED, SMOKE, write_bench_json, write_result
+from benchmarks.bench_utils import SMOKE, write_bench_json, write_result
 
 SCALES = [
     ("tiny", ScenarioSize(n_entities=20, n_queries=40, n_distractors=10)),
@@ -188,111 +181,3 @@ def test_fig8_blocked_vs_dense(benchmark):
         },
     )
     assert row["speedup"] >= floor, f"speedup {row['speedup']} below floor {floor:.2f}"
-
-
-# ----------------------------------------------------------------------
-# Companion: bulk vs reference graph construction (Algorithm 1).
-def _graph_build_problem():
-    """The default benchmark corpora, anchored on the structured side.
-
-    The Table I IMDb world at fig8 scale, built table-first so the full
-    Algorithm 1 runs (row, column, and document nodes).  Table cells are
-    where the reference loop hurts most: every cell is preprocessed twice
-    (term extraction + column mapping) and categorical values repeat across
-    rows, which the bulk engine's value-level interner collapses.
-    """
-    if SMOKE:
-        size = ScenarioSize(n_entities=150, n_queries=90, n_distractors=40)
-    else:
-        size = ScenarioSize(n_entities=400, n_queries=240, n_distractors=120)
-    scenario = generate_scenario("imdb_wt", size=size, seed=BENCH_SEED)
-    return scenario.second, scenario.first  # (movies table, reviews corpus)
-
-
-def _graph_build_series():
-    """Cold and warm build times per engine.
-
-    *Cold* is a first build on a fresh builder (tokenisation dominates, so
-    the bulk engine's edge is modest).  *Warm* is the steady state of a
-    reused builder — the regime of ``TDMatch`` re-fits and sweep rebuilds,
-    where the bulk engine's persistent value interner skips preprocessing
-    for every value seen before while the reference loop redoes it.
-    """
-    first, second = _graph_build_problem()
-    rows = []
-    builds = {}
-    for engine in ("reference", "bulk"):
-        cold, _ = _best_of(
-            lambda engine=engine: GraphBuilder(GraphBuilderConfig(engine=engine)).build(
-                first, second
-            ),
-            repeats=3,
-        )
-        builder = GraphBuilder(GraphBuilderConfig(engine=engine))
-        builder.build(first, second)  # warm the stemmer memo / interner
-        warm, built = _best_of(lambda builder=builder: builder.build(first, second), repeats=3)
-        builds[engine] = built
-        rows.append(
-            {
-                "engine": engine,
-                "cold_build_s": round(cold, 4),
-                "graph_build_s": round(warm, 4),
-                "nodes": built.graph.num_nodes(),
-                "edges": built.graph.num_edges(),
-            }
-        )
-    for row in rows:
-        row["cold_speedup"] = round(
-            rows[0]["cold_build_s"] / max(row["cold_build_s"], 1e-9), 2
-        )
-        row["speedup"] = round(
-            rows[0]["graph_build_s"] / max(row["graph_build_s"], 1e-9), 2
-        )
-    return rows, builds
-
-
-def test_fig8_graph_build_speedup(benchmark):
-    rows, builds = benchmark.pedantic(_graph_build_series, rounds=1, iterations=1)
-    table = format_table(
-        rows, title="Figure 8 companion: graph construction, bulk vs reference engine"
-    )
-    print("\n" + table)
-    write_result("fig8_graph_build", table)
-
-    # Exact construction parity: same nodes in the same insertion order
-    # (this is what keeps seeded pipeline runs engine-independent), same
-    # node metadata, same undirected edge set.
-    reference, bulk = builds["reference"].graph, builds["bulk"].graph
-    assert reference.nodes() == bulk.nodes()
-    assert set(reference.edges()) == set(bulk.edges())
-    assert reference.num_edges() == bulk.num_edges()
-    assert builds["reference"].filter_stats == builds["bulk"].filter_stats
-
-    # The bulk engine must deliver a real construction speedup in the
-    # steady state (warm interner), and must not lose cold.  Smoke mode
-    # runs a smaller problem on noisier shared runners, so its floor is
-    # deliberately looser.
-    speedup = rows[1]["speedup"]
-    floor = 2.5 if SMOKE else 4.0
-    write_bench_json(
-        "fig8_graph_build",
-        {
-            "graph": {"nodes": bulk.num_nodes(), "edges": bulk.num_edges()},
-            "timings": {
-                row["engine"]: {
-                    "cold_build_s": row["cold_build_s"],
-                    "warm_build_s": row["graph_build_s"],
-                }
-                for row in rows
-            },
-            "speedup": {
-                "measured": speedup,
-                "floor": floor,
-                "cold_measured": rows[1]["cold_speedup"],
-            },
-        },
-    )
-    assert speedup >= floor, f"warm graph-build speedup {speedup} below floor {floor}"
-    assert rows[1]["cold_speedup"] >= (0.6 if SMOKE else 0.8), (
-        f"bulk engine lost cold builds: {rows[1]['cold_speedup']}x"
-    )

@@ -12,7 +12,7 @@ asserts the incremental path:
 2. applies the delta at least ``SPEEDUP_FLOOR``× faster than the refit.
 
 Telemetry lands in ``benchmarks/results/BENCH_incremental_serving.json``
-(scenario size, per-stage seconds, engine notes, measured-vs-floor
+(scenario size, per-stage seconds and timing notes, measured-vs-floor
 speedups) for CI artifact archiving.
 """
 
@@ -130,7 +130,6 @@ def test_incremental_vs_refit(benchmark):
                     "refit_seconds": row["refit s"],
                     "delta_seconds": row["delta s"],
                     "speedup": row["speedup"],
-                    "engines": pipelines[row["scenario"]].engines(),
                     "timings": pipelines[row["scenario"]].timings.to_dict(),
                 }
                 for row in rows

@@ -14,14 +14,9 @@ from __future__ import annotations
 import time
 
 from repro.baselines.supervised import train_test_split_queries
-from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
 from repro.eval.report import format_table
-from repro.graph.walk_engine import CSRWalkEngine
-from repro.graph.walks import RandomWalkConfig
-from repro.utils.timing import TimingRegistry
 
 from benchmarks.bench_utils import (
-    SMOKE,
     get_scenario,
     get_sbert_matcher,
     run_wrw,
@@ -34,11 +29,6 @@ TASK_SCENARIOS = {
     "structured-text": "audit",
     "text-to-text": "politifact",
 }
-
-# Word2Vec trainer-speedup measurement (paper-shaped walk parameters).
-W2V_SPEEDUP_NUM_WALKS = 2 if SMOKE else 5
-W2V_SPEEDUP_WALK_LENGTH = 30
-W2V_SPEEDUP_EPOCHS = 2
 
 
 def _time_wrw(scenario_name: str):
@@ -111,72 +101,3 @@ def test_table7_execution_times(benchmark):
         # paper reports it as the fastest at test time).
         assert by_key[(task, "s-be")]["train_s"] == 0.0
         assert by_key[(task, "w-rw")]["test_s_per_query"] < 0.5
-
-
-def test_table7_word2vec_trainer_speedup():
-    """Vectorized vs reference Word2Vec trainer on the default benchmark graph.
-
-    Both trainers consume the *same* walk corpus, so the measurement isolates
-    embedding training (Algorithm 4's second half).  The vectorized engine
-    must deliver a wide margin — numpy pair extraction, alias-sampled
-    shared negatives, and segment-sum scatter versus the reference's pure
-    Python pair loop with per-batch ``rng.choice(p=...)`` — while matching
-    the reference's ranking quality end to end on the seeded scenario.
-    """
-    graph = run_wrw("imdb_wt").graph
-    walk_config = RandomWalkConfig(
-        num_walks=W2V_SPEEDUP_NUM_WALKS, walk_length=W2V_SPEEDUP_WALK_LENGTH
-    )
-    sentences = CSRWalkEngine(graph, walk_config).generate_walks(seed=13)
-
-    registry = TimingRegistry()
-    stats = {}
-    for trainer in ("reference", "vectorized"):
-        config = Word2VecConfig(
-            vector_size=64, window=3, epochs=W2V_SPEEDUP_EPOCHS, trainer=trainer
-        )
-        model = Word2Vec(config, seed=1).train(sentences)
-        stats[trainer] = model.stats
-        registry.add(f"w2v_{trainer}", model.stats.seconds)
-    speedup = registry.total("w2v_reference") / max(registry.total("w2v_vectorized"), 1e-9)
-    registry.set_note("w2v_speedup", f"{speedup:.1f}x")
-
-    rows = [
-        {
-            "trainer": trainer,
-            "pairs": stats[trainer].pairs,
-            "train_s": round(registry.total(f"w2v_{trainer}"), 3),
-            "pairs_per_sec": round(stats[trainer].pairs_per_sec),
-            "speedup": registry.note("w2v_speedup") if trainer == "vectorized" else "1.0x",
-        }
-        for trainer in ("reference", "vectorized")
-    ]
-    table = format_table(rows, title="Table VII (companion): Word2Vec trainer speedup")
-    print("\n" + table)
-    write_result("table7_w2v_trainer_speedup", table)
-    write_bench_json(
-        "table7_w2v_trainer_speedup",
-        {
-            "params": {
-                "num_walks": W2V_SPEEDUP_NUM_WALKS,
-                "walk_length": W2V_SPEEDUP_WALK_LENGTH,
-                "epochs": W2V_SPEEDUP_EPOCHS,
-            },
-            "pairs": {trainer: stats[trainer].pairs for trainer in stats},
-            "timings": registry.to_dict(),
-            "speedup": {"measured": round(speedup, 2), "floor": 5.0},
-        },
-    )
-
-    # Typically ~7x here; assert a conservative floor for loaded CI machines.
-    assert speedup >= 5.0, f"vectorized Word2Vec speedup {speedup:.1f}x below 5x floor"
-
-    # Seeded ranking parity through the full pipeline: the trainers consume
-    # randomness differently, so vectors differ, but the benchmark scenario
-    # must resolve to the same quality.
-    run_vec = run_wrw("imdb_wt")
-    run_ref = run_wrw("imdb_wt", w2v_trainer="reference")
-    assert abs(run_vec.report.mrr - run_ref.report.mrr) <= 0.05
-    assert abs(run_vec.report.map_at[5] - run_ref.report.map_at[5]) <= 0.05
-    assert run_vec.pipeline.timings.note("w2v_trainer") == "vectorized"
-    assert run_ref.pipeline.timings.note("w2v_trainer") == "reference"

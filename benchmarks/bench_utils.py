@@ -60,8 +60,8 @@ def write_result(name: str, text: str) -> str:
 def write_bench_json(name: str, payload: Dict[str, object]) -> str:
     """Persist machine-readable bench telemetry as ``BENCH_<name>.json``.
 
-    The payload should carry the scenario size, per-stage seconds, engine
-    notes, and measured-vs-floor speedups so CI can archive comparable
+    The payload should carry the scenario size, per-stage seconds and
+    timing notes, and measured-vs-floor speedups so CI can archive comparable
     artifacts across runs.  A ``bench`` name, the scale, and the smoke flag
     are stamped automatically.
     """
@@ -104,8 +104,6 @@ def wrw_config(
     vector_size: int = 64,
     epochs: int = 2,
     max_ngram: int = 3,
-    walk_engine: str = "csr",
-    w2v_trainer: str = "vectorized",
 ) -> TDMatchConfig:
     """The benchmark-scale W-RW configuration for a task type."""
     if task == "text-to-data":
@@ -116,10 +114,8 @@ def wrw_config(
         config.word2vec.window = min(15, walk_length)
     config.walks.num_walks = num_walks
     config.walks.walk_length = walk_length
-    config.walks.walk_engine = walk_engine
     config.word2vec.vector_size = vector_size
     config.word2vec.epochs = epochs
-    config.word2vec.trainer = w2v_trainer
     config.builder.preprocess.max_ngram = max_ngram
     return config
 
@@ -158,9 +154,6 @@ def run_wrw(
     bucket_numeric: bool = False,
     merge_pretrained: bool = False,
     seed: int = 7,
-    walk_engine: str = "csr",
-    w2v_trainer: str = "vectorized",
-    compression_engine: str = "bulk",
 ) -> WrwRun:
     """Run (and cache) the W-RW pipeline on a named benchmark scenario."""
     scenario = get_scenario(scenario_name)
@@ -169,8 +162,6 @@ def run_wrw(
         num_walks=num_walks,
         walk_length=walk_length,
         max_ngram=max_ngram,
-        walk_engine=walk_engine,
-        w2v_trainer=w2v_trainer,
     )
     config.builder.filter_strategy_name = filter_strategy
     config.builder.connect_structured_metadata = connect_metadata
@@ -178,10 +169,7 @@ def run_wrw(
         config.expansion = ExpansionConfig(resource=scenario.kb)
     if compression_method is not None:
         config.compression = CompressionConfig(
-            enabled=True,
-            method=compression_method,
-            ratio=compression_ratio,
-            engine=compression_engine,
+            enabled=True, method=compression_method, ratio=compression_ratio
         )
     if bucket_numeric:
         config.merge.bucket_numeric = True

@@ -3,8 +3,9 @@
 The library is built around a handful of conventions that ordinary tests
 cannot see breaking — randomness routed through :mod:`repro.utils.rng`,
 ``MatchGraph`` mutations bumping the CSR cache key, shared-memory segments
-owned by :class:`repro.parallel.shm.ShmArena`, every engine stage keeping a
-reference twin, and monotonic timers in measurement code.  This package
+owned by :class:`repro.parallel.shm.ShmArena`, writes routed through
+:func:`repro.utils.io.atomic_write`, and monotonic timers in measurement
+code.  This package
 turns those conventions into machine-checked invariants:
 
 ``python -m repro.analysis [paths] [--json] [--select/--ignore]``

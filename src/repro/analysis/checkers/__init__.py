@@ -3,7 +3,6 @@
 from repro.analysis.checkers.arena_lifecycle import ArenaLifecycleChecker
 from repro.analysis.checkers.atomic_write import AtomicWriteChecker
 from repro.analysis.checkers.dtype_discipline import DtypeDisciplineChecker
-from repro.analysis.checkers.engine_registry import EngineRegistryChecker
 from repro.analysis.checkers.fork_safety import ForkSafetyChecker
 from repro.analysis.checkers.mmap_mutation import MmapMutationChecker
 from repro.analysis.checkers.rng import RngDisciplineChecker
@@ -16,7 +15,6 @@ __all__ = [
     "ArenaLifecycleChecker",
     "AtomicWriteChecker",
     "DtypeDisciplineChecker",
-    "EngineRegistryChecker",
     "ForkSafetyChecker",
     "MmapMutationChecker",
     "RngDisciplineChecker",

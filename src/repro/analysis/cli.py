@@ -33,9 +33,9 @@ def _split_rules(values: List[str]) -> List[str]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="repro-lint: enforce the repository's engine, RNG, "
-        "shared-memory, mmap, fork-safety, dtype, version-bump, and timer "
-        "contracts.",
+        description="repro-lint: enforce the repository's RNG, "
+        "shared-memory, mmap, fork-safety, dtype, version-bump, atomic-write, "
+        "and timer contracts.",
     )
     parser.add_argument(
         "paths",
@@ -70,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--tests-dir",
-        default=None,
-        metavar="DIR",
-        help="test tree consulted by project-scoped rules "
-        "(default: ./tests when present)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     parser.add_argument(
@@ -107,7 +100,7 @@ def explain_rule(rule: str) -> str:
     if not doc or doc == inspect.getdoc(cls.__bases__[0]):
         doc = inspect.getdoc(sys.modules[cls.__module__]) or ""
     lines = [
-        f"{rule} [{cls.scope}]",
+        rule,
         f"  {cls.description}",
         "",
         doc.rstrip(),
@@ -135,8 +128,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     if args.list_rules:
         for rule, cls in all_rules().items():
-            scope = "project" if cls.scope == "project" else "module"
-            print(f"{rule:28s} [{scope}] {cls.description}")
+            print(f"{rule:28s} {cls.description}")
         return 0
 
     if args.explain is not None:
@@ -156,9 +148,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
     ignore = _split_rules(args.ignore) if args.ignore is not None else None
     paths = args.paths or default_paths()
     try:
-        result = run_analysis(
-            paths, select=select, ignore=ignore, tests_dir=args.tests_dir
-        )
+        result = run_analysis(paths, select=select, ignore=ignore)
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,9 @@
 """Core types of the static-analysis framework.
 
 A *checker* is an :class:`ast.NodeVisitor` subclass registered under a rule
-id (see :mod:`repro.analysis.registry`).  Module-scoped checkers visit one
-parsed file at a time; project-scoped checkers run once over the whole scan
-(:class:`ProjectContext`) so they can cross-reference files — the
-engine-registry rule needs the config module, every stage config class,
-*and* the test tree at once.
+id (see :mod:`repro.analysis.registry`).  Checkers visit one parsed file at
+a time; the whole-scan :class:`ProjectContext` gives them the cross-module
+symbol table and dataflow cache.
 
 Findings are plain frozen dataclasses; suppression
 (``# repro-lint: disable=<rule>``) is resolved at report time by
@@ -87,12 +85,10 @@ class ProjectContext:
     symbol-table build, one flow interpretation per module.
     """
 
-    def __init__(self, modules: Sequence[ModuleContext], tests_dir: Optional[Path] = None):
+    def __init__(self, modules: Sequence[ModuleContext]):
         self.modules = list(modules)
-        self.tests_dir = tests_dir
         self._index = None
         self._flows = None
-        self._test_sources: Optional[Dict[Path, str]] = None
 
     @property
     def index(self):
@@ -116,42 +112,24 @@ class ProjectContext:
         """The cached :class:`~repro.analysis.dataflow.ModuleFlow` of ``ctx``."""
         return self.flows.module_flow(ctx)
 
-    def test_sources(self) -> Dict[Path, str]:
-        """Raw text of every python file under the test tree (cached)."""
-        if self._test_sources is not None:
-            return self._test_sources
-        sources: Dict[Path, str] = {}
-        if self.tests_dir is not None and self.tests_dir.is_dir():
-            for path in sorted(self.tests_dir.rglob("*.py")):
-                if "__pycache__" in path.parts:
-                    continue
-                try:
-                    sources[path] = path.read_text(encoding="utf-8")
-                except (OSError, UnicodeDecodeError):
-                    continue
-        self._test_sources = sources
-        return sources
-
 
 class Checker(ast.NodeVisitor):
     """Base class of all rules.
 
     Subclasses set ``rule`` (the id used in ``--select`` and suppression
-    comments), ``description`` (one line, shown by ``--list-rules``) and
-    ``scope`` ("module" or "project").  Module checkers implement the usual
-    ``visit_*`` methods and are driven by :meth:`check_module`; project
-    checkers override :meth:`check_project` instead.
+    comments) and ``description`` (one line, shown by ``--list-rules``), and
+    implement the usual ``visit_*`` methods; :meth:`check_module` drives
+    them over one file.
     """
 
     rule: str = ""
     description: str = ""
-    scope: str = "module"
 
     def __init__(self) -> None:
         self.findings: List[Finding] = []
         self._ctx: Optional[ModuleContext] = None
         #: The whole-scan context (symbol table, flow cache); set by the
-        #: runner for every checker, module- and project-scoped alike.
+        #: runner for every checker.
         self.project: Optional[ProjectContext] = None
 
     # -- driving -------------------------------------------------------
@@ -165,9 +143,6 @@ class Checker(ast.NodeVisitor):
         self.visit(ctx.tree)
         self._ctx = None
         return self.findings
-
-    def check_project(self, project: ProjectContext) -> List[Finding]:
-        raise NotImplementedError(f"{self.rule} is not a project-scoped rule")
 
     # -- reporting -----------------------------------------------------
     def report(

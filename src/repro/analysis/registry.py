@@ -21,8 +21,6 @@ def register(cls: Type[Checker]) -> Type[Checker]:
         raise ValueError(f"{cls.__name__} must set a rule id")
     if cls.rule in _RULES and _RULES[cls.rule] is not cls:
         raise ValueError(f"duplicate rule id {cls.rule!r}")
-    if cls.scope not in ("module", "project"):
-        raise ValueError(f"{cls.rule}: scope must be 'module' or 'project', got {cls.scope!r}")
     _RULES[cls.rule] = cls
     return cls
 

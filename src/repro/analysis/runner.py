@@ -81,25 +81,21 @@ def run_analysis(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    tests_dir: Optional[str] = None,
     root: Optional[str] = None,
 ) -> AnalysisResult:
     """Lint ``paths`` with the selected rules.
 
     ``root`` anchors the relative paths printed in findings (defaults to
-    the current directory).  ``tests_dir`` points project-scoped rules at
-    the test tree; the default is ``<root>/tests`` when it exists.
+    the current directory).
     """
     root_path = Path(root) if root is not None else Path.cwd()
     checkers = [cls() for cls in resolve_selection(select=select, ignore=ignore)]
-    module_checkers = [c for c in checkers if c.scope == "module"]
-    project_checkers = [c for c in checkers if c.scope == "project"]
 
     result = AnalysisResult()
 
     # Phase 1: read + parse + tokenise every file exactly once.  All of
-    # phase 2 — module checkers, the symbol table, the dataflow engine,
-    # project checkers — works off these cached ModuleContext objects.
+    # phase 2 — the checkers, the symbol table, the dataflow engine — works
+    # off these cached ModuleContext objects.
     modules: List[ModuleContext] = []
     for path in collect_files([Path(p) for p in paths]):
         result.files_scanned += 1
@@ -124,18 +120,11 @@ def run_analysis(
 
     # Phase 2: one ProjectContext for the whole run; its symbol table and
     # flow cache are built lazily and shared by every checker.
-    if tests_dir is not None:
-        tests_path: Optional[Path] = Path(tests_dir)
-    else:
-        default = root_path / "tests"
-        tests_path = default if default.is_dir() else None
-    project = ProjectContext(modules, tests_dir=tests_path)
+    project = ProjectContext(modules)
 
     for ctx in modules:
-        for checker in module_checkers:
+        for checker in checkers:
             result.findings.extend(checker.check_module(ctx, project))
-    for checker in project_checkers:
-        result.findings.extend(checker.check_project(project))
 
     # First occurrence wins on duplicates (identical location+rule+message
     # reached through two dataflow paths), then deterministic order.

@@ -13,10 +13,9 @@ stage timings.  ``fit-save`` fits a pipeline and writes the single-file
 serving index; ``query`` loads that index in a *fresh process* — no fit —
 and serves ``match()`` from it, memory-mapping the embeddings by default.
 
-Invoking the module with the pre-subcommand flat flags
-(``python -m repro.cli --scenario imdb_wt``) still works and behaves like
-``run``.  ``--json`` on any subcommand emits a machine-readable report
-instead of the tables.
+``--json`` on any subcommand emits a machine-readable report instead of the
+tables.  Invalid values (``--epochs 0``, ``--k 0``, ...) exit with a usage
+error (status 2) before any fit starts.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ _SIZES = {
     "medium": ScenarioSize.medium,
 }
 
-SUBCOMMANDS = ("run", "fit-save", "query")
-
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="imdb_wt", choices=sorted(SCENARIO_GENERATORS), help="scenario name")
@@ -52,19 +49,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-walks", type=int, default=10, help="random walks per node")
     parser.add_argument("--walk-length", type=int, default=15, help="random walk length")
-    parser.add_argument(
-        "--graph-engine",
-        choices=["bulk", "reference"],
-        default="bulk",
-        help="graph construction: interned bulk engine (default) or the reference per-term loop",
-    )
-    parser.add_argument(
-        "--walk-engine",
-        choices=["csr", "python", "reference"],
-        default="csr",
-        help="walk implementation: vectorized CSR (default) or reference python "
-        "stepping ('reference' is an alias for 'python')",
-    )
     parser.add_argument(
         "--retrieval-backend",
         choices=["dense", "blocked"],
@@ -85,12 +69,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vector-size", type=int, default=64, help="embedding dimensionality")
     parser.add_argument("--epochs", type=int, default=2, help="Word2Vec epochs")
-    parser.add_argument(
-        "--w2v-trainer",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help="Word2Vec trainer: vectorized numpy engine (default) or the reference pair loop",
-    )
     parser.add_argument("--expansion", action="store_true", help="expand the graph with the scenario KB")
     parser.add_argument(
         "--compression",
@@ -98,13 +76,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         help="compress the graph before learning embeddings",
     )
     parser.add_argument("--ratio", type=float, default=0.5, help="compression ratio / beta")
-    parser.add_argument(
-        "--compression-engine",
-        choices=["bulk", "reference"],
-        default="bulk",
-        help="msp/ssp implementation: multi-source CSR BFS (default) or the reference "
-        "per-pair path enumeration",
-    )
     parser.add_argument(
         "--num-workers",
         type=int,
@@ -135,50 +106,62 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The legacy flat parser (``run`` semantics, no subcommand)."""
+    """The ``repro`` parser with its ``run``, ``fit-save`` and ``query`` subcommands.
+
+    Each subcommand stores its handler as ``args.handler`` and its own
+    ``error`` method as ``args.error``, so handlers report invalid values
+    as usage errors of the subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
+        description="Run, persist, and serve TDmatch matching experiments.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+
+    run_parser = subparsers.add_parser(
+        "run",
+        help="fit and evaluate the pipeline on a synthetic scenario",
         description="Run the TDmatch pipeline on a synthetic benchmark scenario.",
     )
-    parser.add_argument("--list", action="store_true", help="list available scenarios and exit")
-    _add_scenario_arguments(parser)
-    parser.add_argument("--k", type=int, default=20, help="top-k candidates per query")
-    _add_pipeline_arguments(parser)
-    parser.add_argument("--json", action="store_true", help="emit a JSON report instead of tables")
-    return parser
+    run_parser.add_argument("--list", action="store_true", help="list available scenarios and exit")
+    _add_scenario_arguments(run_parser)
+    run_parser.add_argument("--k", type=int, default=20, help="top-k candidates per query")
+    _add_pipeline_arguments(run_parser)
+    run_parser.add_argument("--json", action="store_true", help="emit a JSON report instead of tables")
+    run_parser.set_defaults(handler=run, error=run_parser.error)
 
-
-def build_fit_save_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro fit-save",
+    fit_save_parser = subparsers.add_parser(
+        "fit-save",
+        help="fit the pipeline and write a single-file serving index",
         description="Fit the pipeline on a scenario and write a single-file serving index.",
     )
-    _add_scenario_arguments(parser)
-    parser.add_argument("--index", required=True, help="output path of the serving index")
-    _add_pipeline_arguments(parser)
-    parser.add_argument(
+    _add_scenario_arguments(fit_save_parser)
+    fit_save_parser.add_argument("--index", required=True, help="output path of the serving index")
+    _add_pipeline_arguments(fit_save_parser)
+    fit_save_parser.add_argument(
         "--mmap-default",
         action="store_true",
         help="record mmap=True as the index's default load mode",
     )
-    parser.add_argument("--json", action="store_true", help="emit a JSON report instead of tables")
-    return parser
+    fit_save_parser.add_argument(
+        "--json", action="store_true", help="emit a JSON report instead of tables"
+    )
+    fit_save_parser.set_defaults(handler=run_fit_save, error=fit_save_parser.error)
 
-
-def build_query_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro query",
+    query_parser = subparsers.add_parser(
+        "query",
+        help="serve matches from a saved index (no fit)",
         description="Load a serving index (no fit) and rank candidates for every query.",
     )
-    parser.add_argument("--index", required=True, help="path of a fit-save serving index")
-    parser.add_argument("--k", type=int, default=20, help="top-k candidates per query")
-    parser.add_argument(
+    query_parser.add_argument("--index", required=True, help="path of a fit-save serving index")
+    query_parser.add_argument("--k", type=int, default=20, help="top-k candidates per query")
+    query_parser.add_argument(
         "--query-side",
         choices=["first", "second"],
         default="first",
         help="which corpus provides the queries",
     )
-    mmap_group = parser.add_mutually_exclusive_group()
+    mmap_group = query_parser.add_mutually_exclusive_group()
     mmap_group.add_argument(
         "--mmap", dest="mmap", action="store_true", default=None,
         help="memory-map the embeddings (processes share pages)",
@@ -187,53 +170,65 @@ def build_query_parser() -> argparse.ArgumentParser:
         "--no-mmap", dest="mmap", action="store_false",
         help="load private writable copies of the embeddings",
     )
-    parser.add_argument(
+    query_parser.add_argument(
         "--verify",
         choices=["none", "header", "full"],
         default="header",
         help="corruption check before serving: structural only, plus header "
         "checksum (default), or a full CRC of every array blob",
     )
-    parser.add_argument("--json", action="store_true", help="emit a JSON report instead of tables")
+    query_parser.add_argument(
+        "--json", action="store_true", help="emit a JSON report instead of tables"
+    )
+    query_parser.set_defaults(handler=run_query, error=query_parser.error)
     return parser
 
 
+def _check_k(args: argparse.Namespace) -> None:
+    if args.k < 1:
+        args.error(f"--k must be >= 1, got {args.k}")
+
+
 def _config_for(scenario, args: argparse.Namespace) -> TDMatchConfig:
-    """Build the pipeline config a ``run``/``fit-save`` invocation asked for."""
-    if scenario.task == "text-to-data":
-        config = TDMatchConfig.for_text_to_data()
-    else:
-        config = TDMatchConfig.for_text_tasks()
-    config.builder.engine = args.graph_engine
-    config.walks.num_walks = args.num_walks
-    config.walks.walk_length = args.walk_length
-    config.walks.walk_engine = args.walk_engine
-    config.word2vec.vector_size = args.vector_size
-    config.word2vec.epochs = args.epochs
-    config.word2vec.trainer = args.w2v_trainer
-    config.parallel.num_workers = args.num_workers
-    config.reliability = ReliabilityConfig(
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
-        degrade_serial=not args.no_degrade,
-    )
+    """Build the pipeline config a ``run``/``fit-save`` invocation asked for.
+
+    Every value goes through the config validation; an invalid one exits
+    with a usage error of the subcommand.
+    """
     backend = args.retrieval_backend
     if args.blocking and backend != "blocked":
         backend = "blocked"  # --blocking implies the blocked backend
-    config.retrieval.backend = backend
-    config.retrieval.chunk_size = args.chunk_size
+    overrides = {
+        "walks__num_walks": args.num_walks,
+        "walks__walk_length": args.walk_length,
+        "word2vec__vector_size": args.vector_size,
+        "word2vec__epochs": args.epochs,
+        "parallel__num_workers": args.num_workers,
+        "retrieval__backend": backend,
+        "retrieval__chunk_size": args.chunk_size,
+    }
     if args.blocking:
-        config.retrieval.blocking = args.blocking
-    if args.expansion and scenario.kb is not None:
-        config.expansion = ExpansionConfig(resource=scenario.kb)
-    if args.compression:
-        config.compression = CompressionConfig(
-            enabled=True,
-            method=args.compression,
-            ratio=args.ratio,
-            engine=args.compression_engine,
+        overrides["retrieval__blocking"] = args.blocking
+    factory = (
+        TDMatchConfig.for_text_to_data
+        if scenario.task == "text-to-data"
+        else TDMatchConfig.for_text_tasks
+    )
+    try:
+        overrides["reliability"] = ReliabilityConfig(
+            task_timeout=args.task_timeout,
+            max_retries=args.max_retries,
+            degrade_serial=not args.no_degrade,
         )
-    return config
+        if args.expansion and scenario.kb is not None:
+            overrides["expansion"] = ExpansionConfig(resource=scenario.kb)
+        if args.compression:
+            overrides["compression"] = CompressionConfig(
+                enabled=True, method=args.compression, ratio=args.ratio
+            )
+        return factory(**overrides)
+    except ValueError as exc:
+        args.error(str(exc))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -242,9 +237,10 @@ def run(args: argparse.Namespace) -> int:
         print(format_table(rows, title="Available scenarios"))
         return 0
 
+    _check_k(args)
     scenario = generate_scenario(args.scenario, size=_SIZES[args.size](), seed=args.seed)
     config = _config_for(scenario, args)
-    emit_json = getattr(args, "json", False)
+    emit_json = args.json
     if not emit_json:
         print(format_table([scenario.summary()], title="Scenario"))
 
@@ -256,9 +252,8 @@ def run(args: argparse.Namespace) -> int:
         )
         if args.compression:
             comp = pipeline.state.compression
-            comp_engine = pipeline.timings.note("compression_engine", "-")
             print(
-                f"compression: {comp.method} engine={comp_engine} "
+                f"compression: {comp.method} "
                 f"nodes {comp.nodes_before}->{comp.nodes_after} "
                 f"edges {comp.edges_before}->{comp.edges_after}"
             )
@@ -302,17 +297,12 @@ def run(args: argparse.Namespace) -> int:
         for stage, seconds in pipeline.timings.as_dict().items()
     ]
     print()
-    graph_engine = pipeline.timings.note("graph_engine", args.graph_engine)
-    engine = pipeline.timings.note("walk_engine", args.walk_engine)
-    trainer = pipeline.timings.note("w2v_trainer", args.w2v_trainer)
+    engine = pipeline.timings.note("walk_engine", "-")
     pairs_per_sec = pipeline.timings.note("w2v_pairs_per_sec", "-")
     print(
         format_table(
             timing_rows,
-            title=(
-                f"Stage timings (graph engine: {graph_engine}, walk engine: {engine}, "
-                f"w2v trainer: {trainer}, {pairs_per_sec} pairs/s)"
-            ),
+            title=f"Stage timings (walk engine: {engine}, {pairs_per_sec} pairs/s)",
         )
     )
     return 0
@@ -348,6 +338,7 @@ def run_fit_save(args: argparse.Namespace) -> int:
 
 
 def run_query(args: argparse.Namespace) -> int:
+    _check_k(args)
     pipeline = TDMatch.load(args.index, mmap=args.mmap, verify=args.verify)
     result = pipeline.match_result(k=args.k, query_side=args.query_side)
 
@@ -389,18 +380,8 @@ def run_query(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Subcommand dispatch only when the first token names one; everything
-    # else (including no arguments) parses with the legacy flat parser so
-    # pre-subcommand invocations keep working unchanged.
-    if argv and argv[0] in SUBCOMMANDS:
-        command, rest = argv[0], argv[1:]
-        if command == "fit-save":
-            return run_fit_save(build_fit_save_parser().parse_args(rest))
-        if command == "query":
-            return run_query(build_query_parser().parse_args(rest))
-        return run(build_parser().parse_args(rest))
-    return run(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Core of the reproduction: the TDmatch unsupervised matching pipeline."""
 
 from repro.core.config import (
-    ENGINE_STAGES,
     CompressionConfig,
     ExpansionConfig,
     IncrementalConfig,
@@ -29,7 +28,6 @@ __all__ = [
     "CompressionConfig",
     "ServingConfig",
     "IncrementalConfig",
-    "ENGINE_STAGES",
     "TDMatch",
     "MatchResult",
     "MetadataMatcher",

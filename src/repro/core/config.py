@@ -3,39 +3,27 @@
 The defaults follow the paper's default configuration:
 
 * graph construction with Intersect filtering and n-grams up to 3 tokens;
-* 100 random walks of length 30 per node (reducible for small graphs),
-  generated by the vectorised CSR walk engine (``walks__walk_engine="python"``
-  selects the reference step-at-a-time engine);
+* 100 random walks of length 30 per node (reducible for small graphs);
 * Word2Vec Skip-gram with window 3 for text-to-data tasks, CBOW with window
-  15 for text-only tasks, trained by the vectorized numpy engine
-  (``word2vec__trainer="reference"`` selects the original pair loop);
+  15 for text-only tasks;
 * expansion and compression disabled unless a knowledge base / ratio is
   supplied.
+
+Every section validates itself in ``__post_init__``.  The factory
+classmethods take ``section__field=value`` overrides and rebuild each
+touched section, so an overridden value is validated exactly like one
+passed to the section's constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Optional
 
 from repro.embeddings.word2vec import Word2VecConfig
 from repro.graph.builder import GraphBuilderConfig
 from repro.graph.walks import RandomWalkConfig
 from repro.parallel.config import ParallelConfig
-
-#: The unified engine-switch registry: stage name → (config section, field).
-#: Historically each stage grew its own switch spelling
-#: (``builder.engine``, ``walks.walk_engine``, ``word2vec.trainer``,
-#: ``compression.engine``); those field names remain the storage and keep
-#: working as documented aliases, while ``TDMatchConfig.engines`` exposes
-#: them under one ``{stage: engine}`` vocabulary.
-ENGINE_STAGES: Dict[str, Tuple[str, str]] = {
-    "graph": ("builder", "engine"),
-    "walks": ("walks", "walk_engine"),
-    "word2vec": ("word2vec", "trainer"),
-    "compression": ("compression", "engine"),
-}
-
 
 @dataclass
 class MergeConfig:
@@ -87,20 +75,11 @@ class CompressionConfig:
     ``method`` is one of "msp", "ssp", "ssum", "random-node", "random-edge";
     ``ratio`` is β for MSP/SSP, the target size ratio for SSuM, or the keep
     ratio for the random samplers.  ``enabled`` defaults to False.
-
-    ``engine`` selects the MSP/SSP implementation: "bulk" (default) runs
-    multi-source numpy BFS over the cached CSR snapshot and unions the
-    shortest-path DAG without enumerating paths; "reference" keeps the
-    original per-pair path-enumeration loop (``max_paths_per_pair`` caps
-    its enumeration; the bulk engine computes the exact union).  The other
-    methods ignore the switch.
     """
 
     enabled: bool = False
     method: str = "msp"
     ratio: float = 0.5
-    max_paths_per_pair: int = 16
-    engine: str = "bulk"
 
     def __post_init__(self) -> None:
         valid = {"msp", "ssp", "ssum", "random-node", "random-edge"}
@@ -108,12 +87,6 @@ class CompressionConfig:
             raise ValueError(f"unknown compression method {self.method!r}; valid: {sorted(valid)}")
         if self.ratio <= 0:
             raise ValueError("compression ratio must be positive")
-        if self.max_paths_per_pair < 1:
-            raise ValueError("max_paths_per_pair must be >= 1")
-        if self.engine not in ("bulk", "reference"):
-            raise ValueError(
-                f"unknown compression engine {self.engine!r}; valid: ['bulk', 'reference']"
-            )
 
 
 @dataclass
@@ -231,55 +204,15 @@ class TDMatchConfig:
         """The worker-pool supervision policy (alias of ``parallel.reliability``).
 
         Stored on :class:`~repro.parallel.config.ParallelConfig` because the
-        worker pools consult it there, but exposed at the top level — like
-        ``engines`` — since operators tune timeouts/retries next to the rest
-        of the pipeline knobs (CLI: ``--task-timeout``, ``--max-retries``,
-        ``--no-degrade``).
+        worker pools consult it there, but exposed at the top level since
+        operators tune timeouts/retries next to the rest of the pipeline
+        knobs (CLI: ``--task-timeout``, ``--max-retries``, ``--no-degrade``).
         """
         return self.parallel.reliability
 
     @reliability.setter
     def reliability(self, value) -> None:
         self.parallel.reliability = value
-
-    @property
-    def engines(self) -> Dict[str, str]:
-        """All stage engine switches under one ``{stage: engine}`` view.
-
-        The historical per-stage field names (``builder.engine``,
-        ``walks.walk_engine``, ``word2vec.trainer``, ``compression.engine``)
-        remain the storage; this property and :meth:`set_engines` are the
-        uniform spelling over them.
-        """
-        return {
-            stage: getattr(getattr(self, section), field_name)
-            for stage, (section, field_name) in ENGINE_STAGES.items()
-        }
-
-    @engines.setter
-    def engines(self, mapping: Mapping[str, str]) -> None:
-        self.set_engines(mapping)
-
-    def set_engines(self, mapping: Mapping[str, str]) -> "TDMatchConfig":
-        """Apply a partial ``{stage: engine}`` mapping (unknown stages raise).
-
-        Values are validated by the per-stage configs exactly as if the
-        aliased field had been set directly.
-        """
-        for stage, engine in mapping.items():
-            if stage not in ENGINE_STAGES:
-                raise ValueError(
-                    f"unknown engine stage {stage!r}; valid: {sorted(ENGINE_STAGES)}"
-                )
-            section, field_name = ENGINE_STAGES[stage]
-            target = getattr(self, section)
-            setattr(target, field_name, engine)
-            # Dataclass field assignment skips __post_init__; revalidate so
-            # a bad engine name fails here, not deep inside fit().
-            post_init = getattr(target, "__post_init__", None)
-            if post_init is not None:
-                post_init()
-        return self
 
     @classmethod
     def for_text_to_data(cls, **overrides) -> "TDMatchConfig":
@@ -311,20 +244,23 @@ class TDMatchConfig:
 def _apply_overrides(config: TDMatchConfig, overrides: dict) -> TDMatchConfig:
     """Apply ``section__field=value`` style overrides, e.g. walks__num_walks=10.
 
-    ``engines={"walks": "csr", ...}`` is accepted as a uniform override of
-    the per-stage engine switches (see :data:`ENGINE_STAGES`).
+    A bare ``section=value`` key replaces a whole section.  Every section
+    touched by a ``section__field`` key is rebuilt with
+    :func:`dataclasses.replace`, which re-runs its ``__post_init__``: an
+    invalid value raises ``ValueError`` here, not deep inside ``fit()``.
     """
+    changes: Dict[str, Dict[str, object]] = {}
     for key, value in overrides.items():
-        if key == "engines":
-            config.set_engines(value)
-        elif "__" in key:
+        if "__" in key:
             section, field_name = key.split("__", 1)
             target = getattr(config, section)
-            if not hasattr(target, field_name):
+            if field_name not in {f.name for f in fields(target)}:
                 raise AttributeError(f"{section} config has no field {field_name!r}")
-            setattr(target, field_name, value)
+            changes.setdefault(section, {})[field_name] = value
         else:
             if not hasattr(config, key):
                 raise AttributeError(f"TDMatchConfig has no section {key!r}")
             setattr(config, key, value)
+    for section, section_changes in changes.items():
+        setattr(config, section, replace(getattr(config, section), **section_changes))
     return config

@@ -148,7 +148,6 @@ class TDMatch:
 
         with self.timings.measure("graph_build"):
             built = self._graph_builder().build(first, second)
-        self.timings.set_note("graph_engine", built.engine)
         if built.filter_stats is not None:
             self.timings.set_note(
                 "filter_kept_fraction", f"{built.filter_stats.kept_fraction:.3f}"
@@ -184,7 +183,6 @@ class TDMatch:
             self.timings.set_note("parallel_shards", str(parallel.shards))
             self.timings.set_note("parallel_stages", ",".join(parallel.stage_names()))
         if model.stats is not None:
-            self.timings.set_note("w2v_trainer", model.stats.trainer)
             self.timings.set_note("w2v_pairs_per_sec", f"{model.stats.pairs_per_sec:.0f}")
 
         self._state = PipelineState(
@@ -223,7 +221,7 @@ class TDMatch:
     def _graph_builder(self) -> GraphBuilder:
         """The pipeline's graph builder, reused across :meth:`fit` calls.
 
-        Reuse keeps the bulk engine's value-level interner warm, so
+        Reuse keeps the builder's value-level interner warm, so
         re-fitting over the same or overlapping corpora (parameter sweeps,
         growing datasets) skips preprocessing for every value seen before.
         The builder is rebuilt when ``config.builder`` changes (compared
@@ -288,8 +286,6 @@ class TDMatch:
             return None
         with self.timings.measure("compression"):
             seed = derive_rng(self.seed, "compression")
-            if compression_cfg.method in ("msp", "ssp"):
-                self.timings.set_note("compression_engine", compression_cfg.engine)
             if compression_cfg.method == "msp":
                 result = msp_compress(
                     built.graph,
@@ -297,8 +293,6 @@ class TDMatch:
                     built.second_labels(),
                     beta=compression_cfg.ratio,
                     seed=seed,
-                    max_paths_per_pair=compression_cfg.max_paths_per_pair,
-                    engine=compression_cfg.engine,
                     parallel=self.config.parallel,
                 )
             elif compression_cfg.method == "ssp":
@@ -306,8 +300,6 @@ class TDMatch:
                     built.graph,
                     beta=compression_cfg.ratio,
                     seed=seed,
-                    max_paths_per_pair=compression_cfg.max_paths_per_pair,
-                    engine=compression_cfg.engine,
                     parallel=self.config.parallel,
                 )
             elif compression_cfg.method == "ssum":
@@ -507,14 +499,9 @@ class TDMatch:
 
     # ------------------------------------------------------------------
     # Structured reporting
-    def engines(self) -> Dict[str, str]:
-        """The engine selected for each pipeline stage (see ``ENGINE_STAGES``)."""
-        return dict(self.config.engines)
-
     def report(self) -> Dict[str, object]:
-        """A JSON-able report of engines, timings, and fitted-state shape."""
+        """A JSON-able report of timings, reliability incidents, and fitted-state shape."""
         report: Dict[str, object] = {
-            "engines": self.engines(),
             "timings": self.timings.to_dict(),
             "reliability": [event.to_dict() for event in self._reliability_events],
         }
@@ -524,7 +511,6 @@ class TDMatch:
             report["graph"] = {
                 "nodes": built.graph.num_nodes(),
                 "edges": built.graph.num_edges(),
-                "engine": built.engine,
                 "intersect_anchor": built.intersect_anchor,
             }
             model_info: Dict[str, object] = {
@@ -532,7 +518,6 @@ class TDMatch:
                 "vector_size": model.config.vector_size,
             }
             if model.stats is not None:
-                model_info["trainer"] = model.stats.trainer
                 model_info["pairs"] = model.stats.pairs
             report["model"] = model_info
             report["incremental_deltas"] = self._delta_count

@@ -6,38 +6,30 @@ the document representations used for matching.  The paper uses Skip-gram
 with window 3 for text-to-data tasks and CBOW with window 15 for text-only
 tasks; both variants are implemented.
 
-Two trainers share the model, initialisation, and update mathematics and
-are selected by ``Word2VecConfig.trainer``:
+Training is vectorised end to end:
 
-``"vectorized"`` (default)
-    Pair extraction is fully numpy: sentences are flattened into one id
-    array with per-sentence offsets, the per-position reduced windows of a
-    whole epoch come from a single ``rng.integers`` draw, and the (center,
-    context) pairs fall out of vectorised offset arithmetic.  Windows are
-    resampled every epoch, matching the reference word2vec implementation.
-    Negatives come from a precomputed alias table
-    (:class:`~repro.embeddings.sampling.AliasSampler`) — one O(1)-per-draw
-    call per epoch instead of per-batch ``rng.choice(p=...)`` with its
-    O(vocab) cumulative-distribution rebuild — and are *shared across each
-    mini-batch* (drawn per batch, not per pair), which turns the whole
-    negative side of the update into three small dense matmuls with no
-    scatter at all.  The remaining (center and positive-context) gradients
-    are accumulated through sorted-index segment sums (a one-hot CSR
-    product, :func:`segment_scatter_add`) instead of the slow buffered
-    ``np.add.at``, and the model trains in float32 (as gensim does),
-    halving memory traffic.
+* Pair extraction is fully numpy: sentences are flattened into one id
+  array with per-sentence offsets, the per-position reduced windows of a
+  whole epoch come from a single ``rng.integers`` draw, and the (center,
+  context) pairs fall out of vectorised offset arithmetic.  Windows are
+  resampled every epoch, as in the original word2vec implementation.
+* Negatives come from a precomputed alias table
+  (:class:`~repro.embeddings.sampling.AliasSampler`) — one O(1)-per-draw
+  call per epoch instead of per-batch ``rng.choice(p=...)`` with its
+  O(vocab) cumulative-distribution rebuild — and are *shared across each
+  mini-batch* (drawn per batch, not per pair), which turns the whole
+  negative side of the update into three small dense matmuls with no
+  scatter at all.
+* The remaining (center and positive-context) gradients are accumulated
+  through sorted-index segment sums (a one-hot CSR product,
+  :func:`segment_scatter_add`) instead of the slow buffered ``np.add.at``,
+  and the model trains in float32 (as gensim does), halving memory traffic.
 
-``"reference"``
-    The original token-by-token Python loop, kept for parity testing: pairs
-    are extracted once (windows frozen across epochs), negatives are drawn
-    per pair with ``rng.choice(..., p=neg_dist)``, updates scatter through
-    ``np.add.at``, and the model trains in float64.
-
-Both trainers run mini-batch SGD over (center, context) pairs with repeated
-indices within a batch accumulated (not overwritten).  They consume
-randomness differently, so the same seed yields different (identically
-distributed) models; pair multisets per (sentence, window-seed) are
-identical when subsampling is off — see ``tests/test_word2vec_trainers.py``.
+Mini-batch SGD runs over (center, context) pairs with repeated indices
+within a batch accumulated (not overwritten).  The token-by-token pair loop
+the trainer must agree with — the same pair sequence under a shared window
+seed, the same ranking quality end to end — is the test oracle in
+``tests/oracles/word2vec.py``.
 """
 
 from __future__ import annotations
@@ -57,10 +49,7 @@ from repro.utils.rng import ensure_rng
 
 logger = get_logger(__name__)
 
-TRAINERS = ("vectorized", "reference")
-
-#: Minimum negative-sample draws per epoch in the vectorized trainer.  Its
-#: negatives are shared across a mini-batch, so with few batches per epoch
+#: Minimum negative-sample draws per epoch.  Negatives are shared across a mini-batch, so with few batches per epoch
 #: the model would train against almost no distinct negatives; the
 #: effective batch is capped at ``ceil(n_pairs / MIN_NEGATIVE_REFRESHES)``.
 #: The cap engages on any epoch with fewer than ``batch_size × 64`` pairs
@@ -114,8 +103,8 @@ def pair_update(
     alias-sampled negatives, so the negative side reduces to three dense
     matmuls — score ``in_vecs @ neg_vecs.T``, input gradient
     ``g_neg @ neg_vecs``, output gradient ``g_neg.T @ in_vecs`` — with no
-    per-pair scatter.  Positive-side mathematics match the reference update
-    exactly; its gradients accumulate through :func:`segment_scatter_add`.
+    per-pair scatter.  Positive-side gradients accumulate through
+    :func:`segment_scatter_add`.
 
     A module-level function (not a method) so the parallel trainer's worker
     processes run the exact same update against local matrix copies — see
@@ -174,7 +163,6 @@ def run_pair_batches(
 class TrainingStats:
     """Throughput record of one :meth:`Word2Vec.train` call."""
 
-    trainer: str
     pairs: int
     epochs: int
     seconds: float
@@ -196,7 +184,7 @@ class Word2VecConfig:
         and keeps training fast on a laptop-class CPU).
     window:
         Maximum context window; the effective window of each position is
-        sampled uniformly in [1, window] as in the reference implementation.
+        sampled uniformly in [1, window] as in the original word2vec.
     negative:
         Number of negative samples per positive pair.
     epochs:
@@ -213,15 +201,10 @@ class Word2VecConfig:
         Mini-batch size for the vectorised update.  Batches accumulate raw
         per-pair gradients (word2vec semantics); keeping them moderate avoids
         over-shooting on small vocabularies where the same token repeats many
-        times within a batch.  The vectorized trainer shares negatives per
-        batch and therefore caps the effective batch at
-        ``ceil(n_pairs / MIN_NEGATIVE_REFRESHES)`` on small corpora (below
-        ``batch_size × 64`` pairs per epoch) to keep the draws diverse.
-    trainer:
-        "vectorized" (numpy pair extraction, alias-sampled negatives,
-        segment-sum scatter; per-epoch window resampling) or "reference"
-        (the original Python pair loop with frozen windows, kept for parity
-        testing).
+        times within a batch.  Negatives are shared per batch, so the
+        effective batch is capped at ``ceil(n_pairs / MIN_NEGATIVE_REFRESHES)``
+        on small corpora (below ``batch_size × 64`` pairs per epoch) to keep
+        the draws diverse.
     """
 
     vector_size: int = 96
@@ -234,7 +217,6 @@ class Word2VecConfig:
     min_count: int = 1
     subsample: float = 0.0
     batch_size: int = 512
-    trainer: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.vector_size < 1:
@@ -251,8 +233,6 @@ class Word2VecConfig:
             raise ValueError("min_learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.trainer not in TRAINERS:
-            raise ValueError(f"unknown trainer {self.trainer!r}; valid: {sorted(TRAINERS)}")
 
 
 class Word2Vec:
@@ -261,8 +241,8 @@ class Word2Vec:
     def __init__(self, config: Optional[Word2VecConfig] = None, seed=None, parallel=None):
         self.config = config or Word2VecConfig()
         # A repro.parallel.ParallelConfig (or None): when it enables the
-        # word2vec stage with a multi-shard plan, the vectorized trainer
-        # shards each epoch across workers (see repro.parallel.trainer).
+        # word2vec stage with a multi-shard plan, training shards each epoch
+        # across workers (see repro.parallel.trainer).
         self.parallel = parallel
         self._rng = ensure_rng(seed)
         self.vocab: Optional[Vocabulary] = None
@@ -288,13 +268,11 @@ class Word2Vec:
 
         dim = self.config.vector_size
         vocab_size = len(self.vocab)
-        # Both trainers start from the same float64 draw (same rng
-        # consumption); the vectorized trainer then trains in float32.
-        dtype = np.float64 if self.config.trainer == "reference" else np.float32
+        # Drawn in float64, trained in float32.
         self._input_vectors = (
             (self._rng.random((vocab_size, dim), dtype=np.float64) - 0.5) / dim
-        ).astype(dtype)
-        self._output_vectors = np.zeros((vocab_size, dim), dtype=dtype)
+        ).astype(np.float32)
+        self._output_vectors = np.zeros((vocab_size, dim), dtype=np.float32)
 
         keep_probs = (
             self.vocab.subsample_keep_probabilities(self.config.subsample)
@@ -303,20 +281,11 @@ class Word2Vec:
         )
 
         start = time.perf_counter()
-        if self.config.trainer == "reference":
-            pairs = self._train_reference(encoded, keep_probs)
-        else:
-            pairs = self._train_vectorized(encoded, keep_probs)
+        pairs = self._train_vectorized(encoded, keep_probs)
         elapsed = time.perf_counter() - start
-        self.stats = TrainingStats(
-            trainer=self.config.trainer,
-            pairs=pairs,
-            epochs=self.config.epochs,
-            seconds=elapsed,
-        )
+        self.stats = TrainingStats(pairs=pairs, epochs=self.config.epochs, seconds=elapsed)
         logger.debug(
-            "word2vec %s trainer: %d pairs in %.3fs (%.0f pairs/s)",
-            self.stats.trainer,
+            "word2vec: %d pairs in %.3fs (%.0f pairs/s)",
             self.stats.pairs,
             self.stats.seconds,
             self.stats.pairs_per_sec,
@@ -336,8 +305,8 @@ class Word2Vec:
         The vocabulary grows in place: unseen tokens of ``sentences`` are
         appended (existing ids — and therefore existing embedding rows —
         never move) and receive freshly initialised input rows / zero output
-        rows, then the configured trainer runs ``epochs`` epochs over the
-        delta sentences only.  Existing rows that appear in the delta are
+        rows, then training runs ``epochs`` epochs over the delta sentences
+        only.  Existing rows that appear in the delta are
         updated; everything else is untouched, which is what makes a small
         delta orders of magnitude cheaper than retraining.
 
@@ -356,7 +325,7 @@ class Word2Vec:
             ),
         )
         if not sentences:
-            return TrainingStats(trainer=config.trainer, pairs=0, epochs=0, seconds=0.0)
+            return TrainingStats(pairs=0, epochs=0, seconds=0.0)
 
         old_size = len(self.vocab)
         self.vocab.extend_from_sentences(sentences)
@@ -378,7 +347,7 @@ class Word2Vec:
         encoded = [self.vocab.encode(s) for s in sentences]
         encoded = [s for s in encoded if len(s) >= 2]
         if not encoded:
-            self.stats = TrainingStats(trainer=config.trainer, pairs=0, epochs=0, seconds=0.0)
+            self.stats = TrainingStats(pairs=0, epochs=0, seconds=0.0)
             return self.stats
         keep_probs = (
             self.vocab.subsample_keep_probabilities(config.subsample)
@@ -389,140 +358,16 @@ class Word2Vec:
         self.config = config
         try:
             start = time.perf_counter()
-            if config.trainer == "reference":
-                pairs = self._train_reference(encoded, keep_probs)
-            else:
-                pairs = self._train_vectorized(encoded, keep_probs)
+            pairs = self._train_vectorized(encoded, keep_probs)
             elapsed = time.perf_counter() - start
         finally:
             self.config = original_config
-        self.stats = TrainingStats(
-            trainer=config.trainer, pairs=pairs, epochs=config.epochs, seconds=elapsed
-        )
+        self.stats = TrainingStats(pairs=pairs, epochs=config.epochs, seconds=elapsed)
         return self.stats
 
-    def _learning_rate(self, step: int, total_steps: int) -> float:
-        progress = min(1.0, step / max(total_steps, 1))
-        return max(
-            self.config.min_learning_rate,
-            self.config.learning_rate * (1.0 - progress),
-        )
-
     # ------------------------------------------------------------------
-    # Reference trainer: frozen pair set, rng.choice negatives, np.add.at
-    def _train_reference(
-        self, encoded: List[List[int]], keep_probs: Optional[np.ndarray]
-    ) -> int:
-        neg_dist = self.vocab.negative_sampling_distribution()
-        centers, contexts = self._extract_pairs(encoded, keep_probs)
-        if centers.size == 0:
-            raise ValueError("no training pairs could be extracted")
-
-        n_pairs = centers.size
-        total_steps = self.config.epochs * n_pairs
-        step = 0
-        for epoch in range(self.config.epochs):
-            order = self._rng.permutation(n_pairs)
-            for start in range(0, n_pairs, self.config.batch_size):
-                batch = order[start : start + self.config.batch_size]
-                lr = self._learning_rate(step, total_steps)
-                if self.config.sg:
-                    self._sg_update(centers[batch], contexts[batch], neg_dist, lr)
-                else:
-                    self._cbow_update(batch, centers, contexts, neg_dist, lr)
-                step += batch.size
-            logger.debug("word2vec epoch %d/%d done", epoch + 1, self.config.epochs)
-        return step
-
-    # -- pair extraction -------------------------------------------------
-    def _extract_pairs(
-        self, encoded: List[List[int]], keep_probs: Optional[np.ndarray]
-    ):
-        """(center, context) id arrays with dynamic windows and subsampling."""
-        centers: List[int] = []
-        contexts: List[int] = []
-        window = self.config.window
-        for sentence in encoded:
-            if keep_probs is not None:
-                sentence = [
-                    t for t in sentence if self._rng.random() < keep_probs[t]
-                ]
-                if len(sentence) < 2:
-                    continue
-            length = len(sentence)
-            reduced = self._rng.integers(1, window + 1, size=length)
-            for pos, center in enumerate(sentence):
-                w = int(reduced[pos])
-                lo = max(0, pos - w)
-                hi = min(length, pos + w + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    centers.append(center)
-                    contexts.append(sentence[ctx_pos])
-        return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
-
-    # -- skip-gram update -------------------------------------------------
-    def _sg_update(self, centers, contexts, neg_dist, lr) -> None:
-        w_in = self._input_vectors
-        w_out = self._output_vectors
-        batch = centers.size
-        k = self.config.negative
-
-        negatives = self._rng.choice(len(neg_dist), size=(batch, k), p=neg_dist)
-        center_vecs = w_in[centers]                     # (B, D)
-        pos_vecs = w_out[contexts]                      # (B, D)
-        neg_vecs = w_out[negatives]                     # (B, K, D)
-
-        pos_scores = _sigmoid(np.einsum("bd,bd->b", center_vecs, pos_vecs))
-        neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, center_vecs))
-
-        pos_grad = (pos_scores - 1.0)[:, None]          # (B, 1)
-        neg_grad = neg_scores[:, :, None]               # (B, K, 1)
-
-        grad_center = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
-        grad_pos = pos_grad * center_vecs
-        grad_neg = neg_grad * center_vecs[:, None, :]
-
-        np.add.at(w_in, centers, -lr * grad_center)
-        np.add.at(w_out, contexts, -lr * grad_pos)
-        np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
-
-    # -- CBOW update -------------------------------------------------------
-    def _cbow_update(self, batch_idx, centers, contexts, neg_dist, lr) -> None:
-        """CBOW treated pairwise: the context token predicts the center.
-
-        With per-pair extraction the full CBOW bag averaging degenerates to
-        predicting the center from each context token; this retains the CBOW
-        direction (context → center) while reusing the same pair set.
-        """
-        w_in = self._input_vectors
-        w_out = self._output_vectors
-        ctx = contexts[batch_idx]
-        cen = centers[batch_idx]
-        batch = ctx.size
-        k = self.config.negative
-
-        negatives = self._rng.choice(len(neg_dist), size=(batch, k), p=neg_dist)
-        ctx_vecs = w_in[ctx]
-        pos_vecs = w_out[cen]
-        neg_vecs = w_out[negatives]
-
-        pos_scores = _sigmoid(np.einsum("bd,bd->b", ctx_vecs, pos_vecs))
-        neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, ctx_vecs))
-
-        pos_grad = (pos_scores - 1.0)[:, None]
-        grad_ctx = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
-        grad_pos = pos_grad * ctx_vecs
-        grad_neg = neg_scores[:, :, None] * ctx_vecs[:, None, :]
-
-        np.add.at(w_in, ctx, -lr * grad_ctx)
-        np.add.at(w_out, cen, -lr * grad_pos)
-        np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
-
-    # ------------------------------------------------------------------
-    # Vectorized trainer: per-epoch numpy extraction, alias negatives,
-    # segment-sum scatter
+    # Epoch loop: per-epoch numpy extraction, alias negatives, segment-sum
+    # scatter
     def _shard_trainer(self):
         """The sharded epoch runner, when the parallel layer enables it."""
         parallel = self.parallel
@@ -618,11 +463,10 @@ class Word2Vec:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One epoch's (center, context) pairs from the flattened corpus.
 
-        With subsampling off this emits exactly the pair sequence of
-        :meth:`_extract_pairs` for the same rng state: the flat
-        ``rng.integers`` draw equals the reference's per-sentence chunked
-        draws, and the offset arithmetic enumerates each position's context
-        range in the same order.
+        With subsampling off this emits, for the same rng state, exactly the
+        pair sequence of a per-sentence loop that draws each sentence's
+        windows in turn and enumerates every position's context range left
+        to right: the flat ``rng.integers`` draw equals those chunked draws.
         """
         if keep_probs is not None:
             keep = self._rng.random(flat_ids.size) < keep_probs[flat_ids]
@@ -666,12 +510,6 @@ class Word2Vec:
         centers = np.repeat(flat_ids, counts)
         contexts = flat_ids[ctx_pos]
         return centers, contexts
-
-    def _pair_update(
-        self, in_ids: np.ndarray, out_ids: np.ndarray, negatives: np.ndarray, lr: float
-    ) -> None:
-        """One mini-batch SGD step on the model matrices (see :func:`pair_update`)."""
-        pair_update(self._input_vectors, self._output_vectors, in_ids, out_ids, negatives, lr)
 
     # ------------------------------------------------------------------
     # Lookup

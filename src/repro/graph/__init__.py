@@ -20,27 +20,21 @@ Modules
 ``csr``
     Immutable CSR snapshot of the graph, cached against its version.
 ``walk_engine``
-    Pluggable walk engines: reference python stepping vs vectorised CSR.
+    The vectorised CSR walk engine and its serial/sharded dispatch.
 """
 
 from repro.graph.graph import MatchGraph, NodeKind, dedup_edge_ids
-from repro.graph.builder import GRAPH_ENGINES, GraphBuilder, GraphBuilderConfig
+from repro.graph.builder import GraphBuilder, GraphBuilderConfig
 from repro.graph.filtering import (
     BulkFilter,
     BulkIntersectFilter,
     BulkNoFilter,
     BulkTfIdfFilter,
     FilterStatistics,
-    FilterStrategy,
-    IntersectFilter,
-    NoFilter,
-    TfIdfFilter,
-    make_bulk_filter,
 )
 from repro.graph.merging import NumericBucketer, EmbeddingMerger, MergeReport
 from repro.graph.expansion import expand_graph, ExpansionResult
 from repro.graph.compression import (
-    COMPRESSION_ENGINES,
     CompressionResult,
     msp_compress,
     ssp_compress,
@@ -60,35 +54,24 @@ from repro.graph.csr import (
     prime_csr_cache,
     shortest_path_dag_union,
 )
-from repro.graph.walk_engine import (
-    CSRWalkEngine,
-    PythonWalkEngine,
-    make_walk_engine,
-)
+from repro.graph.walk_engine import CSRWalkEngine, make_walk_engine
 
 __all__ = [
     "MatchGraph",
     "NodeKind",
     "dedup_edge_ids",
-    "GRAPH_ENGINES",
     "GraphBuilder",
     "GraphBuilderConfig",
-    "FilterStrategy",
     "FilterStatistics",
-    "IntersectFilter",
-    "NoFilter",
-    "TfIdfFilter",
     "BulkFilter",
     "BulkIntersectFilter",
     "BulkNoFilter",
     "BulkTfIdfFilter",
-    "make_bulk_filter",
     "NumericBucketer",
     "EmbeddingMerger",
     "MergeReport",
     "expand_graph",
     "ExpansionResult",
-    "COMPRESSION_ENGINES",
     "CompressionResult",
     "msp_compress",
     "ssp_compress",
@@ -108,6 +91,5 @@ __all__ = [
     "prime_csr_cache",
     "shortest_path_dag_union",
     "CSRWalkEngine",
-    "PythonWalkEngine",
     "make_walk_engine",
 ]

@@ -9,36 +9,31 @@ The builder accepts any two corpora among :class:`~repro.corpus.table.Table`,
   metadata node per column when the first corpus is a table, plus
   metadata-metadata edges for taxonomy parents;
 * data nodes are created for the terms of the documents, subject to the
-  configured :class:`~repro.graph.filtering.FilterStrategy`;
+  configured filter strategy (:mod:`repro.graph.filtering`);
 * every document of the second corpus becomes a metadata node connected to
   the data nodes of its (retained) terms.
 
 Metadata labels are prefixed (``row::``, ``col::``, ``doc::``, ``concept::``)
 so that a term can never collide with a document identifier.
 
-Two construction engines implement Algorithm 1 with identical output:
+Construction is a single interned pass: every distinct cell value /
+sentence is preprocessed once (:class:`~repro.text.preprocess.TermInterner`),
+interned id arrays are filtered with vectorised masks, nodes and deduped
+edge arrays are emitted in a handful of bulk calls, and the graph's CSR walk
+snapshot is primed directly from the edge arrays so the walk engine never
+re-interns labels.
 
-``bulk`` (default)
-    Interns every distinct cell value / sentence once
-    (:class:`~repro.text.preprocess.TermInterner`), filters interned id
-    arrays with vectorised masks, emits nodes and deduped edge arrays in a
-    handful of bulk calls, and primes the graph's CSR walk snapshot
-    directly from the edge arrays so the walk engine never re-interns
-    labels.
-
-``reference``
-    The original per-term loop, kept for parity testing (the PR 1 / PR 3
-    pattern).
-
-Both engines produce the same nodes *in the same insertion order*, the same
-node metadata, and the same edge set — insertion order fixes the CSR node
-ids, so a seeded pipeline run is identical under either engine.
+Node insertion order follows Algorithm 1's loop — per document: metadata
+node, new column nodes, new kept terms; second-corpus documents after all
+first-corpus nodes — because insertion order fixes the CSR node ids and
+hence seeded walk corpora.  The per-term loop itself is the test oracle in
+``tests/oracles/graph.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,18 +42,16 @@ from repro.corpus.table import Table
 from repro.corpus.taxonomy import Taxonomy
 from repro.graph.csr import build_csr_from_edges, prime_csr_cache
 from repro.graph.filtering import (
+    BulkFilter,
+    BulkIntersectFilter,
+    BulkNoFilter,
+    BulkTfIdfFilter,
     FilterStatistics,
-    FilterStrategy,
-    IntersectFilter,
-    NoFilter,
-    make_bulk_filter,
 )
 from repro.graph.graph import MatchGraph, NodeKind, dedup_edge_ids
 from repro.text.preprocess import PreprocessConfig, Preprocessor, TermInterner
 
 Corpus = Union[Table, TextCorpus, Taxonomy]
-
-GRAPH_ENGINES = ("bulk", "reference")
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
@@ -143,9 +136,6 @@ class GraphBuilderConfig:
         (taxonomy parent/child); the ablation of Section V-F2 turns this off.
     add_column_nodes:
         Create a metadata node per table column (Algorithm 1 lines 5-10).
-    engine:
-        "bulk" (default) for the vectorised single-pass construction engine,
-        "reference" for the original per-term loop (parity testing).
     """
 
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
@@ -153,25 +143,28 @@ class GraphBuilderConfig:
     tfidf_top_k: int = 10
     connect_structured_metadata: bool = True
     add_column_nodes: bool = True
-    engine: str = "bulk"
 
     def __post_init__(self) -> None:
         if self.tfidf_top_k < 1:
             raise ValueError("tfidf_top_k must be >= 1")
-        if self.engine not in GRAPH_ENGINES:
-            raise ValueError(
-                f"unknown graph engine {self.engine!r}; valid: {list(GRAPH_ENGINES)}"
-            )
 
-    def make_filter(self) -> FilterStrategy:
+    def make_filter(
+        self,
+        first_docs: Sequence[np.ndarray],
+        second_docs: Sequence[np.ndarray],
+        terms: Sequence[str],
+    ) -> BulkFilter:
+        """The filter named by ``filter_strategy_name`` over interned documents.
+
+        ``terms`` is the interner's id → string table; per-document id arrays
+        must hold unique ids (the interner guarantees this).
+        """
         if self.filter_strategy_name == "intersect":
-            return IntersectFilter()
+            return BulkIntersectFilter(first_docs, second_docs, len(terms))
         if self.filter_strategy_name == "normal":
-            return NoFilter()
+            return BulkNoFilter()
         if self.filter_strategy_name == "tfidf":
-            from repro.graph.filtering import TfIdfFilter
-
-            return TfIdfFilter(top_k=self.tfidf_top_k)
+            return BulkTfIdfFilter(first_docs, second_docs, terms, top_k=self.tfidf_top_k)
         raise ValueError(f"unknown filter strategy: {self.filter_strategy_name!r}")
 
 
@@ -188,9 +181,7 @@ class BuiltGraph:
         first and second corpus respectively (documents only; column nodes
         are not included).
     filter_stats:
-        What the filter strategy kept / dropped (identical across engines).
-    engine:
-        The construction engine that produced the graph.
+        What the filter strategy kept / dropped.
     intersect_anchor:
         Which corpus ("first"/"second") provided the Intersect-filter
         vocabulary, or None for other strategies.  Incremental fit
@@ -202,7 +193,6 @@ class BuiltGraph:
     first_metadata: Dict[str, str]
     second_metadata: Dict[str, str]
     filter_stats: Optional[FilterStatistics] = None
-    engine: str = "reference"
     intersect_anchor: Optional[str] = None
 
     def first_labels(self) -> List[str]:
@@ -227,83 +217,6 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     def build(self, first: Corpus, second: Corpus) -> BuiltGraph:
         """Construct the graph over ``first`` and ``second``."""
-        if self.config.engine == "reference":
-            return self._build_reference(first, second)
-        return self._build_bulk(first, second)
-
-    # ------------------------------------------------------------------
-    # Reference engine: the original per-term loop (Algorithm 1 verbatim).
-    def _build_reference(self, first: Corpus, second: Corpus) -> BuiltGraph:
-        first_terms = self._corpus_terms(first)
-        second_terms = self._corpus_terms(second)
-
-        filter_strategy = self.config.make_filter()
-        filter_strategy.prepare(
-            [terms for _oid, terms in first_terms],
-            [terms for _oid, terms in second_terms],
-        )
-
-        graph = MatchGraph()
-        first_metadata: Dict[str, str] = {}
-        second_metadata: Dict[str, str] = {}
-        stats = FilterStatistics()
-
-        # ---- first corpus (Algorithm 1, lines 3-25) -------------------
-        role = self._role_of(first)
-        for index, (object_id, terms) in enumerate(first_terms):
-            label = metadata_label(first, object_id)
-            graph.add_node(label, kind=NodeKind.METADATA, corpus="first", role=role)
-            first_metadata[object_id] = label
-            kept = filter_strategy.keep_first(index, terms)
-            stats.first_total += len(terms)
-            stats.first_kept += len(kept)
-            column_labels = self._column_labels_for(first, object_id, graph)
-            for term in kept:
-                graph.add_node(term, kind=NodeKind.DATA, corpus="first", role="term")
-                graph.add_edge(label, term)
-                for col_label in column_labels.get(term, ()):  # table only
-                    graph.add_edge(col_label, term)
-
-        if isinstance(first, Taxonomy) and self.config.connect_structured_metadata:
-            self._connect_taxonomy(graph, first, first_metadata)
-
-        # ---- second corpus (Algorithm 1, lines 27-34) ------------------
-        role = self._role_of(second)
-        allow_new = self._second_may_create_nodes(filter_strategy)
-        for index, (object_id, terms) in enumerate(second_terms):
-            label = metadata_label(second, object_id)
-            graph.add_node(label, kind=NodeKind.METADATA, corpus="second", role=role)
-            second_metadata[object_id] = label
-            kept = filter_strategy.keep_second(index, terms)
-            stats.second_total += len(terms)
-            for term in kept:
-                if graph.has_node(term):
-                    graph.add_edge(label, term)
-                    stats.second_kept += 1
-                elif allow_new:
-                    graph.add_node(term, kind=NodeKind.DATA, corpus="second", role="term")
-                    graph.add_edge(label, term)
-                    stats.second_kept += 1
-
-        if isinstance(second, Taxonomy) and self.config.connect_structured_metadata:
-            self._connect_taxonomy(graph, second, second_metadata)
-
-        return BuiltGraph(
-            graph=graph,
-            first_metadata=first_metadata,
-            second_metadata=second_metadata,
-            filter_stats=stats,
-            engine="reference",
-            intersect_anchor=(
-                filter_strategy.anchor
-                if isinstance(filter_strategy, IntersectFilter)
-                else None
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Bulk engine: interned single-pass construction.
-    def _build_bulk(self, first: Corpus, second: Corpus) -> BuiltGraph:
         interner = self._interner
         # Safe only between builds: every id array below is derived from a
         # single interning generation.
@@ -313,8 +226,7 @@ class GraphBuilder:
         second_docs, _ = self._corpus_term_ids(second, interner, False)
         num_terms = len(interner)
 
-        bulk_filter = make_bulk_filter(
-            self.config.make_filter(),
+        bulk_filter = self.config.make_filter(
             [ids for _oid, ids in first_docs],
             [ids for _oid, ids in second_docs],
             interner.terms,
@@ -323,11 +235,8 @@ class GraphBuilder:
         stats = FilterStatistics()
         term_labels = np.array(interner.terms, dtype=object) if num_terms else np.empty(0, object)
         # Graph id per term (-1 = not a node yet).  Graph ids are assigned
-        # by emission position, which reproduces the reference engine's
-        # insertion order exactly: per document — metadata node, new column
-        # nodes, new kept terms; second-corpus documents after all
-        # first-corpus nodes.  Insertion order fixes the CSR node ids, so
-        # this is what makes seeded runs engine-independent.
+        # by emission position, in Algorithm 1's insertion order (see the
+        # module docstring).
         term_gid = np.full(num_terms, -1, dtype=np.int64)
         meta_gid: Dict[str, int] = {}
         edge_u: List[np.ndarray] = []
@@ -517,8 +426,8 @@ class GraphBuilder:
         graph.add_nodes_bulk(labels1, kind=kinds1, corpus="first", role=roles1)
         graph.add_nodes_bulk(labels2, kind=kinds2, corpus="second", role=roles2)
         if promoted:
-            # The reference engine's add_node applies the "both" promotion
-            # when a second-corpus document re-adds an existing label.
+            # Re-adding an existing label from the second corpus promotes it
+            # to corpus "both".
             graph.add_nodes_bulk(
                 promoted, kind=NodeKind.METADATA, corpus="second", role=self._role_of(second)
             )
@@ -542,7 +451,6 @@ class GraphBuilder:
             first_metadata=first_metadata,
             second_metadata=second_metadata,
             filter_stats=stats,
-            engine="bulk",
             intersect_anchor=getattr(bulk_filter, "anchor", None),
         )
 
@@ -555,8 +463,7 @@ class GraphBuilder:
         For tables with ``want_cells`` the flattened cell structure needed
         for column nodes/edges is returned as well, reusing the interner's
         value memo so every distinct cell value is preprocessed exactly
-        once — the reference engine preprocesses each cell twice (terms +
-        column map).
+        once.
         """
         docs: List[Tuple[str, np.ndarray]] = []
         if isinstance(corpus, Table):
@@ -630,8 +537,7 @@ class GraphBuilder:
         edge_u: List[np.ndarray],
         edge_v: List[np.ndarray],
     ) -> None:
-        """Append parent/child metadata edge ids (bulk counterpart of
-        :meth:`_connect_taxonomy`)."""
+        """Append parent/child metadata edge ids (Algorithm 1 lines 12-16)."""
         pairs = []
         for node in taxonomy:
             if node.parent_id is None:
@@ -645,26 +551,6 @@ class GraphBuilder:
             edge_u.append(arr[:, 0])
             edge_v.append(arr[:, 1])
 
-    # ------------------------------------------------------------------
-    # Corpus-specific term extraction
-    def _corpus_terms(self, corpus: Corpus) -> List[Tuple[str, List[str]]]:
-        """(object id, term list) for every document of ``corpus``."""
-        preprocessor = self._preprocessor
-        result: List[Tuple[str, List[str]]] = []
-        if isinstance(corpus, Table):
-            for row in corpus:
-                values = [str(v) for _c, v in row.non_null_items()]
-                result.append((row.row_id, preprocessor.terms_of_values(values)))
-        elif isinstance(corpus, Taxonomy):
-            for node in corpus:
-                result.append((node.node_id, preprocessor.terms(node.label)))
-        elif isinstance(corpus, TextCorpus):
-            for doc in corpus:
-                result.append((doc.doc_id, preprocessor.terms(doc.text)))
-        else:
-            raise TypeError(f"unsupported corpus type: {type(corpus)!r}")
-        return result
-
     @staticmethod
     def _role_of(corpus: Corpus) -> str:
         if isinstance(corpus, Table):
@@ -672,43 +558,3 @@ class GraphBuilder:
         if isinstance(corpus, Taxonomy):
             return "concept"
         return "document"
-
-    def _column_labels_for(
-        self, corpus: Corpus, object_id: str, graph: MatchGraph
-    ) -> Dict[str, List[str]]:
-        """For tables: map each term of the row to its column node labels.
-
-        Also adds the column metadata nodes to the graph on first use.
-        """
-        if not isinstance(corpus, Table) or not self.config.add_column_nodes:
-            return {}
-        row = corpus[object_id]
-        mapping: Dict[str, List[str]] = {}
-        for column, value in row.non_null_items():
-            col_label = f"{COLUMN_PREFIX}{corpus.name}::{column}"
-            graph.add_node(col_label, kind=NodeKind.METADATA, corpus="first", role="column")
-            for term in self._preprocessor.terms(str(value)):
-                mapping.setdefault(term, []).append(col_label)
-        return mapping
-
-    @staticmethod
-    def _connect_taxonomy(graph: MatchGraph, taxonomy: Taxonomy, metadata: Dict[str, str]) -> None:
-        """Add parent/child metadata-metadata edges (Algorithm 1 lines 12-16)."""
-        for node in taxonomy:
-            if node.parent_id is None:
-                continue
-            child_label = metadata.get(node.node_id)
-            parent_label = metadata.get(node.parent_id)
-            if child_label and parent_label:
-                graph.add_edge(child_label, parent_label)
-
-    @staticmethod
-    def _second_may_create_nodes(filter_strategy: FilterStrategy) -> bool:
-        """Whether second-corpus terms may create *new* data nodes.
-
-        Under Intersect filtering only the anchor corpus introduces nodes;
-        the Normal and TF-IDF strategies of Figure 9 let both corpora do so.
-        """
-        if isinstance(filter_strategy, IntersectFilter):
-            return filter_strategy.anchor == "second"
-        return True

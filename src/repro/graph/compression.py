@@ -17,29 +17,22 @@ Baselines implemented for Table VIII and the related-work comparison:
 * **random node / edge sampling** — the classic baselines from the graph
   sampling literature.
 
-MSP and SSP are implemented twice behind an ``engine`` switch:
-
-* ``"bulk"`` (default) — one numpy frontier BFS per *distinct* sampled
-  source over the cached CSR snapshot, followed by a single backward sweep
-  that takes the union of the shortest-path DAG for every target of that
-  source at once (:func:`repro.graph.csr.shortest_path_dag_union`), so no
-  individual path is ever materialised.
-* ``"reference"`` — the original loop: one
-  :meth:`MatchGraph.all_shortest_paths` enumeration per sampled pair.
-
-Both engines sample identical pairs from the same seed and build the
-compressed graph with the same canonical node order (the source graph's
-insertion order), so their compressed node *lists* and edge sets are
-identical whenever the reference enumeration is not truncated (i.e.
-``max_paths_per_pair`` is at least the number of shortest paths of every
-sampled pair; the bulk engine always computes the exact union).
+MSP and SSP run one numpy frontier BFS per *distinct* sampled source over
+the cached CSR snapshot, followed by a single backward sweep that takes the
+union of the shortest-path DAG for every target of that source at once
+(:func:`repro.graph.csr.shortest_path_dag_union`), so no individual path is
+ever materialised.  The compressed graph keeps the source graph's node
+insertion order, which makes the CSR ids the walk engine derives from it
+independent of the order in which paths were discovered.  The per-pair
+path enumeration (one :meth:`MatchGraph.all_shortest_paths` call per
+sampled pair) is the test oracle in ``tests/oracles/compression.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,8 +44,6 @@ from repro.graph.csr import (
 )
 from repro.graph.graph import MatchGraph, dedup_edge_ids
 from repro.utils.rng import ensure_rng
-
-COMPRESSION_ENGINES = ("bulk", "reference")
 
 
 @dataclass
@@ -87,23 +78,12 @@ def _copy_node(source: MatchGraph, target: MatchGraph, label: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared engine machinery
-def _check_engine(engine: str) -> None:
-    if engine not in COMPRESSION_ENGINES:
-        raise ValueError(
-            f"unknown compression engine {engine!r}; valid: {sorted(COMPRESSION_ENGINES)}"
-        )
-
-
+# Shared MSP / SSP machinery
 def _sample_pair_indices(
     rng, n_first: int, n_second: int, iterations: int
 ) -> List[Tuple[int, int]]:
-    """The β·|V| sampled index pairs, drawn exactly as the reference loop.
-
-    Both engines consume the generator with the same scalar-draw sequence
-    (first index, then second index, per iteration), so a shared seed yields
-    the same pair sequence regardless of engine.
-    """
+    """The β·|V| sampled index pairs: per iteration, a first index, then a
+    second index, each one scalar draw."""
     pairs = []
     for _ in range(iterations):
         i = int(rng.integers(0, n_first))
@@ -112,40 +92,14 @@ def _sample_pair_indices(
     return pairs
 
 
-class _UnionCollector:
-    """Accumulates the node and canonical edge label sets of a compression.
-
-    The compressed :class:`MatchGraph` is only materialised at the end (via
-    :func:`_build_compressed`), in the source graph's node insertion order —
-    which makes the compressed graph, and therefore the CSR ids the walk
-    engine derives from it, independent of the order in which paths were
-    discovered (and of the engine that discovered them).
-    """
-
-    def __init__(self) -> None:
-        self.nodes: Set[str] = set()
-        self.edges: Set[Tuple[str, str]] = set()
-        self.connected: Set[str] = set()
-
-    def add_path(self, path: Sequence[str]) -> None:
-        self.nodes.update(path)
-        for u, v in zip(path, path[1:]):
-            if u == v:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            if edge not in self.edges:
-                self.edges.add(edge)
-                self.connected.add(u)
-                self.connected.add(v)
-
-    def add_node(self, label: str) -> None:
-        self.nodes.add(label)
-
-
 def _build_compressed(
     graph: MatchGraph, nodes: Set[str], edges: Set[Tuple[str, str]]
 ) -> MatchGraph:
-    """Materialise the compressed graph in canonical (source) node order."""
+    """Materialise the compressed graph in canonical (source) node order.
+
+    ``nodes`` are labels, ``edges`` canonical ``(u, v)`` label pairs with
+    ``u < v``.
+    """
     compressed = MatchGraph()
     ordered = [label for label in graph.nodes() if label in nodes]
     infos = [graph.node_info(label) for label in ordered]
@@ -173,8 +127,6 @@ def msp_compress(
     second_metadata: Sequence[str],
     beta: float = 0.5,
     seed=None,
-    max_paths_per_pair: int = 16,
-    engine: str = "bulk",
     parallel=None,
 ) -> CompressionResult:
     """Metadata Shortest Path compression (Algorithm 3).
@@ -191,23 +143,13 @@ def msp_compress(
         graph.num_nodes()``.
     seed:
         Seed / generator for pair sampling.
-    max_paths_per_pair:
-        Cap on the number of shortest paths enumerated per sampled pair by
-        the reference engine.  The bulk engine takes the exact union of the
-        shortest-path DAG without enumerating paths, so the cap does not
-        apply to it (it behaves like an unbounded cap).
-    engine:
-        ``"bulk"`` (multi-source CSR BFS, default) or ``"reference"``
-        (per-pair path enumeration).
     parallel:
         Optional :class:`repro.parallel.ParallelConfig`; when it enables
-        the compression stage, the bulk engine's DAG-union sweep shards
-        across worker processes (output-identical to the serial sweep).
-        The reference engine ignores it.
+        the compression stage, the DAG-union sweep shards across worker
+        processes (output-identical to the serial sweep).
     """
     if not 0 < beta:
         raise ValueError("beta must be positive")
-    _check_engine(engine)
     first_metadata = [m for m in first_metadata if graph.has_node(m)]
     second_metadata = [m for m in second_metadata if graph.has_node(m)]
     if not first_metadata or not second_metadata:
@@ -219,35 +161,10 @@ def msp_compress(
     iterations = max(1, int(beta * nodes_before))
     pairs = _sample_pair_indices(rng, len(first_metadata), len(second_metadata), iterations)
 
-    if engine == "bulk":
-        compressed = _msp_bulk(graph, first_metadata, second_metadata, pairs, parallel=parallel)
-    else:
-        compressed = _msp_reference(
-            graph, first_metadata, second_metadata, pairs, max_paths_per_pair
-        )
+    compressed = _msp_bulk(graph, first_metadata, second_metadata, pairs, parallel=parallel)
     return CompressionResult(
         graph=compressed, method=f"msp({beta})", nodes_before=nodes_before, edges_before=edges_before
     )
-
-
-def _msp_reference(
-    graph: MatchGraph,
-    first_metadata: Sequence[str],
-    second_metadata: Sequence[str],
-    pairs: Sequence[Tuple[int, int]],
-    max_paths_per_pair: int,
-) -> MatchGraph:
-    collector = _UnionCollector()
-    for i, j in pairs:
-        paths = graph.all_shortest_paths(
-            first_metadata[i], second_metadata[j], limit=max_paths_per_pair
-        )
-        for path in paths:
-            collector.add_path(path)
-    _ensure_metadata_connected_reference(
-        graph, collector, first_metadata, second_metadata, max_paths_per_pair
-    )
-    return _build_compressed(graph, collector.nodes, collector.edges)
 
 
 def _grouped_dag_union(csr, by_source: Dict[int, Set[int]], parallel=None):
@@ -337,55 +254,11 @@ def _msp_bulk(
 # Metadata connectivity guarantee
 #
 # Every metadata node must end up connected to the compressed graph
-# whenever the original graph permits it.  Both engines implement the same
-# semantics: walk the metadata nodes of each side in order, and for every
-# node not yet incident to a compressed edge, add the union of the shortest
-# paths to the *nearest reachable* other-side metadata node (ties broken by
-# smallest label, so the choice is engine-independent).  Only when no
-# other-side node is reachable at all is the node kept bare.
-def _ensure_metadata_connected_reference(
-    graph: MatchGraph,
-    collector: _UnionCollector,
-    first_metadata: Sequence[str],
-    second_metadata: Sequence[str],
-    max_paths_per_pair: int,
-) -> None:
-    for metadata, other_side in ((first_metadata, second_metadata), (second_metadata, first_metadata)):
-        for label in metadata:
-            if label in collector.connected:
-                continue
-            target = _nearest_other_side(graph, label, other_side)
-            if target is not None:
-                for path in graph.all_shortest_paths(label, target, limit=max_paths_per_pair):
-                    collector.add_path(path)
-            else:
-                # Disconnected in the original graph: keep the bare node so
-                # downstream matching still produces a (random) ranking.
-                collector.add_node(label)
-
-
-def _nearest_other_side(
-    graph: MatchGraph, label: str, other_side: Sequence[str]
-) -> Optional[str]:
-    """Nearest reachable other-side metadata node (smallest label on ties)."""
-    other = set(other_side)
-    other.discard(label)
-    seen = {label}
-    frontier = [label]
-    while frontier:
-        next_frontier: List[str] = []
-        for node in frontier:
-            for neighbor in graph.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    next_frontier.append(neighbor)
-        hits = [node for node in next_frontier if node in other]
-        if hits:
-            return min(hits)
-        frontier = next_frontier
-    return None
-
-
+# whenever the original graph permits it: walk the metadata nodes of each
+# side in order, and for every node not yet incident to a compressed edge,
+# add the union of the shortest paths to the *nearest reachable* other-side
+# metadata node (ties broken by smallest label).  Only when no other-side
+# node is reachable at all is the node kept bare.
 def _ensure_metadata_connected_bulk(
     csr,
     first_ids: np.ndarray,
@@ -400,8 +273,7 @@ def _ensure_metadata_connected_bulk(
             if connected_mask[node_id]:
                 continue
             # A label promoted to corpus "both" appears on both sides; it is
-            # never its own connection target (mirrors the reference
-            # engine's ``other.discard(label)``) — without this the level-0
+            # never its own connection target — without this the level-0
             # self-target would satisfy ``stop="any"`` before the BFS ever
             # expands, and the node would wrongly be kept bare.
             targets = other_ids[other_ids != node_id]
@@ -430,18 +302,15 @@ def ssp_compress(
     graph: MatchGraph,
     beta: float = 0.5,
     seed=None,
-    max_paths_per_pair: int = 16,
-    engine: str = "bulk",
     parallel=None,
 ) -> CompressionResult:
     """Shortest-path sampling over uniformly random node pairs.
 
-    ``parallel`` shards the bulk engine's DAG-union sweep exactly as in
+    ``parallel`` shards the DAG-union sweep exactly as in
     :func:`msp_compress`.
     """
     if not 0 < beta:
         raise ValueError("beta must be positive")
-    _check_engine(engine)
     rng = ensure_rng(seed)
     nodes = graph.nodes()
     if len(nodes) < 2:
@@ -451,31 +320,22 @@ def ssp_compress(
     iterations = max(1, int(beta * nodes_before))
     pairs = _sample_pair_indices(rng, len(nodes), len(nodes), iterations)
 
-    if engine == "bulk":
-        csr = csr_adjacency(graph)
-        # Map sampled indices to snapshot ids rather than assuming the
-        # snapshot's label order matches graph.nodes() (a primed snapshot
-        # is only version-checked, not order-checked).
-        node_ids = csr.encode(nodes).astype(np.int64)
-        by_source: Dict[int, Set[int]] = {}
-        for i, j in pairs:
-            if i == j:
-                continue
-            by_source.setdefault(int(node_ids[i]), set()).add(int(node_ids[j]))
-        dag_nodes, edge_u, edge_v = _grouped_dag_union(csr, by_source, parallel=parallel)
-        node_mask = np.zeros(csr.num_nodes, dtype=bool)
-        if dag_nodes.size:
-            node_mask[dag_nodes] = True
-        node_set, edges = _union_to_label_sets(csr, node_mask, edge_u, edge_v)
-        compressed = _build_compressed(graph, node_set, edges)
-    else:
-        collector = _UnionCollector()
-        for i, j in pairs:
-            if i == j:
-                continue
-            for path in graph.all_shortest_paths(nodes[i], nodes[j], limit=max_paths_per_pair):
-                collector.add_path(path)
-        compressed = _build_compressed(graph, collector.nodes, collector.edges)
+    csr = csr_adjacency(graph)
+    # Map sampled indices to snapshot ids rather than assuming the
+    # snapshot's label order matches graph.nodes() (a primed snapshot is
+    # only version-checked, not order-checked).
+    node_ids = csr.encode(nodes).astype(np.int64)
+    by_source: Dict[int, Set[int]] = {}
+    for i, j in pairs:
+        if i == j:
+            continue
+        by_source.setdefault(int(node_ids[i]), set()).add(int(node_ids[j]))
+    dag_nodes, edge_u, edge_v = _grouped_dag_union(csr, by_source, parallel=parallel)
+    node_mask = np.zeros(csr.num_nodes, dtype=bool)
+    if dag_nodes.size:
+        node_mask[dag_nodes] = True
+    node_set, edges = _union_to_label_sets(csr, node_mask, edge_u, edge_v)
+    compressed = _build_compressed(graph, node_set, edges)
     return CompressionResult(
         graph=compressed, method=f"ssp({beta})", nodes_before=nodes_before, edges_before=edges_before
     )

@@ -149,7 +149,7 @@ def build_csr_from_edges(
 
 
 # ----------------------------------------------------------------------
-# Frontier-array BFS primitives (used by the bulk compression engine)
+# Frontier-array BFS primitives (used by MSP/SSP compression)
 def _gather(csr: CSRAdjacency, nodes: np.ndarray):
     """Row lengths and concatenated CSR rows of ``nodes``.
 
@@ -231,8 +231,7 @@ def shortest_path_dag_union(
     forward through level-increasing edges, so the backward frontier at
     level ``l`` is the union of the targets at ``l`` and the level-``l``
     predecessors of the frontier at ``l + 1``.  Unreachable targets
-    contribute nothing (matching the reference enumeration, which yields no
-    paths for them).
+    contribute nothing (there is no path to enumerate for them).
 
     Returns ``(nodes, edge_u, edge_v)`` — id arrays of the union's nodes
     and of its DAG edges (unique within one call; callers accumulating

@@ -5,147 +5,24 @@ paper's default strategy ("Intersect") creates data nodes only for the corpus
 with the smaller distinct vocabulary and keeps, from the other corpus, only
 the terms that already exist in the graph.  The alternative evaluated in
 Figure 9 keeps, for every document, the k highest TF-IDF terms (the strategy
-used by Ditto for text-heavy datasets).  ``NoFilter`` keeps everything and is
-the "Normal" series of Figure 9.
+used by Ditto for text-heavy datasets).  ``BulkNoFilter`` keeps everything
+and is the "Normal" series of Figure 9.
 
-Each strategy has a *bulk* counterpart operating on interned term-id arrays
-(:func:`make_bulk_filter`): membership tests become boolean lookups indexed
-by id and the TF-IDF top-k becomes one ``lexsort`` per document, with the
-exact same keep decisions — and keep *order* — as the string-based
-reference.  The bulk graph builder uses these.
+The filters operate on interned term-id arrays: membership tests are
+boolean lookups indexed by id and the TF-IDF top-k is one ``lexsort`` per
+document.  :meth:`repro.graph.builder.GraphBuilderConfig.make_filter` picks
+one by name.  The string-based formulation they must agree with (same keep
+decisions, same keep *order*) is the test oracle in ``tests/oracles/graph.py``.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-class FilterStrategy(ABC):
-    """Decides which terms of each corpus become data nodes."""
-
-    #: human-readable name used in benchmark output
-    name: str = "abstract"
-
-    @abstractmethod
-    def prepare(
-        self,
-        first_corpus_terms: Sequence[Sequence[str]],
-        second_corpus_terms: Sequence[Sequence[str]],
-    ) -> None:
-        """Inspect the full term lists of both corpora before filtering."""
-
-    @abstractmethod
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:
-        """Terms of first-corpus document ``doc_index`` that become nodes."""
-
-    @abstractmethod
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:
-        """Terms of second-corpus document ``doc_index`` that become nodes."""
-
-
-class NoFilter(FilterStrategy):
-    """Keep every term of both corpora (Figure 9, "Normal")."""
-
-    name = "normal"
-
-    def prepare(self, first_corpus_terms, second_corpus_terms) -> None:  # noqa: D102
-        return None
-
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:  # noqa: D102
-        return list(terms)
-
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:  # noqa: D102
-        return list(terms)
-
-
-class IntersectFilter(FilterStrategy):
-    """The paper's default filtering (Section II-B).
-
-    Data nodes are created from the corpus with the smaller number of
-    distinct terms ("anchor" corpus); terms of the other corpus that are not
-    already nodes are dropped.  This focuses learning on the terms that
-    bridge the two corpora.
-    """
-
-    name = "intersect"
-
-    def __init__(self) -> None:
-        self._anchor = "first"
-        self._anchor_vocabulary: set = set()
-
-    @property
-    def anchor(self) -> str:
-        """Which corpus ("first" or "second") provides the vocabulary."""
-        return self._anchor
-
-    def prepare(self, first_corpus_terms, second_corpus_terms) -> None:  # noqa: D102
-        first_vocab = set()
-        for terms in first_corpus_terms:
-            first_vocab.update(terms)
-        second_vocab = set()
-        for terms in second_corpus_terms:
-            second_vocab.update(terms)
-        if len(first_vocab) <= len(second_vocab):
-            self._anchor = "first"
-            self._anchor_vocabulary = first_vocab
-        else:
-            self._anchor = "second"
-            self._anchor_vocabulary = second_vocab
-
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:  # noqa: D102
-        if self._anchor == "first":
-            return list(terms)
-        return [t for t in terms if t in self._anchor_vocabulary]
-
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:  # noqa: D102
-        if self._anchor == "second":
-            return list(terms)
-        return [t for t in terms if t in self._anchor_vocabulary]
-
-
-class TfIdfFilter(FilterStrategy):
-    """Keep the top-k TF-IDF terms of every document (Figure 9, "TFIDF")."""
-
-    name = "tfidf"
-
-    def __init__(self, top_k: int = 10):
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        self.top_k = top_k
-        self._idf_first: Dict[str, float] = {}
-        self._idf_second: Dict[str, float] = {}
-
-    @staticmethod
-    def _idf(documents: Sequence[Sequence[str]]) -> Dict[str, float]:
-        n_docs = len(documents)
-        doc_freq: Counter = Counter()
-        for terms in documents:
-            doc_freq.update(set(terms))
-        return {
-            term: math.log((1 + n_docs) / (1 + df)) + 1.0 for term, df in doc_freq.items()
-        }
-
-    def prepare(self, first_corpus_terms, second_corpus_terms) -> None:  # noqa: D102
-        self._idf_first = self._idf(first_corpus_terms)
-        self._idf_second = self._idf(second_corpus_terms)
-
-    def _top_terms(self, terms: Sequence[str], idf: Dict[str, float]) -> List[str]:
-        counts = Counter(terms)
-        scored = [(counts[t] * idf.get(t, 1.0), t) for t in counts]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [t for _score, t in scored[: self.top_k]]
-
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:  # noqa: D102
-        return self._top_terms(terms, self._idf_first)
-
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:  # noqa: D102
-        return self._top_terms(terms, self._idf_second)
 
 
 @dataclass
@@ -179,15 +56,14 @@ class FilterStatistics:
 
 
 # ----------------------------------------------------------------------
-# Bulk (interned-id) counterparts, used by the bulk graph builder.
 class BulkFilter(ABC):
     """Keep decisions over interned term-id arrays.
 
-    Mirrors one :class:`FilterStrategy` exactly — same kept terms, same
-    kept order — but documents are numpy arrays of dense term ids, so
-    membership filters are vectorised mask lookups.
-    ``second_may_create_nodes`` mirrors
-    ``GraphBuilder._second_may_create_nodes``.
+    Documents are numpy arrays of dense term ids, so membership filters are
+    vectorised mask lookups.  ``second_may_create_nodes`` says whether
+    second-corpus terms may create *new* data nodes: under Intersect
+    filtering only the anchor corpus introduces nodes, while the Normal and
+    TF-IDF strategies let both corpora do so.
     """
 
     name: str = "abstract"
@@ -231,7 +107,7 @@ class BulkIntersectFilter(BulkFilter):
         in_second = np.zeros(num_terms, dtype=bool)
         for ids in second_docs:
             in_second[ids] = True
-        # Same tie-break as IntersectFilter.prepare: first wins on equality.
+        # The first corpus wins a tie.
         if int(in_first.sum()) <= int(in_second.sum()):
             self.anchor = "first"
             self._mask = in_first
@@ -254,10 +130,9 @@ class BulkIntersectFilter(BulkFilter):
 class BulkTfIdfFilter(BulkFilter):
     """Per-document TF-IDF top-k over id arrays.
 
-    Scores are bit-identical to :class:`TfIdfFilter` (idf values come from a
-    ``math.log`` table indexed by document frequency) and ties break on the
-    lexicographic rank of the term string, so the kept ids and their order
-    match the reference sort by ``(-score, term)`` exactly.
+    The score of a term is its idf, taken from a ``math.log`` table indexed
+    by document frequency; ties break on the lexicographic rank of the term
+    string, so the kept ids come out sorted by ``(-score, term)``.
     """
 
     name = "tfidf"
@@ -296,8 +171,8 @@ class BulkTfIdfFilter(BulkFilter):
         df = np.zeros(num_terms, dtype=np.int64)
         for ids in documents:
             df[ids] += 1  # per-document ids are already unique
-        # math.log per distinct df value keeps scores bit-identical to the
-        # dict-based reference (np.log may differ from libm by one ulp).
+        # math.log per distinct df value keeps scores bit-identical to a
+        # per-term math.log (np.log may differ from libm by one ulp).
         max_df = int(df.max()) if df.size else 0
         table = np.array(
             [math.log((1 + n_docs) / (1 + k)) + 1.0 for k in range(max_df + 1)]
@@ -315,26 +190,3 @@ class BulkTfIdfFilter(BulkFilter):
 
     def keep_second(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         return self._top(ids, self._idf_second)
-
-
-def make_bulk_filter(
-    strategy: FilterStrategy,
-    first_docs: Sequence[np.ndarray],
-    second_docs: Sequence[np.ndarray],
-    terms: Sequence[str],
-) -> BulkFilter:
-    """The bulk counterpart of ``strategy`` over interned documents.
-
-    ``terms`` is the interner's id → string table; per-document id arrays
-    must hold unique ids (the interner guarantees this).
-    """
-    if isinstance(strategy, TfIdfFilter):
-        return BulkTfIdfFilter(first_docs, second_docs, terms, top_k=strategy.top_k)
-    if isinstance(strategy, IntersectFilter):
-        return BulkIntersectFilter(first_docs, second_docs, len(terms))
-    if isinstance(strategy, NoFilter):
-        return BulkNoFilter()
-    raise TypeError(
-        f"no bulk counterpart for {type(strategy).__name__}; "
-        "use GraphBuilderConfig(engine='reference') for custom strategies"
-    )

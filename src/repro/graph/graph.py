@@ -433,9 +433,9 @@ class MatchGraph:
         """All shortest paths between two nodes (BFS DAG enumeration).
 
         ``limit`` caps the number of enumerated paths so that extremely
-        dense regions cannot blow up compression time; the MSP compressor
-        only needs the union of nodes/edges on shortest paths, for which a
-        truncated enumeration is an adequate approximation.
+        dense regions cannot blow up the enumeration.  MSP/SSP compression
+        does not enumerate: it takes the exact union of the shortest-path
+        DAG (:func:`repro.graph.csr.shortest_path_dag_union`).
         """
         if source not in self._info or target not in self._info:
             raise KeyError("both endpoints must be in the graph")

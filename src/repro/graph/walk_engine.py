@@ -1,28 +1,20 @@
-"""Walk engines: pluggable implementations of Algorithm 4's walk stage.
+"""The walk engine of Algorithm 4's walk stage.
 
-Both engines produce corpora with identical semantics — the same start-node
-multiset (every resolved start node, ``num_walks`` times), uniform neighbour
-choice at every step, and early termination on isolated nodes — and both are
-deterministic under a fixed seed.  They differ only in how they consume
-randomness and in speed:
+:class:`CSRWalkEngine` snapshots the graph into CSR arrays
+(:mod:`repro.graph.csr`) and advances *all* walks of a batch one step per
+iteration: a single vectorised ``rng.integers`` draw picks a neighbour
+offset for every active walk, and a boolean mask retires walks that reached
+an isolated node.  Walks live as an ``int32`` id matrix and are decoded back
+to label sentences lazily, batch by batch, so the full corpus is never
+materialised twice.  The corpus has the walk semantics of the paper — every
+resolved start node ``num_walks`` times, uniform neighbour choice at every
+step, early termination on isolated nodes — and is deterministic under a
+fixed seed.
 
-``PythonWalkEngine``
-    Thin wrapper over the reference generator in :mod:`repro.graph.walks`;
-    one Python-level step (hash lookup + set→tuple + scalar ``integers``
-    draw) per walk position.
-
-``CSRWalkEngine``
-    Snapshots the graph into CSR arrays (:mod:`repro.graph.csr`) and
-    advances *all* walks of a batch one step per iteration: a single
-    vectorised ``rng.integers`` draw picks a neighbour offset for every
-    active walk, and a boolean mask retires walks that reached an isolated
-    node.  Walks live as an ``int32`` id matrix and are decoded back to
-    label sentences lazily, batch by batch, so the full corpus is never
-    materialised twice.
-
-Use :func:`make_walk_engine` to honour ``RandomWalkConfig.walk_engine`` with
-automatic fallback to the python engine when the CSR snapshot cannot be
-built.
+:func:`make_walk_engine` picks the serial engine or its sharded twin
+:class:`repro.parallel.walks.ParallelWalkEngine`.  The step-at-a-time walk
+loop the engine must agree with is the test oracle in
+``tests/oracles/walks.py``.
 """
 
 from __future__ import annotations
@@ -33,15 +25,8 @@ import numpy as np
 
 from repro.graph.csr import CSRAdjacency, csr_adjacency
 from repro.graph.graph import MatchGraph
-from repro.graph.walks import (
-    RandomWalkConfig,
-    iter_walks_python,
-    resolve_start_nodes,
-)
-from repro.utils.logging import get_logger
+from repro.graph.walks import RandomWalkConfig, resolve_start_nodes
 from repro.utils.rng import ensure_rng
-
-logger = get_logger(__name__)
 
 #: Walks advanced together per vectorised batch.  Bounds peak memory at
 #: ``batch_size × walk_length`` int32 cells (~4 MB at the default) while
@@ -92,22 +77,6 @@ def walk_batch_ids(
     return walks, lengths
 
 
-class PythonWalkEngine:
-    """Reference engine: step-at-a-time walks over the dict adjacency."""
-
-    name = "python"
-
-    def __init__(self, graph: MatchGraph, config: Optional[RandomWalkConfig] = None):
-        self.graph = graph
-        self.config = config or RandomWalkConfig()
-
-    def iter_walks(self, seed=None) -> Iterator[List[str]]:
-        return iter_walks_python(self.graph, self.config, seed=seed)
-
-    def generate_walks(self, seed=None) -> List[List[str]]:
-        return list(self.iter_walks(seed=seed))
-
-
 class CSRWalkEngine:
     """Vectorised engine: all walks advance one step per numpy call."""
 
@@ -124,8 +93,8 @@ class CSRWalkEngine:
         self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        # Build eagerly so an unbuildable snapshot fails construction (and
-        # triggers make_walk_engine's fallback) instead of failing later.
+        # Build eagerly so an unbuildable snapshot fails construction
+        # instead of failing later, mid-corpus.
         csr_adjacency(graph)
 
     @property
@@ -193,45 +162,17 @@ def make_walk_engine(
     batch_size: Optional[int] = None,
     parallel=None,
 ):
-    """Instantiate the engine selected by ``config.walk_engine``.
+    """The walk engine for ``graph``: serial, or sharded across workers.
 
-    ``parallel`` (a :class:`repro.parallel.ParallelConfig`) upgrades the
-    CSR engine to the sharded :class:`repro.parallel.walks.ParallelWalkEngine`
-    when the parallel layer is enabled for the walk stage; the python
-    engine ignores it.  The CSR engines fall back to the python engine when
-    the snapshot cannot be built — only for the failure classes snapshot
-    construction can legitimately hit (allocation failure, an id space
-    overflowing the int32 CSR indices, or the parallel layer being
-    unimportable), each logged as a warning through :mod:`repro.utils.logging`
-    before degrading.  Anything else (a caller bug such as an invalid
-    ``batch_size``, or an unexpected error) propagates: silently swapping
-    engines on an unknown failure would hide real defects behind a slower
-    but working fit.
+    ``parallel`` (a :class:`repro.parallel.ParallelConfig`) selects the
+    sharded :class:`repro.parallel.walks.ParallelWalkEngine` when the
+    parallel layer is enabled for the walk stage; otherwise the serial
+    :class:`CSRWalkEngine` runs.
     """
     config = config or RandomWalkConfig()
-    if config.walk_engine in ("python", "reference"):
-        return PythonWalkEngine(graph, config)
-    try:
-        # Build (or fetch) the snapshot first so only genuine snapshot
-        # failures trigger the fallback; the engine constructors below
-        # reuse the cached result, so this costs nothing extra.
-        csr_adjacency(graph)
-    except (MemoryError, OverflowError, ValueError) as exc:
-        logger.warning(
-            "CSR snapshot unavailable (%s: %s); falling back to the python "
-            "walk engine",
-            type(exc).__name__,
-            exc,
-        )
-        return PythonWalkEngine(graph, config)
     if parallel is not None and parallel.stage_enabled("walks"):
-        try:
-            # Imported lazily: repro.parallel.walks imports this module.
-            from repro.parallel.walks import ParallelWalkEngine
-        except ImportError as exc:
-            logger.warning(
-                "parallel walk engine unavailable (%s); using the serial CSR engine", exc
-            )
-        else:
-            return ParallelWalkEngine(graph, config, batch_size=batch_size, parallel=parallel)
+        # Imported lazily: repro.parallel.walks imports this module.
+        from repro.parallel.walks import ParallelWalkEngine
+
+        return ParallelWalkEngine(graph, config, batch_size=batch_size, parallel=parallel)
     return CSRWalkEngine(graph, config, batch_size=batch_size)

@@ -1,6 +1,6 @@
 """Sharded multi-source DAG-union sweeps for graph compression.
 
-MSP/SSP's bulk engine groups sampled pairs into a ``{source: targets}``
+MSP/SSP compression groups sampled pairs into a ``{source: targets}``
 mapping and runs one batched BFS + backward sweep over the sorted sources
 (:func:`repro.graph.csr.multi_source_dag_union`).  That sweep is
 embarrassingly parallel across source groups: this module splits the
@@ -11,7 +11,7 @@ per-shard results in shard order.
 Pair sampling happens *before* this sweep (serially, on the stage's RNG
 stream) and the downstream merge dedups node masks and edge sets through
 ``dedup_edge_ids``/set semantics, so the compressed graph is bit-identical
-to the serial engine at **any** shard and worker count — the strongest
+to the serial sweep at **any** shard and worker count — the strongest
 case of the parallel layer's determinism contract.
 """
 

@@ -1,8 +1,7 @@
 """Configuration of the sharded parallel fit (see :mod:`repro.parallel`).
 
-``ParallelConfig`` follows the engine-pair/config-switch pattern of the
-other stages: the default (``num_workers=0``) leaves the serial engines
-untouched, and each sharded stage can be toggled independently.
+The default (``num_workers=0``) leaves the serial stages untouched, and
+each sharded stage can be toggled independently.
 
 Determinism contract
 --------------------

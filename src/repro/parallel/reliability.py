@@ -25,7 +25,7 @@ created per stage deep inside fit stages that never see the pipeline.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -458,7 +458,6 @@ def save_pipeline(pipeline, path: str) -> str:
         "seed": seed,
         "config": config_to_dict(pipeline.config),
         "corpus_kinds": list(getattr(pipeline, "_corpus_kinds", None) or ()),
-        "engine": built.engine,
         "intersect_anchor": built.intersect_anchor,
         "filter_stats": (
             {
@@ -548,7 +547,6 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
         first_metadata=dict(header["first_metadata"]),
         second_metadata=dict(header["second_metadata"]),
         filter_stats=FilterStatistics(**stats_data) if stats_data else None,
-        engine=header.get("engine", "bulk"),
         intersect_anchor=header.get("intersect_anchor"),
     )
     pipeline._state = PipelineState(built=built, model=model)

@@ -1,0 +1,22 @@
+"""Test oracles: straightforward reference implementations of the fit stages.
+
+The library ships one implementation per fit stage, each vectorised.  The
+modules here keep the original, loop-at-a-time formulation of every stage
+so the parity tests can check the fast code against an implementation that
+is easy to read against the paper:
+
+``graph``
+    Algorithm 1 as a per-term ``add_node``/``add_edge`` loop over
+    string-based filter strategies.
+``compression``
+    MSP / SSP (Algorithm 3) by per-pair shortest-path enumeration.
+``walks``
+    Random walks (first half of Algorithm 4) one step at a time over the
+    dict-of-sets adjacency.
+``word2vec``
+    Word2Vec training (second half of Algorithm 4) as a token-by-token pair
+    loop with per-pair negatives and ``np.add.at`` scatter.
+
+Nothing under ``src/`` imports these modules.  Tests call them directly,
+or swap them into the pipeline with ``monkeypatch``.
+"""

@@ -1,0 +1,82 @@
+"""Reference random walks: one Python-level step at a time.
+
+Each step looks up the current node's neighbours in the dict-of-sets
+adjacency and draws one of them with a scalar ``rng.integers`` call.  The
+CSR engine consumes randomness differently, so corpora differ walk by walk
+under one seed, but both must share the walk semantics: the same
+start-node multiset, uniform neighbour choice, and an early stop on
+isolated nodes.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, List, Optional
+
+from repro.graph.graph import MatchGraph
+from repro.graph.walks import RandomWalkConfig, resolve_start_nodes
+from repro.utils.rng import ensure_rng
+
+
+def single_walk(graph: MatchGraph, start: str, length: int, rng) -> List[str]:
+    """One uniform random walk of ``length`` nodes starting at ``start``.
+
+    The walk stops early if it reaches an isolated node.
+    """
+    return _walk_from(start, length, rng, lambda label: sorted(graph.neighbors(label)))
+
+
+def _walk_from(start: str, length: int, rng, options_of) -> List[str]:
+    """Walk using ``options_of(label)`` as the ordered neighbour lookup.
+
+    Neighbours are consumed in sorted order rather than raw set order: set
+    iteration depends on string hash randomisation.
+    """
+    walk = [start]
+    current = start
+    while len(walk) < length:
+        options = options_of(current)
+        if not options:
+            break
+        current = options[int(rng.integers(0, len(options)))]
+        walk.append(current)
+    return walk
+
+
+def iter_walks_python(
+    graph: MatchGraph,
+    config: Optional[RandomWalkConfig] = None,
+    seed=None,
+) -> Iterator[List[str]]:
+    """The full walk corpus, generated step by step."""
+    config = config or RandomWalkConfig()
+    rng = ensure_rng(seed)
+    starts = resolve_start_nodes(graph, config)
+    cache: dict = {}
+
+    def options_of(label: str) -> tuple:
+        options = cache.get(label)
+        if options is None:
+            options = tuple(sorted(graph.neighbors(label)))
+            cache[label] = options
+        return options
+
+    for _ in range(config.num_walks):
+        for start in starts:
+            yield _walk_from(start, config.walk_length, rng, options_of)
+
+
+class PythonWalkEngine:
+    """The walk-engine interface over :func:`iter_walks_python`.
+
+    Stands in for the result of :func:`repro.graph.walk_engine.make_walk_engine`
+    when a test swaps the oracle into the pipeline.
+    """
+
+    name = "python"
+
+    def __init__(self, graph: MatchGraph, config: Optional[RandomWalkConfig] = None):
+        self.graph = graph
+        self.config = config or RandomWalkConfig()
+
+    def iter_walks(self, seed=None) -> Iterator[List[str]]:
+        return iter_walks_python(self.graph, self.config, seed=seed)

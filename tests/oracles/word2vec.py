@@ -1,0 +1,135 @@
+"""Reference Word2Vec training: the token-by-token pair loop.
+
+Pairs are extracted once with one window draw per sentence and then frozen
+across epochs; negatives are drawn per pair with
+``rng.choice(..., p=neg_dist)``; updates scatter through ``np.add.at``; the
+model trains in float64.
+
+:func:`train_reference` has the signature of
+``Word2Vec._train_vectorized``, so a test can swap it in with
+``monkeypatch.setattr(Word2Vec, "_train_vectorized", train_reference)``
+and run the whole pipeline on the oracle.  Under a shared window seed,
+:func:`extract_pairs` emits exactly the pair sequence of
+``Word2Vec._extract_pairs_vectorized``.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.embeddings.word2vec import Word2Vec, _sigmoid
+
+
+def train_reference(
+    model: Word2Vec, encoded: List[List[int]], keep_probs: Optional[np.ndarray]
+) -> int:
+    """Train ``model`` in place on ``encoded`` sentences; returns the pair steps."""
+    model._input_vectors = model._input_vectors.astype(np.float64)
+    model._output_vectors = model._output_vectors.astype(np.float64)
+    config = model.config
+    neg_dist = model.vocab.negative_sampling_distribution()
+    centers, contexts = extract_pairs(model, encoded, keep_probs)
+    if centers.size == 0:
+        raise ValueError("no training pairs could be extracted")
+
+    n_pairs = centers.size
+    total_steps = config.epochs * n_pairs
+    step = 0
+    for _epoch in range(config.epochs):
+        order = model._rng.permutation(n_pairs)
+        for start in range(0, n_pairs, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            lr = _learning_rate(config, step, total_steps)
+            if config.sg:
+                _sg_update(model, centers[batch], contexts[batch], neg_dist, lr)
+            else:
+                _cbow_update(model, batch, centers, contexts, neg_dist, lr)
+            step += batch.size
+    return step
+
+
+def extract_pairs(
+    model: Word2Vec, encoded: List[List[int]], keep_probs: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(center, context) id arrays with dynamic windows and subsampling."""
+    centers: List[int] = []
+    contexts: List[int] = []
+    window = model.config.window
+    for sentence in encoded:
+        if keep_probs is not None:
+            sentence = [t for t in sentence if model._rng.random() < keep_probs[t]]
+            if len(sentence) < 2:
+                continue
+        length = len(sentence)
+        reduced = model._rng.integers(1, window + 1, size=length)
+        for pos, center in enumerate(sentence):
+            w = int(reduced[pos])
+            lo = max(0, pos - w)
+            hi = min(length, pos + w + 1)
+            for ctx_pos in range(lo, hi):
+                if ctx_pos == pos:
+                    continue
+                centers.append(center)
+                contexts.append(sentence[ctx_pos])
+    return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
+
+
+def _learning_rate(config, step: int, total_steps: int) -> float:
+    progress = min(1.0, step / max(total_steps, 1))
+    return max(config.min_learning_rate, config.learning_rate * (1.0 - progress))
+
+
+def _sg_update(model: Word2Vec, centers, contexts, neg_dist, lr) -> None:
+    """Skip-gram step: each center predicts its context."""
+    w_in = model._input_vectors
+    w_out = model._output_vectors
+    batch = centers.size
+    k = model.config.negative
+
+    negatives = model._rng.choice(len(neg_dist), size=(batch, k), p=neg_dist)
+    center_vecs = w_in[centers]                     # (B, D)
+    pos_vecs = w_out[contexts]                      # (B, D)
+    neg_vecs = w_out[negatives]                     # (B, K, D)
+
+    pos_scores = _sigmoid(np.einsum("bd,bd->b", center_vecs, pos_vecs))
+    neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, center_vecs))
+
+    pos_grad = (pos_scores - 1.0)[:, None]          # (B, 1)
+    neg_grad = neg_scores[:, :, None]               # (B, K, 1)
+
+    grad_center = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
+    grad_pos = pos_grad * center_vecs
+    grad_neg = neg_grad * center_vecs[:, None, :]
+
+    np.add.at(w_in, centers, -lr * grad_center)
+    np.add.at(w_out, contexts, -lr * grad_pos)
+    np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
+
+
+def _cbow_update(model: Word2Vec, batch_idx, centers, contexts, neg_dist, lr) -> None:
+    """CBOW treated pairwise: the context token predicts the center."""
+    w_in = model._input_vectors
+    w_out = model._output_vectors
+    ctx = contexts[batch_idx]
+    cen = centers[batch_idx]
+    batch = ctx.size
+    k = model.config.negative
+
+    negatives = model._rng.choice(len(neg_dist), size=(batch, k), p=neg_dist)
+    ctx_vecs = w_in[ctx]
+    pos_vecs = w_out[cen]
+    neg_vecs = w_out[negatives]
+
+    pos_scores = _sigmoid(np.einsum("bd,bd->b", ctx_vecs, pos_vecs))
+    neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, ctx_vecs))
+
+    pos_grad = (pos_scores - 1.0)[:, None]
+    grad_ctx = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
+    grad_pos = pos_grad * ctx_vecs
+    grad_neg = neg_scores[:, :, None] * ctx_vecs[:, None, :]
+
+    np.add.at(w_in, ctx, -lr * grad_ctx)
+    np.add.at(w_out, cen, -lr * grad_pos)
+    np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))

@@ -151,7 +151,7 @@ class TestTextToText:
 
     def test_unknown_filter_strategy_raises(self):
         with pytest.raises(ValueError):
-            GraphBuilderConfig(filter_strategy_name="bogus").make_filter()
+            GraphBuilderConfig(filter_strategy_name="bogus").make_filter([], [], [])
 
 
 class TestLabels:

@@ -1,14 +1,15 @@
-"""Tests for the bulk compression engine and the compression bugfix sweep.
+"""Tests for graph compression and the compression bugfix sweep.
 
 Covers the CSR BFS primitives (``bfs_levels``, ``shortest_path_dag_union``,
-``multi_source_dag_union``), hypothesis parity of bulk-vs-reference MSP/SSP
-compression (identical compressed node *list*, edge set, metadata
-connectivity, and :class:`CompressionResult` ratios on random graphs), the
+``multi_source_dag_union``), hypothesis parity of MSP/SSP compression with
+the path-enumeration oracle of ``tests/oracles/compression.py`` (identical
+compressed node *list*, edge set, metadata connectivity, and
+:class:`CompressionResult` ratios on random graphs), the
 metadata-connectivity guarantee on multi-component graphs (the
 sampled-target regression), the iterative ``all_shortest_paths`` backtrack
 (no ``RecursionError`` on chain graphs), the live-degree SSuM rewrite
 against a recomputed oracle, the seeded end-to-end ``TDMatch.match``
-identity with compression enabled across both engines, and the CLI flag.
+identity with the oracle swapped in, and the CLI.
 """
 
 import numpy as np
@@ -17,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
+from repro.core import pipeline as pipeline_module
 from repro.core.config import CompressionConfig, TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
 from repro.graph.compression import (
-    COMPRESSION_ENGINES,
     _merge_identical_neighborhoods,
     msp_compress,
     ssp_compress,
@@ -35,10 +36,20 @@ from repro.graph.csr import (
 )
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.utils.rng import ensure_rng
+from tests.oracles.compression import UNBOUNDED, msp_reference, ssp_reference
 
-# Large enough that the reference engine's path enumeration is never
-# truncated — the regime in which bulk and reference are exactly equal.
-UNBOUNDED = 10**6
+
+def _msp_oracle(graph, first, second, beta, seed, parallel=None):
+    return msp_reference(graph, first, second, beta=beta, seed=seed)
+
+
+def _ssp_oracle(graph, beta, seed, parallel=None):
+    return ssp_reference(graph, beta=beta, seed=seed)
+
+
+#: ``msp_compress`` and its oracle under one signature, for the properties
+#: both must satisfy.
+MSP_IMPLEMENTATIONS = {"bulk": msp_compress, "reference": _msp_oracle}
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +266,7 @@ class TestIterativeBacktrack:
 
 
 # ----------------------------------------------------------------------
-# Engine parity
+# Parity with the path-enumeration oracle
 class TestCompressionEngineParity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,14 +276,8 @@ class TestCompressionEngineParity:
     )
     def test_msp_parity(self, graph_spec, beta, seed):
         graph, first, second = graph_spec
-        reference = msp_compress(
-            graph, first, second, beta=beta, seed=seed,
-            max_paths_per_pair=UNBOUNDED, engine="reference",
-        )
-        bulk = msp_compress(
-            graph, first, second, beta=beta, seed=seed,
-            max_paths_per_pair=UNBOUNDED, engine="bulk",
-        )
+        reference = msp_reference(graph, first, second, beta=beta, seed=seed)
+        bulk = msp_compress(graph, first, second, beta=beta, seed=seed)
         # Node LIST (not just set): canonical order is what keeps CSR node
         # ids — and therefore seeded downstream walks — engine-independent.
         assert reference.graph.nodes() == bulk.graph.nodes()
@@ -293,12 +298,8 @@ class TestCompressionEngineParity:
     )
     def test_ssp_parity(self, graph_spec, beta, seed):
         graph, _first, _second = graph_spec
-        reference = ssp_compress(
-            graph, beta=beta, seed=seed, max_paths_per_pair=UNBOUNDED, engine="reference"
-        )
-        bulk = ssp_compress(
-            graph, beta=beta, seed=seed, max_paths_per_pair=UNBOUNDED, engine="bulk"
-        )
+        reference = ssp_reference(graph, beta=beta, seed=seed)
+        bulk = ssp_compress(graph, beta=beta, seed=seed)
         assert reference.graph.nodes() == bulk.graph.nodes()
         assert set(reference.graph.edges()) == set(bulk.graph.edges())
         assert reference.node_ratio == bulk.node_ratio
@@ -308,16 +309,13 @@ class TestCompressionEngineParity:
     @given(
         graph_spec=random_graph(),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        engine=st.sampled_from(COMPRESSION_ENGINES),
+        engine=st.sampled_from(sorted(MSP_IMPLEMENTATIONS)),
     )
     def test_metadata_connectivity_guarantee(self, graph_spec, seed, engine):
         # Every metadata node with a reachable other-side partner in the
         # original graph must end up connected in the compressed graph.
         graph, first, second = graph_spec
-        result = msp_compress(
-            graph, first, second, beta=0.3, seed=seed,
-            max_paths_per_pair=UNBOUNDED, engine=engine,
-        )
+        result = MSP_IMPLEMENTATIONS[engine](graph, first, second, beta=0.3, seed=seed)
         for side, other in ((first, second), (second, first)):
             for label in side:
                 component = graph.connected_component(label)
@@ -328,18 +326,11 @@ class TestCompressionEngineParity:
                         f"{label} reachable but left bare by {engine}"
                     )
 
-    def test_invalid_engine(self):
-        g = example_graph()
-        with pytest.raises(ValueError):
-            msp_compress(g, ["t1"], ["p1"], engine="turbo")
-        with pytest.raises(ValueError):
-            ssp_compress(g, engine="turbo")
-
     def test_deterministic_given_seed_both_engines(self):
         g = example_graph()
-        for engine in COMPRESSION_ENGINES:
-            r1 = msp_compress(g, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=7, engine=engine)
-            r2 = msp_compress(g, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=7, engine=engine)
+        for compress in MSP_IMPLEMENTATIONS.values():
+            r1 = compress(g, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=7)
+            r2 = compress(g, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=7)
             assert r1.graph.nodes() == r2.graph.nodes()
             assert sorted(r1.graph.edges()) == sorted(r2.graph.edges())
 
@@ -363,19 +354,19 @@ class TestMultiComponentConnectivity:
             g.add_edge(u, v)
         return g
 
-    @pytest.mark.parametrize("engine", COMPRESSION_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(MSP_IMPLEMENTATIONS))
     def test_every_reachable_metadata_node_connected(self, engine):
         g = self.multi_component_graph()
         # Every seed must connect every metadata node: the guarantee no
         # longer depends on which target the rng happened to draw.
         for seed in range(20):
-            result = msp_compress(
-                g, ["t1", "t2"], ["p1", "p2"], beta=0.25, seed=seed, engine=engine
+            result = MSP_IMPLEMENTATIONS[engine](
+                g, ["t1", "t2"], ["p1", "p2"], beta=0.25, seed=seed
             )
             for label in ("t1", "t2", "p1", "p2"):
                 assert result.graph.degree(label) >= 1, (engine, seed, label)
 
-    @pytest.mark.parametrize("engine", COMPRESSION_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(MSP_IMPLEMENTATIONS))
     def test_both_sides_metadata_node_still_connected(self, engine):
         # Regression: a label promoted to corpus "both" sits in its own
         # other-side target list; the bulk connectivity BFS used to stop at
@@ -392,17 +383,17 @@ class TestMultiComponentConnectivity:
         g.add_edge("shared", "d1")
         g.add_edge("d1", "p1")
         for seed in range(10):
-            result = msp_compress(
-                g, ["t9", "shared"], ["p1", "shared"], beta=0.2, seed=seed, engine=engine
+            result = MSP_IMPLEMENTATIONS[engine](
+                g, ["t9", "shared"], ["p1", "shared"], beta=0.2, seed=seed
             )
             assert result.graph.degree("shared") >= 1, (engine, seed)
 
-    @pytest.mark.parametrize("engine", COMPRESSION_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(MSP_IMPLEMENTATIONS))
     def test_truly_isolated_metadata_kept_bare(self, engine):
         g = self.multi_component_graph()
         g.add_node("t_orphan", kind=NodeKind.METADATA, corpus="first", role="tuple")
-        result = msp_compress(
-            g, ["t1", "t2", "t_orphan"], ["p1", "p2"], beta=0.5, seed=3, engine=engine
+        result = MSP_IMPLEMENTATIONS[engine](
+            g, ["t1", "t2", "t_orphan"], ["p1", "p2"], beta=0.5, seed=3
         )
         assert result.graph.has_node("t_orphan")
         assert result.graph.degree("t_orphan") == 0
@@ -502,57 +493,41 @@ class TestPipelineCompressionEngines:
             seed=5,
         )
 
-    def run(self, scenario, engine, method="msp"):
+    def run(self, scenario, oracle=False, method="msp"):
         config = TDMatchConfig.for_text_to_data()
         config.walks.num_walks = 4
         config.walks.walk_length = 8
         config.word2vec.vector_size = 24
         config.word2vec.epochs = 1
-        config.compression = CompressionConfig(
-            enabled=True,
-            method=method,
-            ratio=0.5,
-            max_paths_per_pair=UNBOUNDED,
-            engine=engine,
-        )
+        config.compression = CompressionConfig(enabled=True, method=method, ratio=0.5)
         pipeline = TDMatch(config, seed=13)
-        pipeline.fit(scenario.first, scenario.second)
+        with pytest.MonkeyPatch.context() as patch:
+            if oracle:
+                patch.setattr(pipeline_module, "msp_compress", _msp_oracle)
+                patch.setattr(pipeline_module, "ssp_compress", _ssp_oracle)
+            pipeline.fit(scenario.first, scenario.second)
         return pipeline
 
     @pytest.mark.parametrize("method", ["msp", "ssp"])
     def test_seeded_match_identity_across_engines(self, scenario, method):
-        reference = self.run(scenario, "reference", method=method)
-        bulk = self.run(scenario, "bulk", method=method)
+        reference = self.run(scenario, oracle=True, method=method)
+        bulk = self.run(scenario, method=method)
         assert reference.graph.nodes() == bulk.graph.nodes()
         assert sorted(reference.graph.edges()) == sorted(bulk.graph.edges())
         assert reference.match(k=8).as_id_lists() == bulk.match(k=8).as_id_lists()
 
-    def test_compression_engine_note_recorded(self, scenario):
-        pipeline = self.run(scenario, "bulk")
-        assert pipeline.timings.note("compression_engine", "?") == "bulk"
-        reference = self.run(scenario, "reference")
-        assert reference.timings.note("compression_engine", "?") == "reference"
-
     def test_compression_stage_still_replaces_graph(self, scenario):
-        pipeline = self.run(scenario, "bulk")
+        pipeline = self.run(scenario)
         assert pipeline.state.compression is not None
         assert pipeline.graph is pipeline.state.compression.graph
 
 
 class TestCliCompressionEngineFlag:
     ARGS = [
-        "--scenario", "imdb_wt", "--size", "tiny", "--k", "5",
+        "run", "--scenario", "imdb_wt", "--size", "tiny", "--k", "5",
         "--num-walks", "4", "--walk-length", "8", "--vector-size", "32",
         "--epochs", "1", "--compression", "msp",
     ]
-
-    def test_bulk_default(self, capsys):
-        assert cli.main(self.ARGS) == 0
-        assert "engine=bulk" in capsys.readouterr().out
-
-    def test_reference_engine(self, capsys):
-        assert cli.main(self.ARGS + ["--compression-engine", "reference"]) == 0
-        assert "engine=reference" in capsys.readouterr().out
 
     def test_non_engine_method_runs(self, capsys):
         args = [a for a in self.ARGS]

@@ -9,8 +9,10 @@ from repro.core.blocking import (
     MetadataNeighborhoodBlocking,
     TokenBlocking,
 )
+from repro.core.config import TDMatchConfig
 from repro.core.downstream import EmbeddingPairClassifier, pair_features
 from repro.core.matcher import MetadataMatcher
+from repro.core.pipeline import TDMatch
 from repro.embeddings.graph_factorization import (
     GraphFactorizationConfig,
     GraphFactorizationEmbedder,
@@ -231,14 +233,14 @@ class TestDownstreamClassifier:
 
 class TestCli:
     def test_list_scenarios(self, capsys):
-        assert cli.main(["--list"]) == 0
+        assert cli.main(["run", "--list"]) == 0
         out = capsys.readouterr().out
         assert "imdb_wt" in out and "audit" in out
 
     def test_end_to_end_tiny_run(self, capsys):
         code = cli.main(
             [
-                "--scenario", "corona_gen", "--size", "tiny", "--k", "5",
+                "run", "--scenario", "corona_gen", "--size", "tiny", "--k", "5",
                 "--num-walks", "4", "--walk-length", "8", "--vector-size", "32", "--epochs", "1",
             ]
         )
@@ -249,4 +251,35 @@ class TestCli:
 
     def test_parser_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["--scenario", "bogus"])
+            cli.build_parser().parse_args(["run", "--scenario", "bogus"])
+
+    @pytest.mark.parametrize(
+        "argv, override",
+        [
+            pytest.param(argv, override, id=" ".join(argv))
+            for argv, override in [
+                (["run", "--vector-size", "0"], {"word2vec__vector_size": 0}),
+                (["run", "--epochs", "0"], {"word2vec__epochs": 0}),
+                (["run", "--num-workers", "-1"], {"parallel__num_workers": -1}),
+                (["run", "--num-walks", "0"], {"walks__num_walks": 0}),
+                (["run", "--chunk-size", "0"], {"retrieval__chunk_size": 0}),
+                (["run", "--k", "0"], None),
+                (["fit-save", "--index", "unused.tdm", "--epochs", "0"], {"word2vec__epochs": 0}),
+                (["query", "--index", "unused.tdm", "--k", "0"], None),
+            ]
+        ],
+    )
+    def test_invalid_values_rejected_before_fit(self, argv, override, monkeypatch, capsys):
+        def no_fit(*_args, **_kwargs):
+            raise AssertionError("a fit started despite an invalid value")
+
+        monkeypatch.setattr(TDMatch, "fit", no_fit)
+        monkeypatch.setattr(TDMatch, "load", no_fit)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        if override is not None:
+            # The same value through the section__field override path.
+            with pytest.raises(ValueError):
+                TDMatchConfig.fast(**override)

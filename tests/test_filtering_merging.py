@@ -1,11 +1,12 @@
 """Tests for data-node filtering strategies and node merging."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.embeddings.pretrained import build_synthetic_pretrained, synonym_pairs_from_clusters
-from repro.graph.filtering import IntersectFilter, NoFilter, TfIdfFilter
+from repro.graph.filtering import BulkIntersectFilter, BulkNoFilter, BulkTfIdfFilter
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.graph.merging import (
     EmbeddingMerger,
@@ -14,55 +15,71 @@ from repro.graph.merging import (
 )
 
 
+def _interned(first_docs, second_docs):
+    """Intern string documents as the graph builder does.
+
+    Returns the id → term table and the per-document arrays of unique ids
+    (first-occurrence order) of both corpora.
+    """
+    terms, index = [], {}
+
+    def ids(doc):
+        for term in doc:
+            if term not in index:
+                index[term] = len(terms)
+                terms.append(term)
+        return np.asarray([index[term] for term in dict.fromkeys(doc)], dtype=np.int32)
+
+    return terms, [ids(doc) for doc in first_docs], [ids(doc) for doc in second_docs]
+
+
+def _decode(terms, ids):
+    return [terms[i] for i in ids.tolist()]
+
+
 class TestIntersectFilter:
     def test_anchor_is_smaller_vocabulary(self):
-        filt = IntersectFilter()
-        filt.prepare([["a", "b"]], [["a", "b", "c", "d"]])
-        assert filt.anchor == "first"
+        terms, first, second = _interned([["a", "b"]], [["a", "b", "c", "d"]])
+        assert BulkIntersectFilter(first, second, len(terms)).anchor == "first"
 
     def test_anchor_switches_to_second(self):
-        filt = IntersectFilter()
-        filt.prepare([["a", "b", "c", "d"]], [["a", "b"]])
-        assert filt.anchor == "second"
+        terms, first, second = _interned([["a", "b", "c", "d"]], [["a", "b"]])
+        assert BulkIntersectFilter(first, second, len(terms)).anchor == "second"
 
     def test_non_anchor_terms_filtered(self):
-        filt = IntersectFilter()
-        filt.prepare([["a", "b"]], [["a", "c"]])
-        assert filt.keep_second(0, ["a", "c"]) == ["a"]
-        assert filt.keep_first(0, ["a", "b"]) == ["a", "b"]
+        terms, first, second = _interned([["a", "b"]], [["a", "c"]])
+        filt = BulkIntersectFilter(first, second, len(terms))
+        assert _decode(terms, filt.keep_second(0, second[0])) == ["a"]
+        assert _decode(terms, filt.keep_first(0, first[0])) == ["a", "b"]
 
     def test_tie_prefers_first_corpus(self):
-        filt = IntersectFilter()
-        filt.prepare([["a", "b"]], [["c", "d"]])
-        assert filt.anchor == "first"
+        terms, first, second = _interned([["a", "b"]], [["c", "d"]])
+        assert BulkIntersectFilter(first, second, len(terms)).anchor == "first"
 
 
 class TestNoFilter:
     def test_everything_kept(self):
-        filt = NoFilter()
-        filt.prepare([["a"]], [["b"]])
-        assert filt.keep_first(0, ["a", "x"]) == ["a", "x"]
-        assert filt.keep_second(0, ["b", "y"]) == ["b", "y"]
+        terms, first, second = _interned([["a", "x"]], [["b", "y"]])
+        filt = BulkNoFilter()
+        assert _decode(terms, filt.keep_first(0, first[0])) == ["a", "x"]
+        assert _decode(terms, filt.keep_second(0, second[0])) == ["b", "y"]
 
 
 class TestTfIdfFilter:
     def test_top_k_terms_kept(self):
-        filt = TfIdfFilter(top_k=1)
-        docs_a = [["rare", "common"], ["common"]]
-        docs_b = [["common", "rare"]]
-        filt.prepare(docs_a, docs_b)
-        kept = filt.keep_first(0, ["rare", "common", "common"])
-        assert len(kept) == 1
+        terms, first, second = _interned([["rare", "common"], ["common"]], [["common", "rare"]])
+        filt = BulkTfIdfFilter(first, second, terms, top_k=1)
+        assert len(filt.keep_first(0, first[0])) == 1
 
     def test_rare_term_beats_common_term(self):
-        filt = TfIdfFilter(top_k=1)
         docs = [["rare", "common"], ["common"], ["common"], ["common", "other"]]
-        filt.prepare(docs, docs)
-        assert filt.keep_first(0, ["rare", "common"]) == ["rare"]
+        terms, first, second = _interned(docs, docs)
+        filt = BulkTfIdfFilter(first, second, terms, top_k=1)
+        assert _decode(terms, filt.keep_first(0, first[0])) == ["rare"]
 
     def test_invalid_top_k(self):
         with pytest.raises(ValueError):
-            TfIdfFilter(top_k=0)
+            BulkTfIdfFilter([], [], [], top_k=0)
 
 
 class TestFreedmanDiaconis:

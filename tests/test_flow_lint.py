@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import run_analysis
-from repro.analysis.core import ModuleContext, ProjectContext
+from repro.analysis.core import ModuleContext
 from repro.analysis.dataflow import BOTTOM, FlowAnalyses, Value, element_of
 from repro.analysis.project import ProjectIndex, module_name_for
 from repro.analysis.report import REPORT_SCHEMA_VERSION, render_github, report_dict

@@ -1,12 +1,12 @@
-"""Tests for the bulk graph-construction engine and its substrate.
+"""Tests for graph construction (Algorithm 1) and its substrate.
 
 Covers the :class:`~repro.text.preprocess.TermInterner`, the bulk
-node/edge APIs of :class:`~repro.graph.graph.MatchGraph`, the bulk filter
-counterparts, engine parity (hypothesis property: identical node list,
-node metadata — including the ``"both"`` promotion — and undirected edge
-set for random corpus pairs under every filter strategy), the primed CSR
-fast path, and the seeded end-to-end identity of ``TDMatch.match`` across
-engines.
+node/edge APIs of :class:`~repro.graph.graph.MatchGraph`, the interned
+filters, parity with the per-term oracle of ``tests/oracles/graph.py``
+(hypothesis property: identical node list, node metadata — including the
+``"both"`` promotion — and undirected edge set for random corpus pairs
+under every filter strategy), the primed CSR fast path, and the seeded
+end-to-end identity of ``TDMatch.match`` with the oracle swapped in.
 """
 
 import numpy as np
@@ -14,22 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cli
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.corpus.documents import TextCorpus
 from repro.corpus.table import Column, Table
 from repro.corpus.taxonomy import Taxonomy
 from repro.datasets import ScenarioSize, generate_scenario
-from repro.graph.builder import GRAPH_ENGINES, GraphBuilder, GraphBuilderConfig
+from repro.graph.builder import GraphBuilder, GraphBuilderConfig
 from repro.graph.csr import build_csr, csr_adjacency
 from repro.graph.filtering import (
     BulkIntersectFilter,
     BulkNoFilter,
     BulkTfIdfFilter,
     FilterStatistics,
-    IntersectFilter,
-    make_bulk_filter,
 )
 from repro.graph.graph import MatchGraph, NodeKind, dedup_edge_ids
 from repro.text.preprocess import (
@@ -38,6 +35,7 @@ from repro.text.preprocess import (
     TermInterner,
     unique_in_order,
 )
+from tests.oracles.graph import build_reference, make_string_filter
 
 
 # ----------------------------------------------------------------------
@@ -286,13 +284,7 @@ class TestConfigValidation:
     def test_builder_config_validates(self):
         with pytest.raises(ValueError):
             GraphBuilderConfig(tfidf_top_k=0)
-        with pytest.raises(ValueError):
-            GraphBuilderConfig(engine="turbo")
-        for engine in GRAPH_ENGINES:
-            GraphBuilderConfig(engine=engine)  # valid
-
-    def test_default_engine_is_bulk(self):
-        assert GraphBuilderConfig().engine == "bulk"
+        GraphBuilderConfig(tfidf_top_k=1)  # valid
 
 
 # ----------------------------------------------------------------------
@@ -301,32 +293,18 @@ class TestBulkFilters:
     def test_factory_maps_strategies(self):
         docs = [np.array([0, 1], dtype=np.int32)]
         terms = ["alpha", "beta"]
-        config = GraphBuilderConfig(filter_strategy_name="intersect")
-        assert isinstance(
-            make_bulk_filter(config.make_filter(), docs, docs, terms), BulkIntersectFilter
-        )
-        config = GraphBuilderConfig(filter_strategy_name="normal")
-        assert isinstance(
-            make_bulk_filter(config.make_filter(), docs, docs, terms), BulkNoFilter
-        )
-        config = GraphBuilderConfig(filter_strategy_name="tfidf")
-        assert isinstance(
-            make_bulk_filter(config.make_filter(), docs, docs, terms), BulkTfIdfFilter
-        )
+        for name, expected in (
+            ("intersect", BulkIntersectFilter),
+            ("normal", BulkNoFilter),
+            ("tfidf", BulkTfIdfFilter),
+        ):
+            config = GraphBuilderConfig(filter_strategy_name=name)
+            assert isinstance(config.make_filter(docs, docs, terms), expected)
 
     def test_unknown_strategy_raises(self):
-        class Custom(IntersectFilter.__bases__[0]):  # FilterStrategy
-            def prepare(self, first, second):
-                return None
-
-            def keep_first(self, doc_index, terms):
-                return list(terms)
-
-            def keep_second(self, doc_index, terms):
-                return list(terms)
-
-        with pytest.raises(TypeError):
-            make_bulk_filter(Custom(), [], [], [])
+        config = GraphBuilderConfig(filter_strategy_name="custom")
+        with pytest.raises(ValueError, match="custom"):
+            config.make_filter([], [], [])
 
     def test_intersect_anchor_tie_breaks_to_first(self):
         first = [np.array([0, 1], dtype=np.int32)]
@@ -340,9 +318,7 @@ class TestBulkFilters:
         interner = TermInterner(preprocessor)
         texts = ["drama film noir", "drama thriller", "noir classic film"]
         docs = [interner.term_ids(t) for t in texts]
-        reference = GraphBuilderConfig(
-            filter_strategy_name="tfidf", tfidf_top_k=2
-        ).make_filter()
+        reference = make_string_filter(GraphBuilderConfig(filter_strategy_name="tfidf", tfidf_top_k=2))
         reference.prepare([preprocessor.terms(t) for t in texts], [])
         bulk = BulkTfIdfFilter(docs, [], interner.terms, top_k=2)
         for index, (ids, text) in enumerate(zip(docs, texts)):
@@ -351,7 +327,7 @@ class TestBulkFilters:
 
 
 # ----------------------------------------------------------------------
-# Engine parity (hypothesis property)
+# Parity with the per-term oracle (hypothesis property)
 WORDS = [
     "alpha", "beta", "gamma", "delta", "iso", "audit", "sense", "willis",
     "drama", "thriller", "42", "2020",
@@ -398,12 +374,9 @@ corpora = st.one_of(text_corpora(), tables(), taxonomies())
 
 
 def assert_engines_agree(first, second, **config_kwargs):
-    reference = GraphBuilder(
-        GraphBuilderConfig(engine="reference", **config_kwargs)
-    ).build(first, second)
-    bulk = GraphBuilder(GraphBuilderConfig(engine="bulk", **config_kwargs)).build(
-        first, second
-    )
+    config = GraphBuilderConfig(**config_kwargs)
+    reference = build_reference(config, first, second)
+    bulk = GraphBuilder(config).build(first, second)
     ref_graph, bulk_graph = reference.graph, bulk.graph
     # Node parity is asserted on the ordered list, not just the set: the
     # insertion order fixes CSR node ids and hence seeded walk corpora.
@@ -450,7 +423,7 @@ class TestEngineParity:
         table.add_record("t1", c0="beta gamma", c1="drama")
         corpus = TextCorpus(name="txt")
         corpus.add_text("d0", "alpha drama")
-        builder = GraphBuilder(GraphBuilderConfig(engine="bulk"))
+        builder = GraphBuilder(GraphBuilderConfig())
         first = builder.build(table, corpus)
         second = builder.build(table, corpus)  # warm interner
         assert first.graph.nodes() == second.graph.nodes()
@@ -467,7 +440,7 @@ class TestCSRFastPath:
         corpus = TextCorpus(name="txt")
         corpus.add_text("d0", "alpha drama willis")
         corpus.add_text("d1", "gamma sense")
-        return GraphBuilder(GraphBuilderConfig(engine="bulk")).build(table, corpus)
+        return GraphBuilder(GraphBuilderConfig()).build(table, corpus)
 
     def test_bulk_build_primes_csr_cache(self):
         built = self.build()
@@ -506,52 +479,42 @@ class TestPipelineIntegration:
             seed=5,
         )
 
-    def run(self, scenario, engine):
+    def run(self, scenario, oracle=False):
         config = TDMatchConfig.for_text_to_data()
-        config.builder.engine = engine
         config.walks.num_walks = 4
         config.walks.walk_length = 8
         config.word2vec.vector_size = 24
         config.word2vec.epochs = 1
         pipeline = TDMatch(config, seed=13)
-        pipeline.fit(scenario.first, scenario.second)
+        with pytest.MonkeyPatch.context() as patch:
+            if oracle:
+                patch.setattr(
+                    GraphBuilder,
+                    "build",
+                    lambda builder, first, second: build_reference(builder.config, first, second),
+                )
+            pipeline.fit(scenario.first, scenario.second)
         return pipeline
 
     def test_seeded_match_identity_across_engines(self, scenario):
-        reference = self.run(scenario, "reference").match(k=8)
-        bulk = self.run(scenario, "bulk").match(k=8)
+        reference = self.run(scenario, oracle=True).match(k=8)
+        bulk = self.run(scenario).match(k=8)
         assert reference.as_id_lists() == bulk.as_id_lists()
 
     def test_timing_notes_recorded(self, scenario):
-        pipeline = self.run(scenario, "bulk")
-        assert pipeline.timings.note("graph_engine", "?") == "bulk"
+        pipeline = self.run(scenario)
         fraction = float(pipeline.timings.note("filter_kept_fraction", "nan"))
         assert 0.0 <= fraction <= 1.0
 
     def test_refit_reuses_builder_until_config_changes(self, scenario):
-        pipeline = self.run(scenario, "bulk")
+        pipeline = self.run(scenario)
         builder = pipeline._builder
         assert builder is not None
         nodes = pipeline.graph.nodes()
         pipeline.fit(scenario.first, scenario.second)
         assert pipeline._builder is builder  # warm interner reused
         assert pipeline.graph.nodes() == nodes
-        pipeline.config.builder.engine = "reference"
+        pipeline.config.builder.tfidf_top_k += 1  # unused by the intersect filter
         pipeline.fit(scenario.first, scenario.second)
         assert pipeline._builder is not builder  # config change rebuilds
         assert pipeline.graph.nodes() == nodes
-
-
-class TestCliGraphEngineFlag:
-    ARGS = [
-        "--scenario", "corona_gen", "--size", "tiny", "--k", "5",
-        "--num-walks", "4", "--walk-length", "8", "--vector-size", "32", "--epochs", "1",
-    ]
-
-    def test_bulk_default(self, capsys):
-        assert cli.main(self.ARGS) == 0
-        assert "graph engine: bulk" in capsys.readouterr().out
-
-    def test_reference_engine(self, capsys):
-        assert cli.main(self.ARGS + ["--graph-engine", "reference"]) == 0
-        assert "graph engine: reference" in capsys.readouterr().out

@@ -429,13 +429,13 @@ class TestPipelineParallel:
 
 class TestCliNumWorkers:
     def test_flag_parses_into_config(self):
-        args = cli.build_parser().parse_args(["--num-workers", "3"])
+        args = cli.build_parser().parse_args(["run", "--num-workers", "3"])
         assert args.num_workers == 3
 
     def test_cli_run_with_workers(self, capsys):
         code = cli.main(
             [
-                "--scenario", "imdb_wt", "--size", "tiny", "--k", "5",
+                "run", "--scenario", "imdb_wt", "--size", "tiny", "--k", "5",
                 "--num-walks", "4", "--walk-length", "8", "--vector-size", "32",
                 "--epochs", "1", "--num-workers", "2",
             ]

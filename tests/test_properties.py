@@ -16,11 +16,12 @@ from repro.eval.metrics import (
 from repro.eval.taxonomy_metrics import node_score
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.graph.merging import freedman_diaconis_width
-from repro.graph.walks import single_walk
+from repro.graph.walks import RandomWalkConfig, generate_walks
 from repro.text.ngrams import generate_ngrams
 from repro.text.stemmer import PorterStemmer
 from repro.text.tokenizer import tokenize
 from repro.utils.rng import ensure_rng
+from tests.oracles.walks import single_walk
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -106,13 +107,18 @@ class TestGraphProperties:
     @given(random_graph_strategy(), st.integers(0, 2**16))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     def test_random_walks_follow_edges(self, data, seed):
+        # Both the CSR engine and the step-at-a-time oracle.
         nodes, edges = data
         g = build_graph(nodes, edges)
-        walk = single_walk(g, nodes[0], 8, ensure_rng(seed))
-        assert walk[0] == nodes[0]
-        assert len(walk) <= 8
-        for u, v in zip(walk, walk[1:]):
-            assert g.has_edge(u, v)
+        config = RandomWalkConfig(num_walks=1, walk_length=8, start_nodes=[nodes[0]])
+        for walk in (
+            generate_walks(g, config, seed=seed)[0],
+            single_walk(g, nodes[0], 8, ensure_rng(seed)),
+        ):
+            assert walk[0] == nodes[0]
+            assert len(walk) <= 8
+            for u, v in zip(walk, walk[1:]):
+                assert g.has_edge(u, v)
 
     @given(random_graph_strategy())
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])

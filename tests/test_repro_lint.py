@@ -33,7 +33,6 @@ EXPECTED_RULES = {
     "arena-lifecycle",
     "atomic-write",
     "dtype-discipline",
-    "engine-registry",
     "fork-safety",
     "mmap-mutation",
     "rng-discipline",
@@ -59,10 +58,9 @@ class TestRegistry:
     def test_all_contract_rules_registered(self):
         assert EXPECTED_RULES <= set(all_rules())
 
-    def test_rules_have_descriptions_and_scopes(self):
+    def test_rules_have_descriptions(self):
         for rule, cls in all_rules().items():
             assert cls.description, rule
-            assert cls.scope in ("module", "project")
 
     def test_select_restricts(self):
         result = lint(FIXTURES / "rng_bad.py", FIXTURES / "timer_bad.py",
@@ -198,52 +196,6 @@ class TestAtomicWrite:
 
     def test_utils_io_exempt(self):
         result = lint(FIXTURES / "utils" / "io.py", select=["atomic-write"])
-        assert result.ok
-
-
-# ----------------------------------------------------------------------
-# engine-registry
-class TestEngineRegistry:
-    def _lint_project(self, name):
-        base = FIXTURES / name
-        return lint(base / "src", select=["engine-registry"],
-                    tests_dir=str(base / "tests"))
-
-    def test_complete_stage_clean(self):
-        # engine_good also contains aaa_decoy.py — scanned before config.py,
-        # with an unrelated class sharing the "walks" field name — so this
-        # additionally pins that section resolution stays restricted to the
-        # module defining ENGINE_STAGES instead of the whole project.
-        assert self._lint_project("engine_good").ok
-
-    def test_missing_reference_twin_flagged(self):
-        result = self._lint_project("engine_bad_no_reference")
-        assert len(result.findings) == 1
-        assert 'accept "reference"' in result.findings[0].message
-
-    def test_reference_only_in_docstring_flagged(self):
-        # "reference" appearing in the class / __post_init__ docstrings must
-        # not satisfy the accepts-"reference" check: the literal has to be
-        # visible in code (validator tuple, default, engines constant).
-        result = self._lint_project("engine_bad_reference_in_docstring")
-        assert len(result.findings) == 1
-        assert 'accept "reference"' in result.findings[0].message
-
-    def test_missing_field_flagged(self):
-        result = self._lint_project("engine_bad_missing_field")
-        assert len(result.findings) == 1
-        assert "no field 'walk_engine'" in result.findings[0].message
-
-    def test_missing_parity_test_flagged(self):
-        result = self._lint_project("engine_bad_no_test")
-        assert len(result.findings) == 1
-        assert "no test module references" in result.findings[0].message
-
-    def test_suppression_on_stage_entry(self):
-        assert self._lint_project("engine_suppressed").ok
-
-    def test_silent_without_registry(self):
-        result = lint(FIXTURES / "timer_good.py", select=["engine-registry"])
         assert result.ok
 
 
@@ -390,21 +342,6 @@ class TestCli:
 # The meta-test: the real tree is violation-free
 class TestRealTree:
     def test_src_and_benchmarks_are_clean(self):
-        result = lint(
-            REPO_ROOT / "src",
-            REPO_ROOT / "benchmarks",
-            tests_dir=str(REPO_ROOT / "tests"),
-        )
+        result = lint(REPO_ROOT / "src", REPO_ROOT / "benchmarks")
         assert result.ok, "\n".join(f.format() for f in result.findings)
         assert result.files_scanned > 100
-
-    def test_engine_registry_sees_all_four_stages(self):
-        # Guard against the cross-file rule silently matching nothing: the
-        # real ENGINE_STAGES must resolve every stage (graph, walks,
-        # word2vec, compression) — break one on purpose and it must fire.
-        from repro.analysis.checkers.engine_registry import _registry_entries
-        from repro.analysis.runner import load_module
-
-        ctx = load_module(REPO_ROOT / "src" / "repro" / "core" / "config.py")
-        entries, _ = _registry_entries(ctx)
-        assert set(entries) == {"graph", "walks", "word2vec", "compression"}

@@ -523,7 +523,7 @@ class TestRetrievalConfig:
 
 class TestCliRetrievalFlags:
     ARGS = [
-        "--scenario", "corona_gen", "--size", "tiny", "--k", "5",
+        "run", "--scenario", "corona_gen", "--size", "tiny", "--k", "5",
         "--num-walks", "4", "--walk-length", "8", "--vector-size", "32", "--epochs", "1",
     ]
 

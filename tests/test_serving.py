@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.config import ENGINE_STAGES, TDMatchConfig
+from repro.core.config import TDMatchConfig
 from repro.core.exceptions import NotFittedError, PipelineError
 from repro.core.pipeline import TDMatch
 from repro.corpus.documents import TextCorpus
@@ -300,6 +301,42 @@ class TestSaveLoadRoundtrip:
             fitted.config.builder.filter_strategy_name
         )
 
+    def test_index_with_removed_engine_keys_still_loads(self, scenario, index_path, tmp_path):
+        """An index saved while the fit stages had engine switches serves unchanged.
+
+        Saved config keys that are no longer fields are skipped on load, and
+        the top-level ``"engine"`` header key is ignored.
+        """
+        legacy_path = str(tmp_path / "legacy.tdm")
+        shutil.copyfile(index_path, legacy_path)
+
+        def add_engine_keys(header):
+            config = header["config"]
+            config["builder"]["engine"] = "reference"
+            config["walks"]["walk_engine"] = "python"
+            config["word2vec"]["trainer"] = "reference"
+            config["compression"]["engine"] = "reference"
+            config["compression"]["max_paths_per_pair"] = 16
+            header["engine"] = "reference"
+
+        _rewrite_header(legacy_path, add_engine_keys)
+        header, _arrays = read_index(legacy_path, mmap=True)
+        assert header["engine"] == header["config"]["builder"]["engine"] == "reference"
+        for verify in ("none", "header", "full"):
+            for mmap in (False, True):
+                expected = TDMatch.load(index_path, mmap=mmap, verify=verify)
+                legacy = TDMatch.load(legacy_path, mmap=mmap, verify=verify)
+                assert (
+                    legacy.match_result(k=10).to_dict()["rankings"]
+                    == expected.match_result(k=10).to_dict()["rankings"]
+                ), (verify, mmap)
+        row = list(scenario.second.rows)[0]
+        labels = legacy.add_records(
+            [("legacy-new-row", dict(row.non_null_items()))], side="second"
+        )
+        assert len(labels) == 1
+        assert "legacy-new-row" in legacy.state.built.second_metadata
+
     def test_query_in_fresh_subprocess_without_fit(self, index_path, fitted):
         """The two-process story: fit-save here, load-query in a new process."""
         expected = fitted.match_result(k=5).to_dict()["rankings"]
@@ -438,51 +475,12 @@ class TestIncrementalFit:
 
 
 # ----------------------------------------------------------------------
-# Unified engine switches
-class TestEnginesAPI:
-    def test_engines_property_reflects_stage_fields(self):
-        config = TDMatchConfig.fast()
-        assert config.engines == {
-            "graph": config.builder.engine,
-            "walks": config.walks.walk_engine,
-            "word2vec": config.word2vec.trainer,
-            "compression": config.compression.engine,
-        }
-        assert set(config.engines) == set(ENGINE_STAGES)
-
-    def test_set_engines_updates_aliased_fields(self):
-        config = TDMatchConfig.fast()
-        config.engines = {"graph": "reference", "word2vec": "reference"}
-        assert config.builder.engine == "reference"
-        assert config.word2vec.trainer == "reference"
-        assert config.walks.walk_engine == "csr"  # untouched
-
-    def test_set_engines_rejects_unknown_stage(self):
-        config = TDMatchConfig.fast()
-        with pytest.raises(ValueError, match="stage"):
-            config.set_engines({"walks2vec": "csr"})
-
-    def test_set_engines_rejects_unknown_engine(self):
-        config = TDMatchConfig.fast()
-        with pytest.raises(ValueError, match="walk_engine"):
-            config.set_engines({"walks": "quantum"})
-
-    def test_engines_override_in_factory(self):
-        config = TDMatchConfig.fast(engines={"walks": "python"})
-        assert config.walks.walk_engine == "python"
-
-    def test_pipeline_engines_method(self, fitted):
-        assert fitted.engines() == dict(fitted.config.engines)
-
-
-# ----------------------------------------------------------------------
 # Structured reports
 class TestReports:
     def test_report_is_json_able(self, fitted):
         fitted.match(k=3)
         report = fitted.report()
         parsed = json.loads(json.dumps(report))
-        assert parsed["engines"] == fitted.engines()
         assert "graph_build" in parsed["timings"]["stages"]
         assert parsed["graph"]["nodes"] == fitted.graph.num_nodes()
         assert parsed["model"]["vocab_size"] == len(fitted.model.vocab)
@@ -505,4 +503,4 @@ class TestReports:
     def test_timing_registry_to_dict(self, fitted):
         payload = fitted.timings.to_dict()
         assert payload["stages"]["graph_build"]["seconds"] >= 0
-        assert payload["notes"]["graph_engine"] == "bulk"
+        assert payload["notes"]["walk_engine"] == "csr"

@@ -1,12 +1,13 @@
 """Tests for the CSR snapshot and the vectorised walk engine.
 
-The contract under test: the python and CSR engines implement the *same*
-walk semantics — identical start-node multiset, uniform neighbour choice,
-early stop on isolated nodes — with seeded determinism within each engine.
-In an undirected graph a walk can only stop at its start node (any entered
-node has at least the incoming edge back), so walk lengths are a
-deterministic function of the start node and the two engines must agree on
-them exactly, not just statistically.
+The contract under test: the CSR engine implements the *same* walk
+semantics as the step-at-a-time oracle of ``tests/oracles/walks.py`` —
+identical start-node multiset, uniform neighbour choice, early stop on
+isolated nodes — with seeded determinism.  In an undirected graph a walk
+can only stop at its start node (any entered node has at least the
+incoming edge back), so walk lengths are a deterministic function of the
+start node and the engine must agree with the oracle on them exactly, not
+just statistically.
 """
 
 from collections import Counter
@@ -16,16 +17,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pipeline as pipeline_module
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.graph.csr import build_csr, csr_adjacency
 from repro.graph.graph import MatchGraph
-from repro.graph.walk_engine import (
-    CSRWalkEngine,
-    PythonWalkEngine,
-    make_walk_engine,
-)
+from repro.graph.walk_engine import CSRWalkEngine, make_walk_engine
 from repro.graph.walks import RandomWalkConfig, generate_walks, iter_walks
+from tests.oracles.walks import PythonWalkEngine, iter_walks_python
+
+#: The walk generators under test: the oracle ("python") and the library's
+#: CSR engine.  The oracle is held to the same determinism contract because
+#: the seeded pipeline tests that swap it in rely on it.
+GENERATORS = {"python": iter_walks_python, "csr": iter_walks}
+
+
+def walks_of(engine_name, graph, config, seed):
+    return list(GENERATORS[engine_name](graph, config, seed=seed))
 
 
 def build_graph(num_nodes: int, edges, isolated=()):
@@ -101,7 +109,7 @@ class TestCSRAdjacency:
 
 
 # ----------------------------------------------------------------------
-# Engine parity
+# Parity with the step-at-a-time oracle
 def corpus_of(engine, seed):
     return list(engine.iter_walks(seed=seed))
 
@@ -211,16 +219,16 @@ class TestEngineParity:
 class TestDeterminism:
     @pytest.mark.parametrize("engine_name", ["python", "csr"])
     def test_same_seed_same_corpus(self, diamond_graph, engine_name):
-        config = RandomWalkConfig(num_walks=4, walk_length=6, walk_engine=engine_name)
-        first = generate_walks(diamond_graph, config, seed=42)
-        second = generate_walks(diamond_graph, config, seed=42)
+        config = RandomWalkConfig(num_walks=4, walk_length=6)
+        first = walks_of(engine_name, diamond_graph, config, seed=42)
+        second = walks_of(engine_name, diamond_graph, config, seed=42)
         assert first == second
 
     @pytest.mark.parametrize("engine_name", ["python", "csr"])
     def test_different_seeds_differ(self, diamond_graph, engine_name):
-        config = RandomWalkConfig(num_walks=8, walk_length=10, walk_engine=engine_name)
-        assert generate_walks(diamond_graph, config, seed=1) != generate_walks(
-            diamond_graph, config, seed=2
+        config = RandomWalkConfig(num_walks=8, walk_length=10)
+        assert walks_of(engine_name, diamond_graph, config, seed=1) != walks_of(
+            engine_name, diamond_graph, config, seed=2
         )
 
     def test_generator_seed_accepted(self, diamond_graph):
@@ -237,23 +245,27 @@ class TestDeterminism:
         import subprocess
         import sys
 
+        generator = GENERATORS[engine_name]
         snippet = (
             "from repro.graph.graph import MatchGraph\n"
-            "from repro.graph.walks import RandomWalkConfig, generate_walks\n"
+            "from repro.graph.walks import RandomWalkConfig\n"
+            f"from {generator.__module__} import {generator.__name__} as walks\n"
             "g = MatchGraph()\n"
             "for i in range(8): g.add_node(f'node{i}')\n"
             "for i in range(8):\n"
             "    for j in range(i + 1, 8):\n"
             "        if (i + j) % 3: g.add_edge(f'node{i}', f'node{j}')\n"
-            f"cfg = RandomWalkConfig(num_walks=2, walk_length=5, walk_engine={engine_name!r})\n"
-            "print(generate_walks(g, cfg, seed=7))\n"
+            "cfg = RandomWalkConfig(num_walks=2, walk_length=5)\n"
+            "print(list(walks(g, cfg, seed=7)))\n"
         )
         outputs = []
         for hash_seed in ("1", "2"):
             env = dict(os.environ)
             env["PYTHONHASHSEED"] = hash_seed
-            src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-            env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+            repo_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(repo_dir, "src"), repo_dir, env.get("PYTHONPATH", "")]
+            )
             result = subprocess.run(
                 [sys.executable, "-c", snippet],
                 capture_output=True,
@@ -266,54 +278,11 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Engine selection and fallback
+# Engine construction
 class TestEngineSelection:
-    def test_config_selects_engine(self, diamond_graph):
-        python_config = RandomWalkConfig(walk_engine="python")
-        csr_config = RandomWalkConfig(walk_engine="csr")
-        assert isinstance(make_walk_engine(diamond_graph, python_config), PythonWalkEngine)
-        assert isinstance(make_walk_engine(diamond_graph, csr_config), CSRWalkEngine)
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            RandomWalkConfig(walk_engine="gpu")
-
-    def test_fallback_to_python_when_csr_unavailable(self, diamond_graph, monkeypatch):
-        import repro.graph.walk_engine as walk_engine_module
-
-        def broken_snapshot(graph):
-            raise MemoryError("snapshot unavailable")
-
-        monkeypatch.setattr(walk_engine_module, "csr_adjacency", broken_snapshot)
-        engine = make_walk_engine(diamond_graph, RandomWalkConfig(walk_engine="csr"))
-        assert isinstance(engine, PythonWalkEngine)
-        walks = list(engine.iter_walks(seed=1))
-        assert len(walks) == 100 * diamond_graph.num_nodes()
-
-    def test_fallback_logs_a_warning(self, diamond_graph, monkeypatch, caplog):
-        import logging
-
-        import repro.graph.walk_engine as walk_engine_module
-
-        def broken_snapshot(graph):
-            raise MemoryError("48 exabytes please")
-
-        monkeypatch.setattr(walk_engine_module, "csr_adjacency", broken_snapshot)
-        with caplog.at_level(logging.WARNING, logger="repro.graph.walk_engine"):
-            engine = make_walk_engine(diamond_graph, RandomWalkConfig(walk_engine="csr"))
-        assert isinstance(engine, PythonWalkEngine)
-        messages = [record.getMessage() for record in caplog.records]
-        assert any(
-            "falling back to the python walk engine" in message
-            and "MemoryError" in message
-            and "48 exabytes please" in message
-            for message in messages
-        ), messages
-
     def test_unexpected_snapshot_error_propagates(self, diamond_graph, monkeypatch):
-        # The fallback is for failure classes snapshot construction can
-        # legitimately hit; an unknown error must not silently degrade the
-        # fit to the slow engine.
+        # A snapshot that cannot be built fails engine construction instead
+        # of being swapped for a slower engine behind the caller's back.
         import repro.graph.walk_engine as walk_engine_module
 
         def buggy_snapshot(graph):
@@ -321,23 +290,14 @@ class TestEngineSelection:
 
         monkeypatch.setattr(walk_engine_module, "csr_adjacency", buggy_snapshot)
         with pytest.raises(RuntimeError, match="a bug"):
-            make_walk_engine(diamond_graph, RandomWalkConfig(walk_engine="csr"))
+            make_walk_engine(diamond_graph, RandomWalkConfig())
 
     def test_invalid_batch_size_not_swallowed_by_fallback(self, diamond_graph):
-        # Caller errors (bad batch_size) propagate instead of selecting the
-        # python engine behind the caller's back.
         with pytest.raises(ValueError, match="batch_size"):
-            make_walk_engine(
-                diamond_graph, RandomWalkConfig(walk_engine="csr"), batch_size=0
-            )
-
-    def test_reference_alias_selects_python_engine(self, diamond_graph):
-        # "reference" is the unified ENGINE_STAGES spelling of the twin.
-        engine = make_walk_engine(diamond_graph, RandomWalkConfig(walk_engine="reference"))
-        assert isinstance(engine, PythonWalkEngine)
+            make_walk_engine(diamond_graph, RandomWalkConfig(), batch_size=0)
 
     def test_iter_walks_dispatches_on_config(self, diamond_graph):
-        config = RandomWalkConfig(num_walks=2, walk_length=3, walk_engine="csr")
+        config = RandomWalkConfig(num_walks=2, walk_length=3)
         walks = list(iter_walks(diamond_graph, config, seed=1))
         assert len(walks) == 2 * diamond_graph.num_nodes()
 
@@ -374,10 +334,9 @@ class TestStartNodeWarnings:
             num_walks=1,
             walk_length=3,
             start_nodes=["n0", "ghost", "phantom"],
-            walk_engine=engine_name,
         )
         with pytest.warns(RuntimeWarning, match="2 start node"):
-            walks = generate_walks(diamond_graph, config, seed=1)
+            walks = walks_of(engine_name, diamond_graph, config, seed=1)
         # The known start node is still walked.
         assert len(walks) == 1
         assert walks[0][0] == "n0"
@@ -420,10 +379,15 @@ class TestPipelineIntegration:
         assert "walks" in timings and "word2vec" in timings
         assert timings["walks"] >= 0.0
 
-    def test_python_engine_pipeline_matches_quality(self):
+    def test_python_engine_pipeline_matches_quality(self, monkeypatch):
+        # The oracle's walks, swapped into the pipeline, match as well.
         reviews, table, gold = build_review_world()
-        config = TDMatchConfig.fast(walks__walk_engine="python")
-        pipeline = TDMatch(config, seed=11)
+        monkeypatch.setattr(
+            pipeline_module,
+            "make_walk_engine",
+            lambda graph, config, parallel=None: PythonWalkEngine(graph, config),
+        )
+        pipeline = TDMatch(TDMatchConfig.fast(), seed=11)
         pipeline.fit(reviews, table)
         assert pipeline.timings.note("walk_engine") == "python"
         rankings = pipeline.match(k=2)

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.graph.graph import MatchGraph
-from repro.graph.walks import RandomWalkConfig, generate_walks, iter_walks, single_walk
+from repro.graph.walks import RandomWalkConfig, generate_walks, iter_walks
 from repro.kb.conceptnet import build_concept_kb
 from repro.kb.dbpedia import build_entity_kb
 from repro.kb.knowledge_base import InMemoryKnowledgeBase, Triple
 from repro.kb.wordnet import SynonymLexicon, build_synonym_lexicon
-from repro.utils.rng import ensure_rng
+
+
+def single_walk(graph, start, length, seed):
+    """One walk of ``length`` nodes from ``start``."""
+    config = RandomWalkConfig(num_walks=1, walk_length=length, start_nodes=[start])
+    return generate_walks(graph, config, seed=seed)[0]
 
 
 @pytest.fixture()
@@ -24,19 +29,19 @@ def line_graph():
 
 class TestRandomWalks:
     def test_walk_length_respected(self, line_graph):
-        walk = single_walk(line_graph, "a", 5, ensure_rng(1))
+        walk = single_walk(line_graph, "a", 5, seed=1)
         assert len(walk) == 5
         assert walk[0] == "a"
 
     def test_walk_steps_follow_edges(self, line_graph):
-        walk = single_walk(line_graph, "a", 10, ensure_rng(2))
+        walk = single_walk(line_graph, "a", 10, seed=2)
         for u, v in zip(walk, walk[1:]):
             assert line_graph.has_edge(u, v)
 
     def test_walk_stops_at_isolated_node(self):
         g = MatchGraph()
         g.add_node("solo")
-        walk = single_walk(g, "solo", 10, ensure_rng(3))
+        walk = single_walk(g, "solo", 10, seed=3)
         assert walk == ["solo"]
 
     def test_number_of_walks(self, line_graph):

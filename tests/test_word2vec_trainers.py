@@ -1,9 +1,9 @@
-"""Tests for the vectorized Word2Vec training engine.
+"""Tests for the vectorized Word2Vec trainer.
 
 Covers the alias sampler, the numpy pair extraction (exact parity with the
-reference token loop under a shared window seed), the segment-sum scatter,
-trainer selection/validation, and end-to-end ranking parity of the
-``vectorized`` and ``reference`` trainers through ``TDMatch.match``.
+token-loop oracle of ``tests/oracles/word2vec.py`` under a shared window
+seed), the segment-sum scatter, config validation, and end-to-end ranking
+parity with the oracle swapped into ``TDMatch`` (the ``reference`` runs).
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import cli
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
@@ -23,6 +22,7 @@ from repro.embeddings.word2vec import (
     Word2VecConfig,
     segment_scatter_add,
 )
+from tests.oracles.word2vec import extract_pairs, train_reference
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +115,7 @@ class TestSegmentScatterAdd:
 # Pair extraction
 def _reference_pairs(model, encoded, seed):
     model._rng = np.random.default_rng(seed)
-    return model._extract_pairs(encoded, None)
+    return extract_pairs(model, encoded, None)
 
 
 def _vectorized_pairs(model, encoded, seed):
@@ -197,14 +197,15 @@ def cooccurrence_corpus(n_sentences=300, seed=0):
     ]
 
 
+@pytest.fixture(params=["vectorized", "reference"])
+def trainer(request, monkeypatch):
+    """Train with the library's trainer, or with the oracle swapped in."""
+    if request.param == "reference":
+        monkeypatch.setattr(Word2Vec, "_train_vectorized", train_reference)
+    return request.param
+
+
 class TestTrainerSelection:
-    def test_default_trainer_is_vectorized(self):
-        assert Word2VecConfig().trainer == "vectorized"
-
-    def test_unknown_trainer_raises(self):
-        with pytest.raises(ValueError):
-            Word2VecConfig(trainer="gensim")
-
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             Word2VecConfig(batch_size=0)
@@ -216,27 +217,25 @@ class TestTrainerSelection:
     def test_vocabulary_has_no_dead_negative_table(self):
         assert not hasattr(Vocabulary(), "_neg_table")
 
-    def test_reference_trainer_learns_structure(self):
-        config = Word2VecConfig(vector_size=32, epochs=4, trainer="reference")
+    def test_reference_trainer_learns_structure(self, monkeypatch):
+        monkeypatch.setattr(Word2Vec, "_train_vectorized", train_reference)
+        config = Word2VecConfig(vector_size=32, epochs=4)
         model = Word2Vec(config, seed=1).train(cooccurrence_corpus())
         same = cosine_similarity(model.vector("apple"), model.vector("banana"))
         cross = cosine_similarity(model.vector("apple"), model.vector("chair"))
         assert same > cross
 
-    @pytest.mark.parametrize("trainer", ["vectorized", "reference"])
     def test_deterministic_given_seed(self, trainer):
-        config = Word2VecConfig(vector_size=16, epochs=2, trainer=trainer)
+        config = Word2VecConfig(vector_size=16, epochs=2)
         corpus = cooccurrence_corpus(80)
         m1 = Word2Vec(config, seed=3).train(corpus)
         m2 = Word2Vec(config, seed=3).train(corpus)
         np.testing.assert_array_equal(m1.vector("apple"), m2.vector("apple"))
 
-    @pytest.mark.parametrize("trainer", ["vectorized", "reference"])
     def test_stats_recorded(self, trainer):
-        config = Word2VecConfig(vector_size=8, epochs=2, trainer=trainer)
+        config = Word2VecConfig(vector_size=8, epochs=2)
         model = Word2Vec(config, seed=1).train(cooccurrence_corpus(40))
         assert model.stats is not None
-        assert model.stats.trainer == trainer
         assert model.stats.epochs == 2
         assert model.stats.pairs > 0
         assert model.stats.seconds >= 0.0
@@ -248,8 +247,9 @@ class TestTrainerSelection:
         )
         assert model.embedding_matrix().dtype == np.float32
 
-    def test_reference_trains_in_float64(self):
-        config = Word2VecConfig(vector_size=8, epochs=1, trainer="reference")
+    def test_reference_trains_in_float64(self, monkeypatch):
+        monkeypatch.setattr(Word2Vec, "_train_vectorized", train_reference)
+        config = Word2VecConfig(vector_size=8, epochs=1)
         model = Word2Vec(config, seed=1).train(cooccurrence_corpus(20))
         assert model.embedding_matrix().dtype == np.float64
 
@@ -278,10 +278,11 @@ def tiny_parity_runs():
     scenario = generate_scenario("imdb_wt", size=ScenarioSize.tiny(), seed=11)
     runs = {}
     for trainer in ("vectorized", "reference"):
-        config = TDMatchConfig.fast()
-        config.word2vec.trainer = trainer
-        pipeline = TDMatch(config, seed=3)
-        pipeline.fit(scenario.first, scenario.second)
+        pipeline = TDMatch(TDMatchConfig.fast(), seed=3)
+        with pytest.MonkeyPatch.context() as patch:
+            if trainer == "reference":
+                patch.setattr(Word2Vec, "_train_vectorized", train_reference)
+            pipeline.fit(scenario.first, scenario.second)
         runs[trainer] = (pipeline, pipeline.match(k=5))
     return scenario, runs
 
@@ -311,21 +312,5 @@ class TestTrainerParity:
 
     def test_pipeline_records_trainer_notes(self, tiny_parity_runs):
         _scenario, runs = tiny_parity_runs
-        for trainer, (pipeline, _rankings) in runs.items():
-            assert pipeline.timings.note("w2v_trainer") == trainer
+        for pipeline, _rankings in runs.values():
             assert float(pipeline.timings.note("w2v_pairs_per_sec")) > 0
-
-
-class TestCliTrainerFlag:
-    ARGS = [
-        "--scenario", "corona_gen", "--size", "tiny", "--k", "5",
-        "--num-walks", "4", "--walk-length", "8", "--vector-size", "32", "--epochs", "1",
-    ]
-
-    def test_reference_trainer_flag(self, capsys):
-        assert cli.main(self.ARGS + ["--w2v-trainer", "reference"]) == 0
-        assert "w2v trainer: reference" in capsys.readouterr().out
-
-    def test_default_trainer_in_output(self, capsys):
-        assert cli.main(self.ARGS) == 0
-        assert "w2v trainer: vectorized" in capsys.readouterr().out
