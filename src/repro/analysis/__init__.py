@@ -2,11 +2,10 @@
 
 The library is built around a handful of conventions that ordinary tests
 cannot see breaking — randomness routed through :mod:`repro.utils.rng`,
-``MatchGraph`` mutations bumping the CSR cache key, shared-memory segments
-owned by :class:`repro.parallel.shm.ShmArena`, writes routed through
-:func:`repro.utils.io.atomic_write`, and monotonic timers in measurement
-code.  This package
-turns those conventions into machine-checked invariants:
+shared-memory segments owned by :class:`repro.parallel.shm.ShmArena`,
+writes routed through :func:`repro.utils.io.atomic_write`, and monotonic
+timers in measurement code.  This package turns those conventions into
+machine-checked invariants:
 
 ``python -m repro.analysis [paths] [--json] [--select/--ignore]``
 
@@ -19,7 +18,7 @@ See :mod:`repro.analysis.registry` for the rule catalogue and the README's
 "Static analysis" section for the contract each rule encodes.
 """
 
-from repro.analysis.core import Checker, Finding, ModuleContext, ProjectContext
+from repro.analysis.core import Checker, Finding, ModuleContext
 from repro.analysis.registry import all_rules, get_rule, register
 from repro.analysis.report import (
     REPORT_SCHEMA_VERSION,
@@ -33,7 +32,6 @@ __all__ = [
     "Checker",
     "Finding",
     "ModuleContext",
-    "ProjectContext",
     "REPORT_SCHEMA_VERSION",
     "all_rules",
     "get_rule",

@@ -36,10 +36,10 @@ class AtomicWriteChecker(Checker):
         "(use atomic_write: temp file + fsync + os.replace)"
     )
 
-    def check_module(self, ctx: ModuleContext, project=None):
+    def check_module(self, ctx: ModuleContext):
         if path_matches(ctx.path, ALLOWED_SUFFIX):
             return []
-        return super().check_module(ctx, project)
+        return super().check_module(ctx)
 
     @staticmethod
     def _is_open(func: ast.AST) -> bool:

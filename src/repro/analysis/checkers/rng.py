@@ -45,13 +45,13 @@ class RngDisciplineChecker(Checker):
         self._numpy_random_aliases: Set[str] = set()
         self._stdlib_random_aliases: Set[str] = set()
 
-    def check_module(self, ctx: ModuleContext, project=None):
+    def check_module(self, ctx: ModuleContext):
         if path_matches(ctx.path, ALLOWED_SUFFIX):
             return []
         self._numpy_aliases = set()
         self._numpy_random_aliases = set()
         self._stdlib_random_aliases = set()
-        return super().check_module(ctx, project)
+        return super().check_module(ctx)
 
     # -- imports -------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:

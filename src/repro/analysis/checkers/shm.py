@@ -12,13 +12,16 @@ The rule flags every ``SharedMemory(...)`` call whose ``create`` argument
 — keyword or second positional (``SharedMemory(name, True)``) — is not
 the literal ``False`` (attaching by name is fine anywhere), in any module
 other than ``parallel/shm.py``.  A dynamic ``create=flag`` argument is
-flagged too: ownership must be decidable statically.
+flagged too: ownership must be decidable statically.  The callee is
+matched as any ``<module>.SharedMemory`` attribute or as a bare name the
+module binds with ``from multiprocessing.shared_memory import
+SharedMemory [as alias]``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Optional
+from typing import Optional, Set
 
 from repro.analysis.core import Checker, ModuleContext, path_matches
 from repro.analysis.registry import register
@@ -35,28 +38,27 @@ class ShmOwnershipChecker(Checker):
         "(ShmArena is the single segment owner)"
     )
 
-    def check_module(self, ctx: ModuleContext, project=None):
+    def __init__(self) -> None:
+        super().__init__()
+        self._bare_names: Set[str] = set()
+
+    def check_module(self, ctx: ModuleContext):
         if path_matches(ctx.path, ALLOWED_SUFFIX):
             return []
-        return super().check_module(ctx, project)
+        self._bare_names = {"SharedMemory"}
+        return super().check_module(ctx)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "multiprocessing.shared_memory" and node.level == 0:
+            for alias in node.names:
+                if alias.name == "SharedMemory":
+                    self._bare_names.add(alias.asname or alias.name)
+        self.generic_visit(node)
 
     def _is_shared_memory(self, func: ast.AST) -> bool:
         if isinstance(func, ast.Name):
-            if func.id == "SharedMemory":
-                return True
-        elif isinstance(func, ast.Attribute):
-            if func.attr == "SharedMemory":
-                return True
-        else:
-            return False
-        # The symbol table sees through aliases the syntactic match misses
-        # (``from multiprocessing.shared_memory import SharedMemory as SM``).
-        if self.project is not None and self._ctx is not None:
-            symbols = self.project.index.by_ctx.get(id(self._ctx))
-            if symbols is not None:
-                resolved = self.project.index.resolve_expr(symbols, func)
-                return resolved is not None and resolved.name == "SharedMemory"
-        return False
+            return func.id in self._bare_names
+        return isinstance(func, ast.Attribute) and func.attr == "SharedMemory"
 
     def visit_Call(self, node: ast.Call) -> None:
         if self._is_shared_memory(node.func):

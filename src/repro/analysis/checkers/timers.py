@@ -33,10 +33,10 @@ class TimerDisciplineChecker(Checker):
         self._time_aliases: Set[str] = set()
         self._bare_time_fns: Set[str] = set()
 
-    def check_module(self, ctx: ModuleContext, project=None):
+    def check_module(self, ctx: ModuleContext):
         self._time_aliases = set()
         self._bare_time_fns = set()
-        return super().check_module(ctx, project)
+        return super().check_module(ctx)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:

@@ -34,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="repro-lint: enforce the repository's RNG, "
-        "shared-memory, mmap, fork-safety, dtype, version-bump, atomic-write, "
-        "and timer contracts.",
+        "shared-memory, atomic-write, and timer contracts.",
     )
     parser.add_argument(
         "paths",

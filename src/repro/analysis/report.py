@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence
 from repro.analysis.core import Finding
 
 #: Bump on any breaking change to the JSON layout below.
-#: v2: findings gained a ``provenance`` array (dataflow trace strings).
-REPORT_SCHEMA_VERSION = 2
+#: v3: findings carry no ``provenance`` array (v2 did).
+REPORT_SCHEMA_VERSION = 3
 
 
 def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
@@ -55,7 +55,6 @@ def report_dict(findings: Sequence[Finding], files_scanned: int) -> Dict:
                 "col": finding.col,
                 "rule": finding.rule,
                 "message": finding.message,
-                "provenance": list(finding.provenance),
             }
             for finding in ordered
         ],
@@ -85,16 +84,13 @@ def render_github(findings: Sequence[Finding], files_scanned: int) -> str:
     """
     lines = []
     for finding in sort_findings(findings):
-        message = finding.message
-        if finding.provenance:
-            message += " [" + " <- ".join(finding.provenance) + "]"
         lines.append(
             "::error file={file},line={line},col={col},title={title}::{message}".format(
                 file=_escape_gh_property(finding.path),
                 line=finding.line,
                 col=finding.col,
                 title=_escape_gh_property(f"repro-lint {finding.rule}"),
-                message=_escape_gh_data(message),
+                message=_escape_gh_data(finding.message),
             )
         )
     noun = "file" if files_scanned == 1 else "files"

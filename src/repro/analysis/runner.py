@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.core import Finding, ModuleContext, ProjectContext
+from repro.analysis.core import Finding, ModuleContext
 from repro.analysis.registry import resolve_selection
 
 #: Directory names never descended into.
@@ -28,7 +28,7 @@ class AnalysisResult:
     #: Paths that failed to read or parse (already reported as findings).
     broken_files: List[str] = field(default_factory=list)
     #: Number of ``ast.parse`` calls issued — exactly one per readable file;
-    #: every checker receives the same cached ``ModuleContext`` objects.
+    #: every checker receives the same ``ModuleContext`` object.
     parse_count: int = 0
 
     @property
@@ -92,11 +92,6 @@ def run_analysis(
     checkers = [cls() for cls in resolve_selection(select=select, ignore=ignore)]
 
     result = AnalysisResult()
-
-    # Phase 1: read + parse + tokenise every file exactly once.  All of
-    # phase 2 — the checkers, the symbol table, the dataflow engine — works
-    # off these cached ModuleContext objects.
-    modules: List[ModuleContext] = []
     for path in collect_files([Path(p) for p in paths]):
         result.files_scanned += 1
         try:
@@ -116,17 +111,8 @@ def run_analysis(
             )
             result.broken_files.append(display)
             continue
-        modules.append(ctx)
-
-    # Phase 2: one ProjectContext for the whole run; its symbol table and
-    # flow cache are built lazily and shared by every checker.
-    project = ProjectContext(modules)
-
-    for ctx in modules:
         for checker in checkers:
-            result.findings.extend(checker.check_module(ctx, project))
+            result.findings.extend(checker.check_module(ctx))
 
-    # First occurrence wins on duplicates (identical location+rule+message
-    # reached through two dataflow paths), then deterministic order.
-    result.findings = sorted(dict.fromkeys(result.findings))
+    result.findings.sort()
     return result

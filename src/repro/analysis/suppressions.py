@@ -11,12 +11,11 @@ line.
 from __future__ import annotations
 
 import io
-import tokenize
 import re
-from typing import Dict, List, Sequence, Set
+import tokenize
+from typing import Dict, Set
 
 _MARKER = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s\-]+)")
-_DIRECTIVE = re.compile(r"#\s*repro-lint:\s*([a-z\-]+)=([A-Za-z0-9_]+)\s*$")
 
 
 def parse_disable_comment(comment: str) -> Set[str]:
@@ -28,68 +27,22 @@ def parse_disable_comment(comment: str) -> Set[str]:
     return {rule for rule in rules if rule}
 
 
-def tokenize_source(source: str) -> List[tokenize.TokenInfo]:
-    """Tokenise once, tolerantly.
-
-    Tokenisation errors (the file will separately fail to parse) yield the
-    tokens read so far rather than raising: suppression handling must never
-    be the thing that crashes a lint run.
-    """
-    tokens: List[tokenize.TokenInfo] = []
-    readline = io.StringIO(source).readline
-    try:
-        for token in tokenize.generate_tokens(readline):
-            tokens.append(token)
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass
-    return tokens
-
-
-def suppressions_from_tokens(
-    tokens: Sequence[tokenize.TokenInfo],
-) -> Dict[int, Set[str]]:
-    """Map line number -> rule ids suppressed on that line."""
-    suppressed: Dict[int, Set[str]] = {}
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        rules = parse_disable_comment(token.string)
-        if rules:
-            suppressed.setdefault(token.start[0], set()).update(rules)
-    return suppressed
-
-
 def line_suppressions(source: str) -> Dict[int, Set[str]]:
     """Tokenise ``source`` and map line number -> suppressed rule ids.
 
-    Kept for callers without a cached token stream;
-    :class:`~repro.analysis.core.ModuleContext` tokenises once and uses
-    :func:`suppressions_from_tokens` directly.
+    Tokenisation errors (the file will separately fail to parse) keep the
+    markers read so far rather than raising: suppression handling must
+    never be the thing that crashes a lint run.
     """
-    return suppressions_from_tokens(tokenize_source(source))
-
-
-def module_directives(tokens: Sequence[tokenize.TokenInfo]) -> Dict[str, str]:
-    """Module-level ``# repro-lint: <key>=<value>`` directives.
-
-    Only comments in the file header (before the first non-comment,
-    non-string statement line) count, e.g. ``# repro-lint:
-    module-dtype=float32`` opting a module into the dtype-discipline rule.
-    """
-    directives: Dict[str, str] = {}
-    for token in tokens:
-        if token.type not in (
-            tokenize.COMMENT,
-            tokenize.NL,
-            tokenize.NEWLINE,
-            tokenize.STRING,
-            tokenize.ENCODING,
-            tokenize.INDENT,
-            tokenize.DEDENT,
-        ):
-            break
-        if token.type == tokenize.COMMENT:
-            match = _DIRECTIVE.search(token.string)
-            if match and match.group(1) != "disable":
-                directives[match.group(1)] = match.group(2)
-    return directives
+    suppressed: Dict[int, Set[str]] = {}
+    readline = io.StringIO(source).readline
+    try:
+        for token in tokenize.generate_tokens(readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            rules = parse_disable_comment(token.string)
+            if rules:
+                suppressed.setdefault(token.start[0], set()).update(rules)
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        pass
+    return suppressed

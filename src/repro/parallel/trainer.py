@@ -21,8 +21,6 @@ its first pair would have had in the serial loop — the per-batch rates are
 exactly the serial schedule's.
 """
 
-# repro-lint: module-dtype=float32
-
 from __future__ import annotations
 
 import numpy as np

@@ -1,7 +1,9 @@
 """Fixture: shared-memory creation outside the arena."""
 
 from multiprocessing import shared_memory
+from multiprocessing import shared_memory as shm_module
 from multiprocessing.shared_memory import SharedMemory
+from multiprocessing.shared_memory import SharedMemory as SegmentAlias
 
 
 def rogue_create():
@@ -21,3 +23,12 @@ def rogue_positional():
     # create is SharedMemory's second parameter; passing it positionally
     # must not escape the rule.
     return SharedMemory("segment", True, size=64)
+
+
+def rogue_class_alias():
+    # An aliased class import must not escape the rule.
+    return SegmentAlias(create=True, size=64)
+
+
+def rogue_module_alias():
+    return shm_module.SharedMemory(create=True, size=64)

@@ -218,6 +218,15 @@ class TestAddEdgesBulk:
             graph.add_edges_bulk(["a"], ["ghost"])
         with pytest.raises(KeyError):
             graph.add_edges_bulk(["a"], ["ghost"], assume_unique=True)
+        # A batch that fails part-way keeps the edges inserted before the bad
+        # pair, so it must still invalidate the cached CSR snapshot.
+        self._nodes(graph, ["b"])
+        before = graph.version
+        with pytest.raises(KeyError):
+            graph.add_edges_bulk(["a", "a"], ["b", "ghost"], assume_unique=True)
+        assert graph.has_edge("a", "b")
+        assert graph.num_edges() == 1
+        assert graph.version == before + 1
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):

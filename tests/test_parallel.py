@@ -420,7 +420,11 @@ class TestPipelineParallel:
 
     def test_worker_count_invariant_at_fixed_shards(self, scenario):
         one = self._fit(scenario, 1, num_shards=2)
+        # Every pooled stage (walks, compression, word2vec) must unlink the
+        # segments it created.
+        before = ShmArena.live_segments()
         two = self._fit(scenario, 2, num_shards=2)
+        assert ShmArena.live_segments() == before
         assert np.array_equal(
             one.state.model._input_vectors, two.state.model._input_vectors
         )

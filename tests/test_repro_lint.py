@@ -6,7 +6,8 @@ Three layers:
   violation in ``tests/fixtures/lint`` and stays quiet on the compliant
   twin, and each respects inline ``# repro-lint: disable=<rule>`` markers;
 * framework behaviour — selection, suppression parsing, JSON schema
-  stability, parse-error reporting, CLI exit codes;
+  stability, parse-error reporting, one parse per file, the GitHub
+  renderer, ``--explain``, CLI exit codes;
 * the meta-test: the real ``src/`` and ``benchmarks/`` trees are
   violation-free, which is the contract CI enforces.
 """
@@ -22,30 +23,44 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import all_rules, run_analysis
+from repro.analysis.core import Finding
 from repro.analysis.registry import resolve_selection
-from repro.analysis.report import REPORT_SCHEMA_VERSION, render_json, render_text, report_dict
+from repro.analysis.report import (
+    REPORT_SCHEMA_VERSION,
+    render_github,
+    render_json,
+    render_text,
+    report_dict,
+)
 from repro.analysis.suppressions import line_suppressions, parse_disable_comment
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
 EXPECTED_RULES = {
-    "arena-lifecycle",
     "atomic-write",
-    "dtype-discipline",
-    "fork-safety",
-    "mmap-mutation",
     "rng-discipline",
-    "rng-flow",
     "shm-ownership",
     "timer-discipline",
-    "version-bump",
 }
+
+BAD_FIXTURES = sorted(FIXTURES.glob("*_bad.py"))
 
 
 def lint(*paths, **kwargs):
     kwargs.setdefault("root", str(REPO_ROOT))
     return run_analysis([str(p) for p in paths], **kwargs)
+
+
+def run_cli(*args, env_path=None):
+    """Run ``python -m repro.analysis`` in a subprocess from the repo root."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", *args],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env={"PYTHONPATH": env_path or str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
 
 
 def rules_of(result):
@@ -56,7 +71,7 @@ def rules_of(result):
 # Registry and selection
 class TestRegistry:
     def test_all_contract_rules_registered(self):
-        assert EXPECTED_RULES <= set(all_rules())
+        assert set(all_rules()) == EXPECTED_RULES
 
     def test_rules_have_descriptions(self):
         for rule, cls in all_rules().items():
@@ -110,41 +125,14 @@ class TestRngDiscipline:
 
 
 # ----------------------------------------------------------------------
-# version-bump
-class TestVersionBump:
-    def test_bad_fixture_flagged(self):
-        result = lint(FIXTURES / "version_bump_bad.py", select=["version-bump"])
-        messages = [f.message for f in result.findings]
-        assert len(result.findings) == 4
-        assert any("add_node_forgets_bump" in m for m in messages)
-        assert any("add_edge_via_alias_forgets_bump" in m for m in messages)
-        assert any("remove_node_forgets_bump" in m for m in messages)
-        assert any("rebind_forgets_bump" in m for m in messages)
-        # The read-only method is not flagged.
-        assert not any("read_only_is_fine" in m for m in messages)
-
-    def test_good_fixture_clean(self):
-        result = lint(FIXTURES / "version_bump_good.py", select=["version-bump"])
-        assert result.ok
-
-    def test_suppression(self):
-        result = lint(FIXTURES / "version_bump_suppressed.py", select=["version-bump"])
-        assert result.ok
-
-    def test_real_matchgraph_compliant(self):
-        result = lint(REPO_ROOT / "src" / "repro" / "graph" / "graph.py",
-                      select=["version-bump"])
-        assert result.ok
-
-
-# ----------------------------------------------------------------------
 # shm-ownership
 class TestShmOwnership:
     def test_bad_fixture_flagged(self):
         result = lint(FIXTURES / "shm_bad.py", select=["shm-ownership"])
         # keyword create=True (qualified and bare), dynamic create=flag,
-        # and create passed as the second positional argument.
-        assert len(result.findings) == 4
+        # create passed as the second positional argument, and both alias
+        # spellings (``SharedMemory as X``, ``shared_memory as m``).
+        assert len(result.findings) == 6
 
     def test_good_fixture_clean(self):
         result = lint(FIXTURES / "shm_good.py", select=["shm-ownership"])
@@ -225,7 +213,7 @@ class TestReporting:
     def test_json_schema_stable(self):
         result = lint(FIXTURES / "rng_bad.py")
         payload = json.loads(render_json(result.findings, result.files_scanned))
-        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 2
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 3
         assert payload["tool"] == "repro-lint"
         assert set(payload) == {
             "schema_version",
@@ -238,17 +226,9 @@ class TestReporting:
         assert payload["violations"] == len(payload["findings"])
         assert payload["counts_by_rule"]["rng-discipline"] == payload["violations"]
         for finding in payload["findings"]:
-            assert set(finding) == {
-                "path",
-                "line",
-                "col",
-                "rule",
-                "message",
-                "provenance",
-            }
+            assert set(finding) == {"path", "line", "col", "rule", "message"}
             assert isinstance(finding["line"], int) and finding["line"] >= 1
             assert isinstance(finding["col"], int) and finding["col"] >= 1
-            assert isinstance(finding["provenance"], list)
 
     def test_findings_sorted(self):
         result = lint(FIXTURES / "timer_bad.py", FIXTURES / "rng_bad.py")
@@ -270,50 +250,74 @@ class TestReporting:
         assert result.broken_files
 
 
+class TestSingleParse:
+    def test_one_parse_per_file(self):
+        result = lint(*BAD_FIXTURES)
+        assert result.files_scanned == len(BAD_FIXTURES)
+        assert result.parse_count == result.files_scanned
+
+    def test_one_parse_per_file_with_many_rules(self):
+        # Selection must not change how often files are parsed.
+        everything = lint(*BAD_FIXTURES)
+        one_rule = lint(*BAD_FIXTURES, select=["shm-ownership"])
+        assert one_rule.parse_count == everything.parse_count
+
+
+class TestGithubFormat:
+    def test_error_lines(self):
+        result = lint(FIXTURES / "shm_bad.py", select=["shm-ownership"])
+        rendered = render_github(result.findings, result.files_scanned)
+        errors = [line for line in rendered.splitlines() if line.startswith("::error ")]
+        assert len(errors) == len(result.findings)
+        first = errors[0]
+        assert first.startswith("::error file=")
+        assert "line=" in first and "shm-ownership" in first
+
+    def test_escaping(self):
+        finding = Finding(path="a,b.py", line=1, col=0, rule="x", message="100%\nbroken")
+        rendered = render_github([finding], 1)
+        assert "%0A" in rendered  # newline escaped in data
+        assert "a%2Cb.py" in rendered  # comma escaped in properties
+
+    def test_clean_run_summary(self):
+        rendered = render_github([], 3)
+        assert "::error" not in rendered
+        assert "3 files" in rendered
+
+
 # ----------------------------------------------------------------------
 # CLI behaviour (subprocess: exit codes are part of the contract)
 class TestCli:
-    def _run(self, *args):
-        env_path = str(REPO_ROOT / "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *args],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO_ROOT),
-            env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-        )
-
     def test_exit_zero_on_clean(self):
-        proc = self._run(str(FIXTURES / "timer_good.py"))
+        proc = run_cli(str(FIXTURES / "timer_good.py"))
         assert proc.returncode == 0, proc.stderr
         assert "0 violations" in proc.stdout
 
     def test_exit_one_on_findings(self):
-        proc = self._run(str(FIXTURES / "timer_bad.py"))
+        proc = run_cli(str(FIXTURES / "timer_bad.py"))
         assert proc.returncode == 1
         assert "timer-discipline" in proc.stdout
 
     def test_exit_two_on_unknown_rule(self):
-        proc = self._run("--select", "bogus-rule", str(FIXTURES / "timer_good.py"))
+        proc = run_cli("--select", "bogus-rule", str(FIXTURES / "timer_good.py"))
         assert proc.returncode == 2
         assert "unknown rule" in proc.stderr
 
     def test_exit_two_on_missing_path(self):
-        proc = self._run(str(FIXTURES / "does_not_exist"))
+        proc = run_cli(str(FIXTURES / "does_not_exist"))
         assert proc.returncode == 2
 
     def test_json_flag(self):
-        proc = self._run("--json", str(FIXTURES / "shm_bad.py"))
+        proc = run_cli("--json", str(FIXTURES / "shm_bad.py"))
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
-        assert payload["schema_version"] == 2
-        assert payload["counts_by_rule"] == {"shm-ownership": 4}
+        assert payload["schema_version"] == 3
+        assert payload["counts_by_rule"] == {"shm-ownership": 6}
 
     def test_list_rules(self):
-        proc = self._run("--list-rules")
+        proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule in EXPECTED_RULES:
-            assert rule in proc.stdout
+        assert {line.split()[0] for line in proc.stdout.splitlines()} == EXPECTED_RULES
 
     def test_runs_without_numpy(self, tmp_path):
         # The CI lint job installs only ruff — no numeric stack — so
@@ -327,15 +331,34 @@ class TestCli:
             "raise ImportError('numpy deliberately blocked for this test')\n"
         )
         env_path = os.pathsep.join([str(tmp_path), str(REPO_ROOT / "src")])
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(FIXTURES / "timer_good.py")],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO_ROOT),
-            env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-        )
+        proc = run_cli(str(FIXTURES / "timer_good.py"), env_path=env_path)
         assert proc.returncode == 0, proc.stderr
         assert "0 violations" in proc.stdout
+
+
+class TestExplainFlag:
+    def test_explain_known_rule(self):
+        proc = run_cli("--explain", "shm-ownership")
+        assert proc.returncode == 0
+        assert "shm-ownership" in proc.stdout
+        assert "suppress" in proc.stdout.lower()
+
+    def test_explain_every_rule(self):
+        for rule in sorted(EXPECTED_RULES):
+            proc = run_cli("--explain", rule)
+            assert proc.returncode == 0, proc.stderr
+            assert rule in proc.stdout
+
+    def test_explain_unknown_rule_exits_two(self):
+        proc = run_cli("--explain", "no-such-rule")
+        assert proc.returncode == 2
+
+    def test_github_format_cli(self):
+        proc = run_cli(
+            "--format", "github", "--select", "shm-ownership", str(FIXTURES / "shm_bad.py")
+        )
+        assert proc.returncode == 1
+        assert "::error file=" in proc.stdout
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the serving subsystem: persistence, incremental fit, reports."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -453,6 +454,24 @@ class TestIncrementalFit:
         labels = loaded.add_documents(held, side="second")
         assert labels
         assert loaded.model._input_vectors.flags.writeable
+
+    def test_fine_tune_on_mmap_copies_without_growing_vocab(self, text_scenario, tmp_path):
+        # A delta of known tokens only skips the vocabulary-growth
+        # concatenate, so the copy-on-first-tune branch alone must make the
+        # read-only mapped matrices writable — and leave the file alone.
+        pipeline, _ = self._reduced_fit(text_scenario)
+        path = tmp_path / "tune.tdm"
+        pipeline.save(str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        model = TDMatch.load(str(path), mmap=True).model
+        assert not model._input_vectors.flags.writeable
+        vocab_size = len(model.vocab)
+        known = [model.vocab.token_of(i) for i in range(vocab_size)]
+        model.fine_tune([known[i : i + 8] for i in range(0, vocab_size, 8)])
+        assert len(model.vocab) == vocab_size
+        assert model._input_vectors.flags.writeable
+        assert model._output_vectors.flags.writeable
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_freeze_distant_pins_unrelated_rows(self, text_scenario):
         pipeline, held = self._reduced_fit(text_scenario)
