@@ -1,11 +1,12 @@
-"""Epoch-sharded Word2Vec training over shared-memory model matrices.
+"""Epoch-sharded Word2Vec training over a shared-memory model block.
 
 Hogwild-style data parallelism, made deterministic: each epoch's shuffled
 pair sequence is split into contiguous *batch* ranges, every shard trains
-the update on a private copy of the epoch-start matrices, and the parent
-applies the per-shard deltas (``local - snapshot``) in fixed shard order.
-All randomness — window sampling, the permutation, the alias negatives —
-is consumed in the parent before sharding (see
+the update on a private copy of the epoch-start ``(2V, D)`` block (input
+and output vectors stacked, see :func:`repro.embeddings.word2vec.pair_update`),
+and the parent applies the per-shard deltas (``local - snapshot``) in fixed
+shard order.  All randomness — window sampling, the permutation, the alias
+negatives — is consumed in the parent before sharding (see
 :meth:`repro.embeddings.word2vec.Word2Vec._train_vectorized`), so the
 result depends only on the shard count:
 
@@ -32,8 +33,7 @@ from repro.parallel.walks import shard_ranges
 
 
 def train_shard_delta(
-    snap_in: np.ndarray,
-    snap_out: np.ndarray,
+    snapshot: np.ndarray,
     in_ids: np.ndarray,
     out_ids: np.ndarray,
     negatives: np.ndarray,
@@ -42,18 +42,15 @@ def train_shard_delta(
     total_steps: int,
     learning_rate: float,
     min_learning_rate: float,
-):
-    """One shard's training pass from the epoch-start snapshot.
+) -> np.ndarray:
+    """One shard's training pass from the epoch-start block ``snapshot``.
 
-    Returns ``(delta_in, delta_out)`` — the matrix updates this shard's
-    batches would have applied, computed against private copies so shards
-    never race on the model.
+    Returns the block update this shard's batches would have applied,
+    computed against a private copy so shards never race on the model.
     """
-    local_in = np.array(snap_in)
-    local_out = np.array(snap_out)
+    local = np.array(snapshot)
     run_pair_batches(
-        local_in,
-        local_out,
+        local,
         in_ids,
         out_ids,
         negatives,
@@ -63,19 +60,16 @@ def train_shard_delta(
         learning_rate,
         min_learning_rate,
     )
-    local_in -= snap_in
-    local_out -= snap_out
-    return local_in, local_out
+    local -= snapshot
+    return local
 
 
 def _train_shard_task(
-    w_in_d: SharedArray,
-    w_out_d: SharedArray,
+    weights_d: SharedArray,
     in_ids_d: SharedArray,
     out_ids_d: SharedArray,
     negatives_d: SharedArray,
-    delta_in_d: SharedArray,
-    delta_out_d: SharedArray,
+    delta_d: SharedArray,
     shard: int,
     p0: int,
     p1: int,
@@ -87,13 +81,16 @@ def _train_shard_task(
     learning_rate: float,
     min_learning_rate: float,
 ) -> None:
-    """Worker entry point: train one shard, write deltas into shared blocks."""
-    with attached(
-        w_in_d, w_out_d, in_ids_d, out_ids_d, negatives_d, delta_in_d, delta_out_d
-    ) as (w_in, w_out, in_ids, out_ids, negatives, delta_in, delta_out):
-        d_in, d_out = train_shard_delta(
-            w_in,
-            w_out,
+    """Worker entry point: train one shard, write its delta into the shared block."""
+    with attached(weights_d, in_ids_d, out_ids_d, negatives_d, delta_d) as (
+        weights,
+        in_ids,
+        out_ids,
+        negatives,
+        delta,
+    ):
+        delta[shard] = train_shard_delta(
+            weights,
             in_ids[p0:p1],
             out_ids[p0:p1],
             negatives[b0:b1],
@@ -103,8 +100,6 @@ def _train_shard_task(
             learning_rate,
             min_learning_rate,
         )
-        delta_in[shard] = d_in
-        delta_out[shard] = d_out
 
 
 class EpochShardTrainer:
@@ -122,8 +117,7 @@ class EpochShardTrainer:
 
     def run_epoch(
         self,
-        w_in: np.ndarray,
-        w_out: np.ndarray,
+        weights: np.ndarray,
         in_ids: np.ndarray,
         out_ids: np.ndarray,
         negatives: np.ndarray,
@@ -133,7 +127,7 @@ class EpochShardTrainer:
         learning_rate: float,
         min_learning_rate: float,
     ) -> int:
-        """Train one epoch's pairs, sharded over batch ranges; returns step.
+        """Train one epoch's pairs into ``weights``, sharded over batch ranges; returns step.
 
         ``negatives`` has one row per batch; shard boundaries fall on batch
         boundaries so each shard owns whole rows of it.
@@ -143,8 +137,7 @@ class EpochShardTrainer:
         s_eff = max(1, min(self.config.shards, n_batches))
         if s_eff <= 1:
             return run_pair_batches(
-                w_in,
-                w_out,
+                weights,
                 in_ids,
                 out_ids,
                 negatives,
@@ -164,8 +157,7 @@ class EpochShardTrainer:
         if self._pool.inline:
             deltas = [
                 train_shard_delta(
-                    w_in,
-                    w_out,
+                    weights,
                     in_ids[p0:p1],
                     out_ids[p0:p1],
                     negatives[b0:b1],
@@ -177,30 +169,25 @@ class EpochShardTrainer:
                 )
                 for shard, b0, b1, p0, p1, step0 in plans
             ]
-            for d_in, d_out in deltas:
-                w_in += d_in
-                w_out += d_out
+            for delta in deltas:
+                weights += delta
             return step + n_pairs
 
         with ShmArena() as arena:
-            w_in_d = arena.share(w_in)
-            w_out_d = arena.share(w_out)
+            weights_d = arena.share(weights)
             in_ids_d = arena.share(in_ids)
             out_ids_d = arena.share(out_ids)
             negatives_d = arena.share(negatives)
-            delta_in_d, delta_in = arena.empty((s_eff,) + w_in.shape, w_in.dtype)
-            delta_out_d, delta_out = arena.empty((s_eff,) + w_out.shape, w_out.dtype)
+            delta_d, delta = arena.empty((s_eff,) + weights.shape, weights.dtype)
             self._pool.run(
                 _train_shard_task,
                 [
                     (
-                        w_in_d,
-                        w_out_d,
+                        weights_d,
                         in_ids_d,
                         out_ids_d,
                         negatives_d,
-                        delta_in_d,
-                        delta_out_d,
+                        delta_d,
                         shard,
                         p0,
                         p1,
@@ -216,6 +203,5 @@ class EpochShardTrainer:
                 ],
             )
             for shard in range(s_eff):
-                w_in += delta_in[shard]
-                w_out += delta_out[shard]
+                weights += delta[shard]
         return step + n_pairs

@@ -11,6 +11,12 @@ model trains in float64.
 and run the whole pipeline on the oracle.  Under a shared window seed,
 :func:`extract_pairs` emits exactly the pair sequence of
 ``Word2Vec._extract_pairs_vectorized``.
+
+:func:`run_pair_batches_per_matrix` is the library's mini-batch update in
+its earlier form, on separate input and output matrices: three gathers, two
+sigmoid passes, two segment sums and an ``np.add.at`` for the shared
+negatives.  Given the same batches it must agree with the fused
+``run_pair_batches`` on the stacked block up to float32 summation order.
 """
 
 from __future__ import annotations
@@ -19,13 +25,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.embeddings.word2vec import Word2Vec, _sigmoid
+from repro.embeddings.word2vec import Word2Vec, _sigmoid, segment_scatter_add
 
 
 def train_reference(
-    model: Word2Vec, encoded: List[List[int]], keep_probs: Optional[np.ndarray]
+    model: Word2Vec,
+    weights: np.ndarray,
+    encoded: List[List[int]],
+    keep_probs: Optional[np.ndarray],
 ) -> int:
-    """Train ``model`` in place on ``encoded`` sentences; returns the pair steps."""
+    """Train ``model`` in place on ``encoded`` sentences; returns the pair steps.
+
+    ``weights`` (the library's float32 training block) is left alone: the
+    oracle trains float64 copies of its two halves.
+    """
     model._input_vectors = model._input_vectors.astype(np.float64)
     model._output_vectors = model._output_vectors.astype(np.float64)
     config = model.config
@@ -133,3 +146,55 @@ def _cbow_update(model: Word2Vec, batch_idx, centers, contexts, neg_dist, lr) ->
     np.add.at(w_in, ctx, -lr * grad_ctx)
     np.add.at(w_out, cen, -lr * grad_pos)
     np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
+
+
+def pair_update_per_matrix(
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    in_ids: np.ndarray,
+    out_ids: np.ndarray,
+    negatives: np.ndarray,
+    lr: float,
+) -> None:
+    """One mini-batch step on separate matrices: ``in`` tokens predict ``out`` tokens."""
+    in_vecs = w_in[in_ids]                          # (B, D)
+    pos_vecs = w_out[out_ids]                       # (B, D)
+    neg_vecs = w_out[negatives]                     # (K, D)
+
+    pos_scores = _sigmoid(np.einsum("bd,bd->b", in_vecs, pos_vecs))
+    neg_scores = _sigmoid(in_vecs @ neg_vecs.T)     # (B, K)
+
+    g_pos = (pos_scores - 1.0) * (-lr)              # (B,)
+    g_neg = neg_scores * (-lr)                      # (B, K)
+
+    grad_in = g_pos[:, None] * pos_vecs
+    grad_in += g_neg @ neg_vecs                     # (B, K) @ (K, D)
+    segment_scatter_add(w_in, in_ids, grad_in)
+    segment_scatter_add(w_out, out_ids, g_pos[:, None] * in_vecs)
+    # K rows only; np.add.at keeps duplicate negative draws accumulated.
+    np.add.at(w_out, negatives, g_neg.T @ in_vecs)
+
+
+def run_pair_batches_per_matrix(
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    in_ids: np.ndarray,
+    out_ids: np.ndarray,
+    negatives: np.ndarray,
+    batch_size: int,
+    step: int,
+    total_steps: int,
+    learning_rate: float,
+    min_learning_rate: float,
+) -> int:
+    """``run_pair_batches`` over :func:`pair_update_per_matrix`; returns the new step."""
+    n_pairs = int(in_ids.shape[0])
+    for i, start in enumerate(range(0, n_pairs, batch_size)):
+        stop = min(start + batch_size, n_pairs)
+        progress = min(1.0, step / max(total_steps, 1))
+        lr = max(min_learning_rate, learning_rate * (1.0 - progress))
+        pair_update_per_matrix(
+            w_in, w_out, in_ids[start:stop], out_ids[start:stop], negatives[i], lr
+        )
+        step += stop - start
+    return step

@@ -372,6 +372,15 @@ class TestServingOnlyIndex:
         with pytest.raises(PipelineError, match="output vectors"):
             loaded.add_documents([("new", "some text")], side="first")
 
+    def test_slim_model_fine_tune_raises_before_growing_vocab(self, slim_path):
+        model = TDMatch.load(slim_path).model
+        vocab_size = len(model.vocab)
+        with pytest.raises(RuntimeError, match="output vectors"):
+            model.fine_tune([["unseen-token-a", "unseen-token-b"]])
+        assert len(model.vocab) == vocab_size
+        assert model._input_vectors.shape[0] == vocab_size
+        assert model.vector("unseen-token-a") is None
+
 
 # ----------------------------------------------------------------------
 # Incremental fit

@@ -20,9 +20,14 @@ from repro.embeddings.vocab import Vocabulary
 from repro.embeddings.word2vec import (
     Word2Vec,
     Word2VecConfig,
+    run_pair_batches,
     segment_scatter_add,
 )
-from tests.oracles.word2vec import extract_pairs, train_reference
+from tests.oracles.word2vec import (
+    extract_pairs,
+    run_pair_batches_per_matrix,
+    train_reference,
+)
 
 
 # ----------------------------------------------------------------------
@@ -86,11 +91,13 @@ class TestAliasSampler:
 class TestSegmentScatterAdd:
     def test_matches_add_at(self):
         rng = np.random.default_rng(0)
-        for size, vocab in ((1, 1), (7, 3), (512, 50), (1000, 1000)):
+        # Sort keys are uint8 up to 256 rows, uint16 up to 65536, uint32 above;
+        # the last row is always hit (twice), so a key cast too narrow wraps.
+        for size, vocab in ((1, 1), (7, 3), (512, 50), (1000, 1000), (2000, 65536), (2000, 65537)):
             expected = rng.random((vocab, 8))
             actual = expected.copy()
-            idx = rng.integers(0, vocab, size=size)
-            upd = rng.random((size, 8))
+            idx = np.append(rng.integers(0, vocab, size=size), [vocab - 1, vocab - 1])
+            upd = rng.random((idx.size, 8))
             np.add.at(expected, idx, upd)
             segment_scatter_add(actual, idx, upd)
             np.testing.assert_allclose(actual, expected, atol=1e-12)
@@ -109,6 +116,73 @@ class TestSegmentScatterAdd:
         np.testing.assert_allclose(matrix[1], 2.0)
         np.testing.assert_allclose(matrix[3], 1.0)
         np.testing.assert_allclose(matrix[0], 0.0)
+
+
+# ----------------------------------------------------------------------
+# Fused mini-batch update on the stacked block
+#: Fixed from the dtype before measuring.  The fused and per-matrix updates
+#: run the same float32 operations and differ only in how sums associate: an
+#: output row that is both a positive and a negative of one batch gets the
+#: two gradients' sum in one add instead of one add each.  That moves a value
+#: by a few ulps of its magnitude (|w| < 1 here, ulp <= 1.2e-7), and four
+#: batches at lr <= 0.05 do not amplify it.
+FUSED_ATOL = 1e-6
+
+
+def _fused_case(seed: int):
+    """A stacked block, a pair slice with a partial last batch, its negatives.
+
+    The 12-token vocabulary repeats ids within every batch.  Batch 0 draws one
+    negative twice and has a context and a center among its negatives, so in
+    either id order a negative equals a positive output of its batch.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-0.5, 0.5, (2 * 12, 8)).astype(np.float32)
+    centers = rng.integers(0, 12, size=53)
+    contexts = rng.integers(0, 12, size=53)
+    negatives = rng.integers(0, 12, size=(4, 4))  # batches of 16, 16, 16, 5
+    negatives[0, :2] = contexts[3]
+    negatives[0, 2] = centers[3]
+    return weights, centers, contexts, negatives
+
+
+class TestFusedPairUpdate:
+    BATCH = 16
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sg", [True, False])
+    def test_matches_per_matrix_update(self, seed, sg):
+        weights, centers, contexts, negatives = _fused_case(seed)
+        # Skip-gram: centers predict contexts; pairwise CBOW: the reverse.
+        in_ids, out_ids = (centers, contexts) if sg else (contexts, centers)
+        vocab = weights.shape[0] // 2
+        w_in = weights[:vocab].copy()
+        w_out = weights[vocab:].copy()
+        before = weights.copy()
+        args = (in_ids, out_ids, negatives, self.BATCH, 7, 300, 0.05, 0.0001)
+
+        step = run_pair_batches(weights, *args)
+        expected_step = run_pair_batches_per_matrix(w_in, w_out, *args)
+
+        assert step == expected_step == 7 + 53
+        np.testing.assert_allclose(weights[:vocab], w_in, rtol=0, atol=FUSED_ATOL)
+        np.testing.assert_allclose(weights[vocab:], w_out, rtol=0, atol=FUSED_ATOL)
+        # The updates dwarf the tolerance, so a wrong term cannot hide in it.
+        assert np.abs(weights - before).max() > 1000 * FUSED_ATOL
+
+    def test_saturated_logits_stay_finite(self):
+        # |logit| = 8 * 40 * 40 = 12800, far past float32 exp's overflow at ~88.
+        vocab, dim = 6, 8
+        weights = np.full((2 * vocab, dim), 40.0, dtype=np.float32)
+        weights[vocab + 1 :: 2] *= -1.0  # odd output rows point away
+        in_ids = np.array([0, 1, 2, 3])
+        out_ids = np.array([0, 1, 2, 3])
+        negatives = np.array([[1, 2, 4, 5]])
+        with np.errstate(all="raise"):
+            run_pair_batches(weights, in_ids, out_ids, negatives, 4, 0, 4, 0.025, 0.0001)
+        assert np.isfinite(weights).all()
+        # Saturated positives are already right; saturated negatives push back.
+        assert weights[vocab + 2, 0] < 40.0
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +343,35 @@ class TestTrainerSelection:
         config = Word2VecConfig(vector_size=8, epochs=1, batch_size=1)
         model = Word2Vec(config, seed=1).train([["a", "b", "c"], ["b", "c", "a"]])
         assert model.vector("a") is not None
+
+
+class TestFineTune:
+    def _model(self) -> Word2Vec:
+        return Word2Vec(Word2VecConfig(vector_size=8, epochs=1), seed=1).train(
+            cooccurrence_corpus(40)
+        )
+
+    def test_empty_delta_stores_zero_stats(self):
+        model = self._model()
+        tuned = model.fine_tune([["apple", "chair", "banana"]])
+        assert model.stats is tuned and tuned.pairs > 0
+        empty = model.fine_tune([])
+        assert model.stats is empty
+        assert (empty.pairs, empty.epochs, empty.seconds) == (0, 0, 0.0)
+
+    def test_growth_keeps_rows_and_adds_zero_output_rows(self):
+        model = self._model()
+        w_in = model._input_vectors.copy()
+        w_out = model._output_vectors.copy()
+        # One-token sentences grow the vocabulary but yield no pairs.
+        stats = model.fine_tune([["kiwi"], ["mango"]])
+        vocab = len(w_in)
+        assert stats.pairs == 0
+        assert model._input_vectors.shape == model._output_vectors.shape == (vocab + 2, 8)
+        np.testing.assert_array_equal(model._input_vectors[:vocab], w_in)
+        np.testing.assert_array_equal(model._output_vectors[:vocab], w_out)
+        np.testing.assert_array_equal(model._output_vectors[vocab:], 0.0)
+        assert np.abs(model._input_vectors[vocab:]).min() > 0
 
 
 # ----------------------------------------------------------------------
