@@ -22,9 +22,8 @@ Typical use::
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -53,23 +52,9 @@ from repro.retrieval import BlockedTopK, DenseTopK, RetrievalStats
 from repro.retrieval.base import QueryBlocker, RetrievalBackend
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_rng
-from repro.utils.timing import Stopwatch, TimingRegistry
+from repro.utils.timing import TimingRegistry
 
 logger = get_logger(__name__)
-
-
-def _timed_iter(items: Iterable[List[str]], stopwatch: Stopwatch) -> Iterator[List[str]]:
-    """Yield from ``items`` while charging production time to ``stopwatch``."""
-    iterator = iter(items)
-    while True:
-        stopwatch.start()
-        try:
-            item = next(iterator)
-        except StopIteration:
-            stopwatch.stop()
-            return
-        stopwatch.stop()
-        yield item
 
 
 @dataclass
@@ -160,23 +145,15 @@ class TDMatch:
         expansion = self._apply_expansion(built)
         compression = self._apply_compression(built)
 
-        # Walk sentences stream straight into Word2Vec training instead of
-        # materialising the full corpus first; the stopwatch around each
-        # ``next()`` keeps "walks" and "word2vec" separately attributed.
         parallel = self.config.parallel
         engine = make_walk_engine(built.graph, self.config.walks, parallel=parallel)
-        walk_timer = Stopwatch()
-        sentences = _timed_iter(
-            engine.iter_walks(seed=derive_rng(self.seed, "walks")), walk_timer
-        )
-        train_start = time.perf_counter()
-        model = Word2Vec(
-            self.config.word2vec, seed=derive_rng(self.seed, "word2vec"), parallel=parallel
-        )
-        model.train(sentences)
-        train_total = time.perf_counter() - train_start
-        self.timings.add("walks", walk_timer.stop())
-        self.timings.add("word2vec", max(0.0, train_total - walk_timer.elapsed))
+        with self.timings.measure("walks"):
+            walks = list(engine.iter_walks(seed=derive_rng(self.seed, "walks")))
+        with self.timings.measure("word2vec"):
+            model = Word2Vec(
+                self.config.word2vec, seed=derive_rng(self.seed, "word2vec"), parallel=parallel
+            )
+            model.train(walks, labels=engine.csr.labels)
         self.timings.set_note("walk_engine", engine.name)
         self.timings.set_note("num_workers", str(parallel.num_workers))
         if parallel.enabled:

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import svds
 
 from repro.graph.graph import MatchGraph
-from repro.graph.walks import RandomWalkConfig, generate_walks
+from repro.graph.walk_engine import CSRWalkEngine
+from repro.graph.walks import RandomWalkConfig
 from repro.utils.rng import derive_rng
 
 
@@ -59,26 +60,28 @@ class GraphFactorizationEmbedder:
     # ------------------------------------------------------------------
     def fit(self, graph: MatchGraph) -> "GraphFactorizationEmbedder":
         """Learn embeddings for every node of ``graph``."""
-        nodes = graph.nodes()
+        walk_config = RandomWalkConfig(
+            num_walks=self.config.num_walks, walk_length=self.config.walk_length
+        )
+        engine = CSRWalkEngine(graph, walk_config)
+        # The walks' node ids index the CSR snapshot's labels, so they are
+        # the matrix rows as they come.
+        nodes = engine.csr.labels
         if len(nodes) < 2:
             raise ValueError("graph must have at least two nodes")
         self._node_index = {node: i for i, node in enumerate(nodes)}
 
-        walk_config = RandomWalkConfig(
-            num_walks=self.config.num_walks, walk_length=self.config.walk_length
-        )
-        walks = generate_walks(graph, walk_config, seed=derive_rng(self.seed, "factorization"))
+        walks = engine.iter_walks(seed=derive_rng(self.seed, "factorization"))
         cooc = self._cooccurrence_counts(walks)
         ppmi = self._ppmi_matrix(cooc, len(nodes))
         self._vectors = self._factorize(ppmi)
         return self
 
-    def _cooccurrence_counts(self, walks: Sequence[Sequence[str]]) -> Counter:
+    def _cooccurrence_counts(self, walks: Iterable[np.ndarray]) -> Counter:
         window = self.config.window
         counts: Counter = Counter()
-        index = self._node_index
         for walk in walks:
-            ids = [index[n] for n in walk if n in index]
+            ids = walk.tolist()
             for pos, center in enumerate(ids):
                 lo = max(0, pos - window)
                 hi = min(len(ids), pos + window + 1)
@@ -111,7 +114,10 @@ class GraphFactorizationEmbedder:
     def _factorize(self, ppmi) -> np.ndarray:
         n_nodes = ppmi.shape[0]
         rank = min(self.config.vector_size, max(n_nodes - 2, 1))
-        u, s, _vt = svds(ppmi.astype(np.float64), k=rank)
+        # ARPACK's start vector comes from the seed: left to svds it is
+        # random, and singular vectors then flip sign from fit to fit.
+        v0 = derive_rng(self.seed, "factorization", "svds").uniform(-1.0, 1.0, n_nodes)
+        u, s, _vt = svds(ppmi.astype(np.float64), k=rank, v0=v0)
         # svds returns singular values in ascending order; flip for stability.
         order = np.argsort(-s)
         u, s = u[:, order], s[order]

@@ -1,15 +1,35 @@
 """Vocabulary for the embedding models.
 
 Maps tokens to contiguous integer ids, keeps frequency counts, and builds
-the unigram^0.75 distribution used by negative sampling.
+the unigram^0.75 distribution used by negative sampling.  A corpus arrives
+as integer ids into a label list (:func:`intern_sentences` gives token
+strings that form); :meth:`Vocabulary.from_counts` orders its labels by
+``(-count, label)`` when a vocabulary is built and when one grows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def intern_sentences(
+    sentences: Iterable[Iterable[str]],
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """Token-string sentences as ``(flat ids, lengths, labels)``.
+
+    Labels are numbered in first-seen order; ``flat`` (int64) holds every
+    sentence's ids back to back and ``lengths`` each sentence's length.
+    """
+    index: Dict[str, int] = {}
+    flat: List[int] = []
+    lengths: List[int] = []
+    for sentence in sentences:
+        before = len(flat)
+        flat.extend(index.setdefault(token, len(index)) for token in sentence)
+        lengths.append(len(flat) - before)
+    return np.asarray(flat, dtype=np.int64), np.asarray(lengths, dtype=np.int64), list(index)
 
 
 class Vocabulary:
@@ -22,22 +42,48 @@ class Vocabulary:
         self._token_to_id: Dict[str, int] = {}
         self._id_to_token: List[str] = []
         self._counts: List[int] = []
-        self._frozen = False
 
     # ------------------------------------------------------------------
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sequence[str]], min_count: int = 1) -> "Vocabulary":
         """Build a vocabulary from tokenised sentences."""
-        counter: Counter = Counter()
-        for sentence in sentences:
-            counter.update(sentence)
-        vocab = cls(min_count=min_count)
-        # Sort by (-count, token) so the id assignment is deterministic.
-        for token, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])):
-            if count >= min_count:
-                vocab._add(token, count)
-        vocab.freeze()
-        return vocab
+        flat, _lengths, labels = intern_sentences(sentences)
+        return cls.from_counts(labels, np.bincount(flat, minlength=len(labels)), min_count)
+
+    @classmethod
+    def from_counts(
+        cls,
+        labels: Sequence[str],
+        counts: np.ndarray,
+        min_count: int = 1,
+        base: Optional["Vocabulary"] = None,
+    ) -> "Vocabulary":
+        """The vocabulary of ``labels`` with corpus ``counts`` (one per label).
+
+        Labels counted at least ``min_count`` times enter in ``(-count,
+        label)`` order, so ids are deterministic.  With ``base`` it grows
+        instead: base's tokens keep their ids and add their counts, and new
+        labels follow in the same order with no ``min_count`` cut (an
+        incremental document's metadata label must receive a vector).
+        """
+        threshold = 1 if base is not None else min_count
+        if base is None:
+            base = cls(min_count=min_count)
+        totals = list(base._counts)
+        count_of = counts.tolist()
+        new: List[int] = []
+        for i in np.flatnonzero(counts >= threshold).tolist():
+            idx = base.id_of(labels[i])
+            if idx is None:
+                new.append(i)
+            else:
+                totals[idx] += count_of[i]
+        new.sort(key=lambda i: (-count_of[i], labels[i]))
+        return cls.from_tokens_and_counts(
+            base.tokens + [labels[i] for i in new],
+            totals + [count_of[i] for i in new],
+            min_count=base.min_count,
+        )
 
     @classmethod
     def from_tokens_and_counts(
@@ -52,59 +98,18 @@ class Vocabulary:
         model (see :mod:`repro.serving`) restore the exact token → row
         correspondence of its embedding matrices.  ``min_count`` is stored
         but not re-applied — the lists are taken as already filtered.
+        Raises :class:`ValueError` when the lists differ in length or a
+        token repeats (merging it would shift every later token's row).
         """
         if len(tokens) != len(counts):
             raise ValueError("tokens and counts must have the same length")
         vocab = cls(min_count=min_count)
-        for token, count in zip(tokens, counts):
-            vocab._add(token, int(count))
-        vocab.freeze()
+        vocab._id_to_token = list(tokens)
+        vocab._token_to_id = {token: i for i, token in enumerate(vocab._id_to_token)}
+        if len(vocab._token_to_id) != len(vocab._id_to_token):
+            raise ValueError("tokens must be unique")
+        vocab._counts = [int(count) for count in counts]
         return vocab
-
-    def extend_from_sentences(self, sentences: Iterable[Sequence[str]]) -> List[int]:
-        """Grow a frozen vocabulary with the tokens of a delta corpus.
-
-        New tokens are appended (ids stay dense, existing ids unchanged) in
-        the same deterministic ``(-count, token)`` order used at build time;
-        counts of already-known tokens are increased so the negative
-        sampling distribution tracks the grown corpus.  No ``min_count``
-        cut is applied to the delta — an incremental document's metadata
-        label must always enter the vocabulary to receive a vector.
-
-        Returns the ids of the newly added tokens.
-        """
-        counter: Counter = Counter()
-        for sentence in sentences:
-            counter.update(sentence)
-        was_frozen = self._frozen
-        self._frozen = False
-        try:
-            new_ids: List[int] = []
-            for token, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])):
-                idx = self._token_to_id.get(token)
-                if idx is None:
-                    new_ids.append(self._add(token, count))
-                else:
-                    self._counts[idx] += count
-        finally:
-            self._frozen = was_frozen
-        return new_ids
-
-    def _add(self, token: str, count: int) -> int:
-        if self._frozen:
-            raise RuntimeError("vocabulary is frozen")
-        if token in self._token_to_id:
-            idx = self._token_to_id[token]
-            self._counts[idx] += count
-            return idx
-        idx = len(self._id_to_token)
-        self._token_to_id[token] = idx
-        self._id_to_token.append(token)
-        self._counts.append(count)
-        return idx
-
-    def freeze(self) -> None:
-        self._frozen = True
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -115,6 +120,11 @@ class Vocabulary:
 
     def id_of(self, token: str) -> Optional[int]:
         return self._token_to_id.get(token)
+
+    def ids_of(self, tokens: Sequence[str]) -> np.ndarray:
+        """The int64 ids of ``tokens``, ``-1`` for out-of-vocabulary ones."""
+        get = self._token_to_id.get
+        return np.fromiter((get(token, -1) for token in tokens), dtype=np.int64, count=len(tokens))
 
     def token_of(self, idx: int) -> str:
         return self._id_to_token[idx]

@@ -6,10 +6,16 @@ the document representations used for matching.  The paper uses Skip-gram
 with window 3 for text-to-data tasks and CBOW with window 15 for text-only
 tasks; both variants are implemented.
 
+The trainer reads integer ids, as the word2vec C tool does; labels only
+look vectors up.  Node-id walks come with the labels of the graph's CSR
+snapshot (``train(walks, labels=...)``) and token strings are interned to
+the same form; one ``np.bincount`` counts the vocabulary and one gather
+encodes the corpus.
+
 Training is vectorised end to end:
 
-* Pair extraction is fully numpy: sentences are flattened into one id
-  array with per-sentence offsets, the per-position reduced windows of a
+* Pair extraction is fully numpy: the corpus is one flat id array with
+  per-sentence lengths, the per-position reduced windows of a
   whole epoch come from a single ``rng.integers`` draw, and the (center,
   context) pairs fall out of vectorised offset arithmetic.  Windows are
   resampled every epoch, as in the original word2vec implementation.
@@ -40,13 +46,13 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.embeddings.sampling import AliasSampler
-from repro.embeddings.vocab import Vocabulary
+from repro.embeddings.vocab import Vocabulary, intern_sentences
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng
 
@@ -196,6 +202,31 @@ def run_pair_batches(
     return step
 
 
+def _corpus_ids(
+    sentences: Iterable[Sequence], labels: Optional[Sequence[str]]
+) -> Tuple[np.ndarray, np.ndarray, Sequence[str]]:
+    """A corpus as ``(flat ids, lengths, labels)``; see :meth:`Word2Vec.train`."""
+    if labels is None:
+        return intern_sentences(sentences)
+    sentences = list(sentences)
+    lengths = np.fromiter((len(s) for s in sentences), dtype=np.int64, count=len(sentences))
+    flat = np.concatenate(sentences) if sentences else np.empty(0, dtype=np.int64)
+    if flat.size and (flat.min() < 0 or flat.max() >= len(labels)):
+        raise ValueError("sentence ids must index labels")
+    return flat, lengths, labels
+
+
+def _drop_tokens(
+    flat_ids: np.ndarray, lengths: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Keep the tokens ``keep`` marks, then drop sentences left under two
+    tokens (they yield no pairs) with their surviving tokens."""
+    token_sentence = np.repeat(np.arange(lengths.size), lengths)
+    kept = np.bincount(token_sentence[keep], minlength=lengths.size)
+    sentence_ok = kept >= 2
+    return flat_ids[keep & sentence_ok[token_sentence]], kept[sentence_ok]
+
+
 @dataclass
 class TrainingStats:
     """Throughput record of one :meth:`Word2Vec.train` call."""
@@ -290,32 +321,16 @@ class Word2Vec:
 
     # ------------------------------------------------------------------
     # Training
-    def train(self, sentences: Sequence[Sequence[str]]) -> "Word2Vec":
-        """Train the model on tokenised ``sentences`` and return ``self``."""
-        sentences = [list(s) for s in sentences if s]
-        if not sentences:
-            raise ValueError("cannot train on an empty corpus")
-        self.vocab = Vocabulary.from_sentences(sentences, min_count=self.config.min_count)
-        if len(self.vocab) == 0:
-            raise ValueError("vocabulary is empty after applying min_count")
+    def train(self, sentences: Iterable[Sequence], labels: Optional[Sequence[str]] = None) -> "Word2Vec":
+        """Train the model on ``sentences`` and return ``self``.
 
-        encoded = [self.vocab.encode(s) for s in sentences]
-        encoded = [s for s in encoded if len(s) >= 2]
-        if not encoded:
-            raise ValueError("no sentence has two or more in-vocabulary tokens")
-
-        weights = self._new_block(kept=0)
-
-        keep_probs = (
-            self.vocab.subsample_keep_probabilities(self.config.subsample)
-            if self.config.subsample > 0
-            else None
-        )
-
-        start = time.perf_counter()
-        pairs = self._train_vectorized(weights, encoded, keep_probs)
-        elapsed = time.perf_counter() - start
-        self.stats = TrainingStats(pairs=pairs, epochs=self.config.epochs, seconds=elapsed)
+        ``sentences`` hold token strings, or — with ``labels`` — integer ids
+        into ``labels`` (the walk engine's node-id walks come with the labels
+        of the graph's CSR snapshot).  The vocabulary orders tokens by
+        ``(-count, label)`` and drops those under ``min_count``; sentences
+        left with fewer than two tokens yield no pairs.
+        """
+        self.stats = self._fit_corpus(sentences, labels, self.config, base=None)
         logger.debug(
             "word2vec: %d pairs in %.3fs (%.0f pairs/s)",
             self.stats.pairs,
@@ -328,19 +343,21 @@ class Word2Vec:
     # Warm-start fine-tuning (incremental fit; see repro.serving)
     def fine_tune(
         self,
-        sentences: Sequence[Sequence[str]],
+        sentences: Iterable[Sequence],
+        labels: Optional[Sequence[str]] = None,
         epochs: Optional[int] = None,
         learning_rate: Optional[float] = None,
     ) -> TrainingStats:
         """Continue training an already-trained model on a delta corpus.
 
-        The vocabulary grows in place: unseen tokens of ``sentences`` are
-        appended (existing ids — and therefore existing embedding rows —
-        never move) and receive freshly initialised input rows / zero output
-        rows, then training runs ``epochs`` epochs over the delta sentences
-        only.  Existing rows that appear in the delta are
-        updated; everything else is untouched, which is what makes a small
-        delta orders of magnitude cheaper than retraining.
+        ``sentences`` and ``labels`` are read as in :meth:`train`.  The
+        vocabulary grows: unseen tokens are appended (existing ids — and
+        therefore existing embedding rows — never move) and receive freshly
+        initialised input rows / zero output rows, then training runs
+        ``epochs`` epochs over the delta sentences only.  Existing rows that
+        appear in the delta are updated; everything else is untouched,
+        which is what makes a small delta orders of magnitude cheaper than
+        retraining.
 
         Training runs on a new block copied from the current matrices (see
         :meth:`_new_block`), so read-only memory maps of a loaded index are
@@ -356,7 +373,6 @@ class Word2Vec:
                 "model has no output vectors (saved with "
                 "serving.include_output_vectors=False); fine-tuning needs them"
             )
-        sentences = [list(s) for s in sentences if s]
         config = replace(
             self.config,
             epochs=epochs if epochs is not None else self.config.epochs,
@@ -364,34 +380,60 @@ class Word2Vec:
                 learning_rate if learning_rate is not None else self.config.learning_rate
             ),
         )
-        if not sentences:
-            self.stats = TrainingStats(pairs=0, epochs=0, seconds=0.0)
-            return self.stats
+        self.stats = self._fit_corpus(sentences, labels, config, base=self.vocab)
+        return self.stats
 
-        old_size = len(self.vocab)
-        self.vocab.extend_from_sentences(sentences)
-        weights = self._new_block(kept=old_size)
+    def _fit_corpus(
+        self,
+        sentences: Iterable[Sequence],
+        labels: Optional[Sequence[str]],
+        config: Word2VecConfig,
+        base: Optional[Vocabulary],
+    ) -> TrainingStats:
+        """Build the vocabulary, or grow ``base``, then train under ``config``.
 
-        encoded = [self.vocab.encode(s) for s in sentences]
-        encoded = [s for s in encoded if len(s) >= 2]
-        if not encoded:
-            self.stats = TrainingStats(pairs=0, epochs=0, seconds=0.0)
-            return self.stats
+        A build raises :class:`ValueError` on a corpus that yields no
+        training sentence; growth returns a zero record instead.
+        """
+        flat, lengths, labels = _corpus_ids(sentences, labels)
+        if flat.size == 0:
+            if base is None:
+                raise ValueError("cannot train on an empty corpus")
+            return TrainingStats(pairs=0, epochs=0, seconds=0.0)
+        counts = np.bincount(flat, minlength=len(labels))
+        self.vocab = Vocabulary.from_counts(labels, counts, min_count=config.min_count, base=base)
+        if len(self.vocab) == 0:
+            raise ValueError("vocabulary is empty after applying min_count")
+        flat, lengths = self._encode(flat, lengths, labels, counts)
+        if lengths.size == 0 and base is None:
+            raise ValueError("no sentence has two or more in-vocabulary tokens")
+        weights = self._new_block(kept=0 if base is None else len(base))
+        if lengths.size == 0:
+            return TrainingStats(pairs=0, epochs=0, seconds=0.0)
         keep_probs = (
             self.vocab.subsample_keep_probabilities(config.subsample)
             if config.subsample > 0
             else None
         )
-        original_config = self.config
-        self.config = config
+        original_config, self.config = self.config, config
         try:
             start = time.perf_counter()
-            pairs = self._train_vectorized(weights, encoded, keep_probs)
+            pairs = self._train_vectorized(weights, flat, lengths, keep_probs)
             elapsed = time.perf_counter() - start
         finally:
             self.config = original_config
-        self.stats = TrainingStats(pairs=pairs, epochs=config.epochs, seconds=elapsed)
-        return self.stats
+        return TrainingStats(pairs=pairs, epochs=config.epochs, seconds=elapsed)
+
+    def _encode(
+        self, flat: np.ndarray, lengths: np.ndarray, labels: Sequence[str], counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Corpus ids as vocabulary ids, without out-of-vocabulary tokens and
+        sentences left under two tokens; only labels that occur are looked up."""
+        present = np.flatnonzero(counts)
+        to_vocab = np.full(len(labels), -1, dtype=np.int64)
+        to_vocab[present] = self.vocab.ids_of([labels[i] for i in present.tolist()])
+        ids = to_vocab[flat]
+        return _drop_tokens(ids, lengths, ids >= 0)
 
     def _new_block(self, kept: int) -> np.ndarray:
         """A new float32 ``(2V, D)`` training block for the current vocabulary.
@@ -433,11 +475,14 @@ class Word2Vec:
         return EpochShardTrainer(parallel)
 
     def _train_vectorized(
-        self, weights: np.ndarray, encoded: List[List[int]], keep_probs: Optional[np.ndarray]
+        self,
+        weights: np.ndarray,
+        flat_ids: np.ndarray,
+        lengths: np.ndarray,
+        keep_probs: Optional[np.ndarray],
     ) -> int:
-        """Train the stacked block ``weights`` in place; returns the pair steps."""
-        flat_ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in encoded])
-        lengths = np.asarray([len(s) for s in encoded], dtype=np.int64)
+        """Train the stacked block ``weights`` in place on the encoded corpus
+        (int64 ids back to back, sentence ``lengths`` >= 2); returns the pair steps."""
         sampler = AliasSampler(self.vocab.negative_sampling_distribution())
 
         step = 0
@@ -520,16 +565,7 @@ class Word2Vec:
         """
         if keep_probs is not None:
             keep = self._rng.random(flat_ids.size) < keep_probs[flat_ids]
-            starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
-            )
-            kept_per_sentence = np.add.reduceat(keep.astype(np.int64), starts)
-            # Sentences reduced below two tokens yield no pairs; drop their
-            # surviving tokens as well so the offsets stay consistent.
-            sentence_ok = kept_per_sentence >= 2
-            token_sentence = np.repeat(np.arange(lengths.size), lengths)
-            flat_ids = flat_ids[keep & sentence_ok[token_sentence]]
-            lengths = kept_per_sentence[sentence_ok]
+            flat_ids, lengths = _drop_tokens(flat_ids, lengths, keep)
         if flat_ids.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty

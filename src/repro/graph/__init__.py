@@ -16,7 +16,8 @@ Modules
 ``compression``
     Algorithm 3 (MSP) plus the SSP, SSuM-style, and random-sampling baselines.
 ``walks``
-    Random-walk corpus generation (walk half of Algorithm 4).
+    Random-walk configuration and start-node resolution (walk half of
+    Algorithm 4).
 ``csr``
     Immutable CSR snapshot of the graph, cached against its version.
 ``walk_engine``
@@ -42,7 +43,7 @@ from repro.graph.compression import (
     random_node_compress,
     random_edge_compress,
 )
-from repro.graph.walks import RandomWalkConfig, generate_walks, iter_walks
+from repro.graph.walks import RandomWalkConfig
 from repro.graph.csr import (
     CSRAdjacency,
     bfs_levels,
@@ -79,8 +80,6 @@ __all__ = [
     "random_node_compress",
     "random_edge_compress",
     "RandomWalkConfig",
-    "generate_walks",
-    "iter_walks",
     "CSRAdjacency",
     "bfs_levels",
     "build_csr",

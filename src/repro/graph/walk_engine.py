@@ -4,12 +4,13 @@
 (:mod:`repro.graph.csr`) and advances *all* walks of a batch one step per
 iteration: a single vectorised ``rng.integers`` draw picks a neighbour
 offset for every active walk, and a boolean mask retires walks that reached
-an isolated node.  Walks live as an ``int32`` id matrix and are decoded back
-to label sentences lazily, batch by batch, so the full corpus is never
-materialised twice.  The corpus has the walk semantics of the paper — every
-resolved start node ``num_walks`` times, uniform neighbour choice at every
-step, early termination on isolated nodes — and is deterministic under a
-fixed seed.
+an isolated node.  Walks live as an ``int32`` id matrix, and ``iter_walks``
+yields each walk as an ``int32`` array of node ids into the CSR snapshot:
+Word2Vec trains on those ids with the snapshot's labels, so no walk is
+decoded to label strings.  The corpus has the walk semantics of the paper
+— every resolved start node ``num_walks`` times, uniform neighbour choice
+at every step, early termination on isolated nodes — and is deterministic
+under a fixed seed.
 
 :func:`make_walk_engine` picks the serial engine or its sharded twin
 :class:`repro.parallel.walks.ParallelWalkEngine`.  The step-at-a-time walk
@@ -19,7 +20,7 @@ loop the engine must agree with is the test oracle in
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -126,13 +127,15 @@ class CSRWalkEngine:
             csr.indptr, csr.indices, start_ids, self.config.walk_length, rng
         )
 
-    # -- sentence views ------------------------------------------------
-    def iter_walks(self, seed=None) -> Iterator[List[str]]:
-        """Lazily yield label sentences, decoding one batch at a time.
+    # -- corpus --------------------------------------------------------
+    def iter_walks(self, seed=None) -> Iterator[np.ndarray]:
+        """Lazily yield one ``int32`` node-id array per walk, batch by batch.
 
-        The corpus is deterministic for a given ``(seed, batch_size)``;
-        changing the batch size regroups the vectorised draws and therefore
-        produces a different (identically distributed) corpus.
+        The ids index the labels of the CSR snapshot taken when iteration
+        starts (:attr:`csr`, while the graph is unchanged).  The corpus is
+        deterministic for a given ``(seed, batch_size)``; changing the batch
+        size regroups the vectorised draws and therefore produces a
+        different (identically distributed) corpus.
         """
         rng = ensure_rng(seed)
         starts = resolve_start_nodes(self.graph, self.config)
@@ -142,18 +145,12 @@ class CSRWalkEngine:
         # point take effect on the *next* iter_walks call.
         csr = self.csr
         start_ids = csr.encode(starts)
-        labels = csr.labels
         for _ in range(self.config.num_walks):
             for lo in range(0, start_ids.size, self.batch_size):
                 chunk = start_ids[lo : lo + self.batch_size]
                 walks, lengths = self.walk_batch(chunk, rng, csr=csr)
-                # Bulk-convert to python ints first: indexing ``labels`` with
-                # numpy scalars is several times slower than with ints.
-                for row, n in zip(walks.tolist(), lengths.tolist()):
-                    yield [labels[i] for i in row[:n]]
-
-    def generate_walks(self, seed=None) -> List[List[str]]:
-        return list(self.iter_walks(seed=seed))
+                for row, n in zip(walks, lengths.tolist()):
+                    yield row[:n]
 
 
 def make_walk_engine(

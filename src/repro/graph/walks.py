@@ -1,10 +1,11 @@
 """Random-walk corpus generation (the walk half of Algorithm 4).
 
 For every node of the graph we start ``num_walks`` uniform random walks of
-``walk_length`` steps; each walk is serialised as a sentence of node labels.
-The union of the sentences is the training corpus of the word-embedding
-model.  Related metadata nodes co-occur in walks more often than unrelated
-ones, which is what makes their vectors close.
+``walk_length`` steps; each walk is a sentence of nodes, held as node ids
+into the graph's CSR snapshot.  The union of the sentences is the training
+corpus of the word-embedding model.  Related metadata nodes co-occur in
+walks more often than unrelated ones, which is what makes their vectors
+close.
 
 Walks are generated by :class:`~repro.graph.walk_engine.CSRWalkEngine`,
 which advances all walks in lock-step with vectorised draws into a cached
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.graph.graph import MatchGraph
 
@@ -70,23 +71,3 @@ def resolve_start_nodes(graph: MatchGraph, config: RandomWalkConfig) -> List[str
         )
     return starts
 
-
-def generate_walks(
-    graph: MatchGraph,
-    config: Optional[RandomWalkConfig] = None,
-    seed=None,
-) -> List[List[str]]:
-    """Generate the full walk corpus (list of sentences of node labels)."""
-    return list(iter_walks(graph, config=config, seed=seed))
-
-
-def iter_walks(
-    graph: MatchGraph,
-    config: Optional[RandomWalkConfig] = None,
-    seed=None,
-) -> Iterator[List[str]]:
-    """Lazily generate walks with the serial CSR walk engine."""
-    # Imported lazily: walk_engine imports this module for the config class.
-    from repro.graph.walk_engine import CSRWalkEngine
-
-    return CSRWalkEngine(graph, config).iter_walks(seed=seed)

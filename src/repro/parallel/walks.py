@@ -19,8 +19,10 @@ RNG stream discipline
   count execute the same plan bit-identically (``num_workers=1`` runs the
   shards sequentially in-process).
 
-Sentences come out shard-major (shard 0's rounds first, then shard 1's,
-…); with one shard this degenerates to the serial round-major order.
+Walks come out shard-major (shard 0's rounds first, then shard 1's, …);
+with one shard this degenerates to the serial round-major order.  Like the
+serial engine's, each is an ``int32`` array of node ids into the CSR
+snapshot: a row of the shared output matrix, never decoded to labels.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ class ParallelWalkEngine(CSRWalkEngine):
 
     Inherits the CSR snapshot/batch machinery; only corpus generation is
     overridden.  The full id matrix is produced first (the parallel part),
-    then decoded to label sentences lazily batch by batch like the serial
-    engine, so ``iter_walks`` consumers see the same streaming interface.
+    then ``iter_walks`` yields its rows as the serial engine yields its
+    walks: one ``int32`` node-id array per walk.
     """
 
     name = "csr-parallel"
@@ -147,7 +149,7 @@ class ParallelWalkEngine(CSRWalkEngine):
         super().__init__(graph, config, batch_size=batch_size)
         self.parallel = parallel if parallel is not None else ParallelConfig(num_workers=1)
 
-    def iter_walks(self, seed=None) -> Iterator[List[str]]:
+    def iter_walks(self, seed=None) -> Iterator[np.ndarray]:
         rng = ensure_rng(seed)
         starts = resolve_start_nodes(self.graph, self.config)
         if not starts:
@@ -155,12 +157,8 @@ class ParallelWalkEngine(CSRWalkEngine):
         csr = self.csr
         start_ids = csr.encode(starts)
         walks, lengths = self._walk_id_matrix(csr, start_ids, rng, seed)
-        labels = csr.labels
-        for lo in range(0, walks.shape[0], self.batch_size):
-            rows = walks[lo : lo + self.batch_size].tolist()
-            row_lengths = lengths[lo : lo + self.batch_size].tolist()
-            for row, n in zip(rows, row_lengths):
-                yield [labels[i] for i in row[:n]]
+        for row, n in zip(walks, lengths.tolist()):
+            yield row[:n]
 
     def _shard_rngs(self, rng: np.random.Generator, seed, num_shards: int):
         """Per-shard generators: the serial stream at one shard, spawned
@@ -232,5 +230,5 @@ class ParallelWalkEngine(CSRWalkEngine):
                     row += (hi - lo) * config.num_walks
             pool.run(_walk_shard_task, tasks)
             # Private copies so the segments can be unlinked before the
-            # (lazy) sentence decoding starts.
+            # walks are yielded.
             return np.array(walks_view), np.array(lengths_view)

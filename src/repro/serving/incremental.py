@@ -303,7 +303,7 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
         )
         engine = make_walk_engine(graph, walk_config)
         seed = derive_rng(pipeline.seed, f"walks-delta-{pipeline._delta_count}")
-        sentences = list(engine.iter_walks(seed=seed))
+        walks = list(engine.iter_walks(seed=seed))
 
     with pipeline.timings.measure("incremental_word2vec"):
         freeze = config.incremental.freeze_distant
@@ -315,7 +315,8 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
             snapshot_in = np.array(model._input_vectors, copy=True)
             snapshot_out = np.array(model._output_vectors, copy=True)
         model.fine_tune(
-            sentences,
+            walks,
+            labels=csr.labels,
             epochs=config.incremental.epochs,
             learning_rate=config.incremental.learning_rate,
         )

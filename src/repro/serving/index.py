@@ -495,6 +495,24 @@ def save_pipeline(pipeline, path: str) -> str:
     return write_index(path, header, arrays)
 
 
+def _restore_vocab(path: str, vocab_data: Dict[str, object], arrays) -> Vocabulary:
+    """The saved vocabulary; :class:`IndexFormatError` unless token ``i``
+    names row ``i`` of each embedding matrix (unique tokens, one per row)."""
+    tokens = vocab_data["tokens"]
+    for name in ("w2v_input", "w2v_output"):
+        if name in arrays and arrays[name].shape[0] != len(tokens):
+            raise IndexFormatError(
+                f"index {path!r}: vocabulary has {len(tokens)} tokens but "
+                f"{name!r} has {arrays[name].shape[0]} rows"
+            )
+    try:
+        return Vocabulary.from_tokens_and_counts(
+            tokens, vocab_data["counts"], min_count=vocab_data["min_count"]
+        )
+    except ValueError as exc:
+        raise IndexFormatError(f"index {path!r}: malformed vocabulary: {exc}") from exc
+
+
 def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"):
     """Restore a ready-to-serve :class:`TDMatch` from an index file.
 
@@ -526,10 +544,7 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
     pipeline = TDMatch(config, seed=seed)
 
     model = Word2Vec(config.word2vec, seed=derive_rng(seed, "word2vec", "serving"))
-    vocab_data = header["vocab"]
-    model.vocab = Vocabulary.from_tokens_and_counts(
-        vocab_data["tokens"], vocab_data["counts"], min_count=vocab_data["min_count"]
-    )
+    model.vocab = _restore_vocab(path, header["vocab"], arrays)
     model._input_vectors = arrays["w2v_input"]
     model._output_vectors = arrays.get("w2v_output")
 

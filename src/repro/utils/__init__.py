@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG helpers, timing, and logging."""
 
 from repro.utils.rng import RandomState, derive_rng, ensure_rng, spawn_rngs, stable_hash
-from repro.utils.timing import Stopwatch, TimingRegistry, timed
+from repro.utils.timing import TimingRegistry, timed
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "stable_hash",
-    "Stopwatch",
     "TimingRegistry",
     "timed",
     "get_logger",

@@ -14,37 +14,6 @@ from typing import Dict, Iterator, List, Optional
 
 
 @dataclass
-class Stopwatch:
-    """A simple resettable stopwatch based on ``time.perf_counter``."""
-
-    _start: Optional[float] = None
-    _elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        if self._start is None:
-            self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is not None:
-            self._elapsed += time.perf_counter() - self._start
-            self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        """Total elapsed seconds, including a currently running interval."""
-        running = 0.0
-        if self._start is not None:
-            running = time.perf_counter() - self._start
-        return self._elapsed + running
-
-
-@dataclass
 class TimingRegistry:
     """Accumulates named timing measurements (seconds) and free-form notes.
 

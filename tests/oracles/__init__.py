@@ -15,8 +15,9 @@ is easy to read against the paper:
     dict-of-sets adjacency.
 ``word2vec``
     Word2Vec training (second half of Algorithm 4) as a token-by-token pair
-    loop with per-pair negatives and ``np.add.at`` scatter, and the
-    mini-batch update on separate input and output matrices.
+    loop with per-pair negatives and ``np.add.at`` scatter, the mini-batch
+    update on separate input and output matrices, and the vocabulary and
+    encoding of label sentences by ``Counter`` and per-sentence lookups.
 
 Nothing under ``src/`` imports these modules.  Tests call them directly,
 or swap them into the pipeline with ``monkeypatch``.

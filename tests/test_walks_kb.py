@@ -1,19 +1,22 @@
 """Tests for random-walk generation and the knowledge-base substrate."""
 
+import numpy as np
 import pytest
 
 from repro.graph.graph import MatchGraph
-from repro.graph.walks import RandomWalkConfig, generate_walks, iter_walks
+from repro.graph.walk_engine import CSRWalkEngine
+from repro.graph.walks import RandomWalkConfig
 from repro.kb.conceptnet import build_concept_kb
 from repro.kb.dbpedia import build_entity_kb
 from repro.kb.knowledge_base import InMemoryKnowledgeBase, Triple
 from repro.kb.wordnet import SynonymLexicon, build_synonym_lexicon
+from tests.oracles.walks import csr_label_walks
 
 
 def single_walk(graph, start, length, seed):
     """One walk of ``length`` nodes from ``start``."""
     config = RandomWalkConfig(num_walks=1, walk_length=length, start_nodes=[start])
-    return generate_walks(graph, config, seed=seed)[0]
+    return csr_label_walks(graph, config, seed=seed)[0]
 
 
 @pytest.fixture()
@@ -46,27 +49,34 @@ class TestRandomWalks:
 
     def test_number_of_walks(self, line_graph):
         config = RandomWalkConfig(num_walks=3, walk_length=4)
-        walks = generate_walks(line_graph, config, seed=1)
+        walks = csr_label_walks(line_graph, config, seed=1)
         assert len(walks) == 3 * line_graph.num_nodes()
 
     def test_start_nodes_restriction(self, line_graph):
         config = RandomWalkConfig(num_walks=2, walk_length=4, start_nodes=["a", "b"])
-        walks = generate_walks(line_graph, config, seed=1)
+        walks = csr_label_walks(line_graph, config, seed=1)
         assert len(walks) == 4
         assert {w[0] for w in walks} == {"a", "b"}
 
     def test_unknown_start_nodes_skipped(self, line_graph):
         config = RandomWalkConfig(num_walks=1, walk_length=4, start_nodes=["a", "ghost"])
-        walks = generate_walks(line_graph, config, seed=1)
+        walks = csr_label_walks(line_graph, config, seed=1)
         assert len(walks) == 1
 
     def test_walks_deterministic_given_seed(self, line_graph):
         config = RandomWalkConfig(num_walks=2, walk_length=6)
-        assert generate_walks(line_graph, config, seed=5) == generate_walks(line_graph, config, seed=5)
+        assert csr_label_walks(line_graph, config, seed=5) == csr_label_walks(line_graph, config, seed=5)
 
     def test_iter_walks_is_lazy_equivalent(self, line_graph):
+        # The engine yields one int32 node-id array per walk, lazily; decoded,
+        # they are the label corpus.
         config = RandomWalkConfig(num_walks=1, walk_length=3)
-        assert list(iter_walks(line_graph, config, seed=2)) == generate_walks(line_graph, config, seed=2)
+        engine = CSRWalkEngine(line_graph, config)
+        walks = engine.iter_walks(seed=2)
+        first = next(walks)
+        assert first.dtype == np.int32
+        decoded = [engine.csr.decode(w) for w in [first, *walks]]
+        assert decoded == csr_label_walks(line_graph, config, seed=2)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

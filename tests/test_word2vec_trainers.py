@@ -2,8 +2,10 @@
 
 Covers the alias sampler, the numpy pair extraction (exact parity with the
 token-loop oracle of ``tests/oracles/word2vec.py`` under a shared window
-seed), the segment-sum scatter, config validation, and end-to-end ranking
-parity with the oracle swapped into ``TDMatch`` (the ``reference`` runs).
+seed), the segment-sum scatter, config validation, the corpus encoding
+(exact parity with the oracle's label path, for node ids and interned
+strings), and end-to-end ranking parity with the oracle swapped into
+``TDMatch`` (the ``reference`` runs).
 """
 
 import numpy as np
@@ -23,8 +25,13 @@ from repro.embeddings.word2vec import (
     run_pair_batches,
     segment_scatter_add,
 )
+from repro.graph.graph import MatchGraph
+from repro.graph.walk_engine import CSRWalkEngine
+from repro.graph.walks import RandomWalkConfig
 from tests.oracles.word2vec import (
+    encode_reference,
     extract_pairs,
+    grow_reference,
     run_pair_batches_per_matrix,
     train_reference,
 )
@@ -372,6 +379,122 @@ class TestFineTune:
         np.testing.assert_array_equal(model._output_vectors[:vocab], w_out)
         np.testing.assert_array_equal(model._output_vectors[vocab:], 0.0)
         assert np.abs(model._input_vectors[vocab:]).min() > 0
+
+
+# ----------------------------------------------------------------------
+# Corpus encoding: node ids and interned strings against the label path
+#: Tokens that could trip an encoding: non-ASCII ones, the empty string, and
+#: "a" next to "a\x00", which sort apart as Python strings but tie in a
+#: numpy "<U" array (it drops trailing NULs).
+ENCODING_TOKENS = ["a", "a\x00", "b", "\u00fc", "\u65e5\u672c", "", "z"]
+#: Up to twelve sentences, empty and one-token ones included (an isolated
+#: node's walk is one token long, and its token is still counted).
+CORPORA = st.lists(st.lists(st.sampled_from(ENCODING_TOKENS), max_size=6), max_size=12)
+#: The id form indexes a label list in any order, with a label never used.
+LABEL_ORDERS = st.permutations(ENCODING_TOKENS + ["unused"])
+#: fine_tune's base: min_count=2 keeps "b" and "\u00fc" only, so growth
+#: must add back tokens the build cut.
+BASE_CORPUS = [["b", "a", "b", "\u00fc"], ["\u00fc", "b"], ["a\x00"]]
+
+
+def _as_ids(corpus, labels):
+    index = {label: i for i, label in enumerate(labels)}
+    return [np.array([index[t] for t in s], dtype=np.int32) for s in corpus]
+
+
+def _trainer_input(call, *args, **kwargs):
+    """Run ``call`` with the trainer stubbed out; returns its result and
+    the ``(flat_ids, lengths)`` the trainer received (empty if never called)."""
+    received = {}
+
+    def capture(model, weights, flat_ids, lengths, keep_probs):
+        received.update(flat=flat_ids, lengths=lengths)
+        return 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Word2Vec, "_train_vectorized", capture)
+        result = call(*args, **kwargs)
+    return result, received
+
+
+def _assert_encoded(model, received, tokens, counts, encoded):
+    assert model.vocab.tokens == tokens
+    assert [int(c) for c in model.vocab.counts_array()] == counts
+    if not encoded:
+        assert received == {}
+        return
+    assert received["flat"].dtype == received["lengths"].dtype == np.int64
+    np.testing.assert_array_equal(received["flat"], np.concatenate(encoded))
+    np.testing.assert_array_equal(received["lengths"], [len(e) for e in encoded])
+
+
+class TestCorpusEncoding:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus=CORPORA, labels=LABEL_ORDERS, min_count=st.integers(1, 3))
+    def test_build_matches_label_path(self, corpus, labels, min_count):
+        tokens, counts, encoded = encode_reference(corpus, min_count=min_count)
+        config = Word2VecConfig(vector_size=4, epochs=1, min_count=min_count)
+        for sentences, corpus_labels in ((corpus, None), (_as_ids(corpus, labels), labels)):
+            train = Word2Vec(config, seed=0).train
+            if not encoded:
+                # An empty corpus, vocabulary or encoded corpus cannot train.
+                with pytest.raises(ValueError):
+                    _trainer_input(train, sentences, labels=corpus_labels)
+                continue
+            model, received = _trainer_input(train, sentences, labels=corpus_labels)
+            _assert_encoded(model, received, tokens, counts, encoded)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(delta=CORPORA, labels=LABEL_ORDERS)
+    def test_growth_matches_label_path(self, delta, labels):
+        base_tokens, base_counts, _ = encode_reference(BASE_CORPUS, min_count=2)
+        tokens, counts, encoded = grow_reference(base_tokens, base_counts, delta)
+        config = Word2VecConfig(vector_size=4, epochs=1, min_count=2)
+        for sentences, corpus_labels in ((delta, None), (_as_ids(delta, labels), labels)):
+            model = Word2Vec(config, seed=0).train(BASE_CORPUS)
+            assert model.vocab.tokens == base_tokens
+            stats, received = _trainer_input(model.fine_tune, sentences, labels=corpus_labels)
+            _assert_encoded(model, received, tokens, counts, encoded)
+            assert model._input_vectors.shape == (len(tokens), 4)
+            assert stats.pairs == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            Word2VecConfig(vector_size=8, epochs=2),
+            Word2VecConfig(vector_size=8, epochs=2, sg=False, min_count=3, subsample=1e-2),
+        ],
+        ids=["skip-gram", "cbow-min-count-subsample"],
+    )
+    def test_id_walks_train_like_their_label_sentences(self, config):
+        graph = MatchGraph()
+        for i in range(12):
+            graph.add_node(f"n{i}")
+        graph.add_node("iso")  # its walks are one token long
+        rng = np.random.default_rng(0)
+        for u, v in rng.integers(0, 12, size=(30, 2)):
+            if u != v:
+                graph.add_edge(f"n{u}", f"n{v}")
+        engine = CSRWalkEngine(graph, RandomWalkConfig(num_walks=4, walk_length=8))
+        walks = list(engine.iter_walks(seed=4))
+        csr = engine.csr
+
+        by_id = Word2Vec(config, seed=7).train(walks, labels=csr.labels)
+        by_label = Word2Vec(config, seed=7).train([csr.decode(w) for w in walks])
+        assert by_id.vocab.tokens == by_label.vocab.tokens
+        assert by_id.stats.pairs == by_label.stats.pairs > 0
+        assert np.array_equal(by_id._input_vectors, by_label._input_vectors)
+        assert np.array_equal(by_id._output_vectors, by_label._output_vectors)
+
+        delta = [w for w in walks if w.size > 1][:10]
+        by_id.fine_tune(delta, labels=csr.labels)
+        by_label.fine_tune([csr.decode(w) for w in delta])
+        assert np.array_equal(by_id._input_vectors, by_label._input_vectors)
+        assert np.array_equal(by_id._output_vectors, by_label._output_vectors)
+
+    def test_ids_outside_labels_rejected(self):
+        with pytest.raises(ValueError, match="index labels"):
+            Word2Vec(Word2VecConfig(vector_size=4)).train([np.array([0, 2])], labels=["a", "b"])
 
 
 # ----------------------------------------------------------------------
