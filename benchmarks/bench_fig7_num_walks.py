@@ -23,7 +23,6 @@ def _build_series():
                 {
                     "scenario": scenario_name,
                     "num_walks": count,
-                    "engine": run.pipeline.timings.note("walk_engine"),
                     "MAP@5": round(run.report.map_at[5], 3),
                     "MRR": round(run.report.mrr, 3),
                 }

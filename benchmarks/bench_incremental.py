@@ -12,8 +12,9 @@ asserts the incremental path:
 2. applies the delta at least ``SPEEDUP_FLOOR``× faster than the refit.
 
 Telemetry lands in ``benchmarks/results/BENCH_incremental_serving.json``
-(scenario size, per-stage seconds and timing notes, measured-vs-floor
-speedups) for CI artifact archiving.
+(scenario size, each incremental pipeline's ``report()`` — per-stage
+seconds, incidents, graph and model state, delta count — and
+measured-vs-floor speedups) for CI artifact archiving.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def test_incremental_vs_refit(benchmark):
                     "refit_seconds": row["refit s"],
                     "delta_seconds": row["delta s"],
                     "speedup": row["speedup"],
-                    "timings": pipelines[row["scenario"]].timings.to_dict(),
+                    "report": pipelines[row["scenario"]].report(),
                 }
                 for row in rows
             },

@@ -29,6 +29,7 @@ from repro.core.config import CompressionConfig, TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_sts_scenario
 from repro.eval.report import format_table
+from repro.parallel import WorkerPool
 
 from benchmarks.bench_utils import SMOKE, write_bench_json, write_result
 
@@ -71,8 +72,24 @@ def _rankings(pipeline):
     return pipeline.match(k=20).as_id_lists()
 
 
-def test_parallel_fit_speedup():
+def _spy_pool_labels(monkeypatch):
+    """Record the label of every pool that fans tasks out to workers."""
+    labels = []
+    run = WorkerPool.run
+
+    def spy(pool, fn, tasks):
+        if not pool.inline:
+            labels.append(pool.label)
+        return run(pool, fn, tasks)
+
+    monkeypatch.setattr(WorkerPool, "run", spy)
+    return labels
+
+
+def test_parallel_fit_speedup(monkeypatch):
+    pooled_stages = _spy_pool_labels(monkeypatch)
     serial, serial_s = _fit(0)
+    assert pooled_stages == []
 
     # Parity anchor 1: one shard on one worker is bit-identical to serial.
     inline, _ = _fit(1, num_shards=1)
@@ -88,6 +105,7 @@ def test_parallel_fit_speedup():
     # irrelevant to the output — the multi-worker run inherits the
     # single-worker run's exactness.
     one_worker, _ = _fit(1, num_shards=NUM_WORKERS)
+    assert pooled_stages == []  # one worker runs every shard in-process
     pooled, pooled_s = _fit(NUM_WORKERS)
     assert pooled.config.parallel.shards == NUM_WORKERS
     o_in, o_out = _model_matrices(one_worker)
@@ -97,11 +115,10 @@ def test_parallel_fit_speedup():
     )
     assert _rankings(pooled) == _rankings(one_worker)
 
-    # The parallel layer actually engaged.
-    assert pooled.timings.note("walk_engine") == "csr-parallel"
-    assert pooled.timings.note("num_workers") == str(NUM_WORKERS)
-    assert pooled.timings.note("parallel_stages") == "walks,compression,word2vec"
-    assert serial.timings.note("num_workers") == "0"
+    # The parallel layer actually engaged: every sharded stage fanned out.
+    assert set(pooled_stages) == {"walks", "compression", "word2vec"}
+    assert pooled.config.parallel.num_workers == NUM_WORKERS
+    assert serial.config.parallel.num_workers == 0
 
     speedup = serial_s / max(pooled_s, 1e-9)
     floor = 2.5 if NUM_WORKERS >= 4 else 1.1

@@ -38,7 +38,7 @@ def _time_wrw(scenario_name: str):
     start = time.perf_counter()
     run.pipeline.match(k=20)
     test = (time.perf_counter() - start) / max(len(run.scenario.first), 1)
-    return train, test, run.pipeline.timings.note("walk_engine", "-")
+    return train, test
 
 
 def _time_sbert(scenario_name: str):
@@ -47,7 +47,7 @@ def _time_sbert(scenario_name: str):
     start = time.perf_counter()
     matcher.rank(scenario.query_texts(), scenario.candidate_texts(), k=20)
     total = time.perf_counter() - start
-    return 0.0, total / max(len(scenario.first), 1), "-"
+    return 0.0, total / max(len(scenario.first), 1)
 
 
 def _time_supervised(scenario_name: str):
@@ -64,7 +64,7 @@ def _time_supervised(scenario_name: str):
     start = time.perf_counter()
     matcher.rank(queries, candidates, k=20, query_ids=test_queries[:10])
     test = (time.perf_counter() - start) / max(min(len(test_queries), 10), 1)
-    return train, test, "-"
+    return train, test
 
 
 def _build_rows():
@@ -75,12 +75,11 @@ def _build_rows():
             ("s-be", _time_sbert),
             ("rank*", _time_supervised),
         ):
-            train, test, walk_engine = timer(scenario_name)
+            train, test = timer(scenario_name)
             rows.append(
                 {
                     "task": task,
                     "method": method,
-                    "walk_engine": walk_engine,
                     "train_s": round(train, 3),
                     "test_s_per_query": round(test, 5),
                 }

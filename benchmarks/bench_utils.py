@@ -60,9 +60,9 @@ def write_result(name: str, text: str) -> str:
 def write_bench_json(name: str, payload: Dict[str, object]) -> str:
     """Persist machine-readable bench telemetry as ``BENCH_<name>.json``.
 
-    The payload should carry the scenario size, per-stage seconds and
-    timing notes, and measured-vs-floor speedups so CI can archive comparable
-    artifacts across runs.  A ``bench`` name, the scale, and the smoke flag
+    The payload should carry the scenario size, per-stage seconds (or a
+    pipeline's ``report()``), and measured-vs-floor speedups so CI can
+    archive comparable artifacts across runs.  A ``bench`` name, the scale, and the smoke flag
     are stamped automatically.
     """
     import json

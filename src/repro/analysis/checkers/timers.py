@@ -1,10 +1,10 @@
 """timer-discipline: measurement code uses the monotonic clock.
 
 Every published number in ``benchmarks/`` and every ``TimingRegistry``
-entry is a difference of two clock reads; ``time.time()`` is wall-clock
-and steps under NTP adjustment, which turns a 40 ms stage into a negative
-or wildly wrong duration exactly often enough to poison a best-of-N
-measurement.  ``time.perf_counter()`` is monotonic with the highest
+stage total is a sum of differences of two clock reads; ``time.time()``
+is wall-clock and steps under NTP adjustment, which turns a 40 ms stage
+into a negative or wildly wrong duration exactly often enough to poison a
+best-of-N measurement.  ``time.perf_counter()`` is monotonic with the highest
 available resolution and is what :mod:`repro.utils.timing` is built on.
 
 The rule flags calls to ``time.time`` (through any alias of the ``time``

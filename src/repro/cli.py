@@ -215,7 +215,7 @@ def _config_for(scenario, args: argparse.Namespace) -> TDMatchConfig:
         else TDMatchConfig.for_text_tasks
     )
     try:
-        overrides["reliability"] = ReliabilityConfig(
+        overrides["parallel__reliability"] = ReliabilityConfig(
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
             degrade_serial=not args.no_degrade,
@@ -297,14 +297,8 @@ def run(args: argparse.Namespace) -> int:
         for stage, seconds in pipeline.timings.as_dict().items()
     ]
     print()
-    engine = pipeline.timings.note("walk_engine", "-")
-    pairs_per_sec = pipeline.timings.note("w2v_pairs_per_sec", "-")
-    print(
-        format_table(
-            timing_rows,
-            title=f"Stage timings (walk engine: {engine}, {pairs_per_sec} pairs/s)",
-        )
-    )
+    pairs_per_sec = pipeline.model.stats.pairs_per_sec
+    print(format_table(timing_rows, title=f"Stage timings ({pairs_per_sec:.0f} pairs/s)"))
     return 0
 
 
@@ -363,11 +357,11 @@ def run_query(args: argparse.Namespace) -> int:
                 "candidates": len(ranking.candidates),
             }
         )
-    mmap_note = pipeline.timings.note("serving_mmap", "-")
+    mmap = pipeline.report()["model"]["mmap"]
     print(
         format_table(
             rows,
-            title=f"Top-{args.k} serving results ({args.index}, mmap={mmap_note})",
+            title=f"Top-{args.k} serving results ({args.index}, mmap={mmap})",
         )
     )
     stats = result.retrieval

@@ -10,7 +10,6 @@ from repro.core.config import (
     TDMatchConfig,
 )
 from repro.core.blocking import (
-    BlockedMatcher,
     GraphQueryBlocker,
     MetadataNeighborhoodBlocking,
     TextQueryBlocker,
@@ -37,7 +36,6 @@ __all__ = [
     "MetadataNeighborhoodBlocking",
     "TextQueryBlocker",
     "GraphQueryBlocker",
-    "BlockedMatcher",
     "EmbeddingPairClassifier",
     "NotFittedError",
     "PipelineError",

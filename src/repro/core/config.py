@@ -199,21 +199,6 @@ class TDMatchConfig:
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
-    @property
-    def reliability(self):
-        """The worker-pool supervision policy (alias of ``parallel.reliability``).
-
-        Stored on :class:`~repro.parallel.config.ParallelConfig` because the
-        worker pools consult it there, but exposed at the top level since
-        operators tune timeouts/retries next to the rest of the pipeline
-        knobs (CLI: ``--task-timeout``, ``--max-retries``, ``--no-degrade``).
-        """
-        return self.parallel.reliability
-
-    @reliability.setter
-    def reliability(self, value) -> None:
-        self.parallel.reliability = value
-
     @classmethod
     def for_text_to_data(cls, **overrides) -> "TDMatchConfig":
         """Paper defaults for the text-to-data task: Skip-gram, window 3."""

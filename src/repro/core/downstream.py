@@ -1,6 +1,6 @@
 """Downstream classification on top of the learned embeddings.
 
-The paper notes that "any downstream classifier can be trained using the
+The paper states that "any downstream classifier can be trained using the
 embeddings from our solution".  This module provides that adapter: an
 :class:`EmbeddingPairClassifier` turns a fitted :class:`~repro.TDMatch`
 pipeline into a supervised matcher by training a small model on features of

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.blocking import GraphQueryBlocker, MetadataNeighborhoodBlocking
 from repro.core.config import TDMatchConfig
 from repro.core.exceptions import NotFittedError, PipelineError
 from repro.core.matcher import MetadataMatcher
@@ -47,7 +48,7 @@ from repro.graph.compression import (
 from repro.graph.expansion import ExpansionResult, expand_graph
 from repro.graph.merging import EmbeddingMerger, NumericBucketer
 from repro.graph.walk_engine import make_walk_engine
-from repro.parallel.reliability import drain_events
+from repro.parallel.reliability import ReliabilityEvent, recording
 from repro.retrieval import BlockedTopK, DenseTopK, RetrievalStats
 from repro.retrieval.base import QueryBlocker, RetrievalBackend
 from repro.utils.logging import get_logger
@@ -116,7 +117,8 @@ class TDMatch:
         self._builder_config = None  # snapshot the builder was created from
         self._corpus_kinds: Optional[tuple] = None
         self._delta_count = 0  # incremental batches applied since fit/load
-        self._reliability_events: List = []  # supervision incidents absorbed so far
+        # Supervision incidents of the last fit and the deltas after it.
+        self._incidents: List[ReliabilityEvent] = []
 
     # ------------------------------------------------------------------
     # Fitting
@@ -126,17 +128,15 @@ class TDMatch:
         self._validate_corpus(second, "second")
         self._corpus_kinds = (self._corpus_kind(first), self._corpus_kind(second))
         self._delta_count = 0
-        # Discard supervision incidents left over from other pipelines in
-        # this process; this fit's incidents are absorbed at the end.
-        drain_events()
-        self._reliability_events = []
+        self._incidents = []
+        with recording(self._incidents):
+            self._state = self._fit_state(first, second)
+        return self
 
+    def _fit_state(self, first, second) -> PipelineState:
+        """Run the fit stages over the two corpora and return what they learned."""
         with self.timings.measure("graph_build"):
             built = self._graph_builder().build(first, second)
-        if built.filter_stats is not None:
-            self.timings.set_note(
-                "filter_kept_fraction", f"{built.filter_stats.kept_fraction:.3f}"
-            )
         logger.info(
             "graph built: %d nodes, %d edges", built.graph.num_nodes(), built.graph.num_edges()
         )
@@ -154,45 +154,12 @@ class TDMatch:
                 self.config.word2vec, seed=derive_rng(self.seed, "word2vec"), parallel=parallel
             )
             model.train(walks, labels=engine.csr.labels)
-        self.timings.set_note("walk_engine", engine.name)
-        self.timings.set_note("num_workers", str(parallel.num_workers))
-        if parallel.enabled:
-            self.timings.set_note("parallel_shards", str(parallel.shards))
-            self.timings.set_note("parallel_stages", ",".join(parallel.stage_names()))
-        if model.stats is not None:
-            self.timings.set_note("w2v_pairs_per_sec", f"{model.stats.pairs_per_sec:.0f}")
-
-        self._state = PipelineState(
+        return PipelineState(
             built=built,
             model=model,
             merge_reports=merge_reports,
             expansion=expansion,
             compression=compression,
-        )
-        self._absorb_reliability_events()
-        return self
-
-    def _absorb_reliability_events(self) -> None:
-        """Fold collected worker-supervision incidents into the timing notes.
-
-        The pools record incidents (timeouts, crashes, retries,
-        degradations) into the module-level collector as they happen; this
-        drains it so ``report()`` / ``--json`` expose what went wrong and
-        how it was absorbed, per the reliability policy.
-        """
-        events = drain_events()
-        if not events:
-            return
-        self._reliability_events.extend(events)
-        all_events = self._reliability_events
-        failures = sum(1 for e in all_events if e.kind in ("crash", "timeout"))
-        retries = sum(1 for e in all_events if e.kind == "retry")
-        degraded = sum(1 for e in all_events if e.kind == "degraded")
-        self.timings.set_note("reliability_failures", str(failures))
-        self.timings.set_note("reliability_retries", str(retries))
-        self.timings.set_note("reliability_degraded", str(degraded))
-        self.timings.set_note(
-            "reliability_log", "; ".join(e.summary() for e in all_events)
         )
 
     def _graph_builder(self) -> GraphBuilder:
@@ -342,10 +309,6 @@ class TDMatch:
 
     def _graph_query_blocker(self, query_side: str) -> QueryBlocker:
         """Graph-native blocker over the fitted match graph."""
-        # Imported here: repro.core.blocking imports this module's sibling
-        # matcher, keeping the blocker classes out of pipeline import time.
-        from repro.core.blocking import GraphQueryBlocker, MetadataNeighborhoodBlocking
-
         cfg = self.config.retrieval
         built = self.state.built
         query_labels = built.first_metadata if query_side == "first" else built.second_metadata
@@ -407,9 +370,6 @@ class TDMatch:
         backend = self.retrieval_backend(query_side, blocker=blocker)
         with self.timings.measure("match"):
             rankings, stats = self.matcher(query_side).match_with_stats(k=k, backend=backend)
-        self.timings.set_note("retrieval_backend", stats.backend)
-        self.timings.set_note("compared_pairs", str(stats.scored_pairs))
-        self.timings.set_note("reduction_ratio", f"{stats.reduction_ratio:.3f}")
         return MatchResult(rankings=rankings, query_side=query_side, k=k, retrieval=stats)
 
     # ------------------------------------------------------------------
@@ -454,19 +414,15 @@ class TDMatch:
         """
         from repro.serving.incremental import add_documents
 
-        try:
+        with recording(self._incidents):
             return add_documents(self, documents, side=side)
-        finally:
-            self._absorb_reliability_events()
 
     def add_records(self, records, side: str = "second") -> List[str]:
         """Add table rows to a fitted pipeline without a full refit."""
         from repro.serving.incremental import add_records
 
-        try:
+        with recording(self._incidents):
             return add_records(self, records, side=side)
-        finally:
-            self._absorb_reliability_events()
 
     def remove(self, object_ids, side: str = "second") -> List[str]:
         """Remove objects and their metadata nodes from a fitted pipeline."""
@@ -477,25 +433,35 @@ class TDMatch:
     # ------------------------------------------------------------------
     # Structured reporting
     def report(self) -> Dict[str, object]:
-        """A JSON-able report of timings, reliability incidents, and fitted-state shape."""
+        """A JSON-able report of stage seconds, reliability incidents, and fitted-state shape.
+
+        ``model.mmap`` is the state of the embedding arrays, not of a load
+        option: it turns false once ``add_*`` copies them into private memory.
+        """
         report: Dict[str, object] = {
-            "timings": self.timings.to_dict(),
-            "reliability": [event.to_dict() for event in self._reliability_events],
+            "timings": self.timings.as_dict(),
+            "reliability": [event.to_dict() for event in self._incidents],
         }
         if self._state is not None:
             built = self._state.built
             model = self._state.model
+            filter_stats = built.filter_stats
             report["graph"] = {
                 "nodes": built.graph.num_nodes(),
                 "edges": built.graph.num_edges(),
                 "intersect_anchor": built.intersect_anchor,
+                "filter_kept_fraction": (
+                    filter_stats.kept_fraction if filter_stats is not None else None
+                ),
             }
             model_info: Dict[str, object] = {
                 "vocab_size": len(model.vocab) if model.vocab is not None else 0,
                 "vector_size": model.config.vector_size,
+                "mmap": isinstance(model._input_vectors, np.memmap),
             }
             if model.stats is not None:
                 model_info["pairs"] = model.stats.pairs
+                model_info["pairs_per_sec"] = model.stats.pairs_per_sec
             report["model"] = model_info
             report["incremental_deltas"] = self._delta_count
         return report

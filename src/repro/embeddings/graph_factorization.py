@@ -1,6 +1,6 @@
 """Direct graph-node embeddings by PPMI matrix factorization.
 
-Section IV-A of the paper notes that embeddings can also be generated
+Section IV-A of the paper observes that embeddings can also be generated
 *directly* from the graph (DeepWalk/node2vec style or factorization based)
 with quality comparable to the default walk + Word2Vec route, at a higher
 resource cost.  This module provides that alternative embedder so the two

@@ -464,11 +464,7 @@ class Word2Vec:
     def _shard_trainer(self):
         """The sharded epoch runner, when the parallel layer enables it."""
         parallel = self.parallel
-        if (
-            parallel is None
-            or not parallel.stage_enabled("word2vec")
-            or parallel.shards <= 1
-        ):
+        if parallel is None or not parallel.enabled or parallel.shards <= 1:
             return None
         from repro.parallel.trainer import EpochShardTrainer
 

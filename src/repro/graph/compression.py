@@ -171,11 +171,11 @@ def _grouped_dag_union(csr, by_source: Dict[int, Set[int]], parallel=None):
     """Run the batched DAG-union sweep over a ``{source: targets}`` grouping.
 
     ``parallel`` (a :class:`repro.parallel.ParallelConfig`) shards the sweep
-    across worker processes when it enables the compression stage; the
+    across worker processes when the parallel layer is enabled; the
     downstream masks and ``dedup_edge_ids`` make the result order- and
     duplicate-insensitive, so the sharded sweep is output-identical.
     """
-    if parallel is not None and parallel.stage_enabled("compression"):
+    if parallel is not None and parallel.enabled:
         # Imported lazily: repro.parallel.compression imports repro.graph.csr.
         from repro.parallel.compression import parallel_grouped_dag_union
 

@@ -49,7 +49,7 @@ def expand_graph(
         A knowledge base exposing ``related(term) -> Iterable[str]``.
     max_relations_per_node:
         Optional cap on the number of relations fetched per data node;
-        ``None`` fetches everything the resource knows (the paper notes
+        ``None`` fetches everything the resource knows (the paper observes
         DBpedia has >800 relations for some entities — pruning is left to
         the compression step).
     remove_sinks:

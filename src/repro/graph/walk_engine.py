@@ -163,11 +163,11 @@ def make_walk_engine(
 
     ``parallel`` (a :class:`repro.parallel.ParallelConfig`) selects the
     sharded :class:`repro.parallel.walks.ParallelWalkEngine` when the
-    parallel layer is enabled for the walk stage; otherwise the serial
-    :class:`CSRWalkEngine` runs.
+    parallel layer is enabled; otherwise the serial :class:`CSRWalkEngine`
+    runs.
     """
     config = config or RandomWalkConfig()
-    if parallel is not None and parallel.stage_enabled("walks"):
+    if parallel is not None and parallel.enabled:
         # Imported lazily: repro.parallel.walks imports this module.
         from repro.parallel.walks import ParallelWalkEngine
 

@@ -9,20 +9,19 @@ contract.
 """
 
 from repro.parallel.compression import parallel_grouped_dag_union
-from repro.parallel.config import PARALLEL_STAGES, ParallelConfig
+from repro.parallel.config import ParallelConfig
 from repro.parallel.reliability import (
     ReliabilityConfig,
     ReliabilityEvent,
     WorkerFailureError,
-    drain_events,
     record_event,
+    recording,
 )
 from repro.parallel.shm import SharedArray, ShmArena, WorkerPool, attached
 from repro.parallel.trainer import EpochShardTrainer
 from repro.parallel.walks import ParallelWalkEngine, shard_ranges, shard_streams
 
 __all__ = [
-    "PARALLEL_STAGES",
     "ParallelConfig",
     "ReliabilityConfig",
     "ReliabilityEvent",
@@ -31,8 +30,8 @@ __all__ = [
     "WorkerFailureError",
     "WorkerPool",
     "attached",
-    "drain_events",
     "record_event",
+    "recording",
     "EpochShardTrainer",
     "ParallelWalkEngine",
     "parallel_grouped_dag_union",

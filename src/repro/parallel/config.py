@@ -1,7 +1,8 @@
 """Configuration of the sharded parallel fit (see :mod:`repro.parallel`).
 
-The default (``num_workers=0``) leaves the serial stages untouched, and
-each sharded stage can be toggled independently.
+The default (``num_workers=0``) leaves the serial stages untouched; any
+``num_workers>=1`` shards all three stages (walks, compression's DAG-union
+sweep, and the Word2Vec epoch loop).
 
 Determinism contract
 --------------------
@@ -22,12 +23,9 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.parallel.reliability import ReliabilityConfig
-
-#: The fit stages the parallel layer can shard.
-PARALLEL_STAGES: Tuple[str, ...] = ("walks", "compression", "word2vec")
 
 _START_METHODS = (None, "fork", "spawn", "forkserver")
 
@@ -47,8 +45,6 @@ class ParallelConfig:
         Number of shards each stage splits its work into; ``None`` uses
         ``num_workers``.  The shard count — not the worker count — is what
         fixes the RNG stream assignment and therefore the results.
-    shard_walks / shard_compression / shard_word2vec:
-        Per-stage toggles; a disabled stage runs its serial engine.
     mp_context:
         Multiprocessing start method; ``None`` picks ``fork`` where
         available (Linux) and falls back to ``spawn`` (macOS/Windows).
@@ -63,9 +59,6 @@ class ParallelConfig:
 
     num_workers: int = 0
     num_shards: Optional[int] = None
-    shard_walks: bool = True
-    shard_compression: bool = True
-    shard_word2vec: bool = True
     mp_context: Optional[str] = None
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
 
@@ -91,15 +84,6 @@ class ParallelConfig:
         if self.num_shards is not None:
             return self.num_shards
         return max(1, self.num_workers)
-
-    def stage_enabled(self, stage: str) -> bool:
-        if stage not in PARALLEL_STAGES:
-            raise ValueError(f"unknown parallel stage {stage!r}; valid: {sorted(PARALLEL_STAGES)}")
-        return self.enabled and getattr(self, f"shard_{stage}")
-
-    def stage_names(self) -> Tuple[str, ...]:
-        """The stages the current configuration shards."""
-        return tuple(stage for stage in PARALLEL_STAGES if self.stage_enabled(stage))
 
     def start_method(self) -> str:
         """The resolved multiprocessing start method."""

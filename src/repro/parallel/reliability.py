@@ -13,20 +13,23 @@ which process executes them, so the inline rerun is bit-identical to what
 the healthy pool would have produced.
 
 Every timeout / crash / retry / degradation is recorded as a
-:class:`ReliabilityEvent` in a module-level, thread-safe collector.
-:meth:`TDMatch.fit` drains the collector into ``TimingRegistry`` notes
-(``reliability_failures`` / ``reliability_retries`` /
-``reliability_degraded`` / ``reliability_log``) so ``report()`` and the
-CLI ``--json`` output expose exactly what went wrong and how it was
-absorbed.  The collector lives here — not on the pool — because pools are
-created per stage deep inside fit stages that never see the pipeline.
+:class:`ReliabilityEvent` into the incident list of the current context:
+:func:`recording` sets it, :func:`record_event` appends to it.
+:meth:`TDMatch.fit`, ``add_documents`` and ``add_records`` each record into
+their pipeline's own list, which ``report()["reliability"]`` and the CLI
+``--json`` output expose.  The list is found through a
+:class:`~contextvars.ContextVar`, not passed down, because pools are
+created per stage deep inside fit stages that never see the pipeline; and
+it is per context (so per thread), so two pipelines fitting in threads
+never see each other's incidents.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 class WorkerFailureError(RuntimeError):
@@ -101,19 +104,27 @@ class ReliabilityEvent:
         }
 
 
-_events: List[ReliabilityEvent] = []
-_events_lock = threading.Lock()
+_incidents: ContextVar[Optional[List[ReliabilityEvent]]] = ContextVar(
+    "reliability_incidents", default=None
+)
+
+
+@contextmanager
+def recording(incidents: List[ReliabilityEvent]) -> Iterator[List[ReliabilityEvent]]:
+    """Append the incidents recorded in this context to ``incidents``."""
+    token = _incidents.set(incidents)
+    try:
+        yield incidents
+    finally:
+        _incidents.reset(token)
 
 
 def record_event(event: ReliabilityEvent) -> None:
-    """Append a supervision incident to the process-wide collector."""
-    with _events_lock:
-        _events.append(event)
+    """Append a supervision incident to the current context's list.
 
-
-def drain_events() -> List[ReliabilityEvent]:
-    """Remove and return all collected incidents (oldest first)."""
-    with _events_lock:
-        drained = list(_events)
-        _events.clear()
-    return drained
+    Outside any :func:`recording` block the incident is only logged by the
+    pool that raised it.
+    """
+    incidents = _incidents.get()
+    if incidents is not None:
+        incidents.append(event)

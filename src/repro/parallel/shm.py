@@ -202,15 +202,17 @@ class WorkerPool:
     """Supervised task fan-out behind the ``ParallelConfig.num_workers`` switch.
 
     Beyond plain fan-out, :meth:`run` enforces the pool's
-    :class:`~repro.parallel.reliability.ReliabilityConfig`: hung tasks are
-    timed out (workers killed), crashed workers (``BrokenProcessPool``) are
+    :class:`~repro.parallel.reliability.ReliabilityConfig`: a hung task
+    hits its timeout (workers killed), a crashed worker
+    (``BrokenProcessPool``, raised by ``submit`` or by a result) is
     detected, the failed round is retried on a fresh executor with
     exponential backoff, and — once retries are exhausted — the remaining
     tasks degrade to inline serial execution, which is bit-identical to the
     pooled result because shard outputs are fixed by the shard plan and
     per-shard RNG streams, never by which process ran them.  Every incident
-    is recorded through :func:`repro.parallel.reliability.record_event` for
-    the pipeline to surface in ``report()``.
+    goes through :func:`repro.parallel.reliability.record_event` into the
+    incident list of the calling context, which is the pipeline's own list
+    while it fits or adds a delta.
     """
 
     def __init__(self, config: ParallelConfig, label: str = "pool"):
@@ -285,13 +287,18 @@ class WorkerPool:
                     max_workers=min(self.config.num_workers, len(pending)),
                     mp_context=get_context(self.config.start_method()),
                 )
-            futures = {
-                index: self._executor.submit(_supervised_call, fn, index, tasks[index])
-                for index in pending
-            }
+            # Filled one task at a time inside the ``try``: a worker that dies
+            # while tasks are still being submitted makes ``submit`` raise
+            # ``BrokenProcessPool``, and ``_harvest`` must see what was
+            # submitted before it.
+            futures: Dict[int, object] = {}
             failure: Optional[ReliabilityEvent] = None
             current = pending[0]
             try:
+                for current in pending:
+                    futures[current] = self._executor.submit(
+                        _supervised_call, fn, current, tasks[current]
+                    )
                 for current in pending:
                     results[current] = futures[current].result(
                         timeout=reliability.task_timeout

@@ -146,9 +146,6 @@ def remove(pipeline, object_ids: Iterable[str], side: str = "second") -> List[st
             if label in graph:
                 graph.remove_node(label)
             removed.append(label)
-    pipeline.timings.set_note(
-        "incremental_deltas", str(pipeline._delta_count)
-    )
     return removed
 
 
@@ -249,7 +246,6 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
             mapping.pop(str(object_id), None)
         pipeline._delta_count -= 1
         raise
-    pipeline.timings.set_note("incremental_deltas", str(pipeline._delta_count))
     return new_labels
 
 

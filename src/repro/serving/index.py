@@ -483,7 +483,6 @@ def save_pipeline(pipeline, path: str) -> str:
             "roles": roles,
             "num_edges": graph.num_edges(),
         },
-        "notes": dict(pipeline.timings.notes),
     }
     arrays: Dict[str, np.ndarray] = {
         "csr_indptr": csr.indptr,
@@ -567,9 +566,4 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
     pipeline._state = PipelineState(built=built, model=model)
     kinds = header.get("corpus_kinds") or None
     pipeline._corpus_kinds = tuple(kinds) if kinds else None
-    for name, value in (header.get("notes") or {}).items():
-        pipeline.timings.set_note(name, value)
-    pipeline.timings.set_note("serving_mmap", str(bool(mmap)))
-    pipeline.timings.set_note("serving_index", path)
-    pipeline.timings.set_note("serving_verify", verify)
     return pipeline

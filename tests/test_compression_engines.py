@@ -483,7 +483,7 @@ class TestSsumLiveSelection:
 
 
 # ----------------------------------------------------------------------
-# End-to-end pipeline identity and notes
+# End-to-end pipeline identity
 class TestPipelineCompressionEngines:
     @pytest.fixture(scope="class")
     def scenario(self):

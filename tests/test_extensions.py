@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.blocking import (
-    BlockedMatcher,
     MetadataNeighborhoodBlocking,
+    TextQueryBlocker,
     TokenBlocking,
 )
 from repro.core.config import TDMatchConfig
@@ -19,6 +19,7 @@ from repro.embeddings.graph_factorization import (
 )
 from repro.embeddings.similarity import cosine_similarity
 from repro.graph.graph import MatchGraph, NodeKind
+from repro.retrieval import BlockedTopK
 from repro import cli
 
 
@@ -94,28 +95,27 @@ class TestBlockedMatcher:
         matcher = MetadataMatcher(queries, candidates)
         texts = {"a": "storm thriller", "b": "empire drama", "c": "moon comedy"}
         query_texts = {"q1": "a storm thriller tonight", "q2": "zzz nothing shared"}
-        blocker = TokenBlocking().fit(texts)
-        return matcher, blocker, query_texts
+        blocker = TextQueryBlocker(TokenBlocking().fit(texts), query_texts)
+        return matcher, blocker
+
+    @staticmethod
+    def _match(setup, fallback_to_full):
+        matcher, blocker = setup
+        backend = BlockedTopK(blocker, fallback_to_full=fallback_to_full)
+        return matcher.match_with_stats(k=3, backend=backend)
 
     def test_blocked_match_restricts_candidates(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=False)
-        rankings = blocked.match(k=3)
+        rankings, _ = self._match(setup, fallback_to_full=False)
         assert rankings["q1"].ids() == ["a"]
         assert rankings["q2"].ids() == []  # empty block, no fallback
 
     def test_fallback_to_full_ranking(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=True)
-        rankings = blocked.match(k=3)
+        rankings, _ = self._match(setup, fallback_to_full=True)
         assert len(rankings["q2"]) == 3
 
     def test_statistics_reduction(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=False)
-        blocked.match(k=3)
-        stats = blocked.statistics
-        assert stats.compared_pairs < stats.all_pairs
+        _, stats = self._match(setup, fallback_to_full=False)
+        assert stats.scored_pairs < stats.all_pairs
         assert 0.0 < stats.reduction_ratio <= 1.0
         assert stats.empty_blocks == 1
 

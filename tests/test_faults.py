@@ -13,18 +13,24 @@ Proves the reliability layer's three acceptance properties:
 """
 
 import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
+from repro.graph.walk_engine import CSRWalkEngine
 from repro.parallel import (
     ParallelConfig,
     ReliabilityConfig,
+    ReliabilityEvent,
     WorkerFailureError,
-    drain_events,
+    record_event,
+    recording,
 )
 from repro.parallel.shm import WorkerPool
 from repro.serving.index import (
@@ -54,6 +60,11 @@ def _double(x):
 
 def _reliability(**kwargs) -> ParallelConfig:
     return ParallelConfig(num_workers=2, reliability=ReliabilityConfig(**kwargs))
+
+
+def _wait(event: threading.Event) -> None:
+    """Block until another thread sets ``event``; fail instead of hanging."""
+    assert event.wait(60), "the other thread never reached its step"
 
 
 # ----------------------------------------------------------------------
@@ -101,58 +112,76 @@ class TestWorkerPoolSupervision:
 
     def test_crash_is_retried_and_results_identical(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        drain_events()
         with active(FaultPlan.seeded(11, num_tasks=4, kind="kill"), tmp_path):
-            with WorkerPool(_reliability(max_retries=1), label="test") as pool:
-                assert pool.run(_double, self.TASKS) == self.EXPECTED
-        kinds = [e.kind for e in drain_events()]
+            with recording([]) as incidents:
+                with WorkerPool(_reliability(max_retries=1), label="test") as pool:
+                    assert pool.run(_double, self.TASKS) == self.EXPECTED
+        kinds = [e.kind for e in incidents]
         assert "crash" in kinds and "retry" in kinds and "degraded" not in kinds
 
     def test_crash_exhausts_retries_then_degrades(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        drain_events()
         with active(FaultPlan(kind="kill", task=1, times=10), tmp_path):
-            with WorkerPool(_reliability(max_retries=1), label="test") as pool:
-                assert pool.run(_double, self.TASKS) == self.EXPECTED
-        kinds = [e.kind for e in drain_events()]
+            with recording([]) as incidents:
+                with WorkerPool(_reliability(max_retries=1), label="test") as pool:
+                    assert pool.run(_double, self.TASKS) == self.EXPECTED
+        kinds = [e.kind for e in incidents]
         assert kinds.count("crash") == 2  # initial round + one retry
         assert "degraded" in kinds
 
     def test_no_degrade_raises_worker_failure(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        drain_events()
         with active(FaultPlan(kind="kill", task=0, times=10), tmp_path):
             with WorkerPool(
                 _reliability(max_retries=1, degrade_serial=False), label="test"
             ) as pool:
                 with pytest.raises(WorkerFailureError, match="degradation is disabled"):
                     pool.run(_double, self.TASKS)
-        drain_events()
+
+    def test_worker_lost_during_submit_is_retried(self, monkeypatch):
+        # A worker that dies while run() is still submitting makes submit()
+        # itself raise BrokenProcessPool; supervision must absorb that like
+        # a crash seen through a result.
+        calls = []
+        submit = ProcessPoolExecutor.submit
+
+        def breaking_submit(executor, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died during submit")
+            return submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        with recording([]) as incidents:
+            with WorkerPool(_reliability(max_retries=1, retry_backoff=0.0), label="test") as pool:
+                assert pool.run(_double, self.TASKS) == self.EXPECTED
+        assert [e.kind for e in incidents] == ["crash", "retry"]
+        assert incidents[0].task == 1
 
     def test_hung_task_times_out_and_is_retried(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        drain_events()
         with active(FaultPlan(kind="hang", task=2, hang_seconds=60.0), tmp_path):
-            with WorkerPool(
-                _reliability(task_timeout=1.5, max_retries=1, retry_backoff=0.0),
-                label="test",
-            ) as pool:
-                start = time.monotonic()
-                assert pool.run(_double, self.TASKS) == self.EXPECTED
-                assert time.monotonic() - start < 30  # never waits out the hang
-        kinds = [e.kind for e in drain_events()]
+            with recording([]) as incidents:
+                with WorkerPool(
+                    _reliability(task_timeout=1.5, max_retries=1, retry_backoff=0.0),
+                    label="test",
+                ) as pool:
+                    start = time.monotonic()
+                    assert pool.run(_double, self.TASKS) == self.EXPECTED
+                    assert time.monotonic() - start < 30  # never waits out the hang
+        kinds = [e.kind for e in incidents]
         assert "timeout" in kinds and "retry" in kinds
 
     def test_task_exception_is_not_retried(self, tmp_path, monkeypatch):
         # A deterministic in-task exception is the caller's bug, not worker
         # loss: it must propagate unchanged, with no retry round.
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        drain_events()
         with active(FaultPlan(kind="fail", task=1, times=10), tmp_path):
-            with WorkerPool(_reliability(max_retries=3), label="test") as pool:
-                with pytest.raises(FaultInjectionError):
-                    pool.run(_double, self.TASKS)
-        assert drain_events() == []
+            with recording([]) as incidents:
+                with WorkerPool(_reliability(max_retries=3), label="test") as pool:
+                    with pytest.raises(FaultInjectionError):
+                        pool.run(_double, self.TASKS)
+        assert incidents == []
 
     def test_failure_propagates_despite_slow_sibling(self):
         # Satellite regression: the old failure path called future.cancel()
@@ -184,7 +213,7 @@ def _fit_config(num_workers: int, **reliability) -> TDMatchConfig:
     config.parallel.num_workers = num_workers
     config.parallel.num_shards = 2
     if reliability:
-        config.reliability = ReliabilityConfig(**reliability)
+        config.parallel.reliability = ReliabilityConfig(**reliability)
     return config
 
 
@@ -211,12 +240,8 @@ class TestPipelineFaults:
         assert np.array_equal(
             baseline.state.model._input_vectors, faulted.state.model._input_vectors
         )
-        report = faulted.report()
-        kinds = [e["kind"] for e in report["reliability"]]
+        kinds = [e["kind"] for e in faulted.report()["reliability"]]
         assert "crash" in kinds and "retry" in kinds
-        notes = report["timings"]["notes"]
-        assert int(notes["reliability_failures"]) >= 1
-        assert int(notes["reliability_retries"]) >= 1
 
     def test_persistent_crash_degrades_bit_identical(self, scenario, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
@@ -227,9 +252,112 @@ class TestPipelineFaults:
             baseline.state.model._input_vectors, degraded.state.model._input_vectors
         )
         assert degraded.match(k=5).as_id_lists() == baseline.match(k=5).as_id_lists()
-        report = degraded.report()
-        assert "degraded" in [e["kind"] for e in report["reliability"]]
-        assert int(report["timings"]["notes"]["reliability_degraded"]) >= 1
+        assert "degraded" in [e["kind"] for e in degraded.report()["reliability"]]
+
+    # -- each pipeline reports its own incidents -------------------------
+    @staticmethod
+    def _fit_in_threads(scenario, monkeypatch, before, walks, finished):
+        """Fit pipelines "A" and "B", each in a thread of that name.
+
+        ``before[name]`` runs in the thread before its fit starts,
+        ``walks[name]`` inside the fit's walk stage, and ``finished[name]``
+        is set once the fit has returned.  Returns the pools of each
+        pipeline's reported incidents.
+        """
+        iter_walks = CSRWalkEngine.iter_walks
+
+        def scripted_iter_walks(engine, seed=None):
+            walks[threading.current_thread().name]()
+            return iter_walks(engine, seed=seed)
+
+        monkeypatch.setattr(CSRWalkEngine, "iter_walks", scripted_iter_walks)
+        pipelines = {name: TDMatch(_fit_config(0), seed=23) for name in ("A", "B")}
+        errors = []
+
+        def fit(name):
+            try:
+                before[name]()
+                pipelines[name].fit(scenario.first, scenario.second)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+            finally:
+                finished[name].set()
+
+        threads = [threading.Thread(target=fit, args=(name,), name=name) for name in pipelines]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not errors
+        return {
+            name: [e["pool"] for e in pipeline.report()["reliability"]]
+            for name, pipeline in pipelines.items()
+        }
+
+    def test_fit_starting_in_another_thread_keeps_pending_incident(
+        self, scenario, monkeypatch
+    ):
+        # B's fit starts while A's incident is pending: A must still report it.
+        a_pending = threading.Event()
+        finished = {"A": threading.Event(), "B": threading.Event()}
+
+        def a_walks():
+            record_event(ReliabilityEvent("crash", "A", 0, 0))
+            a_pending.set()
+            _wait(finished["B"])
+
+        pools = self._fit_in_threads(
+            scenario,
+            monkeypatch,
+            before={"A": lambda: None, "B": lambda: _wait(a_pending)},
+            walks={"A": a_walks, "B": lambda: record_event(ReliabilityEvent("crash", "B", 0, 0))},
+            finished=finished,
+        )
+        assert pools == {"A": ["A"], "B": ["B"]}
+
+    def test_fit_ending_in_another_thread_leaves_pending_incident(
+        self, scenario, monkeypatch
+    ):
+        # B's fit ends while A's incident is pending: B must not report it.
+        b_walking = threading.Event()
+        a_pending = threading.Event()
+        finished = {"A": threading.Event(), "B": threading.Event()}
+
+        def a_walks():
+            record_event(ReliabilityEvent("crash", "A", 0, 0))
+            a_pending.set()
+            _wait(finished["B"])
+
+        def b_walks():
+            b_walking.set()
+            _wait(a_pending)
+            record_event(ReliabilityEvent("crash", "B", 0, 0))
+
+        pools = self._fit_in_threads(
+            scenario,
+            monkeypatch,
+            before={"A": lambda: _wait(b_walking), "B": lambda: None},
+            walks={"A": a_walks, "B": b_walks},
+            finished=finished,
+        )
+        assert pools == {"A": ["A"], "B": ["B"]}
+
+    def test_delta_incidents_join_the_fit_incidents(self, scenario, monkeypatch):
+        pipeline = self._fit(scenario, 0)
+        iter_walks = CSRWalkEngine.iter_walks
+
+        def walks_with_incident(engine, seed=None):
+            record_event(ReliabilityEvent("timeout", "delta", 0, 0))
+            return iter_walks(engine, seed=seed)
+
+        monkeypatch.setattr(CSRWalkEngine, "iter_walks", walks_with_incident)
+        row = list(scenario.second.rows)[0]
+        pipeline.add_records([("extra-row", dict(row.values))])
+        assert [e["pool"] for e in pipeline.report()["reliability"]] == ["delta"]
+        monkeypatch.undo()
+        pipeline.fit(scenario.first, scenario.second)
+        assert pipeline.report()["reliability"] == []
 
 
 # ----------------------------------------------------------------------

@@ -478,7 +478,7 @@ class TestCSRFastPath:
 
 
 # ----------------------------------------------------------------------
-# End-to-end identity and pipeline notes
+# End-to-end identity and pipeline report
 class TestPipelineIntegration:
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -512,7 +512,8 @@ class TestPipelineIntegration:
 
     def test_timing_notes_recorded(self, scenario):
         pipeline = self.run(scenario)
-        fraction = float(pipeline.timings.note("filter_kept_fraction", "nan"))
+        fraction = pipeline.report()["graph"]["filter_kept_fraction"]
+        assert fraction == pipeline.state.built.filter_stats.kept_fraction
         assert 0.0 <= fraction <= 1.0
 
     def test_refit_reuses_builder_until_config_changes(self, scenario):

@@ -32,6 +32,7 @@ from repro.parallel import (
     shard_ranges,
     shard_streams,
 )
+from repro.parallel import compression as parallel_compression
 from repro.parallel.walks import walk_shard
 from tests.oracles.walks import label_walks
 
@@ -81,16 +82,11 @@ class TestParallelConfig:
         assert config.num_workers == 0
         assert not config.enabled
         assert config.shards == 1
-        for stage in ("walks", "compression", "word2vec"):
-            assert not config.stage_enabled(stage)
 
     def test_enabled_stages(self):
-        config = ParallelConfig(num_workers=2, shard_compression=False)
+        config = ParallelConfig(num_workers=2)
         assert config.enabled
         assert config.shards == 2
-        assert config.stage_enabled("walks")
-        assert not config.stage_enabled("compression")
-        assert config.stage_names() == ("walks", "word2vec")
 
     def test_explicit_shards_override_workers(self):
         assert ParallelConfig(num_workers=2, num_shards=5).shards == 5
@@ -102,8 +98,6 @@ class TestParallelConfig:
             ParallelConfig(num_shards=0)
         with pytest.raises(ValueError):
             ParallelConfig(mp_context="bogus")
-        with pytest.raises(ValueError):
-            ParallelConfig().stage_enabled("bogus")
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +220,7 @@ class TestParallelWalks:
         engine = make_walk_engine(graph, parallel=ParallelConfig(num_workers=2))
         assert isinstance(engine, ParallelWalkEngine)
         assert engine.name == "csr-parallel"
-        # Disabled stage or serial config keeps the plain CSR engine.
-        off = make_walk_engine(graph, parallel=ParallelConfig(num_workers=2, shard_walks=False))
-        assert type(off) is CSRWalkEngine
+        # A serial config keeps the plain CSR engine.
         serial = make_walk_engine(graph, parallel=ParallelConfig())
         assert type(serial) is CSRWalkEngine
 
@@ -334,18 +326,6 @@ class TestParallelCompression:
         assert set(sharded.graph.edges()) == set(serial.graph.edges())
         assert sharded.graph.num_edges() == serial.graph.num_edges()
 
-    def test_disabled_stage_ignores_parallel(self):
-        graph = metadata_graph()
-        first = [f"t{i}" for i in range(8)]
-        second = [f"p{i}" for i in range(8)]
-        serial = msp_compress(graph, first, second, beta=1.0, seed=3)
-        off = msp_compress(
-            graph, first, second, beta=1.0, seed=3,
-            parallel=ParallelConfig(num_workers=2, shard_compression=False),
-        )
-        assert off.graph.nodes() == serial.graph.nodes()
-        assert set(off.graph.edges()) == set(serial.graph.edges())
-
 
 # ----------------------------------------------------------------------
 # Word2Vec epoch sharding
@@ -413,17 +393,32 @@ class TestPipelineParallel:
         pipeline.fit(scenario.first, scenario.second)
         return pipeline
 
-    def test_single_shard_fit_matches_serial(self, scenario):
+    def test_single_shard_fit_matches_serial(self, scenario, monkeypatch):
+        # The outputs are bit-identical, so only spies on the sharded entry
+        # points show that the single-shard fit took the sharded path.
+        sharded = []
+        iter_walks = ParallelWalkEngine.iter_walks
+        dag_union = parallel_compression.parallel_grouped_dag_union
+
+        def spy_iter_walks(engine, seed=None):
+            sharded.append("walks")
+            return iter_walks(engine, seed=seed)
+
+        def spy_dag_union(*args, **kwargs):
+            sharded.append("compression")
+            return dag_union(*args, **kwargs)
+
+        monkeypatch.setattr(ParallelWalkEngine, "iter_walks", spy_iter_walks)
+        monkeypatch.setattr(parallel_compression, "parallel_grouped_dag_union", spy_dag_union)
         serial = self._fit(scenario, 0)
+        assert sharded == []
         single = self._fit(scenario, 1, num_shards=1)
+        assert set(sharded) == {"walks", "compression"}
+        assert not serial.config.parallel.enabled and single.config.parallel.enabled
         assert np.array_equal(
             serial.state.model._input_vectors, single.state.model._input_vectors
         )
         assert single.match(k=10).as_id_lists() == serial.match(k=10).as_id_lists()
-        assert serial.timings.note("num_workers") == "0"
-        assert single.timings.note("num_workers") == "1"
-        assert single.timings.note("walk_engine") == "csr-parallel"
-        assert single.timings.note("parallel_stages") == "walks,compression,word2vec"
 
     def test_worker_count_invariant_at_fixed_shards(self, scenario):
         one = self._fit(scenario, 1, num_shards=2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.blocking import (
-    BlockedMatcher,
+    GraphQueryBlocker,
     MetadataNeighborhoodBlocking,
     TextQueryBlocker,
     TokenBlocking,
@@ -341,33 +341,34 @@ class TestBlockedMatcherRegression:
         matcher = MetadataMatcher(queries, candidates)
         texts = {"a": "storm thriller", "b": "empire drama", "c": "moon comedy"}
         query_texts = {"q1": "a storm thriller tonight", "q2": "zzz nothing shared"}
-        blocker = TokenBlocking().fit(texts)
-        return matcher, blocker, query_texts
+        blocker = TextQueryBlocker(TokenBlocking().fit(texts), query_texts)
+        return matcher, blocker
 
     def test_full_score_matrix_never_computed(self, setup, monkeypatch):
         """The blocking-saves-nothing bug: match() must not touch score_matrix."""
-        matcher, blocker, query_texts = setup
+        matcher, blocker = setup
 
         def boom(self):
             raise AssertionError("score_matrix() computed during blocked match")
 
         monkeypatch.setattr(MetadataMatcher, "score_matrix", boom)
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=True)
-        rankings = blocked.match(k=3)
+        rankings, _ = matcher.match_with_stats(
+            k=3, backend=BlockedTopK(blocker, fallback_to_full=True)
+        )
         assert len(rankings) == 2
 
     def test_compared_pairs_equals_scored_pairs(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=False)
-        blocked.match(k=3)
-        stats = blocked.statistics
+        matcher, blocker = setup
+        _, stats = matcher.match_with_stats(
+            k=3, backend=BlockedTopK(blocker, fallback_to_full=False)
+        )
         # q1 blocks to {a}; q2 blocks to nothing and does not fall back.
-        assert stats.compared_pairs == 1
-        assert stats.compared_pairs == matcher.retrieval_stats.scored_pairs
+        assert stats.scored_pairs == 1
+        assert stats.scored_pairs == matcher.retrieval_stats.scored_pairs
         assert stats.empty_blocks == 1
 
     def test_neighborhood_blocking_pluggable(self):
-        """MetadataNeighborhoodBlocking now works through BlockedMatcher."""
+        """MetadataNeighborhoodBlocking works through the blocked backend."""
         g = MatchGraph()
         g.add_node("doc::q", kind=NodeKind.METADATA)
         g.add_node("row::a", kind=NodeKind.METADATA)
@@ -381,26 +382,16 @@ class TestBlockedMatcherRegression:
             {"q": np.array([1.0, 0.0])},
             {"a": np.array([1.0, 0.1]), "b": np.array([0.9, 0.0])},
         )
-        blocked = BlockedMatcher(
-            matcher,
+        blocker = GraphQueryBlocker(
             MetadataNeighborhoodBlocking(g, max_hops=2),
-            fallback_to_full=False,
             query_labels={"q": "doc::q"},
             candidate_labels={"a": "row::a", "b": "row::b"},
         )
-        rankings = blocked.match(k=2)
+        rankings, stats = matcher.match_with_stats(
+            k=2, backend=BlockedTopK(blocker, fallback_to_full=False)
+        )
         assert rankings["q"].ids() == ["a"]  # b is outside the 2-hop block
-        assert blocked.statistics.compared_pairs == 1
-
-    def test_token_blocking_requires_texts(self, setup):
-        matcher, blocker, _ = setup
-        with pytest.raises(ValueError):
-            BlockedMatcher(matcher, blocker)
-
-    def test_neighborhood_blocking_requires_labels(self):
-        matcher = MetadataMatcher({"q": np.zeros(2)}, {"a": np.zeros(2)})
-        with pytest.raises(ValueError):
-            BlockedMatcher(matcher, MetadataNeighborhoodBlocking(MatchGraph(), max_hops=1))
+        assert stats.scored_pairs == 1
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +452,10 @@ class TestBackendScenarioParity:
         stats = result.retrieval
         assert stats.backend == "blocked"
         assert stats.scored_pairs <= stats.all_pairs
-        # notes recorded for the benchmark tables
-        assert pipeline.timings.note("retrieval_backend") == "blocked"
-        assert pipeline.timings.note("compared_pairs") == str(stats.scored_pairs)
+        # the provenance the benchmark tables and --json read
+        payload = result.to_dict()["retrieval"]
+        assert payload["backend"] == "blocked"
+        assert payload["scored_pairs"] == stats.scored_pairs
         # restricted parity against the full score matrix
         matcher = pipeline.matcher()
         scores = matcher.score_matrix()

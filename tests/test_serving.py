@@ -363,6 +363,52 @@ class TestSaveLoadRoundtrip:
         assert len(labels) == 1
         assert "legacy-new-row" in legacy.state.built.second_metadata
 
+    def test_index_with_timing_notes_still_loads(self, index_path, tmp_path):
+        """An index whose header still carries the ``notes`` key serves unchanged.
+
+        The loader ignores the key: a loaded pipeline reports only what it
+        has measured itself.
+        """
+        legacy_path = str(tmp_path / "notes.tdm")
+        shutil.copyfile(index_path, legacy_path)
+
+        def add_notes(header):
+            header["notes"] = {
+                "walk_engine": "csr",
+                "w2v_pairs_per_sec": "123456",
+                "compared_pairs": "42",
+                "serving_mmap": "True",
+            }
+
+        _rewrite_header(legacy_path, add_notes)
+        for mmap in (False, True):
+            expected = TDMatch.load(index_path, mmap=mmap, verify="full")
+            legacy = TDMatch.load(legacy_path, mmap=mmap, verify="full")
+            assert (
+                legacy.match_result(k=10).to_dict()["rankings"]
+                == expected.match_result(k=10).to_dict()["rankings"]
+            )
+            report = legacy.report()
+            assert list(report["timings"]) == ["match"]
+            assert "pairs_per_sec" not in report["model"]
+            assert report["model"]["mmap"] is mmap
+
+    def test_index_with_removed_parallel_toggles_still_loads(self, index_path, tmp_path):
+        legacy_path = str(tmp_path / "toggles.tdm")
+        shutil.copyfile(index_path, legacy_path)
+
+        def add_toggles(header):
+            for stage in ("walks", "compression", "word2vec"):
+                header["config"]["parallel"][f"shard_{stage}"] = False
+
+        _rewrite_header(legacy_path, add_toggles)
+        legacy = TDMatch.load(legacy_path)
+        assert not hasattr(legacy.config.parallel, "shard_walks")
+        assert (
+            legacy.match_result(k=10).to_dict()["rankings"]
+            == TDMatch.load(index_path).match_result(k=10).to_dict()["rankings"]
+        )
+
     def test_query_in_fresh_subprocess_without_fit(self, index_path, fitted):
         """The two-process story: fit-save here, load-query in a new process."""
         expected = fitted.match_result(k=5).to_dict()["rankings"]
@@ -534,9 +580,13 @@ class TestReports:
         fitted.match(k=3)
         report = fitted.report()
         parsed = json.loads(json.dumps(report))
-        assert "graph_build" in parsed["timings"]["stages"]
+        assert "graph_build" in parsed["timings"]
         assert parsed["graph"]["nodes"] == fitted.graph.num_nodes()
+        kept = fitted.state.built.filter_stats.kept_fraction
+        assert parsed["graph"]["filter_kept_fraction"] == kept
         assert parsed["model"]["vocab_size"] == len(fitted.model.vocab)
+        assert parsed["model"]["pairs_per_sec"] == fitted.model.stats.pairs_per_sec > 0
+        assert parsed["model"]["mmap"] is False
 
     def test_unfitted_report_has_no_state_sections(self):
         report = TDMatch(TDMatchConfig.fast()).report()
@@ -554,6 +604,19 @@ class TestReports:
         assert isinstance(first[0][0], str) and isinstance(first[0][1], float)
 
     def test_timing_registry_to_dict(self, fitted):
-        payload = fitted.timings.to_dict()
-        assert payload["stages"]["graph_build"]["seconds"] >= 0
-        assert payload["notes"]["walk_engine"] == "csr"
+        timings = fitted.report()["timings"]
+        assert timings == fitted.timings.as_dict()
+        assert timings["graph_build"] >= 0
+        assert not fitted.config.parallel.enabled  # the serial walk engine ran
+
+    def test_report_model_mmap_follows_the_arrays(self, scenario, index_path):
+        mapped = TDMatch.load(index_path, mmap=True)
+        report = mapped.report()
+        assert report["model"]["mmap"] is True
+        # Nothing was trained or matched since the load.
+        assert report["timings"] == {}
+        assert "pairs_per_sec" not in report["model"]
+        assert TDMatch.load(index_path, mmap=False).report()["model"]["mmap"] is False
+        row = list(scenario.second.rows)[0]
+        mapped.add_records([("mmap-new-row", dict(row.non_null_items()))])
+        assert mapped.report()["model"]["mmap"] is False

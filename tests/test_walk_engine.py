@@ -372,12 +372,26 @@ def build_review_world():
     return reviews, table, gold
 
 
+def _spy_iter_walks(monkeypatch, engine_class):
+    """Record the ``name`` of each ``engine_class`` whose walks a fit draws."""
+    engines = []
+    iter_walks = engine_class.iter_walks
+
+    def spy(engine, seed=None):
+        engines.append(engine.name)
+        return iter_walks(engine, seed=seed)
+
+    monkeypatch.setattr(engine_class, "iter_walks", spy)
+    return engines
+
+
 class TestPipelineIntegration:
-    def test_fit_records_engine_and_timings(self):
+    def test_fit_records_engine_and_timings(self, monkeypatch):
         reviews, table, _gold = build_review_world()
+        engines = _spy_iter_walks(monkeypatch, CSRWalkEngine)
         pipeline = TDMatch(TDMatchConfig.fast(), seed=11)
         pipeline.fit(reviews, table)
-        assert pipeline.timings.note("walk_engine") == "csr"
+        assert engines == ["csr"]
         timings = pipeline.timings.as_dict()
         assert "walks" in timings and "word2vec" in timings
         assert timings["walks"] >= 0.0
@@ -390,9 +404,10 @@ class TestPipelineIntegration:
             "make_walk_engine",
             lambda graph, config, parallel=None: PythonWalkEngine(graph, config),
         )
+        engines = _spy_iter_walks(monkeypatch, PythonWalkEngine)
         pipeline = TDMatch(TDMatchConfig.fast(), seed=11)
         pipeline.fit(reviews, table)
-        assert pipeline.timings.note("walk_engine") == "python"
+        assert engines == ["python"]
         rankings = pipeline.match(k=2)
         hits = sum(1 for doc, gold_ids in gold.items() if rankings[doc].ids(2)[0] in gold_ids)
         assert hits >= 2

@@ -539,4 +539,4 @@ class TestTrainerParity:
     def test_pipeline_records_trainer_notes(self, tiny_parity_runs):
         _scenario, runs = tiny_parity_runs
         for pipeline, _rankings in runs.values():
-            assert float(pipeline.timings.note("w2v_pairs_per_sec")) > 0
+            assert pipeline.report()["model"]["pairs_per_sec"] > 0
