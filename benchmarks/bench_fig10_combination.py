@@ -2,16 +2,15 @@
 
 Averaging the cosine scores of the domain-specific graph embeddings with
 those of the frozen pre-trained sentence encoder improves matching quality
-in all scenarios of the paper.  The fusion runs through the
-:class:`repro.retrieval.CombinedTopK` backend (vectorised per-row min-max
-normalisation + weighted average).
+in all scenarios of the paper.  The fusion is
+``MetadataMatcher.match_combined`` (vectorised per-row min-max
+normalisation + weighted average, then one dense top-k).
 """
 
 from __future__ import annotations
 
 from repro.eval.metrics import evaluate_rankings
 from repro.eval.report import format_table
-from repro.retrieval import CombinedTopK
 
 from benchmarks.bench_utils import (
     DEFAULT_KS,
@@ -25,7 +24,7 @@ SCENARIOS = ["imdb_wt", "corona_gen", "audit", "politifact", "snopes"]
 
 
 def _combined_report(scenario_name: str):
-    """Fuse W-RW and S-BE scores via the CombinedTopK retrieval backend."""
+    """Fuse W-RW and S-BE scores with the W-RW matcher's ``match_combined``."""
     scenario = get_scenario(scenario_name)
     run = run_wrw(scenario_name)
     matcher = run.pipeline.matcher()
@@ -33,10 +32,7 @@ def _combined_report(scenario_name: str):
     queries = {q: scenario.query_texts()[q] for q in matcher.query_ids}
     candidates = {c: scenario.candidate_texts()[c] for c in matcher.candidate_ids}
     sbert_scores = sbert.score_matrix(queries, candidates)
-    result = CombinedTopK().retrieve_from_scores(
-        [matcher.score_matrix(), sbert_scores], k=20
-    )
-    combined = result.to_rankings(matcher.query_ids, matcher.candidate_ids)
+    combined = matcher.match_combined(sbert_scores, k=20)
     return evaluate_rankings("w-rw & s-be", combined, scenario.gold, ks=DEFAULT_KS)
 
 

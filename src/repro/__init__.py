@@ -31,11 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - static type checkers only
         RetrievalConfig,
         TDMatchConfig,
     )
-    from repro.core.matcher import MetadataMatcher, combine_score_matrices
+    from repro.core.matcher import MetadataMatcher
     from repro.core.pipeline import MatchResult, TDMatch
     from repro.corpus import Document, Table, Taxonomy, TextCorpus
     from repro.eval.metrics import evaluate_rankings
-    from repro.retrieval import BlockedTopK, CombinedTopK, DenseTopK
+    from repro.retrieval import BlockedTopK, DenseTopK
 
 __version__ = "1.0.0"
 
@@ -49,10 +49,8 @@ _EXPORTS = {
     "CompressionConfig": "repro.core.config",
     "RetrievalConfig": "repro.core.config",
     "MetadataMatcher": "repro.core.matcher",
-    "combine_score_matrices": "repro.core.matcher",
     "DenseTopK": "repro.retrieval",
     "BlockedTopK": "repro.retrieval",
-    "CombinedTopK": "repro.retrieval",
     "Document": "repro.corpus",
     "TextCorpus": "repro.corpus",
     "Table": "repro.corpus",

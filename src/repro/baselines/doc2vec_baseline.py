@@ -7,8 +7,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.embeddings.doc2vec import Doc2Vec, Doc2VecConfig
-from repro.embeddings.similarity import cosine_matrix, top_k_neighbors
-from repro.eval.ranking import Ranking, RankingSet
+from repro.embeddings.similarity import cosine_matrix
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 
 
@@ -40,11 +41,6 @@ class Doc2VecMatcher:
         query_matrix = np.stack([doc_vec(f"q::{q}") for q in query_ids])
         candidate_matrix = np.stack([doc_vec(f"c::{c}") for c in candidate_ids])
         scores = cosine_matrix(query_matrix, candidate_matrix)
-        neighbors = top_k_neighbors(scores, k, candidate_ids)
-        rankings = RankingSet()
-        for query_id, ranked in zip(query_ids, neighbors):
-            ranking = Ranking(query_id=query_id)
-            for candidate_id, score in ranked:
-                ranking.add(candidate_id, score)
-            rankings.add(ranking)
-        return rankings
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_ids, candidate_ids
+        )

@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.embeddings.pretrained import PretrainedEmbeddings, build_synthetic_pretrained
 from repro.embeddings.sentence import SentenceEncoder
-from repro.embeddings.similarity import cosine_matrix, top_k_neighbors
-from repro.eval.ranking import Ranking, RankingSet
+from repro.embeddings.similarity import cosine_matrix
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 
 
@@ -68,11 +69,6 @@ class SbertMatcher:
         query_ids = list(queries)
         candidate_ids = list(candidates)
         scores = self.score_matrix(queries, candidates)
-        neighbors = top_k_neighbors(scores, k, candidate_ids)
-        rankings = RankingSet()
-        for query_id, ranked in zip(query_ids, neighbors):
-            ranking = Ranking(query_id=query_id)
-            for candidate_id, score in ranked:
-                ranking.add(candidate_id, score)
-            rankings.add(ranking)
-        return rankings
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_ids, candidate_ids
+        )

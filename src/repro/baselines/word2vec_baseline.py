@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.embeddings.sentence import SentenceEncoder
-from repro.embeddings.similarity import cosine_matrix, top_k_neighbors
+from repro.embeddings.similarity import cosine_matrix
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
-from repro.eval.ranking import Ranking, RankingSet
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 
 
@@ -39,11 +40,6 @@ class Word2VecMatcher:
         query_matrix = encoder.encode_all(query_tokens, dim=self.config.vector_size)
         candidate_matrix = encoder.encode_all(candidate_tokens, dim=self.config.vector_size)
         scores = cosine_matrix(query_matrix, candidate_matrix)
-        neighbors = top_k_neighbors(scores, k, candidate_ids)
-        rankings = RankingSet()
-        for query_id, ranked in zip(query_ids, neighbors):
-            ranking = Ranking(query_id=query_id)
-            for candidate_id, score in ranked:
-                ranking.add(candidate_id, score)
-            rankings.add(ranking)
-        return rankings
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_ids, candidate_ids
+        )

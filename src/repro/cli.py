@@ -50,12 +50,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-walks", type=int, default=10, help="random walks per node")
     parser.add_argument("--walk-length", type=int, default=15, help="random walk length")
     parser.add_argument(
-        "--retrieval-backend",
-        choices=["dense", "blocked"],
-        default="dense",
-        help="matching backend: exact chunked dense top-k (default) or blocked scoring",
-    )
-    parser.add_argument(
         "--chunk-size",
         type=int,
         default=1024,
@@ -64,8 +58,9 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--blocking",
         choices=["token", "neighborhood"],
-        help="candidate blocker for the blocked backend (implies --retrieval-backend blocked): "
-        "shared-token inverted index or graph neighbourhood",
+        help="score only blocked pairs instead of all pairs (default: dense top-k): "
+        "candidates sharing a term with the query (run only; needs the corpus "
+        "texts) or near it in the graph",
     )
     parser.add_argument("--vector-size", type=int, default=64, help="embedding dimensionality")
     parser.add_argument("--epochs", type=int, default=2, help="Word2Vec epochs")
@@ -195,20 +190,15 @@ def _config_for(scenario, args: argparse.Namespace) -> TDMatchConfig:
     Every value goes through the config validation; an invalid one exits
     with a usage error of the subcommand.
     """
-    backend = args.retrieval_backend
-    if args.blocking and backend != "blocked":
-        backend = "blocked"  # --blocking implies the blocked backend
     overrides = {
         "walks__num_walks": args.num_walks,
         "walks__walk_length": args.walk_length,
         "word2vec__vector_size": args.vector_size,
         "word2vec__epochs": args.epochs,
         "parallel__num_workers": args.num_workers,
-        "retrieval__backend": backend,
+        "retrieval__backend": "blocked" if args.blocking else "dense",
         "retrieval__chunk_size": args.chunk_size,
     }
-    if args.blocking:
-        overrides["retrieval__blocking"] = args.blocking
     factory = (
         TDMatchConfig.for_text_to_data
         if scenario.task == "text-to-data"
@@ -261,7 +251,7 @@ def run(args: argparse.Namespace) -> int:
     # Token blocking needs the corpus texts, which the fitted pipeline does
     # not retain — build the blocker from the scenario and hand it over.
     blocker = None
-    if config.retrieval.backend == "blocked" and args.blocking == "token":
+    if args.blocking == "token":
         token_blocking = TokenBlocking().fit(scenario.candidate_texts())
         blocker = TextQueryBlocker(token_blocking, scenario.query_texts())
 
@@ -303,6 +293,11 @@ def run(args: argparse.Namespace) -> int:
 
 
 def run_fit_save(args: argparse.Namespace) -> int:
+    if args.blocking == "token":
+        args.error(
+            "--blocking token needs the corpus texts at query time, which an "
+            "index does not keep; use --blocking neighborhood or run"
+        )
     scenario = generate_scenario(args.scenario, size=_SIZES[args.size](), seed=args.seed)
     config = _config_for(scenario, args)
     config.serving.mmap = bool(args.mmap_default)

@@ -17,7 +17,7 @@ from repro.core.blocking import (
 )
 from repro.core.downstream import EmbeddingPairClassifier
 from repro.core.exceptions import NotFittedError, PipelineError
-from repro.core.matcher import MetadataMatcher, combine_score_matrices
+from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import MatchResult, TDMatch
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TDMatch",
     "MatchResult",
     "MetadataMatcher",
-    "combine_score_matrices",
     "RetrievalConfig",
     "TokenBlocking",
     "MetadataNeighborhoodBlocking",

@@ -18,12 +18,13 @@ Two blockers are provided:
 Both are lifted to the per-query-id
 :class:`~repro.retrieval.base.QueryBlocker` interface by
 :class:`TextQueryBlocker` / :class:`GraphQueryBlocker`, which is what
-:class:`~repro.retrieval.blocked.BlockedTopK` consumes.  Blocked matching
-is ``MetadataMatcher.match_with_stats(k, backend=BlockedTopK(blocker))``
-(or ``TDMatch.match(blocker=...)``): it *scores* only the blocked pairs
-(exactly ``RetrievalStats.scored_pairs`` of them — the full score matrix
-is never computed) and, with ``fallback_to_full``, ranks every candidate
-for a query whose block is empty.
+:class:`~repro.retrieval.blocked.BlockedTopK` consumes.  The pipeline
+builds the graph-native one (``RetrievalConfig.backend="blocked"``); token
+blocking needs the corpus texts, so it is passed in as
+``TDMatch.match(blocker=...)``.  Either way only the blocked pairs are
+*scored* (exactly ``RetrievalStats.scored_pairs`` of them) and, with
+``fallback_to_full``, a query whose block is empty ranks every candidate.
+``max_block_size`` (``None`` or >= 1) truncates each block.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class TokenBlocking:
     ):
         if min_shared_terms < 1:
             raise ValueError("min_shared_terms must be >= 1")
+        if max_block_size is not None and max_block_size < 1:
+            raise ValueError("max_block_size must be >= 1 or None")
         self.min_shared_terms = min_shared_terms
         self.use_idf = use_idf
         self.max_block_size = max_block_size
@@ -100,6 +103,8 @@ class MetadataNeighborhoodBlocking:
     def __init__(self, graph: MatchGraph, max_hops: int = 2, max_block_size: Optional[int] = None):
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        if max_block_size is not None and max_block_size < 1:
+            raise ValueError("max_block_size must be >= 1 or None")
         self.graph = graph
         self.max_hops = max_hops
         self.max_block_size = max_block_size

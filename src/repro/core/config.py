@@ -94,19 +94,18 @@ class RetrievalConfig:
     """Matching-step retrieval options (Section IV-B; see :mod:`repro.retrieval`).
 
     ``backend`` is "dense" (exact chunked all-pairs top-k) or "blocked"
-    (score only blocked pairs).  For the blocked backend, ``blocking``
-    selects the blocker the pipeline builds: "neighborhood" is graph-native
-    (no extra inputs); "token" needs query/candidate texts, so it must be
-    supplied as a ready-made blocker to ``TDMatch.match(blocker=...)``.
-    ``chunk_size`` bounds dense scoring memory at ``chunk_size ×
-    n_candidates`` scores; ``dtype`` "float32" halves memory/doubles matmul
-    throughput at the cost of bit-compatibility with the float64 reference.
+    (score only the candidates within ``max_hops`` of the query's metadata
+    node in the match graph, at most ``max_block_size`` of them).  Token
+    blocking needs the corpus texts, so it is passed as a ready-made
+    blocker to ``TDMatch.match(blocker=...)`` instead.  ``chunk_size``
+    bounds dense scoring memory at ``chunk_size × n_candidates`` scores;
+    ``dtype`` "float32" halves memory/doubles matmul throughput at the cost
+    of bit-compatibility with the float64 reference.
     """
 
     backend: str = "dense"
     chunk_size: int = 1024
     dtype: str = "float64"
-    blocking: str = "neighborhood"
     max_hops: int = 2
     max_block_size: Optional[int] = None
     fallback_to_full: bool = True
@@ -118,10 +117,10 @@ class RetrievalConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown retrieval dtype {self.dtype!r}; valid: ['float32', 'float64']")
-        if self.blocking not in ("neighborhood", "token"):
-            raise ValueError(f"unknown blocking {self.blocking!r}; valid: ['neighborhood', 'token']")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        if self.max_block_size is not None and self.max_block_size < 1:
+            raise ValueError("max_block_size must be >= 1 or None")
 
 
 @dataclass

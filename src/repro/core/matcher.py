@@ -1,135 +1,74 @@
 """Unsupervised matching of metadata nodes (Section IV-B).
 
-Given vectors for the metadata nodes of the two corpora, the matcher ranks,
-for every query object, the candidate objects of the other corpus by cosine
-similarity.  The ranking itself is delegated to a pluggable
-:class:`~repro.retrieval.base.RetrievalBackend` (dense chunked scoring by
-default; see :mod:`repro.retrieval`), and the matcher also supports
-averaging its score matrix with the one of a pre-trained sentence encoder —
-the combination evaluated in Figure 10, implemented by
-:class:`~repro.retrieval.combined.CombinedTopK`.
+Given the metadata-node vectors of the two corpora as matrices (one row per
+object), the matcher ranks, for every query object, the candidate objects
+of the other corpus by cosine similarity, through a
+:class:`~repro.retrieval.base.RetrievalBackend` (exact dense top-k by
+default).  :meth:`MetadataMatcher.match_combined` ranks the fusion of those
+scores with a pre-trained sentence encoder's (Figure 10).
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.similarity import cosine_matrix, top_k_neighbors
-from repro.eval.ranking import Ranking, RankingSet
-from repro.retrieval import CombinedTopK, DenseTopK, RetrievalStats, combine_scores
+from repro.embeddings.similarity import cosine_matrix
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK, RetrievalStats, combine_scores
 from repro.retrieval.base import RetrievalBackend
 
 
-def _matrix_from_vectors(ids: Sequence[str], vectors: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
-    matrix = np.zeros((len(ids), dim), dtype=float)
-    for i, object_id in enumerate(ids):
-        vec = vectors.get(object_id)
-        if vec is not None:
-            matrix[i] = vec
-    return matrix
-
-
-def combine_score_matrices(matrices: Sequence[np.ndarray], weights: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Average several score matrices (Figure 10's W-RW & S-BE combination).
-
-    Each matrix is min-max normalised per query row before averaging so that
-    methods with different score scales contribute equally; constant rows
-    contribute 0.  Delegates to the vectorised
-    :func:`repro.retrieval.combined.combine_scores`.
-    """
-    return combine_scores(matrices, weights=weights)
-
-
 class MetadataMatcher:
-    """Ranks candidate objects for query objects using vector similarity.
+    """Ranks candidate objects for query objects by cosine similarity.
 
-    ``backend`` selects the retrieval implementation; ``None`` uses a
-    :class:`~repro.retrieval.dense.DenseTopK` with ``dtype=None`` so scores
-    stay in the input (float64) precision of the reference implementation.
+    ``query_matrix`` row ``i`` is the vector of ``query_ids[i]`` (likewise
+    for the candidates); the matrices are used as given.  A zero row (an
+    object without a vector) scores 0 against every candidate.
     """
 
     def __init__(
         self,
-        query_vectors: Mapping[str, np.ndarray],
-        candidate_vectors: Mapping[str, np.ndarray],
-        backend: Optional[RetrievalBackend] = None,
+        query_ids: Sequence[str],
+        query_matrix: np.ndarray,
+        candidate_ids: Sequence[str],
+        candidate_matrix: np.ndarray,
     ):
-        if not query_vectors:
-            raise ValueError("query_vectors is empty")
-        if not candidate_vectors:
-            raise ValueError("candidate_vectors is empty")
-        self.query_ids: List[str] = list(query_vectors)
-        self.candidate_ids: List[str] = list(candidate_vectors)
-        dims = {v.shape[0] for v in query_vectors.values()} | {
-            v.shape[0] for v in candidate_vectors.values()
-        }
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent vector dimensionalities: {sorted(dims)}")
-        self._dim = dims.pop()
-        self._query_matrix = _matrix_from_vectors(self.query_ids, query_vectors, self._dim)
-        self._candidate_matrix = _matrix_from_vectors(self.candidate_ids, candidate_vectors, self._dim)
-        self.backend: RetrievalBackend = backend if backend is not None else DenseTopK(dtype=None)
-        self._scores: Optional[np.ndarray] = None
-        self._last_stats: Optional[RetrievalStats] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def retrieval_stats(self) -> Optional[RetrievalStats]:
-        """Stats of the last backend-routed :meth:`match` call."""
-        return self._last_stats
+        if not len(query_ids) or not len(candidate_ids):
+            raise ValueError("a matcher needs at least one query and one candidate")
+        if (len(query_matrix), len(candidate_matrix)) != (len(query_ids), len(candidate_ids)):
+            raise ValueError("each matrix needs one row per id")
+        if query_matrix.shape[1] != candidate_matrix.shape[1]:
+            raise ValueError("query and candidate dimensionality differ")
+        self.query_ids: List[str] = list(query_ids)
+        self.candidate_ids: List[str] = list(candidate_ids)
+        self.query_matrix = query_matrix
+        self.candidate_matrix = candidate_matrix
 
     def score_matrix(self) -> np.ndarray:
-        """Cosine similarity matrix (queries × candidates), cached.
-
-        Only needed for score-level operations (external combination); the
-        top-k path never materialises it.
-        """
-        if self._scores is None:
-            self._scores = cosine_matrix(self._query_matrix, self._candidate_matrix)
-        return self._scores
+        """Cosine similarity matrix (queries × candidates); the top-k path
+        never materialises it."""
+        return cosine_matrix(self.query_matrix, self.candidate_matrix)
 
     def match_with_stats(
         self, k: int = 20, backend: Optional[RetrievalBackend] = None
     ) -> Tuple[RankingSet, RetrievalStats]:
-        """Top-k ranking per query plus the backend's work statistics."""
-        backend = backend if backend is not None else self.backend
-        # A full-precision dense pass over an already-cached score matrix
-        # (e.g. a second match() after match_combined) reuses the cache
-        # instead of repeating the matmul; the top-k outcome is identical.
-        if (
-            self._scores is not None
-            and isinstance(backend, DenseTopK)
-            and backend.dtype is None
-        ):
-            result = backend.retrieve_from_scores(self._scores, k)
-        else:
-            result = backend.retrieve(
-                self._query_matrix,
-                self._candidate_matrix,
-                k,
-                query_ids=self.query_ids,
-                candidate_ids=self.candidate_ids,
-            )
-        self._last_stats = result.stats
+        """Top-k ranking per query plus the backend's work statistics;
+        ``backend=None`` is exact dense top-k in the matrices' own precision."""
+        backend = backend if backend is not None else DenseTopK(dtype=None)
+        result = backend.retrieve(
+            self.query_matrix,
+            self.candidate_matrix,
+            k,
+            query_ids=self.query_ids,
+            candidate_ids=self.candidate_ids,
+        )
         return result.to_rankings(self.query_ids, self.candidate_ids), result.stats
 
-    def match(self, k: int = 20, scores: Optional[np.ndarray] = None) -> RankingSet:
-        """Top-k ranking per query; ``scores`` overrides the cosine matrix."""
-        if scores is None:
-            rankings, _stats = self.match_with_stats(k=k)
-            return rankings
-        if scores.shape != (len(self.query_ids), len(self.candidate_ids)):
-            raise ValueError("score matrix shape does not match query/candidate ids")
-        neighbors = top_k_neighbors(scores, k, self.candidate_ids)
-        rankings = RankingSet()
-        for query_id, ranked in zip(self.query_ids, neighbors):
-            ranking = Ranking(query_id=query_id)
-            for candidate_id, score in ranked:
-                ranking.add(candidate_id, score)
-            rankings.add(ranking)
-        return rankings
+    def match(self, k: int = 20) -> RankingSet:
+        """Top-k ranking per query by cosine similarity."""
+        return self.match_with_stats(k=k)[0]
 
     def match_combined(
         self,
@@ -137,10 +76,10 @@ class MetadataMatcher:
         k: int = 20,
         weights: Optional[Sequence[float]] = None,
     ) -> RankingSet:
-        """Match using the fusion of this matcher's scores and ``other_scores``."""
+        """Top-k of the :func:`~repro.retrieval.combined.combine_scores`
+        fusion of this matcher's cosine scores and ``other_scores``."""
         if other_scores.shape != (len(self.query_ids), len(self.candidate_ids)):
             raise ValueError("score matrix shape does not match query/candidate ids")
-        combined = CombinedTopK(weights=weights)
-        result = combined.retrieve_from_scores([self.score_matrix(), other_scores], k=k)
-        self._last_stats = result.stats
+        fused = combine_scores([self.score_matrix(), other_scores], weights=weights)
+        result = DenseTopK(dtype=None).retrieve_from_scores(fused, k)
         return result.to_rankings(self.query_ids, self.candidate_ids)

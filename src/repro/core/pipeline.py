@@ -8,9 +8,10 @@
 4. optionally compress it (Algorithm 3 / baselines);
 5. generate random walks and train Word2Vec on them (Algorithm 4);
 6. rank, for every document of the query corpus, the documents of the other
-   corpus by cosine similarity of their metadata-node vectors — delegated
-   to a pluggable retrieval backend (:mod:`repro.retrieval`): exact chunked
-   dense top-k by default, or blocked scoring that skips non-blocked pairs.
+   corpus by cosine similarity of their metadata-node vectors, gathered
+   from the embedding matrix on every match, through a retrieval backend
+   (:mod:`repro.retrieval`): exact chunked dense top-k by default, or
+   blocked scoring that skips non-blocked pairs.
 
 Typical use::
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -272,85 +273,70 @@ class TDMatch:
     def model(self) -> Word2Vec:
         return self.state.model
 
+    def _metadata_rows(self, side: str) -> Tuple[List[str], np.ndarray]:
+        """Object ids of one corpus and their metadata-node vectors as float64 rows.
+
+        Gathered on every call, so nothing goes stale after ``add_*`` or
+        ``remove``; labels outside the walk vocabulary (isolated metadata
+        nodes) get zero rows so every object still receives a ranking.
+        """
+        mapping = self.state.built.metadata(side)
+        embeddings = self.model.embedding_matrix()
+        rows = self.model.vocab.ids_of(list(mapping.values()))
+        matrix = np.zeros((rows.size, embeddings.shape[1]))
+        known = rows >= 0
+        matrix[known] = embeddings[rows[known]]
+        return list(mapping), matrix
+
     def metadata_vectors(self, side: str = "first") -> Dict[str, np.ndarray]:
-        """Learned vectors of the metadata nodes of one corpus.
+        """Learned vectors of the metadata nodes of one corpus, by object id.
 
         Metadata nodes that fell out of the walk vocabulary (isolated nodes)
         get a zero vector so every document still receives a ranking.
         """
-        state = self.state
-        if side == "first":
-            mapping = state.built.first_metadata
-        elif side == "second":
-            mapping = state.built.second_metadata
-        else:
-            raise ValueError("side must be 'first' or 'second'")
-        dim = self.config.word2vec.vector_size
-        vectors: Dict[str, np.ndarray] = {}
-        for object_id, label in mapping.items():
-            vec = state.model.vector(label)
-            vectors[object_id] = vec if vec is not None else np.zeros(dim)
-        return vectors
+        return dict(zip(*self._metadata_rows(side)))
 
     # ------------------------------------------------------------------
     # Matching
     def matcher(self, query_side: str = "first") -> MetadataMatcher:
         """A :class:`MetadataMatcher` for the chosen query side."""
-        if query_side not in ("first", "second"):
-            raise ValueError("query_side must be 'first' or 'second'")
         candidate_side = "second" if query_side == "first" else "first"
         return MetadataMatcher(
-            query_vectors=self.metadata_vectors(query_side),
-            candidate_vectors=self.metadata_vectors(candidate_side),
+            *self._metadata_rows(query_side), *self._metadata_rows(candidate_side)
         )
-
-    def _retrieval_dtype(self):
-        return np.float32 if self.config.retrieval.dtype == "float32" else None
 
     def _graph_query_blocker(self, query_side: str) -> QueryBlocker:
         """Graph-native blocker over the fitted match graph."""
         cfg = self.config.retrieval
         built = self.state.built
-        query_labels = built.first_metadata if query_side == "first" else built.second_metadata
-        candidate_labels = built.second_metadata if query_side == "first" else built.first_metadata
+        candidate_side = "second" if query_side == "first" else "first"
         blocking = MetadataNeighborhoodBlocking(
             self.graph, max_hops=cfg.max_hops, max_block_size=cfg.max_block_size
         )
-        return GraphQueryBlocker(blocking, query_labels, candidate_labels)
+        return GraphQueryBlocker(
+            blocking, built.metadata(query_side), built.metadata(candidate_side)
+        )
 
     def retrieval_backend(
         self, query_side: str = "first", blocker: Optional[QueryBlocker] = None
     ) -> RetrievalBackend:
         """The retrieval backend selected by ``config.retrieval``.
 
-        An explicit ``blocker`` forces the blocked backend; otherwise the
-        "blocked" backend with "neighborhood" blocking builds the
-        graph-native blocker from the fitted match graph, and "token"
-        blocking must be supplied as a ready-made blocker (it needs the
-        corpus texts, which the fitted pipeline does not retain).
+        An explicit ``blocker`` (e.g. a ``TextQueryBlocker`` over
+        ``TokenBlocking``, which needs the corpus texts the fitted pipeline
+        does not retain) forces the blocked backend; otherwise the
+        "blocked" backend blocks by graph neighbourhood over the fitted
+        match graph.
         """
         cfg = self.config.retrieval
-        dtype = self._retrieval_dtype()
-        if blocker is not None:
-            return BlockedTopK(
-                blocker,
-                fallback_to_full=cfg.fallback_to_full,
-                dtype=dtype,
-                chunk_size=cfg.chunk_size,
-            )
-        if cfg.backend == "blocked":
-            if cfg.blocking == "token":
-                raise PipelineError(
-                    "token blocking needs the corpus texts; build a TokenBlocking + "
-                    "TextQueryBlocker and pass it via match(blocker=...)"
-                )
-            return BlockedTopK(
-                self._graph_query_blocker(query_side),
-                fallback_to_full=cfg.fallback_to_full,
-                dtype=dtype,
-                chunk_size=cfg.chunk_size,
-            )
-        return DenseTopK(chunk_size=cfg.chunk_size, dtype=dtype)
+        dtype = np.float32 if cfg.dtype == "float32" else None
+        if blocker is None and cfg.backend == "blocked":
+            blocker = self._graph_query_blocker(query_side)
+        if blocker is None:
+            return DenseTopK(chunk_size=cfg.chunk_size, dtype=dtype)
+        return BlockedTopK(
+            blocker, fallback_to_full=cfg.fallback_to_full, dtype=dtype, chunk_size=cfg.chunk_size
+        )
 
     def match(
         self,

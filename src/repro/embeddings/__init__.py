@@ -11,7 +11,8 @@ the models are implemented here directly on numpy:
 * :class:`~repro.embeddings.pretrained.PretrainedEmbeddings` — a synthetic
   stand-in for Wikipedia2Vec / GloVe used for node merging and for the
   SentenceBERT-like baseline;
-* sentence-level pooling helpers and cosine similarity / top-k retrieval.
+* sentence-level pooling helpers and cosine similarity (top-k retrieval
+  lives in :mod:`repro.retrieval`).
 """
 
 from repro.embeddings.vocab import Vocabulary
@@ -20,7 +21,7 @@ from repro.embeddings.word2vec import TrainingStats, Word2Vec, Word2VecConfig
 from repro.embeddings.doc2vec import Doc2Vec, Doc2VecConfig
 from repro.embeddings.pretrained import PretrainedEmbeddings, build_synthetic_pretrained
 from repro.embeddings.sentence import SentenceEncoder, mean_pool
-from repro.embeddings.similarity import cosine_similarity, cosine_matrix, top_k_neighbors
+from repro.embeddings.similarity import cosine_similarity, cosine_matrix
 
 __all__ = [
     "Vocabulary",
@@ -36,5 +37,4 @@ __all__ = [
     "mean_pool",
     "cosine_similarity",
     "cosine_matrix",
-    "top_k_neighbors",
 ]

@@ -1,8 +1,10 @@
-"""Cosine similarity and top-k retrieval over embedding matrices."""
+"""Cosine similarity and the top-k kernel over embedding matrices.
+
+Rankings are decoded by ``repro.retrieval``: ``DenseTopK`` runs
+:func:`argtopk`, ``RetrievalResult.to_rankings`` maps the positions to ids.
+"""
 
 from __future__ import annotations
-
-from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,24 +71,3 @@ def argtopk(scores: np.ndarray, k: int) -> np.ndarray:
     order = np.lexsort((idx, -top_scores), axis=1)
     return np.take_along_axis(idx, order, axis=1)
 
-
-def top_k_neighbors(
-    similarities: np.ndarray, k: int, candidate_ids: Sequence[str]
-) -> List[List[Tuple[str, float]]]:
-    """Top-k candidates per query row of a similarity matrix.
-
-    Returns, for every query, a list of (candidate id, score) sorted by
-    decreasing score; ties are broken by candidate order for determinism.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if similarities.ndim != 2:
-        raise ValueError("similarities must be a 2-D matrix")
-    if similarities.shape[1] != len(candidate_ids):
-        raise ValueError("candidate_ids length must match matrix width")
-    top = argtopk(similarities, k)
-    top_scores = np.take_along_axis(similarities, top, axis=1)
-    return [
-        [(candidate_ids[i], float(s)) for i, s in zip(idx_row, score_row)]
-        for idx_row, score_row in zip(top, top_scores)
-    ]

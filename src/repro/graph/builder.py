@@ -195,6 +195,14 @@ class BuiltGraph:
     filter_stats: Optional[FilterStatistics] = None
     intersect_anchor: Optional[str] = None
 
+    def metadata(self, side: str) -> Dict[str, str]:
+        """The object id → metadata-node label map of ``side`` ("first"/"second")."""
+        if side == "first":
+            return self.first_metadata
+        if side == "second":
+            return self.second_metadata
+        raise ValueError("side must be 'first' or 'second'")
+
     def first_labels(self) -> List[str]:
         return list(self.first_metadata.values())
 

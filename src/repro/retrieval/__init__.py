@@ -1,21 +1,19 @@
-"""Pluggable top-k retrieval backends for the matching step (Section IV-B).
+"""Top-k retrieval backends for the matching step (Section IV-B).
 
-Two embedding-level backends implement the
-:class:`~repro.retrieval.base.RetrievalBackend` contract (raw matrices in,
-top-k out):
+Two backends implement the :class:`~repro.retrieval.base.RetrievalBackend`
+contract (raw embedding matrices in, top-k out):
 
 * :class:`~repro.retrieval.dense.DenseTopK` — exact all-pairs cosine,
   chunked matmul with vectorised ``argpartition`` top-k, bounded memory;
+  ``retrieve_from_scores`` takes the top-k of a precomputed score matrix;
 * :class:`~repro.retrieval.blocked.BlockedTopK` — scores *only* the pairs a
   :class:`~repro.retrieval.base.QueryBlocker` admits (the paper
   conclusion's blocking future work, actually skipping the work).
 
-A third backend operates at score level (``retrieve_from_scores``, shared
-with ``DenseTopK``) because its inputs are precomputed score matrices, not
-embeddings:
-
-* :class:`~repro.retrieval.combined.CombinedTopK` — weighted fusion of
-  several score matrices (Figure 10's W-RW & S-BE combination).
+Both return a :class:`~repro.retrieval.base.RetrievalResult`, whose
+``to_rankings`` is the one decoder of positional results into rankings.
+:func:`~repro.retrieval.combined.combine_scores` fuses score matrices
+(Figure 10's W-RW & S-BE combination) for ``retrieve_from_scores``.
 """
 
 from repro.retrieval.base import (
@@ -25,7 +23,7 @@ from repro.retrieval.base import (
     RetrievalStats,
 )
 from repro.retrieval.blocked import BlockedTopK
-from repro.retrieval.combined import CombinedTopK, combine_scores, minmax_normalize_rows
+from repro.retrieval.combined import combine_scores, minmax_normalize_rows
 from repro.retrieval.dense import DenseTopK
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "RetrievalStats",
     "DenseTopK",
     "BlockedTopK",
-    "CombinedTopK",
     "combine_scores",
     "minmax_normalize_rows",
 ]

@@ -2,16 +2,16 @@
 
 The paper's matching step ranks, for every query object, the candidate
 objects of the other corpus by cosine similarity of their metadata-node
-vectors.  Everything downstream (the pipeline, the blocked matcher, the
+vectors.  Everything downstream (the pipeline, the baselines, the
 benchmark harness) only needs *top-k neighbours per query* plus provenance
-about how much work was done — that contract is what this module pins down,
-so dense scoring, blocking, score fusion, and future ANN/sharded backends
-are interchangeable.
+about how much work was done — that contract is what this module pins
+down, so dense scoring and blocking are interchangeable.
 
 A backend consumes raw (unnormalised) query/candidate embedding matrices
 and returns a :class:`RetrievalResult`: per-query candidate indices and
 scores ordered by (-score, index), plus :class:`RetrievalStats` recording
 the number of (query, candidate) pairs actually scored.
+:meth:`RetrievalResult.to_rankings` is the one decoder into rankings.
 """
 
 from __future__ import annotations
@@ -67,15 +67,17 @@ class RetrievalResult:
     def to_rankings(
         self, query_ids: Sequence[str], candidate_ids: Sequence[str]
     ) -> RankingSet:
-        """Decode positional results into a :class:`RankingSet`."""
+        """Decode positional results into a :class:`RankingSet`, one
+        ``tolist()`` per index row and per score row."""
         if len(query_ids) != len(self.indices):
             raise ValueError("query_ids length must match the result rows")
+        if len(candidate_ids) != self.stats.n_candidates:
+            raise ValueError("candidate_ids length must match the scored candidates")
+        lookup = candidate_ids.__getitem__
         rankings = RankingSet()
         for query_id, idx_row, score_row in zip(query_ids, self.indices, self.scores):
-            ranking = Ranking(query_id=query_id)
-            for i, score in zip(idx_row, score_row):
-                ranking.add(candidate_ids[i], float(score))
-            rankings.add(ranking)
+            candidates = list(zip(map(lookup, idx_row.tolist()), score_row.tolist()))
+            rankings.add(Ranking(query_id=query_id, candidates=candidates))
         return rankings
 
 

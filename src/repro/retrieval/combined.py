@@ -1,27 +1,22 @@
-"""Score-fusion retrieval: the W-RW & S-BE combination of Figure 10.
+"""Score fusion: the W-RW & S-BE combination of Figure 10.
 
 The paper's best configuration averages the cosine scores of the
 domain-specific graph embeddings (W-RW) with those of a frozen pre-trained
 sentence encoder (S-BE); each score matrix is min-max normalised per query
-row first so methods with different scales contribute equally.
+row first so methods with different scales contribute equally.  Constant
+rows — every candidate scored identically, so the row carries no ranking
+signal — contribute exactly 0 to the fused matrix.
 
-:func:`minmax_normalize_rows` / :func:`combine_scores` are the vectorised
-replacements for the historical row-by-row Python loop in
-``repro.core.matcher.combine_score_matrices`` (which now delegates here).
-Constant rows — every candidate scored identically, so the row carries no
-ranking signal — contribute exactly 0 to the fused matrix, matching the
-reference behaviour.  :class:`CombinedTopK` fuses any number of score
-matrices and reduces the result to top-k in one pass.
+:func:`combine_scores` only fuses; the top-k of the fused matrix is
+``DenseTopK.retrieve_from_scores``, which is how
+``MetadataMatcher.match_combined`` ranks it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.embeddings.similarity import argtopk
-from repro.retrieval.base import RetrievalResult, RetrievalStats
 
 
 def minmax_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -41,7 +36,10 @@ def minmax_normalize_rows(matrix: np.ndarray) -> np.ndarray:
 def combine_scores(
     matrices: Sequence[np.ndarray], weights: Optional[Sequence[float]] = None
 ) -> np.ndarray:
-    """Weighted average of per-row min-max normalised score matrices."""
+    """Weighted average of per-row min-max normalised score matrices.
+
+    ``weights`` must be finite and non-negative with a positive sum.
+    """
     if not len(matrices):
         raise ValueError("at least one score matrix is required")
     shape = matrices[0].shape
@@ -52,39 +50,12 @@ def combine_scores(
         weights = [1.0] * len(matrices)
     if len(weights) != len(matrices):
         raise ValueError("weights must match the number of matrices")
+    weight_array = np.asarray(weights, dtype=float)
+    if not np.isfinite(weight_array).all() or (weight_array < 0).any():
+        raise ValueError(f"weights must be finite and non-negative, got {list(weights)}")
+    if weight_array.sum() == 0.0:
+        raise ValueError("weights must not sum to zero")
     total = np.zeros(shape, dtype=float)
     for matrix, weight in zip(matrices, weights):
         total += weight * minmax_normalize_rows(matrix)
     return total / sum(weights)
-
-
-class CombinedTopK:
-    """Top-k over a weighted fusion of several score matrices."""
-
-    name = "combined"
-
-    def __init__(self, weights: Optional[Sequence[float]] = None):
-        self.weights = list(weights) if weights is not None else None
-
-    def retrieve_from_scores(
-        self, matrices: Sequence[np.ndarray], k: int
-    ) -> RetrievalResult:
-        """Fuse ``matrices`` and return the per-query top-k of the result."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        combined = combine_scores(matrices, weights=self.weights)
-        top = argtopk(combined, k)
-        top_scores = np.take_along_axis(combined, top, axis=1)
-        n_queries, n_candidates = combined.shape
-        indices: List[np.ndarray] = list(top)
-        scores: List[np.ndarray] = list(top_scores)
-        # The fusion itself ranks every pair once; the input matrices were
-        # scored upstream, so counting them here would push reduction_ratio
-        # below 0 and break the [0, 1] contract of RetrievalStats.
-        stats = RetrievalStats(
-            backend=self.name,
-            n_queries=n_queries,
-            n_candidates=n_candidates,
-            scored_pairs=n_queries * n_candidates,
-        )
-        return RetrievalResult(indices=indices, scores=scores, stats=stats)

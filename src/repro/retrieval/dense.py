@@ -52,8 +52,8 @@ class DenseTopK:
     def retrieve_from_scores(self, scores: np.ndarray, k: int) -> RetrievalResult:
         """Top-k over an already-computed score matrix (no matmul).
 
-        Same ranking contract as :meth:`retrieve`; used by callers that
-        cache their score matrix (e.g. ``MetadataMatcher``).
+        Same ranking contract as :meth:`retrieve`; used by callers whose
+        scores are not one cosine matmul (fused scores, the baselines).
         """
         if k < 1:
             raise ValueError("k must be >= 1")

@@ -42,14 +42,6 @@ _ROLE_BY_PREFIX = {
 }
 
 
-def _metadata_map(built, side: str) -> Dict[str, str]:
-    if side == "first":
-        return built.first_metadata
-    if side == "second":
-        return built.second_metadata
-    raise ValueError("side must be 'first' or 'second'")
-
-
 def _label_prefix(mapping: Dict[str, str], side: str) -> str:
     """Recover the metadata label prefix of a side from its id → label map."""
     for object_id, label in mapping.items():
@@ -131,7 +123,7 @@ def remove(pipeline, object_ids: Iterable[str], side: str = "second") -> List[st
     removed metadata labels.
     """
     state = pipeline.state
-    mapping = _metadata_map(state.built, side)
+    mapping = state.built.metadata(side)
     removed = []
     with pipeline.timings.measure("incremental_remove"):
         graph = state.built.graph
@@ -153,7 +145,7 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
     """Insert ``(object_id, terms, per_column_terms)`` objects, then refresh."""
     state = pipeline.state
     built = state.built
-    mapping = _metadata_map(built, side)
+    mapping = built.metadata(side)
     filter_name = pipeline.config.builder.filter_strategy_name
     if filter_name == "tfidf":
         raise PipelineError(

@@ -404,16 +404,19 @@ def _jsonable(value):
 
 
 def _restore_config_fields(instance, data: Dict[str, object]) -> None:
-    """Apply a saved field dict onto a config dataclass instance, recursively."""
+    """Apply a saved field dict onto a config dataclass instance, recursively;
+    ``TypeError`` when a config section's value is not an object."""
     for f in dataclasses.fields(instance):
         if f.name not in data:
             continue  # field added after the index was written: keep the default
         value = data[f.name]
         current = getattr(instance, f.name)
-        if dataclasses.is_dataclass(current) and isinstance(value, dict):
+        if not dataclasses.is_dataclass(current):
+            setattr(instance, f.name, value)
+        elif isinstance(value, dict):
             _restore_config_fields(current, value)
         else:
-            setattr(instance, f.name, value)
+            raise TypeError(f"config section {f.name!r} is not an object: {value!r}")
     post_init = getattr(instance, "__post_init__", None)
     if post_init is not None:
         post_init()
@@ -512,6 +515,22 @@ def _restore_vocab(path: str, vocab_data: Dict[str, object], arrays) -> Vocabula
         raise IndexFormatError(f"index {path!r}: malformed vocabulary: {exc}") from exc
 
 
+def _restore_config(path: str, header: Dict[str, object]):
+    """The saved config; :class:`IndexFormatError` unless every section validates."""
+    try:
+        return config_from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IndexFormatError(f"index {path!r}: malformed config: {exc!r}") from exc
+
+
+def _restore_metadata(path: str, header: Dict[str, object], key: str) -> Dict[str, str]:
+    """A saved object id → metadata label map; :class:`IndexFormatError` unless strings."""
+    mapping = header.get(key)
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise IndexFormatError(f"index {path!r}: {key!r} is not an object of strings")
+    return dict(mapping)
+
+
 def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"):
     """Restore a ready-to-serve :class:`TDMatch` from an index file.
 
@@ -532,13 +551,12 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
     # requested verification already ran on the first read, so the re-read
     # skips it.
     header, arrays = read_index(path, mmap=True, verify=verify)
+    config = _restore_config(path, header)
     if mmap is None:
-        serving = (header.get("config") or {}).get("serving") or {}
-        mmap = bool(serving.get("mmap", False))
+        mmap = bool(config.serving.mmap)
     if not mmap:
         header, arrays = read_index(path, mmap=False, verify="none")
 
-    config = config_from_dict(header["config"])
     seed = header.get("seed")
     pipeline = TDMatch(config, seed=seed)
 
@@ -558,8 +576,8 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
             arrays["csr_indptr"],
             arrays["csr_indices"],
         ),
-        first_metadata=dict(header["first_metadata"]),
-        second_metadata=dict(header["second_metadata"]),
+        first_metadata=_restore_metadata(path, header, "first_metadata"),
+        second_metadata=_restore_metadata(path, header, "second_metadata"),
         filter_stats=FilterStatistics(**stats_data) if stats_data else None,
         intersect_anchor=header.get("intersect_anchor"),
     )

@@ -6,14 +6,19 @@ import pytest
 from repro.embeddings.doc2vec import Doc2Vec, Doc2VecConfig
 from repro.embeddings.pretrained import build_synthetic_pretrained
 from repro.embeddings.sentence import SentenceEncoder, idf_weights, mean_pool
-from repro.embeddings.similarity import (
-    cosine_matrix,
-    cosine_similarity,
-    normalize_rows,
-    top_k_neighbors,
-)
+from repro.embeddings.similarity import cosine_matrix, cosine_similarity, normalize_rows
 from repro.embeddings.vocab import Vocabulary
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
+from repro.retrieval import DenseTopK
+
+
+def top_k(scores, k, candidate_ids):
+    """The top-k candidate ids of each row, decoded by ``to_rankings``."""
+    query_ids = [f"q{i}" for i in range(scores.shape[0])]
+    rankings = DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        query_ids, candidate_ids
+    )
+    return [rankings[qid].ids() for qid in query_ids]
 
 
 class TestVocabulary:
@@ -276,24 +281,23 @@ class TestSimilarity:
 
     def test_top_k_neighbors_order(self):
         scores = np.array([[0.1, 0.9, 0.5]])
-        result = top_k_neighbors(scores, 2, ["a", "b", "c"])
-        assert [cid for cid, _s in result[0]] == ["b", "c"]
+        assert top_k(scores, 2, ["a", "b", "c"]) == [["b", "c"]]
 
     def test_top_k_neighbors_k_larger_than_candidates(self):
         scores = np.array([[0.1, 0.2]])
-        result = top_k_neighbors(scores, 10, ["a", "b"])
-        assert len(result[0]) == 2
+        assert len(top_k(scores, 10, ["a", "b"])[0]) == 2
 
     def test_top_k_deterministic_tie_break(self):
         scores = np.array([[0.5, 0.5, 0.5]])
-        result = top_k_neighbors(scores, 3, ["a", "b", "c"])
-        assert [cid for cid, _s in result[0]] == ["a", "b", "c"]
+        assert top_k(scores, 3, ["a", "b", "c"]) == [["a", "b", "c"]]
 
     def test_top_k_invalid_inputs(self):
         with pytest.raises(ValueError):
-            top_k_neighbors(np.ones((1, 2)), 0, ["a", "b"])
-        with pytest.raises(ValueError):
-            top_k_neighbors(np.ones((1, 2)), 1, ["a"])
+            top_k(np.ones((1, 2)), 0, ["a", "b"])
+        with pytest.raises(ValueError, match="candidate_ids"):
+            top_k(np.ones((1, 2)), 1, ["a"])
+        with pytest.raises(ValueError, match="candidate_ids"):
+            top_k(np.ones((1, 2)), 1, ["a", "b", "c"])
 
 
 class TestPretrainedEmbeddings:

@@ -58,6 +58,15 @@ class TestTokenBlocking:
         with pytest.raises(ValueError):
             TokenBlocking(min_shared_terms=0)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_invalid_max_block_size(self, candidates, size):
+        # -1 used to drop the last candidate of every block, 0 to empty it.
+        with pytest.raises(ValueError, match="max_block_size"):
+            TokenBlocking(max_block_size=size)
+        assert TokenBlocking(max_block_size=None).fit(candidates).block("directed") == [
+            "m1", "m2", "m3"
+        ]
+
     def test_empty_query_returns_empty_block(self, candidates):
         blocker = TokenBlocking().fit(candidates)
         assert blocker.block("zzz qqq") == []
@@ -86,13 +95,19 @@ class TestMetadataNeighborhoodBlocking:
         with pytest.raises(ValueError):
             MetadataNeighborhoodBlocking(MatchGraph(), max_hops=0)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_invalid_max_block_size(self, size):
+        with pytest.raises(ValueError, match="max_block_size"):
+            MetadataNeighborhoodBlocking(MatchGraph(), max_block_size=size)
+        assert MetadataNeighborhoodBlocking(MatchGraph(), max_block_size=None).max_block_size is None
+
 
 class TestBlockedMatcher:
     @pytest.fixture()
     def setup(self):
-        queries = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
-        candidates = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]), "c": np.array([0.5, 0.5])}
-        matcher = MetadataMatcher(queries, candidates)
+        queries = np.array([[1.0, 0.0], [0.0, 1.0]])
+        candidates = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        matcher = MetadataMatcher(["q1", "q2"], queries, ["a", "b", "c"], candidates)
         texts = {"a": "storm thriller", "b": "empire drama", "c": "moon comedy"}
         query_texts = {"q1": "a storm thriller tonight", "q2": "zzz nothing shared"}
         blocker = TextQueryBlocker(TokenBlocking().fit(texts), query_texts)

@@ -9,19 +9,16 @@ from repro.core.config import (
     MergeConfig,
     TDMatchConfig,
 )
-from repro.core.matcher import MetadataMatcher, combine_score_matrices
+from repro.core.matcher import MetadataMatcher
+from repro.retrieval import combine_scores
 
 
 class TestMetadataMatcher:
     @pytest.fixture()
     def matcher(self):
-        queries = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
-        candidates = {
-            "a": np.array([1.0, 0.1]),
-            "b": np.array([0.1, 1.0]),
-            "c": np.array([0.7, 0.7]),
-        }
-        return MetadataMatcher(queries, candidates)
+        queries = np.array([[1.0, 0.0], [0.0, 1.0]])
+        candidates = np.array([[1.0, 0.1], [0.1, 1.0], [0.7, 0.7]])
+        return MetadataMatcher(["q1", "q2"], queries, ["a", "b", "c"], candidates)
 
     def test_score_matrix_shape(self, matcher):
         assert matcher.score_matrix().shape == (2, 3)
@@ -37,23 +34,26 @@ class TestMetadataMatcher:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            MetadataMatcher({}, {"a": np.zeros(2)})
+            MetadataMatcher([], np.zeros((0, 2)), ["a"], np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            MetadataMatcher({"q": np.zeros(2)}, {})
+            MetadataMatcher(["q"], np.zeros((1, 2)), [], np.zeros((0, 2)))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MetadataMatcher({"q": np.zeros(2)}, {"a": np.zeros(3)})
+            MetadataMatcher(["q"], np.zeros((1, 2)), ["a"], np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="one row per"):
+            MetadataMatcher(["q", "r"], np.zeros((1, 2)), ["a"], np.zeros((1, 2)))
 
     def test_match_with_external_scores(self, matcher):
+        # All the fusion weight on the external matrix ranks by it alone.
         scores = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        rankings = matcher.match(k=1, scores=scores)
+        rankings = matcher.match_combined(scores, k=1, weights=[0.0, 1.0])
         assert rankings["q1"].ids(1) == ["c"]
         assert rankings["q2"].ids(1) == ["a"]
 
     def test_match_with_wrong_score_shape_raises(self, matcher):
         with pytest.raises(ValueError):
-            matcher.match(scores=np.zeros((1, 3)))
+            matcher.match_combined(np.zeros((1, 3)))
 
     def test_match_combined_averages(self, matcher):
         # Strong external signal for candidate c overrides cosine.
@@ -62,7 +62,7 @@ class TestMetadataMatcher:
         assert rankings["q1"].ids(1) == ["c"]
 
     def test_zero_vector_query_gets_ranking(self):
-        matcher = MetadataMatcher({"q": np.zeros(2)}, {"a": np.ones(2), "b": np.ones(2)})
+        matcher = MetadataMatcher(["q"], np.zeros((1, 2)), ["a", "b"], np.ones((2, 2)))
         rankings = matcher.match(k=2)
         assert len(rankings["q"]) == 2
 
@@ -70,30 +70,30 @@ class TestMetadataMatcher:
 class TestCombineScoreMatrices:
     def test_average_of_identical_matrices(self):
         m = np.array([[0.1, 0.9]])
-        combined = combine_score_matrices([m, m])
+        combined = combine_scores([m, m])
         # per-row min-max normalisation maps to [0, 1]
         np.testing.assert_allclose(combined, [[0.0, 1.0]])
 
     def test_weights_shift_result(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        combined = combine_score_matrices([a, b], weights=[3.0, 1.0])
+        combined = combine_scores([a, b], weights=[3.0, 1.0])
         assert combined[0, 0] > combined[0, 1]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combine_score_matrices([np.zeros((1, 2)), np.zeros((2, 2))])
+            combine_scores([np.zeros((1, 2)), np.zeros((2, 2))])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            combine_score_matrices([])
+            combine_scores([])
 
     def test_weights_length_mismatch(self):
         with pytest.raises(ValueError):
-            combine_score_matrices([np.zeros((1, 2))], weights=[1.0, 2.0])
+            combine_scores([np.zeros((1, 2))], weights=[1.0, 2.0])
 
     def test_constant_row_maps_to_zero(self):
-        combined = combine_score_matrices([np.array([[0.5, 0.5]])])
+        combined = combine_scores([np.array([[0.5, 0.5]])])
         np.testing.assert_allclose(combined, [[0.0, 0.0]])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.embeddings.similarity import cosine_matrix, cosine_similarity, top_k_neighbors
+from repro.embeddings.similarity import cosine_matrix, cosine_similarity
 from repro.embeddings.vocab import Vocabulary
 from repro.eval.metrics import (
     average_precision_at_k,
@@ -17,6 +17,7 @@ from repro.eval.taxonomy_metrics import node_score
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.graph.merging import freedman_diaconis_width
 from repro.graph.walks import RandomWalkConfig
+from repro.retrieval import DenseTopK
 from repro.text.ngrams import generate_ngrams
 from repro.text.stemmer import PorterStemmer
 from repro.text.tokenizer import tokenize
@@ -204,7 +205,11 @@ class TestNumericProperties:
         rng = np.random.default_rng(seed)
         scores = rng.normal(size=(3, n_candidates))
         ids = [f"c{i}" for i in range(n_candidates)]
-        for row in top_k_neighbors(scores, k, ids):
+        rankings = DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            ["q0", "q1", "q2"], ids
+        )
+        for ranking in rankings:
+            row = ranking.candidates
             values = [s for _c, s in row]
             assert values == sorted(values, reverse=True)
             assert len(row) == min(k, n_candidates)

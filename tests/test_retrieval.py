@@ -1,4 +1,4 @@
-"""Tests for the retrieval subsystem: dense/blocked/combined backends,
+"""Tests for the retrieval subsystem: dense/blocked backends, score fusion,
 the vectorised top-k kernel, and their wiring through matcher, blocking,
 pipeline, and CLI."""
 
@@ -15,15 +15,13 @@ from repro.core.blocking import (
     TokenBlocking,
 )
 from repro.core.config import RetrievalConfig, TDMatchConfig
-from repro.core.exceptions import PipelineError
-from repro.core.matcher import MetadataMatcher, combine_score_matrices
+from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
-from repro.embeddings.similarity import argtopk, cosine_matrix, top_k_neighbors
+from repro.embeddings.similarity import argtopk, cosine_matrix
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.retrieval import (
     BlockedTopK,
-    CombinedTopK,
     DenseTopK,
     combine_scores,
     minmax_normalize_rows,
@@ -71,6 +69,14 @@ def ids(n, prefix):
     return [f"{prefix}{i}" for i in range(n)]
 
 
+def decoded_top_k(scores, k, candidate_ids):
+    """Per-row (candidate id, score) lists of the top-k, decoded by ``to_rankings``."""
+    query_ids = ids(scores.shape[0], "q")
+    result = DenseTopK(dtype=None).retrieve_from_scores(scores, k)
+    rankings = result.to_rankings(query_ids, candidate_ids)
+    return [rankings[qid].candidates for qid in query_ids]
+
+
 # ----------------------------------------------------------------------
 # Strategies
 score_values = st.floats(-1.0, 1.0, allow_nan=False, width=32)
@@ -108,7 +114,7 @@ class TestArgTopK:
         scores = np.array([[0.9, nan, nan, 0.5, 0.1], [nan, 0.2, 0.8, nan, nan]])
         np.testing.assert_array_equal(argtopk(scores, 4)[:, :3], [[0, 3, 4], [2, 1, 0]])
         cids = ids(5, "c")
-        got = top_k_neighbors(scores, 4, cids)
+        got = decoded_top_k(scores, 4, cids)
         ref = reference_top_k(scores, 4, cids)
         assert [[c for c, _ in row] for row in got] == [[c for c, _ in row] for row in ref]
 
@@ -116,13 +122,13 @@ class TestArgTopK:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     def test_parity_with_reference_lexsort(self, scores, k):
         cids = ids(scores.shape[1], "c")
-        assert top_k_neighbors(scores, k, cids) == reference_top_k(scores, k, cids)
+        assert decoded_top_k(scores, k, cids) == reference_top_k(scores, k, cids)
 
     @given(matrix_strategy(tie_values), st.integers(1, 12))
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     def test_parity_under_heavy_ties(self, scores, k):
         cids = ids(scores.shape[1], "c")
-        assert top_k_neighbors(scores, k, cids) == reference_top_k(scores, k, cids)
+        assert decoded_top_k(scores, k, cids) == reference_top_k(scores, k, cids)
 
 
 # ----------------------------------------------------------------------
@@ -298,25 +304,6 @@ class TestCombine:
         np.testing.assert_allclose(combined, minmax_normalize_rows(varying) / 2.0)
         np.testing.assert_allclose(minmax_normalize_rows(constant), 0.0)
 
-    def test_combine_score_matrices_delegates(self):
-        m = np.array([[0.1, 0.9]])
-        np.testing.assert_allclose(combine_score_matrices([m, m]), [[0.0, 1.0]])
-
-    def test_combined_topk_matches_match_combined(self):
-        rng = np.random.default_rng(3)
-        queries = {f"q{i}": rng.normal(size=4) for i in range(5)}
-        candidates = {f"c{i}": rng.normal(size=4) for i in range(8)}
-        matcher = MetadataMatcher(queries, candidates)
-        other = rng.uniform(size=(5, 8))
-        via_matcher = matcher.match_combined(other, k=4)
-        result = CombinedTopK().retrieve_from_scores([matcher.score_matrix(), other], k=4)
-        via_backend = result.to_rankings(matcher.query_ids, matcher.candidate_ids)
-        for qid in matcher.query_ids:
-            assert via_matcher[qid].ids() == via_backend[qid].ids()
-        # the fusion ranks each pair once; reduction_ratio stays in [0, 1]
-        assert result.stats.scored_pairs == 5 * 8
-        assert result.stats.reduction_ratio == 0.0
-
     def test_combined_validation(self):
         with pytest.raises(ValueError):
             combine_scores([])
@@ -324,8 +311,18 @@ class TestCombine:
             combine_scores([np.zeros((1, 2)), np.zeros((2, 2))])
         with pytest.raises(ValueError):
             combine_scores([np.zeros((1, 2))], weights=[1.0, 2.0])
+        # A negative, non-finite or all-zero weight would divide by zero or
+        # rank inf/NaN fused scores.
+        pair = [np.array([[0.1, 0.9]]), np.array([[0.9, 0.1]])]
+        for weights in ([1.0, -1.0], [0.0, 0.0], [1.0, float("nan")], [float("inf"), 1.0]):
+            with pytest.raises(ValueError, match="weights"):
+                combine_scores(pair, weights=weights)
+        np.testing.assert_allclose(combine_scores(pair, weights=[0.0, 2.0]), [[1.0, 0.0]])
+        matcher = MetadataMatcher(["q"], np.ones((1, 2)), ["a", "b"], np.eye(2))
+        with pytest.raises(ValueError, match="weights"):
+            matcher.match_combined(np.zeros((1, 2)), k=2, weights=[1.0, -1.0])
         with pytest.raises(ValueError):
-            CombinedTopK().retrieve_from_scores([np.zeros((1, 2))], k=0)
+            matcher.match_combined(np.zeros((1, 2)), k=0)
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +335,12 @@ class TestBlockedMatcherRegression:
             "b": np.array([0.0, 1.0]),
             "c": np.array([0.5, 0.5]),
         }
-        matcher = MetadataMatcher(queries, candidates)
+        matcher = MetadataMatcher(
+            list(queries),
+            np.stack(list(queries.values())),
+            list(candidates),
+            np.stack(list(candidates.values())),
+        )
         texts = {"a": "storm thriller", "b": "empire drama", "c": "moon comedy"}
         query_texts = {"q1": "a storm thriller tonight", "q2": "zzz nothing shared"}
         blocker = TextQueryBlocker(TokenBlocking().fit(texts), query_texts)
@@ -364,7 +366,6 @@ class TestBlockedMatcherRegression:
         )
         # q1 blocks to {a}; q2 blocks to nothing and does not fall back.
         assert stats.scored_pairs == 1
-        assert stats.scored_pairs == matcher.retrieval_stats.scored_pairs
         assert stats.empty_blocks == 1
 
     def test_neighborhood_blocking_pluggable(self):
@@ -379,8 +380,7 @@ class TestBlockedMatcherRegression:
         g.add_edge("row::a", "shared")
         g.add_edge("row::b", "other")
         matcher = MetadataMatcher(
-            {"q": np.array([1.0, 0.0])},
-            {"a": np.array([1.0, 0.1]), "b": np.array([0.9, 0.0])},
+            ["q"], np.array([[1.0, 0.0]]), ["a", "b"], np.array([[1.0, 0.1], [0.9, 0.0]])
         )
         blocker = GraphQueryBlocker(
             MetadataNeighborhoodBlocking(g, max_hops=2),
@@ -429,19 +429,6 @@ class TestBackendScenarioParity:
             # fusing the matrix with itself must preserve its own ranking
             assert combined[qid].ids() == ref_ids[qid]
 
-    def test_match_reuses_cached_score_matrix(self, fitted_pipeline):
-        """A second match() after score_matrix() must not change results."""
-        _scenario, pipeline = fitted_pipeline
-        matcher = pipeline.matcher()
-        before = matcher.match(k=5)  # uncached: chunked backend path
-        matcher.score_matrix()
-        after = matcher.match(k=5)  # cached: argtopk over the cache
-        for qid in matcher.query_ids:
-            assert before[qid].ids() == after[qid].ids()
-            assert [s for _, s in before[qid].candidates] == pytest.approx(
-                [s for _, s in after[qid].candidates], rel=1e-12
-            )
-
     def test_pipeline_blocked_equals_dense_on_blocks(self, fitted_pipeline):
         _scenario, pipeline = fitted_pipeline
         pipeline.config.retrieval.backend = "blocked"
@@ -476,17 +463,6 @@ class TestBackendScenarioParity:
         assert result.retrieval.backend == "blocked"
         assert len(result.rankings) == len(pipeline.matcher().query_ids)
 
-    def test_pipeline_token_blocking_without_blocker_raises(self, fitted_pipeline):
-        _scenario, pipeline = fitted_pipeline
-        pipeline.config.retrieval.backend = "blocked"
-        pipeline.config.retrieval.blocking = "token"
-        try:
-            with pytest.raises(PipelineError):
-                pipeline.match(k=5)
-        finally:
-            pipeline.config.retrieval.backend = "dense"
-            pipeline.config.retrieval.blocking = "neighborhood"
-
 
 # ----------------------------------------------------------------------
 class TestRetrievalConfig:
@@ -503,9 +479,12 @@ class TestRetrievalConfig:
         with pytest.raises(ValueError):
             RetrievalConfig(dtype="float16")
         with pytest.raises(ValueError):
-            RetrievalConfig(blocking="lsh")
-        with pytest.raises(ValueError):
             RetrievalConfig(max_hops=0)
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="max_block_size"):
+                RetrievalConfig(max_block_size=size)
+        assert RetrievalConfig(max_block_size=None).max_block_size is None
+        assert RetrievalConfig(max_block_size=1).max_block_size == 1
 
     def test_override_syntax(self):
         config = TDMatchConfig.fast(retrieval__backend="blocked", retrieval__chunk_size=64)
@@ -531,6 +510,16 @@ class TestCliRetrievalFlags:
         assert "backend=blocked" in out
 
     def test_token_blocking_run(self, capsys):
-        assert cli.main(self.ARGS + ["--retrieval-backend", "blocked", "--blocking", "token"]) == 0
+        assert cli.main(self.ARGS + ["--blocking", "token"]) == 0
         out = capsys.readouterr().out
         assert "backend=blocked" in out
+
+    def test_fit_save_token_blocking_is_usage_error(self, tmp_path, capsys):
+        """An index cannot keep the texts token blocking needs at query time."""
+        index = tmp_path / "token.tdm"
+        argv = ["fit-save", "--scenario", "corona_gen", "--size", "tiny", "--index", str(index)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--blocking", "token"])
+        assert excinfo.value.code == 2
+        assert "--blocking token" in capsys.readouterr().err
+        assert not index.exists()

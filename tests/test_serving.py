@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import TDMatchConfig
 from repro.core.exceptions import NotFittedError, PipelineError
 from repro.core.pipeline import TDMatch
-from repro.corpus.documents import TextCorpus
+from repro.corpus.documents import Document, TextCorpus
 from repro.datasets import ScenarioSize, generate_scenario
 from repro.eval.metrics import evaluate_rankings
 from repro.serving import (
@@ -25,7 +25,7 @@ from repro.serving import (
     IndexFormatError,
     LazyBuiltGraph,
 )
-from repro.serving.index import read_index, write_index
+from repro.serving.index import config_from_dict, read_index, write_index
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -268,6 +268,29 @@ class TestHostileHeaders:
         with pytest.raises(IndexFormatError, match="vocabulary"):
             TDMatch.load(index_path, verify=verify)
 
+    # Each used to escape the loader as a raw ValueError, KeyError or
+    # TypeError, or (``retrieval: 5``) to load and fail in match().
+    HOSTILE_CONFIG_AND_METADATA = {
+        "chunk_size_zero": lambda h: h["config"]["retrieval"].update(chunk_size=0),
+        "section_not_object": lambda h: h["config"].update(retrieval=5),
+        "unknown_backend": lambda h: h["config"]["retrieval"].update(backend="ann"),
+        "vector_size_not_int": lambda h: h["config"]["word2vec"].update(vector_size="x"),
+        "metadata_missing": lambda h: h.pop("first_metadata"),
+        "metadata_not_object": lambda h: h.update(first_metadata=[1, 2, 3]),
+        "metadata_label_not_string": lambda h: h.update(second_metadata={"r": 1}),
+    }
+
+    @pytest.mark.parametrize("verify", ["header", "full"])
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE_CONFIG_AND_METADATA))
+    def test_hostile_config_and_metadata(self, index_path, verify, mutation):
+        _rewrite_header(index_path, self.HOSTILE_CONFIG_AND_METADATA[mutation])
+        with pytest.raises(IndexFormatError, match="config|metadata"):
+            TDMatch.load(index_path, verify=verify)
+
+    def test_config_section_must_be_an_object(self):
+        with pytest.raises(TypeError, match="'retrieval' is not an object"):
+            config_from_dict({"retrieval": 5})
+
 
 # ----------------------------------------------------------------------
 # Save / load roundtrip
@@ -392,6 +415,17 @@ class TestSaveLoadRoundtrip:
             assert list(report["timings"]) == ["match"]
             assert "pairs_per_sec" not in report["model"]
             assert report["model"]["mmap"] is mmap
+
+    def test_index_with_removed_blocking_key_still_loads(self, index_path, tmp_path):
+        legacy_path = str(tmp_path / "blocking.tdm")
+        shutil.copyfile(index_path, legacy_path)
+        _rewrite_header(legacy_path, lambda h: h["config"]["retrieval"].update(blocking="token"))
+        legacy = TDMatch.load(legacy_path)
+        assert not hasattr(legacy.config.retrieval, "blocking")
+        assert (
+            legacy.match_result(k=10).to_dict()["rankings"]
+            == TDMatch.load(index_path).match_result(k=10).to_dict()["rankings"]
+        )
 
     def test_index_with_removed_parallel_toggles_still_loads(self, index_path, tmp_path):
         legacy_path = str(tmp_path / "toggles.tdm")
@@ -571,6 +605,55 @@ class TestIncrementalFit:
         pipeline.fit(text_scenario.first, text_scenario.second)
         with pytest.raises(PipelineError, match="tfidf"):
             pipeline.add_documents([("x", "words")], side="second")
+
+
+# ----------------------------------------------------------------------
+# The matcher's rows: gathered from the live model on every call.
+def _assert_rows_follow_model(pipeline):
+    """Ids follow each side's metadata map; row i is the vector of label i,
+    or zeros when the label has no vocabulary row."""
+    built, model = pipeline.state.built, pipeline.model
+    for query_side, candidate_side in (("first", "second"), ("second", "first")):
+        matcher = pipeline.matcher(query_side)
+        for side, ids, matrix in (
+            (query_side, matcher.query_ids, matcher.query_matrix),
+            (candidate_side, matcher.candidate_ids, matcher.candidate_matrix),
+        ):
+            mapping = built.metadata(side)
+            assert ids == list(mapping)
+            assert matrix.dtype == np.float64
+            for row, label in zip(matrix, mapping.values()):
+                vector = model.vector(label)
+                expected = np.zeros(matrix.shape[1]) if vector is None else vector
+                assert np.array_equal(row, expected), (side, label)
+
+
+class TestMatcherRows:
+    def test_rows_follow_metadata_and_vocabulary(self, scenario, tmp_path):
+        # A document of stop words only is an isolated metadata node: its
+        # two one-node walks stay under min_count, so it has no vocabulary
+        # row and must get a zero row, not the last row that id -1 gathers.
+        first = TextCorpus([*scenario.first, Document("iso", "the of and")])
+        config = TDMatchConfig.fast(word2vec__min_count=3, walks__num_walks=2)
+        pipeline = TDMatch(config, seed=5).fit(first, scenario.second)
+        assert pipeline.model.vector(pipeline.state.built.first_metadata["iso"]) is None
+        _assert_rows_follow_model(pipeline)
+        n_candidates = len(pipeline.state.built.second_metadata)
+        isolated = pipeline.match(k=n_candidates)["iso"]
+        assert len(isolated) == n_candidates
+        assert all(score == 0.0 for _, score in isolated.candidates)
+
+        path = str(tmp_path / "rows.tdm")
+        pipeline.save(path)
+        loaded = TDMatch.load(path, mmap=True)
+        _assert_rows_follow_model(loaded)
+        rows = list(scenario.second.rows)
+        loaded.add_records([("rows-new", dict(rows[0].non_null_items()))], side="second")
+        assert "rows-new" in loaded.matcher("first").candidate_ids
+        _assert_rows_follow_model(loaded)
+        loaded.remove([rows[1].row_id], side="second")
+        assert rows[1].row_id not in loaded.matcher("first").candidate_ids
+        _assert_rows_follow_model(loaded)
 
 
 # ----------------------------------------------------------------------
