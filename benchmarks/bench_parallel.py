@@ -7,10 +7,14 @@ multi-worker fit must beat the serial fit wall-clock — floor 2.5x at four
 workers — while staying *exactly* quality-equal:
 
 * ``num_workers=1, num_shards=1`` is bit-identical to the serial fit
-  (same embedding matrices, same rankings);
+  (same embedding matrices, same rankings), and like the serial fit it
+  runs no shard task: one shard is the serial code;
 * at a fixed shard count, every worker count produces identical output
   (``num_workers=1`` vs ``num_workers=N`` at ``num_shards=N``), so the
-  speedup run's rankings are pinned to the verified single-worker run.
+  speedup run's rankings are pinned to the verified single-worker run.  A
+  spy on every ``WorkerPool.run`` (inline ones too) shows the two fits ran
+  the same (pool label, task function, task count) list — the one-worker
+  fit runs the workers' task functions in this process.
 
 The speedup floor is asserted only when the machine actually has the cores
 (``os.cpu_count() >= NUM_WORKERS``); on smaller runners the measurement is
@@ -72,27 +76,29 @@ def _rankings(pipeline):
     return pipeline.match(k=20).as_id_lists()
 
 
-def _spy_pool_labels(monkeypatch):
-    """Record the label of every pool that fans tasks out to workers."""
-    labels = []
+def _spy_pool_runs(monkeypatch):
+    """Record every ``WorkerPool.run``, inline or pooled, as
+    (pool label, task function, task count)."""
+    runs = []
     run = WorkerPool.run
 
     def spy(pool, fn, tasks):
-        if not pool.inline:
-            labels.append(pool.label)
+        tasks = list(tasks)
+        runs.append((pool.label, fn, len(tasks)))
         return run(pool, fn, tasks)
 
     monkeypatch.setattr(WorkerPool, "run", spy)
-    return labels
+    return runs
 
 
 def test_parallel_fit_speedup(monkeypatch):
-    pooled_stages = _spy_pool_labels(monkeypatch)
+    runs = _spy_pool_runs(monkeypatch)
     serial, serial_s = _fit(0)
-    assert pooled_stages == []
 
-    # Parity anchor 1: one shard on one worker is bit-identical to serial.
+    # Parity anchor 1: one shard on one worker is the serial code, so it is
+    # bit-identical to serial and, like it, runs no shard task.
     inline, _ = _fit(1, num_shards=1)
+    assert runs == [], f"a one-shard fit ran shard tasks: {runs}"
     s_in, s_out = _model_matrices(serial)
     i_in, i_out = _model_matrices(inline)
     assert np.array_equal(s_in, i_in) and np.array_equal(s_out, i_out), (
@@ -103,9 +109,10 @@ def test_parallel_fit_speedup(monkeypatch):
 
     # Parity anchor 2: at the speedup run's shard count, worker count is
     # irrelevant to the output — the multi-worker run inherits the
-    # single-worker run's exactness.
+    # single-worker run's exactness, because both run the same shard tasks.
     one_worker, _ = _fit(1, num_shards=NUM_WORKERS)
-    assert pooled_stages == []  # one worker runs every shard in-process
+    one_worker_runs = list(runs)
+    runs.clear()
     pooled, pooled_s = _fit(NUM_WORKERS)
     assert pooled.config.parallel.shards == NUM_WORKERS
     o_in, o_out = _model_matrices(one_worker)
@@ -114,9 +121,10 @@ def test_parallel_fit_speedup(monkeypatch):
         f"num_workers={NUM_WORKERS} fit diverges from num_workers=1 at the same shard count"
     )
     assert _rankings(pooled) == _rankings(one_worker)
+    assert runs == one_worker_runs, "the one-worker fit ran other shard tasks than the pooled fit"
 
-    # The parallel layer actually engaged: every sharded stage fanned out.
-    assert set(pooled_stages) == {"walks", "compression", "word2vec"}
+    # The sharded stages actually engaged: every one ran its shard tasks.
+    assert {label for label, _, _ in runs} == {"walks", "compression", "word2vec"}
     assert pooled.config.parallel.num_workers == NUM_WORKERS
     assert serial.config.parallel.num_workers == 0
 

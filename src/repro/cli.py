@@ -75,8 +75,9 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         "--num-workers",
         type=int,
         default=0,
-        help="worker processes sharding the fit's walk/compression/word2vec stages "
-        "(0 = serial, the default; results are deterministic per shard count)",
+        help="split the fit's walk/compression/word2vec stages into N shards run by "
+        "N worker processes (0, the default, and 1 run the one-shard serial fit in "
+        "this process; results are deterministic per shard count)",
     )
     parser.add_argument(
         "--task-timeout",

@@ -44,7 +44,6 @@ mini-batch update.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -136,8 +135,8 @@ def pair_update(
     repeated row — a token repeated within the batch, a negative drawn
     twice, a negative that is also a positive output.
 
-    A module-level function (not a method) so the parallel trainer's worker
-    processes run the exact same update against a local block copy — see
+    A module-level function (not a method) so the parallel trainer's shard
+    tasks run the exact same update against a local block copy — see
     :mod:`repro.parallel.trainer`.
     """
     n = in_ids.shape[0]
@@ -308,9 +307,9 @@ class Word2Vec:
 
     def __init__(self, config: Optional[Word2VecConfig] = None, seed=None, parallel=None):
         self.config = config or Word2VecConfig()
-        # A repro.parallel.ParallelConfig (or None): when it enables the
-        # word2vec stage with a multi-shard plan, training shards each epoch
-        # across workers (see repro.parallel.trainer).
+        # A repro.parallel.ParallelConfig (or None, one shard): a plan of
+        # more than one shard trains each epoch as shard tasks (see
+        # repro.parallel.trainer).
         self.parallel = parallel
         self._rng = ensure_rng(seed)
         self.vocab: Optional[Vocabulary] = None
@@ -461,15 +460,6 @@ class Word2Vec:
     # ------------------------------------------------------------------
     # Epoch loop: per-epoch numpy extraction, alias negatives, segment-sum
     # scatter
-    def _shard_trainer(self):
-        """The sharded epoch runner, when the parallel layer enables it."""
-        parallel = self.parallel
-        if parallel is None or not parallel.enabled or parallel.shards <= 1:
-            return None
-        from repro.parallel.trainer import EpochShardTrainer
-
-        return EpochShardTrainer(parallel)
-
     def _train_vectorized(
         self,
         weights: np.ndarray,
@@ -479,14 +469,16 @@ class Word2Vec:
     ) -> int:
         """Train the stacked block ``weights`` in place on the encoded corpus
         (int64 ids back to back, sentence ``lengths`` >= 2); returns the pair steps."""
-        sampler = AliasSampler(self.vocab.negative_sampling_distribution())
+        # Imported lazily: repro.parallel.trainer imports this module.
+        from repro.parallel import ParallelConfig, WorkerPool
+        from repro.parallel.trainer import run_epoch
 
+        sampler = AliasSampler(self.vocab.negative_sampling_distribution())
         step = 0
         total_steps = 0
-        with ExitStack() as stack:
-            shard_trainer = self._shard_trainer()
-            if shard_trainer is not None:
-                stack.enter_context(shard_trainer)
+        # One pool serves every epoch; it starts no process unless the
+        # plan has more than one shard and more than one worker.
+        with WorkerPool(self.parallel or ParallelConfig(), label="word2vec") as pool:
             for epoch in range(self.config.epochs):
                 centers, contexts = self._extract_pairs_vectorized(
                     flat_ids, lengths, keep_probs
@@ -517,32 +509,21 @@ class Word2Vec:
                     (centers, contexts) if self.config.sg else (contexts, centers)
                 )
                 # All RNG consumption (windows, permutation, negatives)
-                # happened above, in the parent, exactly as in the serial
-                # path — the epoch runners below are RNG-free.
-                if shard_trainer is not None:
-                    step = shard_trainer.run_epoch(
-                        weights,
-                        in_ids,
-                        out_ids,
-                        negatives,
-                        batch_size,
-                        step,
-                        total_steps,
-                        self.config.learning_rate,
-                        self.config.min_learning_rate,
-                    )
-                else:
-                    step = run_pair_batches(
-                        weights,
-                        in_ids,
-                        out_ids,
-                        negatives,
-                        batch_size,
-                        step,
-                        total_steps,
-                        self.config.learning_rate,
-                        self.config.min_learning_rate,
-                    )
+                # happened above, in the parent; the epoch runner is
+                # RNG-free, and with one shard it is the serial
+                # run_pair_batches in place.
+                step = run_epoch(
+                    pool,
+                    weights,
+                    in_ids,
+                    out_ids,
+                    negatives,
+                    batch_size,
+                    step,
+                    total_steps,
+                    self.config.learning_rate,
+                    self.config.min_learning_rate,
+                )
                 logger.debug("word2vec epoch %d/%d done", epoch + 1, self.config.epochs)
         return step
 

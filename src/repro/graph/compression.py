@@ -144,9 +144,9 @@ def msp_compress(
     seed:
         Seed / generator for pair sampling.
     parallel:
-        Optional :class:`repro.parallel.ParallelConfig`; when it enables
-        the compression stage, the DAG-union sweep shards across worker
-        processes (output-identical to the serial sweep).
+        Optional :class:`repro.parallel.ParallelConfig`; a plan of more than
+        one shard runs the DAG-union sweep as shard tasks (output-identical
+        to the serial sweep at any shard and worker count).
     """
     if not 0 < beta:
         raise ValueError("beta must be positive")
@@ -170,22 +170,23 @@ def msp_compress(
 def _grouped_dag_union(csr, by_source: Dict[int, Set[int]], parallel=None):
     """Run the batched DAG-union sweep over a ``{source: targets}`` grouping.
 
-    ``parallel`` (a :class:`repro.parallel.ParallelConfig`) shards the sweep
-    across worker processes when the parallel layer is enabled; the
-    downstream masks and ``dedup_edge_ids`` make the result order- and
-    duplicate-insensitive, so the sharded sweep is output-identical.
+    A ``parallel`` plan (a :class:`repro.parallel.ParallelConfig`) of more
+    than one shard runs the sweep as shard tasks over shared memory; one
+    shard is this single sweep, at any worker count.  The downstream masks
+    and ``dedup_edge_ids`` make the result order- and duplicate-insensitive,
+    so the sharded sweep is output-identical.
     """
-    if parallel is not None and parallel.enabled:
+    sources = sorted(by_source)
+    source_ids = np.array(sources, dtype=np.int64)
+    targets_list = [
+        np.fromiter(by_source[s], dtype=np.int64, count=len(by_source[s])) for s in sources
+    ]
+    if parallel is not None and parallel.shards > 1:
         # Imported lazily: repro.parallel.compression imports repro.graph.csr.
         from repro.parallel.compression import parallel_grouped_dag_union
 
-        return parallel_grouped_dag_union(csr, by_source, parallel)
-    sources = sorted(by_source)
-    return multi_source_dag_union(
-        csr,
-        np.array(sources, dtype=np.int64),
-        [np.fromiter(by_source[s], dtype=np.int64, count=len(by_source[s])) for s in sources],
-    )
+        return parallel_grouped_dag_union(csr, source_ids, targets_list, parallel)
+    return multi_source_dag_union(csr, source_ids, targets_list)
 
 
 def _union_to_label_sets(csr, node_mask: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray):

@@ -12,9 +12,10 @@ decoded to label strings.  The corpus has the walk semantics of the paper
 at every step, early termination on isolated nodes — and is deterministic
 under a fixed seed.
 
-:func:`make_walk_engine` picks the serial engine or its sharded twin
-:class:`repro.parallel.walks.ParallelWalkEngine`.  The step-at-a-time walk
-loop the engine must agree with is the test oracle in
+:func:`make_walk_engine` picks the serial engine or, for a plan of more
+than one shard, its sharded twin
+:class:`repro.parallel.walks.ParallelWalkEngine`.  The step-at-a-time
+walk loop the engine must agree with is the test oracle in
 ``tests/oracles/walks.py``.
 """
 
@@ -159,15 +160,14 @@ def make_walk_engine(
     batch_size: Optional[int] = None,
     parallel=None,
 ):
-    """The walk engine for ``graph``: serial, or sharded across workers.
+    """The walk engine for ``graph``: serial, or sharded.
 
-    ``parallel`` (a :class:`repro.parallel.ParallelConfig`) selects the
-    sharded :class:`repro.parallel.walks.ParallelWalkEngine` when the
-    parallel layer is enabled; otherwise the serial :class:`CSRWalkEngine`
-    runs.
+    A ``parallel`` plan (a :class:`repro.parallel.ParallelConfig`) of more
+    than one shard selects :class:`repro.parallel.walks.ParallelWalkEngine`;
+    otherwise the serial :class:`CSRWalkEngine` runs, at any worker count.
     """
     config = config or RandomWalkConfig()
-    if parallel is not None and parallel.enabled:
+    if parallel is not None and parallel.shards > 1:
         # Imported lazily: repro.parallel.walks imports this module.
         from repro.parallel.walks import ParallelWalkEngine
 

@@ -1,11 +1,13 @@
 """Sharded parallel execution layer for the fit pipeline.
 
 Three fit stages — random walks, compression's DAG-union sweep, and the
-Word2Vec epoch loop — can shard across worker processes over
-shared-memory views of the CSR/model arrays, behind the
-:class:`ParallelConfig` switch (``num_workers=0`` keeps everything
-serial).  See the module docstrings for the per-stage determinism
-contract.
+Word2Vec epoch loop — shard their work behind the :class:`ParallelConfig`
+plan.  The shard count picks the code: one shard (the default) is the
+serial stage, more shards run the stage's task function over
+shared-memory views of the CSR/model arrays.  The worker count picks the
+process: ``num_workers`` 0 and 1 run the tasks in this process, more fan
+them out to worker processes.  See the module docstrings for the
+per-stage determinism contract.
 """
 
 from repro.parallel.compression import parallel_grouped_dag_union
@@ -18,8 +20,7 @@ from repro.parallel.reliability import (
     recording,
 )
 from repro.parallel.shm import SharedArray, ShmArena, WorkerPool, attached
-from repro.parallel.trainer import EpochShardTrainer
-from repro.parallel.walks import ParallelWalkEngine, shard_ranges, shard_streams
+from repro.parallel.walks import ParallelWalkEngine, shard_ranges
 
 __all__ = [
     "ParallelConfig",
@@ -32,9 +33,7 @@ __all__ = [
     "attached",
     "record_event",
     "recording",
-    "EpochShardTrainer",
     "ParallelWalkEngine",
     "parallel_grouped_dag_union",
     "shard_ranges",
-    "shard_streams",
 ]

@@ -1,20 +1,20 @@
 """Configuration of the sharded parallel fit (see :mod:`repro.parallel`).
 
-The default (``num_workers=0``) leaves the serial stages untouched; any
-``num_workers>=1`` shards all three stages (walks, compression's DAG-union
-sweep, and the Word2Vec epoch loop).
+The shard count picks the code and the worker count picks the process.
+A one-shard plan (the default) runs the serial stages at every worker
+count; a plan of more shards runs each of the three sharded stages (walks,
+compression's DAG-union sweep and the Word2Vec epoch loop) as shard tasks
+over shared memory, in this process at ``num_workers`` 0 or 1 and in
+worker processes above that.
 
 Determinism contract
 --------------------
 Results are deterministic *per shard count*, not across shard counts:
 
-* ``num_workers=0`` is the untouched serial pipeline.
-* ``num_workers>=1`` runs the sharded engines; the shard plan is fixed by
-  ``num_shards`` (default: ``num_workers``), so any worker count executing
-  the same plan — including ``num_workers=1``, which runs the shards
-  in-process — produces bit-identical results.
-* A single-shard plan (``num_shards=1``) consumes each stage's serial RNG
-  stream and is therefore bit-identical to ``num_workers=0``.
+* ``num_shards=1`` is the serial pipeline, at any worker count.
+* At a fixed ``num_shards`` (default: ``num_workers``, at least 1) every
+  worker count runs the same task functions on the same shard plan and
+  produces bit-identical results.
 * Compression sharding is RNG-free (pair sampling happens before the BFS
   sweep), so its output is identical to serial at *any* shard count.
 """
@@ -37,14 +37,14 @@ class ParallelConfig:
     Parameters
     ----------
     num_workers:
-        Worker processes for the sharded fit stages.  ``0`` (default)
-        disables the parallel layer entirely; ``1`` executes the shard plan
-        in-process (no worker processes — the parity baseline for any
-        ``num_workers=N`` run with the same ``num_shards``).
+        Worker processes that run the shard tasks.  ``0`` (default) and
+        ``1`` both run them in this process; the output at a fixed shard
+        count is the same at any worker count.
     num_shards:
         Number of shards each stage splits its work into; ``None`` uses
-        ``num_workers``.  The shard count — not the worker count — is what
-        fixes the RNG stream assignment and therefore the results.
+        ``num_workers`` (at least 1).  The shard count — not the worker
+        count — picks the code path and the RNG stream assignment, and
+        therefore the results.
     mp_context:
         Multiprocessing start method; ``None`` picks ``fork`` where
         available (Linux) and falls back to ``spawn`` (macOS/Windows).
@@ -72,11 +72,6 @@ class ParallelConfig:
                 f"unknown mp_context {self.mp_context!r}; valid: "
                 f"{[m for m in _START_METHODS if m]} or None"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """True when the parallel layer is active (``num_workers >= 1``)."""
-        return self.num_workers >= 1
 
     @property
     def shards(self) -> int:

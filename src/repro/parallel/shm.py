@@ -5,20 +5,21 @@ copy of each input array, plus zero-initialised output blocks) and
 guarantees close+unlink on exit — **including when a worker raises
 mid-fit** — so a failing shard never leaks ``/dev/shm`` segments.  Workers
 attach segments by name (:func:`attached`), getting zero-copy views of the
-CSR arrays; attachment unregisters from the resource tracker so the
-parent's unlink stays the single authority and interpreter shutdown stays
-warning-free.
+CSR arrays; attachment skips the resource tracker so the parent's unlink
+stays the single authority and interpreter shutdown stays warning-free.
 
-:class:`WorkerPool` wraps ``ProcessPoolExecutor`` behind the
-``ParallelConfig`` switch: ``num_workers<=1`` executes tasks inline in the
-parent (the parity path — same task functions, same shard plan, no
-processes), anything above fans out.  Keep the arena *outside* the pool
+:class:`WorkerPool` runs a multi-shard plan's tasks: ``num_workers<=1``
+executes them inline in the parent (same task functions, same shard plan,
+no processes), anything above fans out to a ``ProcessPoolExecutor``.
+Inline tasks attach the segments like workers do, so an in-process
+multi-shard plan uses ``/dev/shm`` too.  Keep the arena *outside* the pool
 context so workers finish (or die) before segments are unlinked.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -45,6 +46,16 @@ _FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Sentinel marking a task slot whose result has not been produced yet.
 _PENDING = object()
+
+#: Held while a segment is created and while :func:`_attach_untracked`
+#: swaps out the process-global ``resource_tracker.register``.  Without it,
+#: threads attaching at once restore each other's no-op, and a segment
+#: created in another thread inside the swap is never registered.
+_TRACKER_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # A worker forked while another thread holds the lock must not inherit
+    # it held: its first attach would block forever.
+    os.register_at_fork(after_in_child=_TRACKER_LOCK._at_fork_reinit)
 
 
 def _supervised_call(fn, index: int, args: tuple):
@@ -88,12 +99,13 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     except TypeError:
         from multiprocessing import resource_tracker
 
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+        with _TRACKER_LOCK:
+            original = resource_tracker.register
+            resource_tracker.register = lambda *args, **kwargs: None
+            try:
+                return shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = original
 
 
 class ShmArena:
@@ -144,7 +156,8 @@ class ShmArena:
 
     # -- allocation ----------------------------------------------------
     def _create(self, nbytes: int) -> shared_memory.SharedMemory:
-        segment = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+        with _TRACKER_LOCK:
+            segment = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
         self._segments[segment.name] = segment
         ShmArena._live.add(segment.name)
         return segment
@@ -199,7 +212,7 @@ def attached(*descs: SharedArray):
 
 
 class WorkerPool:
-    """Supervised task fan-out behind the ``ParallelConfig.num_workers`` switch.
+    """Supervised runner of a multi-shard plan's tasks, inline or in workers.
 
     Beyond plain fan-out, :meth:`run` enforces the pool's
     :class:`~repro.parallel.reliability.ReliabilityConfig`: a hung task
@@ -262,9 +275,9 @@ class WorkerPool:
     def run(self, fn, tasks: Sequence[tuple]) -> List[object]:
         """Run ``fn(*task)`` for every task, returning results in order.
 
-        Inline mode (and a single task) runs in the parent — the same code
-        path the workers execute, which is what makes ``num_workers=1`` the
-        bit-exact baseline of any worker count at a fixed shard plan.
+        Inline mode (``num_workers <= 1``) and a single task run in the
+        parent — the same task functions the workers execute, which is what
+        makes every worker count bit-exact at a fixed shard plan.
 
         A task *exception* (``fn`` raised) is deterministic and propagates
         immediately — the executor is shut down with ``cancel_futures=True``

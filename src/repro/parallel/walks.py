@@ -1,28 +1,31 @@
 """Sharded random-walk generation over shared-memory CSR arrays.
 
 The start-node range is split into ``num_shards`` contiguous slices; each
-shard runs the same vectorised batch core as the serial engine
-(:func:`repro.graph.walk_engine.walk_batch_ids`) against zero-copy views
-of the CSR ``indptr``/``indices`` and writes its rows into a preallocated
-shared-memory output matrix.
+shard is one :func:`_walk_shard_task`, which runs the same vectorised batch
+core as the serial engine (:func:`repro.graph.walk_engine.walk_batch_ids`)
+against zero-copy views of the CSR ``indptr``/``indices`` and writes its
+rows into a preallocated shared-memory output matrix.  The
+:class:`~repro.parallel.shm.WorkerPool` runs the tasks in this process at
+``num_workers <= 1`` and in worker processes above that; there is no other
+multi-shard path.
 
 RNG stream discipline
 ---------------------
 * A single-shard plan consumes the stage's serial generator directly, so
   ``num_shards=1`` is bit-identical to :class:`CSRWalkEngine` (the shard
   covers every start node and iterates rounds/batches in the serial
-  order).
+  order).  :func:`repro.graph.walk_engine.make_walk_engine` picks
+  :class:`CSRWalkEngine` itself for such a plan.
 * Multi-shard plans derive one independent stream per shard via
   :func:`repro.utils.rng.spawn_rngs` — shard *i*'s draws depend only on
   ``(base, i)`` and its own slice, never on what other shards do, which is
   what makes the corpus deterministic per shard count and lets any worker
-  count execute the same plan bit-identically (``num_workers=1`` runs the
-  shards sequentially in-process).
+  count execute the same plan bit-identically.
 
 Walks come out shard-major (shard 0's rounds first, then shard 1's, …);
 with one shard this degenerates to the serial round-major order.  Like the
 serial engine's, each is an ``int32`` array of node ids into the CSR
-snapshot: a row of the shared output matrix, never decoded to labels.
+snapshot: a row of the output matrix, never decoded to labels.
 """
 
 from __future__ import annotations
@@ -56,11 +59,6 @@ def shard_ranges(n: int, num_shards: int) -> List[Tuple[int, int]]:
         ranges.append((lo, hi))
         lo = hi
     return ranges
-
-
-def shard_streams(base_seed: int, num_shards: int) -> List[np.random.Generator]:
-    """One independent generator per shard from a spawned seed sequence."""
-    return spawn_rngs(base_seed, num_shards)
 
 
 def walk_shard(
@@ -129,10 +127,10 @@ def _walk_shard_task(
 
 
 class ParallelWalkEngine(CSRWalkEngine):
-    """CSR walk engine sharded across worker processes.
+    """CSR walk engine whose corpus is a set of shard tasks.
 
     Inherits the CSR snapshot/batch machinery; only corpus generation is
-    overridden.  The full id matrix is produced first (the parallel part),
+    overridden.  The full id matrix is produced first (the sharded part),
     then ``iter_walks`` yields its rows as the serial engine yields its
     walks: one ``int32`` node-id array per walk.
     """
@@ -171,36 +169,16 @@ class ParallelWalkEngine(CSRWalkEngine):
             base = int(seed)
         else:
             base = int(rng.integers(0, np.iinfo(np.int64).max))
-        return shard_streams(base, num_shards)
+        return spawn_rngs(base, num_shards)
 
     def _walk_id_matrix(self, csr, start_ids: np.ndarray, rng, seed):
-        """The whole corpus as ``(walks, lengths)`` id arrays (parallel part)."""
+        """The whole corpus as ``(walks, lengths)`` id arrays: one
+        :func:`_walk_shard_task` per non-empty start range."""
         config = self.config
         num_shards = self.parallel.shards
         ranges = shard_ranges(int(start_ids.size), num_shards)
         rngs = self._shard_rngs(rng, seed, num_shards)
         total_rows = config.num_walks * int(start_ids.size)
-
-        if self.parallel.num_workers <= 1:
-            walks = np.zeros((total_rows, config.walk_length), dtype=np.int32)
-            lengths = np.zeros(total_rows, dtype=np.int64)
-            row = 0
-            for (lo, hi), shard_rng in zip(ranges, rngs):
-                if hi > lo:
-                    row += walk_shard(
-                        csr.indptr,
-                        csr.indices,
-                        start_ids[lo:hi],
-                        shard_rng,
-                        config.num_walks,
-                        config.walk_length,
-                        self.batch_size,
-                        walks,
-                        lengths,
-                        row_offset=row,
-                    )
-            return walks, lengths
-
         with ShmArena() as arena, WorkerPool(self.parallel, label="walks") as pool:
             indptr_d = arena.share(csr.indptr)
             indices_d = arena.share(csr.indices)

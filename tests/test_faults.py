@@ -204,14 +204,14 @@ def _mixed_task(mode):
 
 # ----------------------------------------------------------------------
 # Acceptance 1 — end-to-end fit
-def _fit_config(num_workers: int, **reliability) -> TDMatchConfig:
+def _fit_config(num_workers: int, num_shards: int = 2, **reliability) -> TDMatchConfig:
     config = TDMatchConfig.fast()
     config.walks.num_walks = 4
     config.walks.walk_length = 8
     config.word2vec.vector_size = 32
     config.word2vec.epochs = 1
     config.parallel.num_workers = num_workers
-    config.parallel.num_shards = 2
+    config.parallel.num_shards = num_shards
     if reliability:
         config.parallel.reliability = ReliabilityConfig(**reliability)
     return config
@@ -271,7 +271,8 @@ class TestPipelineFaults:
             return iter_walks(engine, seed=seed)
 
         monkeypatch.setattr(CSRWalkEngine, "iter_walks", scripted_iter_walks)
-        pipelines = {name: TDMatch(_fit_config(0), seed=23) for name in ("A", "B")}
+        # One shard, so the fit walks with the patched serial engine.
+        pipelines = {name: TDMatch(_fit_config(0, num_shards=1), seed=23) for name in ("A", "B")}
         errors = []
 
         def fit(name):

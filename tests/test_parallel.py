@@ -1,13 +1,20 @@
 """Tests for the sharded parallel fit layer (``repro.parallel``).
 
-Covers the determinism contract end to end — ``num_workers=1`` with one
-shard is bit-identical to the serial engines for all three sharded stages,
-and at a fixed shard count every worker count produces identical output —
-plus shared-memory teardown hygiene (a failing shard never leaks
-``/dev/shm`` segments) and the RNG stream discipline (hypothesis property:
-each shard's walk rows depend only on the base seed, its index, and its
-slice, never on the other shards).
+Covers the determinism contract end to end — the shard count picks the
+code (one shard is the serial fit at any worker count, more shards run
+each stage's task function through ``WorkerPool.run``) and the worker
+count picks the process (every worker count runs the same tasks and
+produces identical output, under ``fork`` and ``spawn``) — plus
+shared-memory hygiene (a failing shard never leaks ``/dev/shm`` segments,
+threads sharing segments keep the resource tracker intact) and the RNG
+stream discipline (hypothesis property: each shard's walk rows depend only
+on the base seed, its index, and its slice, never on the other shards).
 """
+
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,10 +37,13 @@ from repro.parallel import (
     WorkerPool,
     attached,
     shard_ranges,
-    shard_streams,
 )
 from repro.parallel import compression as parallel_compression
-from repro.parallel.walks import walk_shard
+from repro.parallel import shm as shm_module
+from repro.parallel.compression import _dag_union_task
+from repro.parallel.trainer import _train_shard_task
+from repro.parallel.walks import _walk_shard_task, walk_shard
+from repro.utils.rng import spawn_rngs
 from tests.oracles.walks import label_walks
 
 
@@ -80,13 +90,12 @@ class TestParallelConfig:
     def test_defaults_are_serial(self):
         config = ParallelConfig()
         assert config.num_workers == 0
-        assert not config.enabled
         assert config.shards == 1
 
     def test_enabled_stages(self):
-        config = ParallelConfig(num_workers=2)
-        assert config.enabled
-        assert config.shards == 2
+        # The shard count follows the worker count unless it is set.
+        assert ParallelConfig(num_workers=2).shards == 2
+        assert ParallelConfig(num_workers=1).shards == 1
 
     def test_explicit_shards_override_workers(self):
         assert ParallelConfig(num_workers=2, num_shards=5).shards == 5
@@ -166,6 +175,65 @@ class TestShmArena:
             results = pool.run(_read_first, [(d,) for d in descs])
         assert results == [0.0, 1.0, 2.0]
 
+    def test_threads_sharing_and_attaching_register_every_segment(self, monkeypatch):
+        # Before Python 3.13 an attach swaps the process-global
+        # resource_tracker.register for a no-op.  Threads attaching at once
+        # must not leave the no-op behind, and a segment created in another
+        # thread meanwhile must still be registered (once).
+        from multiprocessing import resource_tracker
+
+        register = resource_tracker.register
+        registered = []
+
+        def counting_register(name, rtype):
+            registered.append(rtype)
+            return register(name, rtype)
+
+        monkeypatch.setattr(resource_tracker, "register", counting_register)
+        created = []
+        errors = []
+
+        def cycles():
+            try:
+                for _ in range(200):
+                    with ShmArena() as arena:
+                        desc = arena.share(np.ones(4))
+                        created.append(desc.name)
+                        with attached(desc) as (view,):
+                            assert view[0] == 1.0
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=cycles) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert resource_tracker.register is counting_register
+        assert registered.count("shared_memory") == len(created) == 800
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_worker_does_not_inherit_the_held_tracker_lock(self):
+        with shm_module._TRACKER_LOCK:
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as ex:
+                assert ex.submit(_tracker_lock_free).result(timeout=60)
+
+
+def _tracker_lock_free() -> bool:
+    if not shm_module._TRACKER_LOCK.acquire(timeout=5):
+        return False
+    shm_module._TRACKER_LOCK.release()
+    return True
+
 
 # ----------------------------------------------------------------------
 # Walk sharding
@@ -220,9 +288,13 @@ class TestParallelWalks:
         engine = make_walk_engine(graph, parallel=ParallelConfig(num_workers=2))
         assert isinstance(engine, ParallelWalkEngine)
         assert engine.name == "csr-parallel"
-        # A serial config keeps the plain CSR engine.
-        serial = make_walk_engine(graph, parallel=ParallelConfig())
-        assert type(serial) is CSRWalkEngine
+        # The shard count alone picks the engine: two shards at zero
+        # workers shard too, and one shard keeps the plain CSR engine at
+        # any worker count.
+        two_shards = make_walk_engine(graph, parallel=ParallelConfig(num_shards=2))
+        assert isinstance(two_shards, ParallelWalkEngine)
+        for parallel in (ParallelConfig(), ParallelConfig(num_workers=2, num_shards=1)):
+            assert type(make_walk_engine(graph, parallel=parallel)) is CSRWalkEngine
 
     def test_failing_walk_shard_leaks_no_segments(self, monkeypatch):
         import repro.parallel.walks as walks_module
@@ -282,7 +354,7 @@ class TestShardStreams:
         offsets = []
         row = 0
         for (lo, hi), rng in zip(
-            shard_ranges(csr.num_nodes, num_shards), shard_streams(base, num_shards)
+            shard_ranges(csr.num_nodes, num_shards), spawn_rngs(base, num_shards)
         ):
             offsets.append(row)
             row += walk_shard(
@@ -294,7 +366,7 @@ class TestShardStreams:
             rows = (hi - lo) * num_walks
             alone = np.zeros((rows, walk_length), dtype=np.int32)
             alone_lengths = np.zeros(rows, dtype=np.int64)
-            rng = shard_streams(base, num_shards)[i]
+            rng = spawn_rngs(base, num_shards)[i]
             walk_shard(
                 csr.indptr, csr.indices, start_ids[lo:hi], rng,
                 num_walks, walk_length, batch_size, alone, alone_lengths,
@@ -371,12 +443,32 @@ class TestParallelWord2Vec:
 
 # ----------------------------------------------------------------------
 # Pipeline end-to-end + CLI
-def _pipeline_config(num_workers: int, num_shards=None) -> TDMatchConfig:
+def _pipeline_config(num_workers: int, num_shards=None, mp_context=None) -> TDMatchConfig:
     config = TDMatchConfig.fast()
     config.compression = CompressionConfig(enabled=True, method="msp", ratio=1.0)
-    config.parallel.num_workers = num_workers
-    config.parallel.num_shards = num_shards
+    config.parallel = ParallelConfig(num_workers, num_shards, mp_context)
     return config
+
+
+def _spy_pools(monkeypatch):
+    """Record every ``WorkerPool.run`` as (label, task function, task count)
+    and the name of every segment an arena creates."""
+    runs, segments = [], []
+    run, create = WorkerPool.run, ShmArena._create
+
+    def spy_run(pool, fn, tasks):
+        tasks = list(tasks)
+        runs.append((pool.label, fn, len(tasks)))
+        return run(pool, fn, tasks)
+
+    def spy_create(arena, nbytes):
+        segment = create(arena, nbytes)
+        segments.append(segment.name)
+        return segment
+
+    monkeypatch.setattr(WorkerPool, "run", spy_run)
+    monkeypatch.setattr(ShmArena, "_create", spy_create)
+    return runs, segments
 
 
 class TestPipelineParallel:
@@ -388,14 +480,15 @@ class TestPipelineParallel:
             "imdb_wt", size=ScenarioSize(n_entities=12, n_queries=16, n_distractors=6), seed=7
         )
 
-    def _fit(self, scenario, num_workers, num_shards=None):
-        pipeline = TDMatch(_pipeline_config(num_workers, num_shards), seed=23)
+    def _fit(self, scenario, num_workers, num_shards=None, mp_context=None):
+        pipeline = TDMatch(_pipeline_config(num_workers, num_shards, mp_context), seed=23)
         pipeline.fit(scenario.first, scenario.second)
         return pipeline
 
     def test_single_shard_fit_matches_serial(self, scenario, monkeypatch):
-        # The outputs are bit-identical, so only spies on the sharded entry
-        # points show that the single-shard fit took the sharded path.
+        # The shard count picks the code.  A one-shard plan enters no
+        # sharded entry point, runs no pool and creates no segment, even at
+        # two workers; a two-shard plan enters both at zero workers.
         sharded = []
         iter_walks = ParallelWalkEngine.iter_walks
         dag_union = parallel_compression.parallel_grouped_dag_union
@@ -410,27 +503,56 @@ class TestPipelineParallel:
 
         monkeypatch.setattr(ParallelWalkEngine, "iter_walks", spy_iter_walks)
         monkeypatch.setattr(parallel_compression, "parallel_grouped_dag_union", spy_dag_union)
+        runs, segments = _spy_pools(monkeypatch)
         serial = self._fit(scenario, 0)
-        assert sharded == []
-        single = self._fit(scenario, 1, num_shards=1)
-        assert set(sharded) == {"walks", "compression"}
-        assert not serial.config.parallel.enabled and single.config.parallel.enabled
+        single = self._fit(scenario, 2, num_shards=1)
+        assert sharded == [] and runs == [] and segments == []
         assert np.array_equal(
             serial.state.model._input_vectors, single.state.model._input_vectors
         )
         assert single.match(k=10).as_id_lists() == serial.match(k=10).as_id_lists()
+        self._fit(scenario, 0, num_shards=2)
+        assert set(sharded) == {"walks", "compression"}
 
-    def test_worker_count_invariant_at_fixed_shards(self, scenario):
-        one = self._fit(scenario, 1, num_shards=2)
-        # Every pooled stage (walks, compression, word2vec) must unlink the
-        # segments it created.
+    def test_worker_count_invariant_at_fixed_shards(self, scenario, monkeypatch):
+        # The worker count picks the process: at two shards, zero, one and
+        # two workers run the same task functions on the same plan through
+        # WorkerPool.run, unlink every segment they create, and fit the
+        # same model.
+        runs, _ = _spy_pools(monkeypatch)
+        fits, plans = {}, {}
+        for num_workers in (0, 1, 2):
+            before = ShmArena.live_segments()
+            fits[num_workers] = self._fit(scenario, num_workers, num_shards=2)
+            assert ShmArena.live_segments() == before
+            plans[num_workers] = list(runs)
+            runs.clear()
+        assert plans[0] == plans[1] == plans[2]
+        assert {fn for _, fn, _ in plans[1]} == {
+            _walk_shard_task,
+            _dag_union_task,
+            _train_shard_task,
+        }
+        assert {count for _, _, count in plans[1]} == {2}
+        one = fits[1]
+        for num_workers in (0, 2):
+            assert np.array_equal(
+                one.state.model._input_vectors, fits[num_workers].state.model._input_vectors
+            )
+            assert fits[num_workers].match(k=10).as_id_lists() == one.match(k=10).as_id_lists()
+
+    def test_spawn_workers_match_in_process_fit(self, scenario):
+        # Spawned workers import the task functions afresh and attach the
+        # segments by name; the fit must equal the in-process one.
+        in_process = self._fit(scenario, 1, num_shards=2)
         before = ShmArena.live_segments()
-        two = self._fit(scenario, 2, num_shards=2)
+        spawned = self._fit(scenario, 2, num_shards=2, mp_context="spawn")
         assert ShmArena.live_segments() == before
-        assert np.array_equal(
-            one.state.model._input_vectors, two.state.model._input_vectors
-        )
-        assert one.match(k=10).as_id_lists() == two.match(k=10).as_id_lists()
+        for matrix in ("_input_vectors", "_output_vectors"):
+            assert np.array_equal(
+                getattr(in_process.state.model, matrix), getattr(spawned.state.model, matrix)
+            )
+        assert spawned.match(k=10).as_id_lists() == in_process.match(k=10).as_id_lists()
 
 
 class TestCliNumWorkers:

@@ -690,7 +690,7 @@ class TestReports:
         timings = fitted.report()["timings"]
         assert timings == fitted.timings.as_dict()
         assert timings["graph_build"] >= 0
-        assert not fitted.config.parallel.enabled  # the serial walk engine ran
+        assert fitted.config.parallel.shards == 1  # the serial walk engine ran
 
     def test_report_model_mmap_follows_the_arrays(self, scenario, index_path):
         mapped = TDMatch.load(index_path, mmap=True)
