@@ -16,7 +16,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set
 import numpy as np
 
 from repro.baselines.nn import MLPClassifier, TrainingConfig
-from repro.eval.ranking import Ranking, RankingSet
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.utils.rng import stable_hash
 
@@ -94,13 +95,9 @@ class BertLargeClassifier:
             raise RuntimeError("classifier is not fitted")
         if document_ids is None:
             document_ids = list(documents)
-        rankings = RankingSet()
-        for doc_id in document_ids:
-            probs = self._model.predict_proba(self._featurize(documents[doc_id])[None, :])
-            probs = np.asarray(probs).ravel()
-            order = np.argsort(-probs)[:k]
-            ranking = Ranking(query_id=doc_id)
-            for i in order:
-                ranking.add(self._labels[int(i)], float(probs[int(i)]))
-            rankings.add(ranking)
-        return rankings
+        probs = np.empty((len(document_ids), len(self._labels)))
+        for row, doc_id in enumerate(document_ids):
+            probs[row] = self._model.predict_proba(self._featurize(documents[doc_id])[None, :])
+        return DenseTopK(dtype=None).retrieve_from_scores(probs, k).to_rankings(
+            document_ids, self._labels
+        )

@@ -51,6 +51,9 @@ class DeepMatcherBaseline(SupervisedPairMatcher):
                 }
 
     # ------------------------------------------------------------------
+    def _extra_texts(self) -> List[str]:
+        return [v for row in self._attribute_texts.values() for v in row.values() if v]
+
     def _pair_features(self, query_text: str, candidate_id: str, candidate_text: str) -> np.ndarray:
         base = self.extractor.features(query_text, candidate_text)
         attribute_parts: List[np.ndarray] = []
@@ -66,76 +69,10 @@ class DeepMatcherBaseline(SupervisedPairMatcher):
             return np.concatenate([base] + attribute_parts)
         return base
 
-    # The base-class fit/rank use text-only pairs; override the feature path
-    # to inject attribute-level channels keyed by candidate id.
-    def fit(self, queries, candidates, gold, train_queries=None) -> "DeepMatcherBaseline":
-        if train_queries is None:
-            train_queries = [q for q in queries if q in gold]
-        self.extractor.fit(
-            list(queries.values())
-            + list(candidates.values())
-            + [v for row in self._attribute_texts.values() for v in row.values() if v]
-        )
-        pairs: List[np.ndarray] = []
-        labels: List[int] = []
-        candidate_ids = list(candidates)
-        for query_id in train_queries:
-            positives = gold.get(query_id, set())
-            if not positives:
-                continue
-            for positive in positives:
-                if positive not in candidates:
-                    continue
-                pairs.append(self._pair_features(queries[query_id], positive, candidates[positive]))
-                labels.append(1)
-                for _ in range(self.negatives_per_positive):
-                    negative = candidate_ids[int(self._rng.integers(0, len(candidate_ids)))]
-                    if negative in positives:
-                        continue
-                    pairs.append(self._pair_features(queries[query_id], negative, candidates[negative]))
-                    labels.append(0)
-        if not pairs:
-            raise ValueError("no training pairs could be built from the gold matches")
-        features = np.stack(pairs)
-        self._model = MLPClassifier(
+    def _build_model(self) -> MLPClassifier:
+        return MLPClassifier(
             hidden_size=self.hidden_size,
             n_outputs=1,
             config=TrainingConfig(epochs=80, learning_rate=0.05),
             seed=self.seed,
         )
-        self._model.fit(features, np.asarray(labels, dtype=float))
-        return self
-
-    def rank(self, queries, candidates, k: int = 20, query_ids=None):
-        if self._model is None:
-            raise RuntimeError("matcher is not fitted")
-        from repro.eval.ranking import Ranking, RankingSet
-
-        if query_ids is None:
-            query_ids = list(queries)
-        candidate_ids = list(candidates)
-        rankings = RankingSet()
-        for query_id in query_ids:
-            features = np.stack(
-                [
-                    self._pair_features(queries[query_id], candidate_id, candidates[candidate_id])
-                    for candidate_id in candidate_ids
-                ]
-            )
-            scores = self._model.predict_proba(features)
-            order = np.argsort(-scores)[:k]
-            ranking = Ranking(query_id=query_id)
-            for i in order:
-                ranking.add(candidate_ids[int(i)], float(scores[int(i)]))
-            rankings.add(ranking)
-        return rankings
-
-    # Unused abstract hooks (fit() is overridden); kept for interface parity.
-    def _build_model(self, n_features: int):  # pragma: no cover
-        return MLPClassifier(hidden_size=self.hidden_size, seed=self.seed)
-
-    def _fit_model(self, model, features, labels) -> None:  # pragma: no cover
-        model.fit(features, labels)
-
-    def _score_model(self, model, features: np.ndarray) -> np.ndarray:  # pragma: no cover
-        return model.predict_proba(features)

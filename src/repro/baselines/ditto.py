@@ -7,17 +7,12 @@ training on 60% of the annotated pairs, scoring of every candidate pair at
 test time — with a logistic scorer over pair features.  To mimic Ditto's
 sequence-level view (and its reported weakness when one side has no schema),
 it deliberately uses only sequence-level features and no attribute
-structure.
+structure.  That is :class:`~repro.baselines.supervised.SupervisedPairMatcher`'s
+default protocol unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.baselines.features import PairFeatureExtractor
-from repro.baselines.nn import LogisticRegression, TrainingConfig
 from repro.baselines.supervised import SupervisedPairMatcher
 
 
@@ -25,15 +20,3 @@ class DittoMatcher(SupervisedPairMatcher):
     """Binary match classifier over serialized pair features."""
 
     name = "ditto*"
-
-    def __init__(self, extractor: Optional[PairFeatureExtractor] = None, negatives_per_positive: int = 4, seed=None):
-        super().__init__(extractor=extractor, negatives_per_positive=negatives_per_positive, seed=seed)
-
-    def _build_model(self, n_features: int) -> LogisticRegression:
-        return LogisticRegression(TrainingConfig(epochs=60, learning_rate=0.2), seed=self.seed)
-
-    def _fit_model(self, model: LogisticRegression, features: np.ndarray, labels: np.ndarray) -> None:
-        model.fit(features, labels)
-
-    def _score_model(self, model: LogisticRegression, features: np.ndarray) -> np.ndarray:
-        return model.predict_proba(features)

@@ -18,7 +18,7 @@ for a (query text, candidate text) pair:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class PairFeatureExtractor:
         return encoded
 
     # ------------------------------------------------------------------
-    @property
-    def n_features(self) -> int:
-        return len(FEATURE_NAMES)
-
     def features(self, query_text: str, candidate_text: str) -> np.ndarray:
         """The feature vector of one (query, candidate) pair."""
         q = self._encode(query_text)
@@ -130,7 +126,3 @@ class PairFeatureExtractor:
             ],
             dtype=float,
         )
-
-    def feature_matrix(self, pairs: Sequence[Tuple[str, str]]) -> np.ndarray:
-        """Feature vectors for many (query text, candidate text) pairs."""
-        return np.stack([self.features(q, c) for q, c in pairs]) if pairs else np.zeros((0, self.n_features))

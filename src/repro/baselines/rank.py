@@ -9,14 +9,13 @@ the differences (RankNet with a linear scorer).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Set
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.features import PairFeatureExtractor
 from repro.baselines.nn import LogisticRegression, TrainingConfig
 from repro.baselines.supervised import SupervisedPairMatcher
-from repro.utils.rng import ensure_rng
 
 
 class RankMatcher(SupervisedPairMatcher):
@@ -27,51 +26,22 @@ class RankMatcher(SupervisedPairMatcher):
     def __init__(self, extractor: Optional[PairFeatureExtractor] = None, negatives_per_positive: int = 6, seed=None):
         super().__init__(extractor=extractor, negatives_per_positive=negatives_per_positive, seed=seed)
 
-    # The pairwise objective needs its own fit(); the base class helpers for
-    # ranking are reused unchanged.
-    def fit(
-        self,
-        queries: Mapping[str, str],
-        candidates: Mapping[str, str],
-        gold: Mapping[str, Set[str]],
-        train_queries: Optional[Sequence[str]] = None,
-    ) -> "RankMatcher":
-        if train_queries is None:
-            train_queries = [q for q in queries if q in gold]
-        self.extractor.fit(list(queries.values()) + list(candidates.values()))
-        rng = ensure_rng(self.seed)
-        candidate_ids = list(candidates)
-        differences: List[np.ndarray] = []
-        for query_id in train_queries:
-            positives = [p for p in gold.get(query_id, set()) if p in candidates]
-            if not positives:
-                continue
-            query_text = queries[query_id]
-            for positive in positives:
-                positive_features = self.extractor.features(query_text, candidates[positive])
-                for _ in range(self.negatives_per_positive):
-                    negative = candidate_ids[int(rng.integers(0, len(candidate_ids)))]
-                    if negative in gold.get(query_id, set()):
-                        continue
-                    negative_features = self.extractor.features(query_text, candidates[negative])
-                    differences.append(positive_features - negative_features)
-        if not differences:
-            raise ValueError("no pairwise training samples could be built")
+    def _training_set(
+        self, samples: List[Tuple[np.ndarray, List[np.ndarray]]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         # RankNet-style: P(pos > neg) = sigmoid(w · (f_pos - f_neg)); train a
         # logistic model where every difference sample has label 1 and its
         # negation has label 0 to keep the decision boundary through zero.
+        differences = [positive - negative for positive, negatives in samples for negative in negatives]
+        if not differences:
+            raise ValueError("no pairwise training samples could be built")
         diff_matrix = np.stack(differences)
         features = np.vstack([diff_matrix, -diff_matrix])
         labels = np.concatenate([np.ones(len(differences)), np.zeros(len(differences))])
-        self._model = LogisticRegression(TrainingConfig(epochs=80, learning_rate=0.2), seed=self.seed)
-        self._model.fit(features, labels)
-        return self
+        return features, labels
 
-    def _build_model(self, n_features: int):  # pragma: no cover - not used by fit()
-        return LogisticRegression(seed=self.seed)
+    def _build_model(self) -> LogisticRegression:
+        return LogisticRegression(TrainingConfig(epochs=80, learning_rate=0.2), seed=self.seed)
 
-    def _fit_model(self, model, features, labels) -> None:  # pragma: no cover
-        model.fit(features, labels)
-
-    def _score_model(self, model, features: np.ndarray) -> np.ndarray:
-        return model.decision_function(features)
+    def _score_model(self, features: np.ndarray) -> np.ndarray:
+        return self._model.decision_function(features)

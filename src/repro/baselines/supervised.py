@@ -2,25 +2,33 @@
 
 All supervised baselines follow the same protocol:
 
-* :meth:`SupervisedPairMatcher.fit` receives the query texts, candidate
-  texts, and the gold matches of the *training* queries (60% of the
-  annotated data, as in the paper), builds positive and sampled negative
-  pairs, and trains the underlying scorer;
-* :meth:`SupervisedPairMatcher.rank` scores every (query, candidate) pair
-  and returns the top-k ranking per query.
+* :func:`sample_training_pairs` draws, for every annotated positive of a
+  training query, ``negatives_per_positive`` random candidates (gold
+  matches are skipped);
+* :meth:`SupervisedPairMatcher.fit` fits the pair-feature extractor on the
+  query and candidate texts, turns the sampled pairs into a training set
+  and trains the learner on it (60% of the annotated queries, as in the
+  paper);
+* :meth:`SupervisedPairMatcher.rank` scores every (query, candidate) pair,
+  one score call per query, and decodes the score matrix into top-k
+  rankings ordered by (-score, candidate position).
 
-Sub-classes only customise the feature extractor and the learner.
+The defaults are DITTO*'s: sequence-level pair features and a logistic
+scorer.  Sub-classes override only what differs — the pair features
+(:meth:`~SupervisedPairMatcher._pair_features`), the extra texts the
+extractor is fitted on, the learner, the score, and the training set.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.baselines.features import PairFeatureExtractor
-from repro.eval.ranking import Ranking, RankingSet
+from repro.baselines.nn import LogisticRegression, TrainingConfig
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.utils.rng import ensure_rng
 
 
@@ -42,8 +50,34 @@ def train_test_split_queries(
     return train, test
 
 
-class SupervisedPairMatcher(ABC):
-    """Base class: binary scorer over (query, candidate) pair features."""
+def sample_training_pairs(
+    rng: np.random.Generator,
+    candidates: Mapping[str, object],
+    gold: Mapping[str, Set[str]],
+    query_ids: Sequence[str],
+    negatives_per_positive: int,
+) -> Iterator[Tuple[str, str, List[str]]]:
+    """Yield ``(query id, positive id, negative ids)`` for every gold match.
+
+    Positives absent from ``candidates`` are skipped without a draw; each
+    other positive draws ``negatives_per_positive`` uniform candidates and
+    keeps those that are not gold matches of the query.
+    """
+    candidate_ids = list(candidates)
+    for query_id in query_ids:
+        positives = gold.get(query_id, set())
+        for positive in positives:
+            if positive not in candidates:
+                continue
+            draws = (
+                candidate_ids[int(rng.integers(0, len(candidate_ids)))]
+                for _ in range(negatives_per_positive)
+            )
+            yield query_id, positive, [n for n in draws if n not in positives]
+
+
+class SupervisedPairMatcher:
+    """Binary scorer over (query, candidate) pair features."""
 
     name = "supervised"
 
@@ -55,46 +89,35 @@ class SupervisedPairMatcher(ABC):
         self._model = None
 
     # ------------------------------------------------------------------
-    @abstractmethod
-    def _build_model(self, n_features: int):
-        """Instantiate the underlying learner."""
+    def _extra_texts(self) -> List[str]:
+        """Texts besides queries and candidates the extractor is fitted on."""
+        return []
 
-    @abstractmethod
-    def _fit_model(self, model, features: np.ndarray, labels: np.ndarray) -> None:
-        """Train the learner."""
+    def _pair_features(self, query_text: str, candidate_id: str, candidate_text: str) -> np.ndarray:
+        """Feature vector of one (query, candidate) pair."""
+        return self.extractor.features(query_text, candidate_text)
 
-    @abstractmethod
-    def _score_model(self, model, features: np.ndarray) -> np.ndarray:
+    def _build_model(self):
+        """A fresh, unfitted learner with ``fit(features, labels)``."""
+        return LogisticRegression(TrainingConfig(epochs=60, learning_rate=0.2), seed=self.seed)
+
+    def _score_model(self, features: np.ndarray) -> np.ndarray:
         """Pair scores (higher = more likely to match)."""
+        return self._model.predict_proba(features)
+
+    def _training_set(
+        self, samples: List[Tuple[np.ndarray, List[np.ndarray]]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Features and labels from ``(positive row, negative rows)`` samples:
+        one row labelled 1 per positive, one labelled 0 per negative."""
+        rows: List[np.ndarray] = []
+        labels: List[float] = []
+        for positive, negatives in samples:
+            rows += [positive, *negatives]
+            labels += [1.0] + [0.0] * len(negatives)
+        return np.stack(rows), np.asarray(labels)
 
     # ------------------------------------------------------------------
-    def _training_pairs(
-        self,
-        queries: Mapping[str, str],
-        candidates: Mapping[str, str],
-        gold: Mapping[str, Set[str]],
-        train_queries: Sequence[str],
-    ) -> Tuple[List[Tuple[str, str]], List[int]]:
-        candidate_ids = list(candidates)
-        pairs: List[Tuple[str, str]] = []
-        labels: List[int] = []
-        for query_id in train_queries:
-            positives = gold.get(query_id, set())
-            if not positives:
-                continue
-            for positive in positives:
-                if positive not in candidates:
-                    continue
-                pairs.append((queries[query_id], candidates[positive]))
-                labels.append(1)
-                for _ in range(self.negatives_per_positive):
-                    negative = candidate_ids[int(self._rng.integers(0, len(candidate_ids)))]
-                    if negative in positives:
-                        continue
-                    pairs.append((queries[query_id], candidates[negative]))
-                    labels.append(0)
-        return pairs, labels
-
     def fit(
         self,
         queries: Mapping[str, str],
@@ -105,17 +128,25 @@ class SupervisedPairMatcher(ABC):
         """Train on the gold matches of ``train_queries`` (default: all annotated)."""
         if train_queries is None:
             train_queries = [q for q in queries if q in gold]
-        self.extractor.fit(list(queries.values()) + list(candidates.values()))
-        pairs, labels = self._training_pairs(queries, candidates, gold, train_queries)
-        if not pairs:
+        self.extractor.fit(list(queries.values()) + list(candidates.values()) + self._extra_texts())
+        samples = []
+        for query_id, positive, negatives in sample_training_pairs(
+            self._rng, candidates, gold, train_queries, self.negatives_per_positive
+        ):
+            query_text = queries[query_id]
+            samples.append(
+                (
+                    self._pair_features(query_text, positive, candidates[positive]),
+                    [self._pair_features(query_text, n, candidates[n]) for n in negatives],
+                )
+            )
+        if not samples:
             raise ValueError("no training pairs could be built from the gold matches")
-        features = self.extractor.feature_matrix(pairs)
-        labels_arr = np.asarray(labels, dtype=float)
-        self._model = self._build_model(features.shape[1])
-        self._fit_model(self._model, features, labels_arr)
+        features, labels = self._training_set(samples)
+        self._model = self._build_model()
+        self._model.fit(features, labels)
         return self
 
-    # ------------------------------------------------------------------
     def rank(
         self,
         queries: Mapping[str, str],
@@ -129,17 +160,12 @@ class SupervisedPairMatcher(ABC):
         if query_ids is None:
             query_ids = list(queries)
         candidate_ids = list(candidates)
-        candidate_texts = [candidates[c] for c in candidate_ids]
-        rankings = RankingSet()
-        for query_id in query_ids:
+        scores = np.empty((len(query_ids), len(candidate_ids)))
+        for row, query_id in enumerate(query_ids):
             query_text = queries[query_id]
-            features = self.extractor.feature_matrix(
-                [(query_text, candidate_text) for candidate_text in candidate_texts]
+            scores[row] = self._score_model(
+                np.stack([self._pair_features(query_text, c, candidates[c]) for c in candidate_ids])
             )
-            scores = self._score_model(self._model, features)
-            order = np.argsort(-scores)[:k]
-            ranking = Ranking(query_id=query_id)
-            for i in order:
-                ranking.add(candidate_ids[int(i)], float(scores[int(i)]))
-            rankings.add(ranking)
-        return rankings
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_ids, candidate_ids
+        )

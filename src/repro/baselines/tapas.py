@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.baselines.features import PairFeatureExtractor
-from repro.baselines.nn import LogisticRegression, TrainingConfig
 from repro.baselines.supervised import SupervisedPairMatcher
 from repro.corpus.table import Table
 
@@ -43,6 +42,9 @@ class TapasMatcher(SupervisedPairMatcher):
                 column: str(row.values.get(column) or "") for column in self.columns
             }
 
+    def _extra_texts(self) -> List[str]:
+        return [v for row in self._column_values.values() for v in row.values() if v]
+
     def _pair_features(self, query_text: str, candidate_id: str, candidate_text: str) -> np.ndarray:
         base = self.extractor.features(query_text, candidate_text)
         column_features: List[float] = []
@@ -56,68 +58,3 @@ class TapasMatcher(SupervisedPairMatcher):
             else:
                 column_features.append(0.0)
         return np.concatenate([base, np.asarray(column_features)])
-
-    def fit(self, queries, candidates, gold, train_queries=None) -> "TapasMatcher":
-        if train_queries is None:
-            train_queries = [q for q in queries if q in gold]
-        self.extractor.fit(
-            list(queries.values())
-            + list(candidates.values())
-            + [v for row in self._column_values.values() for v in row.values() if v]
-        )
-        pairs: List[np.ndarray] = []
-        labels: List[int] = []
-        candidate_ids = list(candidates)
-        for query_id in train_queries:
-            positives = gold.get(query_id, set())
-            if not positives:
-                continue
-            for positive in positives:
-                if positive not in candidates:
-                    continue
-                pairs.append(self._pair_features(queries[query_id], positive, candidates[positive]))
-                labels.append(1)
-                for _ in range(self.negatives_per_positive):
-                    negative = candidate_ids[int(self._rng.integers(0, len(candidate_ids)))]
-                    if negative in positives:
-                        continue
-                    pairs.append(self._pair_features(queries[query_id], negative, candidates[negative]))
-                    labels.append(0)
-        if not pairs:
-            raise ValueError("no training pairs could be built from the gold matches")
-        self._model = LogisticRegression(TrainingConfig(epochs=60, learning_rate=0.2), seed=self.seed)
-        self._model.fit(np.stack(pairs), np.asarray(labels, dtype=float))
-        return self
-
-    def rank(self, queries, candidates, k: int = 20, query_ids=None):
-        if self._model is None:
-            raise RuntimeError("matcher is not fitted")
-        from repro.eval.ranking import Ranking, RankingSet
-
-        if query_ids is None:
-            query_ids = list(queries)
-        candidate_ids = list(candidates)
-        rankings = RankingSet()
-        for query_id in query_ids:
-            features = np.stack(
-                [
-                    self._pair_features(queries[query_id], candidate_id, candidates[candidate_id])
-                    for candidate_id in candidate_ids
-                ]
-            )
-            scores = self._model.predict_proba(features)
-            order = np.argsort(-scores)[:k]
-            ranking = Ranking(query_id=query_id)
-            for i in order:
-                ranking.add(candidate_ids[int(i)], float(scores[int(i)]))
-            rankings.add(ranking)
-        return rankings
-
-    def _build_model(self, n_features: int):  # pragma: no cover - fit() overridden
-        return LogisticRegression(seed=self.seed)
-
-    def _fit_model(self, model, features, labels) -> None:  # pragma: no cover
-        model.fit(features, labels)
-
-    def _score_model(self, model, features: np.ndarray) -> np.ndarray:  # pragma: no cover
-        return model.predict_proba(features)

@@ -14,7 +14,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.eval.ranking import Ranking, RankingSet
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.text.preprocess import Preprocessor
 
 
@@ -91,19 +92,13 @@ class TfIdfMatcher:
         candidate_corpus = _prepare(candidates, self.preprocessor)
         vectorizer = TfIdfVectorizer().fit(candidate_corpus.tokens + query_corpus.tokens)
         candidate_vectors = vectorizer.transform(candidate_corpus.tokens)
-        rankings = RankingSet()
-        for query_id, tokens in zip(query_corpus.ids, query_corpus.tokens):
+        scores = np.empty((len(query_corpus.ids), len(candidate_vectors)))
+        for row, tokens in enumerate(query_corpus.tokens):
             query_vector = vectorizer.transform_one(tokens)
-            scored = [
-                (cid, vectorizer.cosine(query_vector, cvec))
-                for cid, cvec in zip(candidate_corpus.ids, candidate_vectors)
-            ]
-            scored.sort(key=lambda pair: -pair[1])
-            ranking = Ranking(query_id=query_id)
-            for cid, score in scored[:k]:
-                ranking.add(cid, score)
-            rankings.add(ranking)
-        return rankings
+            scores[row] = [vectorizer.cosine(query_vector, cvec) for cvec in candidate_vectors]
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_corpus.ids, candidate_corpus.ids
+        )
 
 
 @dataclass
@@ -131,9 +126,8 @@ class BM25Matcher:
         }
         candidate_counts = [Counter(tokens) for tokens in candidate_corpus.tokens]
 
-        rankings = RankingSet()
-        for query_id, query_tokens in zip(query_corpus.ids, query_corpus.tokens):
-            scores = np.zeros(n_docs)
+        scores = np.zeros((len(query_corpus.ids), n_docs))
+        for row, query_tokens in enumerate(query_corpus.tokens):
             for term in query_tokens:
                 term_idf = idf.get(term)
                 if term_idf is None:
@@ -143,10 +137,7 @@ class BM25Matcher:
                     if tf == 0:
                         continue
                     length_norm = 1 - self.b + self.b * len(candidate_corpus.tokens[i]) / max(avg_len, 1e-9)
-                    scores[i] += term_idf * tf * (self.k1 + 1) / (tf + self.k1 * length_norm)
-            order = np.argsort(-scores)[:k]
-            ranking = Ranking(query_id=query_id)
-            for i in order:
-                ranking.add(candidate_corpus.ids[int(i)], float(scores[int(i)]))
-            rankings.add(ranking)
-        return rankings
+                    scores[row, i] += term_idf * tf * (self.k1 + 1) / (tf + self.k1 * length_norm)
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_corpus.ids, candidate_corpus.ids
+        )

@@ -17,7 +17,9 @@ from typing import List, Mapping, Optional, Sequence, Set
 import numpy as np
 
 from repro.baselines.nn import LogisticRegression, TrainingConfig
-from repro.eval.ranking import Ranking, RankingSet
+from repro.baselines.supervised import sample_training_pairs
+from repro.eval.ranking import RankingSet
+from repro.retrieval import DenseTopK
 from repro.utils.rng import ensure_rng
 
 
@@ -69,29 +71,21 @@ class EmbeddingPairClassifier:
     # ------------------------------------------------------------------
     def fit(self, gold: Mapping[str, Set[str]]) -> "EmbeddingPairClassifier":
         """Train on the annotated matches in ``gold`` (query id → candidate ids)."""
-        candidate_ids = list(self.candidate_vectors)
+        query_ids = [q for q in gold if q in self.query_vectors]
         features: List[np.ndarray] = []
-        labels: List[int] = []
-        for query_id, positives in gold.items():
-            query_vector = self.query_vectors.get(query_id)
-            if query_vector is None:
-                continue
-            for positive in positives:
-                candidate_vector = self.candidate_vectors.get(positive)
-                if candidate_vector is None:
-                    continue
-                features.append(pair_features(query_vector, candidate_vector))
-                labels.append(1)
-                for _ in range(self.negatives_per_positive):
-                    negative = candidate_ids[int(self._rng.integers(0, len(candidate_ids)))]
-                    if negative in positives:
-                        continue
-                    features.append(pair_features(query_vector, self.candidate_vectors[negative]))
-                    labels.append(0)
+        labels: List[float] = []
+        for query_id, positive, negatives in sample_training_pairs(
+            self._rng, self.candidate_vectors, gold, query_ids, self.negatives_per_positive
+        ):
+            query_vector = self.query_vectors[query_id]
+            features += [
+                pair_features(query_vector, self.candidate_vectors[c]) for c in [positive, *negatives]
+            ]
+            labels += [1.0] + [0.0] * len(negatives)
         if not features:
             raise ValueError("no training pairs could be built from the gold matches")
         self._model = LogisticRegression(TrainingConfig(epochs=80, learning_rate=0.3), seed=self.seed)
-        self._model.fit(np.stack(features), np.asarray(labels, dtype=float))
+        self._model.fit(np.stack(features), np.asarray(labels))
         return self
 
     # ------------------------------------------------------------------
@@ -113,16 +107,12 @@ class EmbeddingPairClassifier:
         if query_ids is None:
             query_ids = list(self.query_vectors)
         candidate_ids = list(self.candidate_vectors)
-        rankings = RankingSet()
-        for query_id in query_ids:
+        scores = np.empty((len(query_ids), len(candidate_ids)))
+        for row, query_id in enumerate(query_ids):
             query_vector = self.query_vectors[query_id]
-            features = np.stack(
-                [pair_features(query_vector, self.candidate_vectors[c]) for c in candidate_ids]
+            scores[row] = self._model.predict_proba(
+                np.stack([pair_features(query_vector, self.candidate_vectors[c]) for c in candidate_ids])
             )
-            scores = self._model.predict_proba(features)
-            order = np.argsort(-scores)[:k]
-            ranking = Ranking(query_id=query_id)
-            for i in order:
-                ranking.add(candidate_ids[int(i)], float(scores[int(i)]))
-            rankings.add(ranking)
-        return rankings
+        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+            query_ids, candidate_ids
+        )

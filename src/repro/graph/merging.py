@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.embeddings.similarity import cosine_similarity
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.text.tokenizer import is_numeric_token, parse_numeric_token
 
@@ -158,7 +159,7 @@ class EmbeddingMerger:
             vb = self.embeddings.vector(b)
             if va is None or vb is None:
                 continue
-            sims.append(_cosine(va, vb))
+            sims.append(cosine_similarity(va, vb))
         if not sims:
             raise ValueError("no synonym pair had vectors in the pre-trained resource")
         self.threshold = float(np.mean(sims))
@@ -178,7 +179,7 @@ class EmbeddingMerger:
             vb = self.embeddings.vector(b)
             if va is None or vb is None:
                 continue
-            if _cosine(va, vb) >= self.threshold:
+            if cosine_similarity(va, vb) >= self.threshold:
                 keep, absorb = (a, b) if graph.degree(a) >= graph.degree(b) else (b, a)
                 graph.merge_nodes(keep, absorb)
                 report.merged_pairs.append((keep, absorb))
@@ -210,10 +211,3 @@ class EmbeddingMerger:
                     if len(pairs) >= self.max_candidates:
                         return pairs
         return pairs
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / denom)

@@ -161,6 +161,17 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
     prefix = _label_prefix(mapping, side)
     role = _ROLE_BY_PREFIX.get(prefix, "document")
     graph = built.graph
+    # Check the whole batch before the first mutation: a rejected batch
+    # must leave no id mapped without a graph node and an embedding row.
+    batch_ids = set()
+    for object_id, _terms, _per_column in objects:
+        object_id = str(object_id)
+        if object_id in batch_ids or object_id in mapping or f"{prefix}{object_id}" in graph:
+            raise PipelineError(
+                f"{side}-side object id {object_id!r} already exists or repeats in "
+                "this batch; remove() it first to replace its contents"
+            )
+        batch_ids.add(object_id)
 
     column_labels = _column_labels_of(graph, side) if role == "tuple" else {}
 
@@ -176,11 +187,6 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
         for object_id, terms, per_column in objects:
             object_id = str(object_id)
             label = f"{prefix}{object_id}"
-            if object_id in mapping or label in graph:
-                raise PipelineError(
-                    f"{side}-side object id {object_id!r} already exists; "
-                    "remove() it first to replace its contents"
-                )
             node_labels.append(label)
             node_roles.append(role)
             node_corpora.append(side)

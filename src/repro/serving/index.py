@@ -497,6 +497,52 @@ def save_pipeline(pipeline, path: str) -> str:
     return write_index(path, header, arrays)
 
 
+def _check_header(path: str, header: Dict[str, object], arrays) -> None:
+    """:class:`IndexFormatError` unless every header key and array the loader
+    reads has the type :func:`save_pipeline` writes.  The graph registry
+    lists need one entry per CSR row; array contents are not read."""
+
+    def fail(what: str) -> None:
+        raise IndexFormatError(f"index {path!r}: {what}")
+
+    missing = [name for name in ("w2v_input", "csr_indptr", "csr_indices") if name not in arrays]
+    if missing:
+        fail(f"missing arrays {missing}")
+    seed = header.get("seed")
+    if seed is not None and not (isinstance(seed, int) or str(seed).lstrip("-").isdigit()):
+        fail(f"'seed' is not an integer: {seed!r}")
+    kinds = header.get("corpus_kinds")
+    if kinds is not None and not (isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)):
+        fail(f"'corpus_kinds' is not a list of strings: {kinds!r}")
+    if header.get("intersect_anchor") not in (None, "first", "second"):
+        fail(f"'intersect_anchor' is not 'first', 'second' or null: {header['intersect_anchor']!r}")
+    stats = header.get("filter_stats")
+    stat_fields = {f.name for f in dataclasses.fields(FilterStatistics)}
+    if stats is not None and not (
+        isinstance(stats, dict) and set(stats) == stat_fields
+        and all(isinstance(value, int) for value in stats.values())
+    ):
+        fail(f"'filter_stats' is not an object of the integers {sorted(stat_fields)}")
+    vocab = header.get("vocab")
+    if not (
+        isinstance(vocab, dict) and isinstance(vocab.get("min_count"), int)
+        and isinstance(vocab.get("tokens"), list) and isinstance(vocab.get("counts"), list)
+    ):
+        fail("malformed vocabulary: need lists 'tokens' and 'counts' and an integer 'min_count'")
+    graph = header.get("graph")
+    indptr = arrays["csr_indptr"]
+    rows = indptr.shape[0] - 1 if indptr.ndim == 1 else -1
+    registry = ("labels", "kinds", "corpora", "roles")
+    if not (isinstance(graph, dict) and all(
+        isinstance(graph.get(key), list) and len(graph[key]) == rows for key in registry
+    )):
+        fail(f"malformed graph registry: need lists {list(registry)} of one entry per CSR row")
+    valid_kinds = {kind.value for kind in NodeKind}
+    unknown = [kind for kind in graph["kinds"] if not isinstance(kind, str) or kind not in valid_kinds]
+    if unknown:
+        fail(f"unknown graph node kinds {unknown[:3]!r}")
+
+
 def _restore_vocab(path: str, vocab_data: Dict[str, object], arrays) -> Vocabulary:
     """The saved vocabulary; :class:`IndexFormatError` unless token ``i``
     names row ``i`` of each embedding matrix (unique tokens, one per row)."""
@@ -551,6 +597,7 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
     # requested verification already ran on the first read, so the re-read
     # skips it.
     header, arrays = read_index(path, mmap=True, verify=verify)
+    _check_header(path, header, arrays)
     config = _restore_config(path, header)
     if mmap is None:
         mmap = bool(config.serving.mmap)

@@ -15,6 +15,7 @@ from repro.baselines.supervised import train_test_split_queries
 from repro.baselines.tapas import TapasMatcher
 from repro.baselines.tfidf import BM25Matcher, TfIdfMatcher, TfIdfVectorizer
 from repro.baselines.word2vec_baseline import Word2VecMatcher
+from repro.core.downstream import EmbeddingPairClassifier
 from repro.corpus.table import Column, Table
 from repro.embeddings.doc2vec import Doc2VecConfig
 from repro.embeddings.word2vec import Word2VecConfig
@@ -136,12 +137,6 @@ class TestPairFeatures:
     def test_unfitted_extractor_raises(self):
         with pytest.raises(RuntimeError):
             PairFeatureExtractor().features("a", "b")
-
-    def test_feature_matrix_shape(self, claim_world):
-        queries, candidates, _gold = claim_world
-        extractor = PairFeatureExtractor().fit(list(queries.values()) + list(candidates.values()))
-        matrix = extractor.feature_matrix([(queries["q1"], candidates["f1"]), (queries["q1"], candidates["f2"])])
-        assert matrix.shape == (2, len(FEATURE_NAMES))
 
 
 class TestSbert:
@@ -281,3 +276,83 @@ class TestBertLargeClassifier:
     def test_invalid_hash_features(self):
         with pytest.raises(ValueError):
             BertLargeClassifier(n_hash_features=4)
+
+
+# ----------------------------------------------------------------------
+# One ranking contract for every method: ties ordered by candidate position.
+_TOPICS = [
+    ("governor", "unemployment dropped twelve percent during the recession"),
+    ("agency", "vaccine efficacy reached ninety percent in clinical trials"),
+    ("ministry", "carbon emissions increased eight percent across factories"),
+    ("committee", "tuition costs doubled at public universities"),
+    ("senator", "violent crime fell in every major city"),
+    ("mayor", "housing prices soared beyond regional wages"),
+]
+_OFF_TOPIC = [
+    "ancient pottery exhibit opens downtown",
+    "orchestra rehearses baroque concerto tonight",
+    "gardeners prune roses before frost",
+    "volcano eruption grounds northern flights",
+    "chess grandmaster wins blitz tournament",
+    "bakery sells sourdough loaves daily",
+    "marathon runners train along riverside trails",
+]
+
+
+@pytest.fixture(scope="module")
+def tie_world():
+    """Each topic's row appears three times (equal texts score equally) and
+    no off-topic row shares a term with any query (BM25 and TF-IDF score
+    them 0), so every method meets runs of equal scores."""
+    table = Table("claims", [Column("speaker"), Column("claim")])
+    for copy in range(3):
+        for t, (speaker, claim) in enumerate(_TOPICS):
+            table.add_record(f"t{t}_{copy}", speaker=speaker, claim=claim)
+    for o, text in enumerate(_OFF_TOPIC * 2):
+        table.add_record(f"o{o}", speaker="curator", claim=text)
+    candidates = {row.row_id: " ".join(str(v) for _c, v in row.non_null_items()) for row in table}
+    queries = {
+        f"q{t}": f"the {speaker} claimed that {claim}" for t, (speaker, claim) in enumerate(_TOPICS)
+    }
+    gold = {f"q{t}": {f"t{t}_0"} for t in range(len(_TOPICS))}
+    return table, queries, candidates, gold
+
+
+def _embedding_pair_rankings(table, queries, candidates, gold, k):
+    encoder = SbertEncoder().fit_frequencies(list(queries.values()) + list(candidates.values()))
+    query_vectors = dict(zip(queries, encoder.encode_texts(list(queries.values()))))
+    candidate_vectors = dict(zip(candidates, encoder.encode_texts(list(candidates.values()))))
+    return EmbeddingPairClassifier(query_vectors, candidate_vectors, seed=1).fit(gold).rank(k=k)
+
+
+_RANKERS = {
+    "tfidf": lambda table, q, c, gold, k: TfIdfMatcher().rank(q, c, k=k),
+    "bm25": lambda table, q, c, gold, k: BM25Matcher().rank(q, c, k=k),
+    "rank*": lambda table, q, c, gold, k: RankMatcher(seed=3).fit(q, c, gold).rank(q, c, k=k),
+    "ditto*": lambda table, q, c, gold, k: DittoMatcher(seed=3).fit(q, c, gold).rank(q, c, k=k),
+    "deep-m*": lambda table, q, c, gold, k: DeepMatcherBaseline(table, seed=3).fit(q, c, gold).rank(q, c, k=k),
+    "tapas*": lambda table, q, c, gold, k: TapasMatcher(table, seed=3).fit(q, c, gold).rank(q, c, k=k),
+    "l-be*": lambda table, q, c, gold, k: BertLargeClassifier(n_hash_features=64, hidden_size=8, seed=3)
+    .fit(q, gold, concept_ids=list(c))
+    .rank(q, k=k),
+    "w2vec": lambda table, q, c, gold, k: Word2VecMatcher(
+        Word2VecConfig(vector_size=16, epochs=2, window=5), seed=1
+    ).rank(q, c, k=k),
+    "d2vec": lambda table, q, c, gold, k: Doc2VecMatcher(
+        Doc2VecConfig(vector_size=16, epochs=3), seed=1
+    ).rank(q, c, k=k),
+    "s-be": lambda table, q, c, gold, k: SbertMatcher().rank(q, c, k=k),
+    "embedding-pair": _embedding_pair_rankings,
+}
+
+
+@pytest.mark.parametrize("method", sorted(_RANKERS))
+def test_ranking_orders_ties_by_candidate_position(tie_world, method):
+    table, queries, candidates, gold = tie_world
+    rankings = _RANKERS[method](table, queries, candidates, gold, len(candidates))
+    position = {candidate_id: i for i, candidate_id in enumerate(candidates)}
+    assert rankings.query_ids == list(queries)
+    for ranking in rankings:
+        assert len(ranking) == len(candidates)
+        keys = [(-score, position[candidate_id]) for candidate_id, score in ranking.candidates]
+        assert keys == sorted(keys), ranking.query_id

@@ -287,6 +287,32 @@ class TestHostileHeaders:
         with pytest.raises(IndexFormatError, match="config|metadata"):
             TDMatch.load(index_path, verify=verify)
 
+    # Each used to escape the loader as a raw KeyError, TypeError or
+    # ValueError, or to load and then fail or misbehave at the first
+    # report() or add_*().
+    HOSTILE_REGISTRY_AND_ARRAYS = {
+        "vocab_missing": lambda h: h.pop("vocab"),
+        "vocab_not_object": lambda h: h.update(vocab=[1, 2, 3]),
+        "vocab_without_min_count": lambda h: h["vocab"].pop("min_count"),
+        "graph_missing": lambda h: h.pop("graph"),
+        "graph_labels_missing": lambda h: h["graph"].pop("labels"),
+        "graph_labels_one_short": lambda h: h["graph"]["labels"].pop(),
+        "graph_kind_unknown": lambda h: h["graph"]["kinds"].__setitem__(0, "hyperedge"),
+        "w2v_input_missing": lambda h: h["arrays"].pop("w2v_input"),
+        "csr_indptr_missing": lambda h: h["arrays"].pop("csr_indptr"),
+        "filter_stats_unknown_keys": lambda h: h.update(filter_stats={"kept": 3}),
+        "seed_a_list": lambda h: h.update(seed=[1, 2]),
+        "seed_not_numeric": lambda h: h.update(seed="abc"),
+        "corpus_kinds_a_number": lambda h: h.update(corpus_kinds=5),
+        "intersect_anchor_unknown": lambda h: h.update(intersect_anchor="third"),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE_REGISTRY_AND_ARRAYS))
+    def test_hostile_registry_and_arrays(self, index_path, mutation):
+        _rewrite_header(index_path, self.HOSTILE_REGISTRY_AND_ARRAYS[mutation])
+        with pytest.raises(IndexFormatError):
+            TDMatch.load(index_path)
+
     def test_config_section_must_be_an_object(self):
         with pytest.raises(TypeError, match="'retrieval' is not an object"):
             config_from_dict({"retrieval": 5})
@@ -535,11 +561,28 @@ class TestIncrementalFit:
         assert len(labels) == 1
         assert rows[0].row_id in pipeline.state.built.second_metadata
 
-    def test_duplicate_id_raises(self, text_scenario):
-        pipeline, held = self._reduced_fit(text_scenario)
-        existing = list(pipeline.state.built.second_metadata)[0]
+    @pytest.mark.parametrize("kind", ["documents", "records"])
+    @pytest.mark.parametrize("batch", ["existing", "new+existing", "new+new"])
+    def test_duplicate_id_raises(self, text_scenario, scenario, kind, batch):
+        # The whole batch is checked before the first mutation: a rejected
+        # batch leaves no id mapped without a graph node and embedding row.
+        if kind == "documents":
+            pipeline, _held = self._reduced_fit(text_scenario)
+            add, contents = pipeline.add_documents, "brand new claim text"
+        else:
+            pipeline = TDMatch(TDMatchConfig.fast(), seed=7).fit(scenario.first, scenario.second)
+            add, contents = pipeline.add_records, dict(next(iter(scenario.second)).non_null_items())
+        built, model = pipeline.state.built, pipeline.model
+        existing = list(built.second_metadata)[0]
+        ids = {"existing": [existing], "new+existing": ["new", existing], "new+new": ["new", "new"]}
+        mapping, nodes, vocab = dict(built.second_metadata), pipeline.graph.num_nodes(), len(model.vocab)
         with pytest.raises(PipelineError, match="already exists"):
-            pipeline.add_documents([(existing, "text")], side="second")
+            add([(object_id, contents) for object_id in ids[batch]], side="second")
+        assert dict(built.second_metadata) == mapping
+        assert pipeline.graph.num_nodes() == nodes
+        assert len(model.vocab) == vocab
+        assert len(add([("new", contents)], side="second")) == 1
+        assert "new" in built.second_metadata
 
     def test_remove_drops_candidate(self, text_scenario):
         pipeline, _ = self._reduced_fit(text_scenario)
