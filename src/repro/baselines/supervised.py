@@ -59,16 +59,16 @@ def sample_training_pairs(
 ) -> Iterator[Tuple[str, str, List[str]]]:
     """Yield ``(query id, positive id, negative ids)`` for every gold match.
 
-    Positives absent from ``candidates`` are skipped without a draw; each
-    other positive draws ``negatives_per_positive`` uniform candidates and
-    keeps those that are not gold matches of the query.
+    A query's positives come in candidate order, not the hash order of its
+    gold set, so the draws do not depend on ``PYTHONHASHSEED``.  Positives
+    absent from ``candidates`` are skipped without a draw; each other
+    positive draws ``negatives_per_positive`` uniform candidates and keeps
+    those that are not gold matches of the query.
     """
     candidate_ids = list(candidates)
     for query_id in query_ids:
         positives = gold.get(query_id, set())
-        for positive in positives:
-            if positive not in candidates:
-                continue
+        for positive in [c for c in candidate_ids if c in positives]:
             draws = (
                 candidate_ids[int(rng.integers(0, len(candidate_ids)))]
                 for _ in range(negatives_per_positive)

@@ -28,24 +28,28 @@ Training is vectorised end to end:
 * The model trains in float32 (as gensim does) on one stacked ``(2V, D)``
   block: rows ``[0, V)`` are the input vectors, rows ``[V, 2V)`` the output
   vectors.  A mini-batch is one gather of every row it touches, one
-  ``(B, 1 + K)`` logit block through one sigmoid, and one sorted-index
-  segment sum (a one-hot CSR product, :func:`segment_scatter_add`) of all
-  its gradient rows back into the block — input, positive-output and
-  negative rows alike — instead of the slow buffered ``np.add.at``.
+  ``(B, 1 + K)`` logit block through one sigmoid, and one product of a
+  one-hot CSC matrix with all its gradient rows — input, positive-output
+  and negative rows alike — added to the block's distinct rows, instead of
+  a sort or the slow buffered ``np.add.at``.  The one-hot is built once
+  per pair slice and re-pointed in place per batch; scipy's CSC product
+  adds its columns in order, so each row sums its gradient rows in batch
+  order (see :func:`run_pair_batches`).
 
 Mini-batch SGD runs over (center, context) pairs with repeated indices
 within a batch accumulated (not overwritten).  The token-by-token pair loop
 the trainer must agree with — the same pair sequence under a shared window
 seed, the same ranking quality end to end — is the test oracle in
-``tests/oracles/word2vec.py``, next to the earlier per-matrix form of the
-mini-batch update.
+``tests/oracles/word2vec.py``, next to two earlier forms of the batch loop:
+the sorted segment sum, which it must equal byte for byte, and the
+per-matrix update.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -72,101 +76,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -20.0, 20.0)))
 
 
-def segment_scatter_add(matrix: np.ndarray, indices: np.ndarray, updates: np.ndarray) -> None:
-    """``matrix[indices] += updates`` with repeated indices accumulated.
-
-    ``indices`` must be non-negative.  Sorts them once, then sums each run
-    of equal indices in a single SIMD-friendly pass — a one-hot CSR matrix
-    (runs × batch) multiplied against the update block — and applies one
-    plain fancy-index add per unique index.  The sort runs on keys cast to
-    the narrowest unsigned type that holds ``len(matrix) - 1``; for 16-bit
-    keys or narrower numpy's stable sort is a radix sort.  A stable order is
-    unique, so rows are summed in the same order (batch position) whatever
-    the key dtype.  The CSR indices are int32, which spares scipy a range
-    scan of int64 ones.
-
-    At Word2Vec's block shape (1029 float32 rows of width 64, 479 of them
-    distinct, into a 930-row matrix; best of 600 calls on a 2-vCPU Xeon)
-    this takes ~0.10 ms, where ``np.add.at`` takes ~0.61 ms and
-    ``np.add.reduceat`` over the sorted rows ~0.37 ms — both walk the
-    segments row by row in C loops — and int64 sort keys and CSR indices
-    ~0.12 ms.
-    """
-    if indices.size == 0:
-        return
-    keys = indices.astype(np.min_scalar_type(matrix.shape[0] - 1))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundary = np.empty(sorted_keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    seg_starts = np.flatnonzero(boundary)
-    indptr = np.empty(seg_starts.size + 1, dtype=np.int32)
-    indptr[:-1] = seg_starts
-    indptr[-1] = sorted_keys.size
-    one_hot = sparse.csr_matrix(
-        (np.ones(sorted_keys.size, dtype=updates.dtype), order.astype(np.int32), indptr),
-        shape=(seg_starts.size, sorted_keys.size),
-    )
-    matrix[sorted_keys[seg_starts]] += one_hot @ updates
-
-
-def pair_update(
-    weights: np.ndarray,
-    in_ids: np.ndarray,
-    out_ids: np.ndarray,
-    negatives: np.ndarray,
-    lr: float,
-    grad: np.ndarray,
-) -> None:
-    """One mini-batch SGD step on the stacked block: ``in`` tokens predict ``out`` tokens.
-
-    ``weights`` is the ``(2V, D)`` block — rows ``[0, V)`` input vectors,
-    rows ``[V, 2V)`` output vectors.  Skip-gram passes (centers, contexts);
-    pairwise CBOW passes (contexts, centers).  ``negatives`` holds the
-    batch's shared negative ids (shape ``(K,)``): every pair of the batch is
-    trained against the same K alias-sampled negatives.
-
-    The step gathers ``rows = [in ids | V + out ids | V + negatives]`` once,
-    passes one ``(B, 1 + K)`` logit block (column 0 the positive pair, the
-    rest the negatives) through one sigmoid, writes the ``2B + K`` gradient
-    rows into the head of ``grad`` (the caller's scratch buffer), and adds
-    them back with one :func:`segment_scatter_add`, which accumulates every
-    repeated row — a token repeated within the batch, a negative drawn
-    twice, a negative that is also a positive output.
-
-    A module-level function (not a method) so the parallel trainer's shard
-    tasks run the exact same update against a local block copy — see
-    :mod:`repro.parallel.trainer`.
-    """
-    n = in_ids.shape[0]
-    vocab_size = weights.shape[0] // 2
-    rows = np.concatenate((in_ids, out_ids + vocab_size, negatives + vocab_size))
-    vecs = weights[rows]                                # (2B + K, D)
-    in_vecs = vecs[:n]
-    pos_vecs = vecs[n : 2 * n]
-    neg_vecs = vecs[2 * n :]
-
-    logits = np.empty((n, 1 + negatives.shape[0]), dtype=weights.dtype)
-    np.einsum("bd,bd->b", in_vecs, pos_vecs, out=logits[:, 0])
-    np.matmul(in_vecs, neg_vecs.T, out=logits[:, 1:])
-    # The loss gradient per logit is sigmoid - label (label 1 in column 0);
-    # folding the step size into these (B, 1 + K) coefficients builds the
-    # (rows, D) gradient blocks already scaled.
-    coef = _sigmoid(logits)
-    coef[:, 0] -= 1.0
-    coef *= -lr
-    g_pos = coef[:, :1]                                 # (B, 1)
-    g_neg = coef[:, 1:]                                 # (B, K)
-
-    grad = grad[: rows.size]
-    np.multiply(g_pos, pos_vecs, out=grad[:n])          # input rows
-    grad[:n] += g_neg @ neg_vecs
-    np.multiply(g_pos, in_vecs, out=grad[n : 2 * n])    # positive output rows
-    np.matmul(g_neg.T, in_vecs, out=grad[2 * n :])      # negative output rows
-    segment_scatter_add(weights, rows, grad)
-
-
 def run_pair_batches(
     weights: np.ndarray,
     in_ids: np.ndarray,
@@ -178,26 +87,97 @@ def run_pair_batches(
     learning_rate: float,
     min_learning_rate: float,
 ) -> int:
-    """Run consecutive mini-batches over a pair slice; returns the new step.
+    """Run consecutive mini-batch SGD steps over a pair slice; returns the new step.
 
-    ``weights`` is the stacked ``(2V, D)`` block of :func:`pair_update`.
-    ``negatives`` holds one row per batch of the slice; the learning rate
-    decays on the *global* step, so a shard starting at pair offset ``p``
-    passes ``step = epoch_start + p`` and reproduces exactly the rates the
-    serial loop would use for those batches.
+    ``weights`` is the ``(2V, D)`` block — rows ``[0, V)`` input vectors,
+    rows ``[V, 2V)`` output vectors — and ``in`` tokens predict ``out``
+    tokens: skip-gram passes (centers, contexts), pairwise CBOW (contexts,
+    centers).  ``negatives`` holds one row of K ids per batch: every pair
+    of a batch trains against the same K alias-sampled negatives.  The
+    learning rate decays on the *global* step, so a shard starting at pair
+    offset ``p`` passes ``step = epoch_start + p`` and reproduces exactly
+    the rates the serial loop would use for those batches.
+
+    A batch gathers ``rows = [in ids | V + out ids | V + negatives]`` once,
+    passes one ``(B, 1 + K)`` logit block (column 0 the positive pair, the
+    rest the negatives) through one sigmoid, and writes its ``2B + K``
+    gradient rows.  One product adds them back, accumulating every repeated
+    row — a token repeated within the batch, a negative drawn twice, a
+    negative that is also a positive output — without a sort:
+
+    * ``slot[rows] = positions``: the positions that kept their own slot
+      hold the batch's distinct rows, and ``slot[distinct] = 0, 1, ...``
+      numbers them;
+    * column ``j`` of a one-hot ``(W, W)`` CSC matrix, built once per call
+      with ``W = 2 min(batch_size, n_pairs) + K``, has its one entry at row
+      ``slot[rows[j]]``: each batch rewrites ``indices`` in place, and one
+      entry per column keeps them sorted and unique;
+    * ``weights[distinct] += (one_hot @ grad)[:n_distinct]``.
+
+    scipy's ``csc_matvecs`` adds column ``j`` into its row for ``j = 0, 1,
+    ...`` in turn, so each row sums its batch positions in ascending order,
+    from zero — the order of a stable sort by row — and which duplicate
+    kept the slot only renumbers the product's rows.  A partial last batch
+    points its unused columns (stale gradient rows) at product row
+    ``W - 1``, which it never reads: it has fewer than ``W`` rows.  At
+    the perfbench ``fit`` shape (1,029 rows of width 64, ~480 distinct; a
+    2-vCPU Xeon) the relabel and the product take ~38 µs per batch, where a
+    stable argsort and a new CSR matrix per batch took ~57 µs.
+
+    The parallel trainer's shard tasks run this same loop on a local block
+    copy (:mod:`repro.parallel.trainer`).
     """
     n_pairs = int(in_ids.shape[0])
-    # One gradient buffer serves every batch; a partial last batch uses its head.
-    grad = np.empty(
-        (2 * min(batch_size, n_pairs) + negatives.shape[1], weights.shape[1]),
-        dtype=weights.dtype,
+    vocab_size = weights.shape[0] // 2
+    # Scratch for every batch; a partial last batch uses the heads.
+    width = 2 * min(batch_size, n_pairs) + negatives.shape[1]
+    grad = np.empty((width, weights.shape[1]), dtype=weights.dtype)
+    slot = np.empty(weights.shape[0], dtype=np.int32)
+    positions = np.arange(width + 1, dtype=np.int32)
+    # One 1 per column (indptr 0, 1, ..., W); each batch re-points the
+    # columns' rows (indices, int32 like indptr) in place.
+    one_hot = sparse.csc_array(
+        (np.ones(width, dtype=weights.dtype), positions[:width].copy(), positions),
+        shape=(width, width),
     )
+    indices = one_hot.indices
     for i, start in enumerate(range(0, n_pairs, batch_size)):
         stop = min(start + batch_size, n_pairs)
         progress = min(1.0, step / max(total_steps, 1))
         lr = max(min_learning_rate, learning_rate * (1.0 - progress))
-        pair_update(weights, in_ids[start:stop], out_ids[start:stop], negatives[i], lr, grad)
-        step += stop - start
+        n = stop - start
+        rows = np.concatenate(
+            (in_ids[start:stop], out_ids[start:stop] + vocab_size, negatives[i] + vocab_size)
+        )
+        m = rows.size
+        vecs = weights[rows]                                # (2B + K, D)
+        in_vecs = vecs[:n]
+        pos_vecs = vecs[n : 2 * n]
+        neg_vecs = vecs[2 * n :]
+
+        logits = np.empty((n, 1 + negatives.shape[1]), dtype=weights.dtype)
+        np.einsum("bd,bd->b", in_vecs, pos_vecs, out=logits[:, 0])
+        np.matmul(in_vecs, neg_vecs.T, out=logits[:, 1:])
+        # The loss gradient per logit is sigmoid - label (label 1 in column 0);
+        # folding the step size into these (B, 1 + K) coefficients builds the
+        # (rows, D) gradient blocks already scaled.
+        coef = _sigmoid(logits)
+        coef[:, 0] -= 1.0
+        coef *= -lr
+        g_pos = coef[:, :1]                                 # (B, 1)
+        g_neg = coef[:, 1:]                                 # (B, K)
+        np.multiply(g_pos, pos_vecs, out=grad[:n])          # input rows
+        grad[:n] += g_neg @ neg_vecs
+        np.multiply(g_pos, in_vecs, out=grad[n : 2 * n])    # positive output rows
+        np.matmul(g_neg.T, in_vecs, out=grad[2 * n : m])    # negative output rows
+
+        slot[rows] = positions[:m]
+        distinct = rows[slot[rows] == positions[:m]]
+        slot[distinct] = positions[: distinct.size]
+        np.take(slot, rows, out=indices[:m])
+        indices[m:] = width - 1
+        weights[distinct] += (one_hot @ grad)[: distinct.size]
+        step += n
     return step
 
 
@@ -458,8 +438,8 @@ class Word2Vec:
         return weights
 
     # ------------------------------------------------------------------
-    # Epoch loop: per-epoch numpy extraction, alias negatives, segment-sum
-    # scatter
+    # Epoch loop: per-epoch numpy extraction, alias negatives, one-hot
+    # batch sums
     def _train_vectorized(
         self,
         weights: np.ndarray,
@@ -564,15 +544,14 @@ class Word2Vec:
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
+        # One repeat gives each pair its center's position; pair j of a
+        # center takes position lo + j, and positions at or past the center
+        # shift by one to skip it.
+        center_pos = np.repeat(positions, counts)
         run_starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-        ctx_pos = np.repeat(lo, counts) + within
-        # Positions at or past the center shift by one to skip it.
-        ctx_pos += ctx_pos >= np.repeat(positions, counts)
-
-        centers = np.repeat(flat_ids, counts)
-        contexts = flat_ids[ctx_pos]
-        return centers, contexts
+        ctx_pos = np.arange(total, dtype=np.int64) + (lo - run_starts)[center_pos]
+        ctx_pos += ctx_pos >= center_pos
+        return flat_ids[center_pos], flat_ids[ctx_pos]
 
     # ------------------------------------------------------------------
     # Lookup
@@ -588,24 +567,7 @@ class Word2Vec:
             return None
         return self._input_vectors[idx]
 
-    def vectors_for(self, tokens: Iterable[str]) -> Dict[str, np.ndarray]:
-        """Vectors for all in-vocabulary tokens of ``tokens``."""
-        result: Dict[str, np.ndarray] = {}
-        for token in tokens:
-            vec = self.vector(token)
-            if vec is not None:
-                result[token] = vec
-        return result
-
     def embedding_matrix(self) -> np.ndarray:
         if self._input_vectors is None:
             raise RuntimeError("model is not trained")
         return self._input_vectors
-
-    def mean_vector(self, tokens: Sequence[str]) -> Optional[np.ndarray]:
-        """Mean of the vectors of the in-vocabulary ``tokens`` (or None)."""
-        vecs = [self.vector(t) for t in tokens]
-        vecs = [v for v in vecs if v is not None]
-        if not vecs:
-            return None
-        return np.mean(np.stack(vecs), axis=0)

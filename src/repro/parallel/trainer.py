@@ -1,10 +1,10 @@
 """Epoch-sharded Word2Vec training over a shared-memory model block.
 
 Hogwild-style data parallelism, made deterministic: each epoch's shuffled
-pair sequence is split into contiguous *batch* ranges, every shard trains
-the update on a private copy of the epoch-start ``(2V, D)`` block (input
-and output vectors stacked, see :func:`repro.embeddings.word2vec.pair_update`),
-and the parent applies the per-shard deltas (``local - snapshot``) in fixed
+pair sequence is split into contiguous *batch* ranges, every shard runs
+:func:`repro.embeddings.word2vec.run_pair_batches` on a private copy of
+the epoch-start ``(2V, D)`` block (input and output vectors stacked), and
+the parent applies the per-shard deltas (``local - snapshot``) in fixed
 shard order.  All randomness — window sampling, the permutation, the alias
 negatives — is consumed in the parent before sharding (see
 :meth:`repro.embeddings.word2vec.Word2Vec._train_vectorized`), so the

@@ -19,11 +19,16 @@ and run the whole pipeline on the oracle.  Under a shared window seed,
 :func:`extract_pairs` emits exactly the pair sequence of
 ``Word2Vec._extract_pairs_vectorized``.
 
-:func:`run_pair_batches_per_matrix` is the library's mini-batch update in
-its earlier form, on separate input and output matrices: three gathers, two
-sigmoid passes, two segment sums and an ``np.add.at`` for the shared
-negatives.  Given the same batches it must agree with the fused
-``run_pair_batches`` on the stacked block up to float32 summation order.
+Two earlier forms of the library's mini-batch loop, given the same batches:
+
+* :func:`run_pair_batches_sorted` is the fused update on the stacked block
+  with a sorted segment sum (:func:`segment_scatter_add`): a stable argsort
+  of the batch's rows and a one-hot CSR built per batch.  The sort-free
+  ``run_pair_batches`` must equal it byte for byte.
+* :func:`run_pair_batches_per_matrix` runs on separate input and output
+  matrices: three gathers, two sigmoid passes, two segment sums and an
+  ``np.add.at`` for the shared negatives.  It agrees with the fused loop up
+  to float32 summation order.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.embeddings.word2vec import Word2Vec, _sigmoid, segment_scatter_add
+from repro.embeddings.word2vec import Word2Vec, _sigmoid
 
 
 def _encode(
@@ -207,6 +213,100 @@ def _cbow_update(model: Word2Vec, batch_idx, centers, contexts, neg_dist, lr) ->
     np.add.at(w_in, ctx, -lr * grad_ctx)
     np.add.at(w_out, cen, -lr * grad_pos)
     np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
+
+
+def segment_scatter_add(matrix: np.ndarray, indices: np.ndarray, updates: np.ndarray) -> None:
+    """``matrix[indices] += updates`` with repeated indices accumulated.
+
+    ``indices`` must be non-negative.  Sorts them once (stable, on keys cast
+    to the narrowest unsigned type that holds ``len(matrix) - 1``), then sums
+    each run of equal indices with a one-hot CSR matrix (runs × batch)
+    multiplied against the update block, and applies one fancy-index add per
+    unique index.  A stable order is unique, so each run sums its rows in
+    batch-position order whatever the key dtype.
+    """
+    if indices.size == 0:
+        return
+    keys = indices.astype(np.min_scalar_type(matrix.shape[0] - 1))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    boundary = np.empty(sorted_keys.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    seg_starts = np.flatnonzero(boundary)
+    indptr = np.empty(seg_starts.size + 1, dtype=np.int32)
+    indptr[:-1] = seg_starts
+    indptr[-1] = sorted_keys.size
+    one_hot = sparse.csr_matrix(
+        (np.ones(sorted_keys.size, dtype=updates.dtype), order.astype(np.int32), indptr),
+        shape=(seg_starts.size, sorted_keys.size),
+    )
+    matrix[sorted_keys[seg_starts]] += one_hot @ updates
+
+
+def pair_update_sorted(
+    weights: np.ndarray,
+    in_ids: np.ndarray,
+    out_ids: np.ndarray,
+    negatives: np.ndarray,
+    lr: float,
+    grad: np.ndarray,
+) -> None:
+    """One mini-batch step on the stacked ``(2V, D)`` block, summed by a sort.
+
+    The gather, the logit block, the sigmoid and the gradient rows are the
+    library's; the ``2B + K`` gradient rows go back through one
+    :func:`segment_scatter_add`.  ``grad`` is the caller's scratch buffer.
+    """
+    n = in_ids.shape[0]
+    vocab_size = weights.shape[0] // 2
+    rows = np.concatenate((in_ids, out_ids + vocab_size, negatives + vocab_size))
+    vecs = weights[rows]                                # (2B + K, D)
+    in_vecs = vecs[:n]
+    pos_vecs = vecs[n : 2 * n]
+    neg_vecs = vecs[2 * n :]
+
+    logits = np.empty((n, 1 + negatives.shape[0]), dtype=weights.dtype)
+    np.einsum("bd,bd->b", in_vecs, pos_vecs, out=logits[:, 0])
+    np.matmul(in_vecs, neg_vecs.T, out=logits[:, 1:])
+    coef = _sigmoid(logits)
+    coef[:, 0] -= 1.0
+    coef *= -lr
+    g_pos = coef[:, :1]                                 # (B, 1)
+    g_neg = coef[:, 1:]                                 # (B, K)
+
+    grad = grad[: rows.size]
+    np.multiply(g_pos, pos_vecs, out=grad[:n])          # input rows
+    grad[:n] += g_neg @ neg_vecs
+    np.multiply(g_pos, in_vecs, out=grad[n : 2 * n])    # positive output rows
+    np.matmul(g_neg.T, in_vecs, out=grad[2 * n :])      # negative output rows
+    segment_scatter_add(weights, rows, grad)
+
+
+def run_pair_batches_sorted(
+    weights: np.ndarray,
+    in_ids: np.ndarray,
+    out_ids: np.ndarray,
+    negatives: np.ndarray,
+    batch_size: int,
+    step: int,
+    total_steps: int,
+    learning_rate: float,
+    min_learning_rate: float,
+) -> int:
+    """``run_pair_batches`` over :func:`pair_update_sorted`; returns the new step."""
+    n_pairs = int(in_ids.shape[0])
+    grad = np.empty(
+        (2 * min(batch_size, n_pairs) + negatives.shape[1], weights.shape[1]),
+        dtype=weights.dtype,
+    )
+    for i, start in enumerate(range(0, n_pairs, batch_size)):
+        stop = min(start + batch_size, n_pairs)
+        progress = min(1.0, step / max(total_steps, 1))
+        lr = max(min_learning_rate, learning_rate * (1.0 - progress))
+        pair_update_sorted(weights, in_ids[start:stop], out_ids[start:stop], negatives[i], lr, grad)
+        step += stop - start
+    return step
 
 
 def pair_update_per_matrix(

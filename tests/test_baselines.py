@@ -1,5 +1,9 @@
 """Tests for the baseline matchers (unsupervised and supervised)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -212,6 +216,65 @@ class TestSupervisedBaselines:
         matcher = DittoMatcher(seed=3).fit(queries, candidates, gold, train_queries=["q1", "q2", "q3"])
         rankings = matcher.rank(queries, candidates, k=2, query_ids=["q4", "q5"])
         assert set(rankings.query_ids) == {"q4", "q5"}
+
+    def test_training_sets_ignore_hash_seed(self):
+        # Gold matches are sets of strings. With several per query (audit
+        # has up to five), a sampler that followed their hash order would
+        # attach the negative draws to other positives in each process.
+        outputs = []
+        repo_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(repo_dir, "src"), repo_dir, env.get("PYTHONPATH", "")]
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
+
+
+#: Fits the sampler-fed baselines that need no table on ``audit`` and
+#: prints each test query's ranking with exact scores, one line per method.
+_HASH_SEED_PROBE = """
+from repro.baselines.deepmatcher import DeepMatcherBaseline
+from repro.baselines.ditto import DittoMatcher
+from repro.baselines.rank import RankMatcher
+from repro.baselines.sbert import SbertEncoder
+from repro.baselines.supervised import train_test_split_queries
+from repro.core.downstream import EmbeddingPairClassifier
+from repro.datasets import ScenarioSize, generate_scenario
+
+size = ScenarioSize(n_entities=8, n_queries=12, n_distractors=4)
+sc = generate_scenario("audit", size=size, seed=11)
+queries, candidates = sc.query_texts(), sc.candidate_texts()
+train, test = train_test_split_queries(list(sc.gold), 0.6, seed=3)
+encoder = SbertEncoder().fit_frequencies(list(queries.values()) + list(candidates.values()))
+pair_classifier = EmbeddingPairClassifier(
+    dict(zip(queries, encoder.encode_texts(list(queries.values())))),
+    dict(zip(candidates, encoder.encode_texts(list(candidates.values())))),
+    seed=3,
+).fit({q: sc.gold[q] for q in train})
+results = {
+    name: matcher.fit(queries, candidates, sc.gold, train_queries=train).rank(
+        queries, candidates, k=10, query_ids=test
+    )
+    for name, matcher in (
+        ("rank*", RankMatcher(seed=3)),
+        ("ditto*", DittoMatcher(seed=3)),
+        ("deep-m*", DeepMatcherBaseline(None, seed=3)),
+    )
+}
+results["embedding-pair"] = pair_classifier.rank(k=10, query_ids=test)
+for name, rankings in results.items():
+    print(name, [(r.query_id, [(c, repr(s)) for c, s in r.candidates]) for r in rankings])
+"""
 
 
 class TestTableAwareBaselines:

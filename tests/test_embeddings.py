@@ -111,15 +111,6 @@ class TestWord2Vec:
         m2 = Word2Vec(config, seed=3).train(corpus)
         np.testing.assert_allclose(m1.vector("apple"), m2.vector("apple"))
 
-    def test_mean_vector(self, trained_sg):
-        mean = trained_sg.mean_vector(["apple", "banana", "zzz"])
-        assert mean.shape == (32,)
-        assert trained_sg.mean_vector(["zzz"]) is None
-
-    def test_vectors_for(self, trained_sg):
-        vectors = trained_sg.vectors_for(["apple", "zzz"])
-        assert set(vectors) == {"apple"}
-
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError):
             Word2Vec(Word2VecConfig()).train([])

@@ -2,10 +2,11 @@
 
 Covers the alias sampler, the numpy pair extraction (exact parity with the
 token-loop oracle of ``tests/oracles/word2vec.py`` under a shared window
-seed), the segment-sum scatter, config validation, the corpus encoding
-(exact parity with the oracle's label path, for node ids and interned
-strings), and end-to-end ranking parity with the oracle swapped into
-``TDMatch`` (the ``reference`` runs).
+seed), the mini-batch loop (byte-identical to the oracle's sorted segment
+sum, and within float32 rounding of its per-matrix form), config
+validation, the corpus encoding (exact parity with the oracle's label path,
+for node ids and interned strings), and end-to-end ranking parity with the
+oracle swapped into ``TDMatch`` (the ``reference`` runs).
 """
 
 import numpy as np
@@ -19,12 +20,7 @@ from repro.datasets import ScenarioSize, generate_scenario
 from repro.embeddings.sampling import AliasSampler
 from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.vocab import Vocabulary
-from repro.embeddings.word2vec import (
-    Word2Vec,
-    Word2VecConfig,
-    run_pair_batches,
-    segment_scatter_add,
-)
+from repro.embeddings.word2vec import Word2Vec, Word2VecConfig, run_pair_batches
 from repro.graph.graph import MatchGraph
 from repro.graph.walk_engine import CSRWalkEngine
 from repro.graph.walks import RandomWalkConfig
@@ -33,6 +29,8 @@ from tests.oracles.word2vec import (
     extract_pairs,
     grow_reference,
     run_pair_batches_per_matrix,
+    run_pair_batches_sorted,
+    segment_scatter_add,
     train_reference,
 )
 
@@ -94,7 +92,7 @@ class TestAliasSampler:
 
 
 # ----------------------------------------------------------------------
-# Segment-sum scatter
+# The oracle's sorted segment sum
 class TestSegmentScatterAdd:
     def test_matches_add_at(self):
         rng = np.random.default_rng(0)
@@ -190,6 +188,69 @@ class TestFusedPairUpdate:
         assert np.isfinite(weights).all()
         # Saturated positives are already right; saturated negatives push back.
         assert weights[vocab + 2, 0] < 40.0
+
+
+# ----------------------------------------------------------------------
+# The sort-free batch loop against the sorted one, byte for byte
+def _assert_matches_sorted_loop(weights, in_ids, out_ids, negatives, batch_size):
+    """Both loops from one block: equal steps and ``tobytes()``-equal blocks."""
+    expected = weights.copy()
+    args = (in_ids, out_ids, negatives, batch_size, 7, 10 * in_ids.size, 0.05, 0.0001)
+    step = run_pair_batches(weights, *args)
+    assert step == run_pair_batches_sorted(expected, *args) == 7 + in_ids.size
+    assert weights.tobytes() == expected.tobytes()
+
+
+class TestSortFreeBatchLoop:
+    """``run_pair_batches`` sums each row's gradient rows in batch-position
+    order, as the oracle's stable sort does, so the blocks are equal bytes.
+
+    A tolerance would not do: ``np.add.at`` in place of the product sums the
+    same rows in another association and passes ``TestFusedPairUpdate``.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("sg", [True, False])
+    def test_fused_case(self, seed, sg):
+        # A partial last batch, repeated ids, a negative drawn twice that
+        # equals a positive output of its batch.
+        weights, centers, contexts, negatives = _fused_case(seed)
+        in_ids, out_ids = (centers, contexts) if sg else (contexts, centers)
+        before = weights.copy()
+        _assert_matches_sorted_loop(weights, in_ids, out_ids, negatives, 16)
+        assert np.abs(weights - before).max() > 1e-3
+
+    @pytest.mark.parametrize("batch_size", [53, 54, 500])
+    def test_one_batch_holds_every_pair(self, batch_size):
+        weights, centers, contexts, negatives = _fused_case(4)
+        _assert_matches_sorted_loop(weights, centers, contexts, negatives[:1], batch_size)
+
+    def test_batch_rows_all_one_id(self):
+        weights = _fused_case(5)[0]
+        ids = np.full(16, 3)
+        negatives = np.full((2, 4), 3)  # every output row is the positive's
+        _assert_matches_sorted_loop(weights, ids, ids, negatives, 8)
+
+    def test_one_negative(self):
+        weights, centers, contexts, negatives = _fused_case(6)
+        _assert_matches_sorted_loop(weights, centers, contexts, negatives[:, :1], 16)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        vocab=st.integers(1, 40),
+        dim=st.integers(1, 9),
+        batch_size=st.integers(1, 40),
+        k=st.integers(1, 6),
+        n_pairs=st.integers(0, 120),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_sorted_loop(self, vocab, dim, batch_size, k, n_pairs, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(-0.5, 0.5, (2 * vocab, dim)).astype(np.float32)
+        centers = rng.integers(0, vocab, size=n_pairs)
+        contexts = rng.integers(0, vocab, size=n_pairs)
+        negatives = rng.integers(0, vocab, size=(-(-n_pairs // batch_size), k))
+        _assert_matches_sorted_loop(weights, centers, contexts, negatives, batch_size)
 
 
 # ----------------------------------------------------------------------
