@@ -1,10 +1,12 @@
 """Cosine similarity and the top-k kernel over embedding matrices.
 
-Rankings are decoded by ``repro.retrieval``: ``DenseTopK`` runs
-:func:`argtopk`, ``RetrievalResult.to_rankings`` maps the positions to ids.
+Rankings are decoded by ``repro.retrieval``: every backend selects with
+:func:`topk`, ``RetrievalResult.to_rankings`` maps the positions to ids.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -33,41 +35,51 @@ def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return normalize_rows(queries) @ normalize_rows(candidates).T
 
 
-def argtopk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Vectorised top-k column indices per row, ordered by (-score, index).
+def check_k(k: int) -> int:
+    """``k`` as an int: a bool, float or other non-integer raises TypeError, k < 1 ValueError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise TypeError(f"k must be an integer, not {type(k).__name__}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(k)
 
-    Equivalent to ``np.lexsort((np.arange(m), -row))[:k]`` applied to every
-    row, but without a Python-level loop: an ``np.argpartition`` pass keeps
-    only ``k`` entries per row and a lexsort over that narrow slice orders
-    them.  Ties — including ties that straddle the partition boundary — are
-    broken by ascending candidate index, so the result is deterministic and
-    bit-identical to the reference per-row lexsort for finite scores.
 
-    Returns an ``(n_rows, k)`` int array (``k`` clamped to the row width).
+def topk(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-k column indices per row and their scores, ordered by (-score, index).
+
+    Equals ``np.lexsort((np.arange(m), -row))[:k]`` on every row: an in-place
+    partition of one negated copy gives each row's k-th score, a ``>=`` mask
+    selects, rows with surplus boundary ties keep the lowest-indexed ones, and
+    a stable argsort orders the ``(n, k)`` slice.  Scores are gathered, never
+    recomputed.  Returns two ``(n_rows, k)`` arrays, ``k`` clamped to ``m``.
     """
     if scores.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
     n, m = scores.shape
-    k = min(k, m)
-    if k <= 0 or n == 0:
-        return np.empty((n, 0), dtype=np.intp)
+    k = min(check_k(k), m)
     if k == m or np.isnan(scores).any():
-        # Full ordering: a stable sort on -scores keeps ties in index order.
-        # Also the NaN path — argsort ranks NaNs last, matching the
-        # reference lexsort, whereas the partition-boundary arithmetic
-        # below would miscount rows whose boundary value is NaN.
-        return np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    # kth largest value per row = the score at the partition boundary.
-    kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1 : k]
-    greater = scores > kth
-    # Rows may have more than k entries tied at the boundary value; keep the
-    # lowest-indexed ones so the selection matches the reference lexsort.
-    equal = scores == kth
-    need = k - greater.sum(axis=1, keepdims=True)
-    equal &= np.cumsum(equal, axis=1) <= need
-    # Exactly k selected per row; nonzero() is row-major so a reshape works.
-    idx = np.nonzero(greater | equal)[1].reshape(n, k)
-    top_scores = np.take_along_axis(scores, idx, axis=1)
-    order = np.lexsort((idx, -top_scores), axis=1)
-    return np.take_along_axis(idx, order, axis=1)
-
+        # Stable: ties keep index order, NaN ranks last (the mask would miscount).
+        idx = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        return idx, np.take_along_axis(scores, idx, axis=1)
+    kth = -scores  # one negated copy, partitioned in place
+    kth.partition(k - 1, axis=1)
+    kth = -kth[:, k - 1 : k]
+    selected = scores >= kth
+    flat = np.flatnonzero(selected)
+    if flat.size > n * k:
+        # Rows tied at their k-th score past k entries keep the first ties.
+        surplus = np.flatnonzero(np.count_nonzero(selected, axis=1) > k)
+        rows, edge = scores[surplus], kth[surplus]
+        greater, equal = rows > edge, rows == edge
+        need = k - np.count_nonzero(greater, axis=1, keepdims=True)
+        selected[surplus] = greater | (equal & (np.cumsum(equal, axis=1) <= need))
+        flat = np.flatnonzero(selected)
+    del selected
+    # Row-major, so each row's columns ascend and a stable sort keeps them.
+    top = np.take(scores, flat).reshape(n, k)
+    order = np.argsort(-top, axis=1, kind="stable")
+    order += np.arange(0, n * k, k)[:, None]
+    idx = np.take(flat, order)
+    del flat
+    idx -= np.arange(0, n * m, m)[:, None]
+    return idx, np.take(top, order)

@@ -9,6 +9,7 @@ strings that form); :meth:`Vocabulary.from_counts` orders its labels by
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,8 +124,8 @@ class Vocabulary:
 
     def ids_of(self, tokens: Sequence[str]) -> np.ndarray:
         """The int64 ids of ``tokens``, ``-1`` for out-of-vocabulary ones."""
-        get = self._token_to_id.get
-        return np.fromiter((get(token, -1) for token in tokens), dtype=np.int64, count=len(tokens))
+        lookup = map(self._token_to_id.get, tokens, repeat(-1))
+        return np.fromiter(lookup, dtype=np.int64, count=len(tokens))
 
     def token_of(self, idx: int) -> str:
         return self._id_to_token[idx]

@@ -8,15 +8,16 @@ about how much work was done — that contract is what this module pins
 down, so dense scoring and blocking are interchangeable.
 
 A backend consumes raw (unnormalised) query/candidate embedding matrices
-and returns a :class:`RetrievalResult`: per-query candidate indices and
-scores ordered by (-score, index), plus :class:`RetrievalStats` recording
-the number of (query, candidate) pairs actually scored.
+and returns a :class:`RetrievalResult`, one CSR block of per-query candidate
+indices and scores ordered by (-score, index), plus :class:`RetrievalStats`
+recording the number of (query, candidate) pairs actually scored.
 :meth:`RetrievalResult.to_rankings` is the one decoder into rankings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -53,31 +54,33 @@ class RetrievalStats:
 
 @dataclass
 class RetrievalResult:
-    """Per-query top-k neighbours: parallel lists of index/score arrays.
+    """Per-query top-k neighbours as one CSR block of index/score arrays.
 
-    ``indices[q]`` holds candidate *positions* (into the candidate id list)
-    ordered by decreasing score with ascending-index tie-break; rows may be
-    shorter than ``k`` when a blocked backend found a smaller block.
+    Query ``q``'s candidate *positions* (into the candidate id list) are
+    ``indices[offsets[q]:offsets[q + 1]]``, their scores at the same slots of
+    ``scores``, ordered by decreasing score with ascending-index tie-break;
+    rows may be shorter than ``k`` when a blocked backend found a smaller block.
     """
 
-    indices: List[np.ndarray]
-    scores: List[np.ndarray]
+    indices: np.ndarray
+    scores: np.ndarray
+    offsets: np.ndarray
     stats: RetrievalStats
 
     def to_rankings(
         self, query_ids: Sequence[str], candidate_ids: Sequence[str]
     ) -> RankingSet:
-        """Decode positional results into a :class:`RankingSet`, one
-        ``tolist()`` per index row and per score row."""
-        if len(query_ids) != len(self.indices):
+        """Decode into a :class:`RankingSet`: one gather of the candidate ids, one
+        ``tolist()`` each for ids and scores, one slice of the zipped pairs per query."""
+        if len(query_ids) != len(self.offsets) - 1:
             raise ValueError("query_ids length must match the result rows")
         if len(candidate_ids) != self.stats.n_candidates:
             raise ValueError("candidate_ids length must match the scored candidates")
-        lookup = candidate_ids.__getitem__
+        ids = np.array(candidate_ids, dtype=object)[self.indices].tolist()
+        pairs = zip(ids, self.scores.tolist())
         rankings = RankingSet()
-        for query_id, idx_row, score_row in zip(query_ids, self.indices, self.scores):
-            candidates = list(zip(map(lookup, idx_row.tolist()), score_row.tolist()))
-            rankings.add(Ranking(query_id=query_id, candidates=candidates))
+        for query_id, length in zip(query_ids, np.diff(self.offsets).tolist()):
+            rankings.add(Ranking(query_id=query_id, candidates=list(islice(pairs, length))))
         return rankings
 
 

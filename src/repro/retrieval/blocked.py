@@ -10,10 +10,13 @@ similarity computations performed, and the companion benchmark in
 ``benchmarks/bench_fig8_scaling.py`` shows the wall-clock win tracking the
 reduction ratio.
 
-Queries whose blocks contain exactly the same candidates (common under
-graph-neighbourhood or cluster-style blocking) are grouped and scored with
-one gather and one BLAS matmul per distinct block, so the per-query Python
-overhead does not swallow the skipped FLOPs at scale.
+Each distinct block (by its id sequence) is translated to candidate
+positions once per call, and queries whose blocks contain exactly the same
+candidates (common under graph-neighbourhood or cluster-style blocking) are
+grouped and scored with one gather and one BLAS matmul per distinct block,
+so the per-query Python overhead does not swallow the skipped FLOPs at
+scale.  The ragged per-query rows are concatenated once into the result's
+CSR block.
 
 Any :class:`~repro.retrieval.base.QueryBlocker` works, which makes
 ``MetadataNeighborhoodBlocking`` (graph-native blocking) usable through the
@@ -23,11 +26,12 @@ same interface as ``TokenBlocking`` via the adapters in
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.similarity import argtopk
+from repro.embeddings.similarity import check_k, topk
 from repro.retrieval.base import (
     QueryBlocker,
     RetrievalResult,
@@ -83,8 +87,7 @@ class BlockedTopK:
         query_ids: Optional[Sequence[str]] = None,
         candidate_ids: Optional[Sequence[str]] = None,
     ) -> RetrievalResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_k(k)
         validate_matrices(query_matrix, candidate_matrix)
         if query_ids is None or candidate_ids is None:
             raise ValueError("BlockedTopK needs query_ids and candidate_ids")
@@ -96,74 +99,63 @@ class BlockedTopK:
         candidates = prepare_matrix(candidate_matrix, self.dtype)
         candidate_pos = {cid: i for i, cid in enumerate(candidate_ids)}
         n_queries = len(query_ids)
-        n_candidates = candidates.shape[0]
-        empty = np.empty(0, dtype=candidates.dtype)
-        indices: List[Optional[np.ndarray]] = [None] * n_queries
-        scores: List[np.ndarray] = [empty] * n_queries
+        no_indices = np.empty(0, dtype=np.intp)
+        no_scores = np.empty(0, dtype=candidates.dtype)
+        index_rows: List[np.ndarray] = [no_indices] * n_queries
+        score_rows: List[np.ndarray] = [no_scores] * n_queries
         empty_blocks = 0
 
-        # Group queries sharing an identical block: one gather + one matmul
+        # Translate each distinct block once, keyed by its id tuple, then
+        # group queries sharing an identical block: one gather + one matmul
         # per distinct block instead of per query.  ``None`` keys the dense
         # fallback group (empty blocks with fallback enabled).
+        translated: Dict[Tuple[str, ...], Tuple[bytes, np.ndarray]] = {}
         groups: Dict[Optional[bytes], Tuple[Optional[np.ndarray], List[int]]] = {}
         for row, query_id in enumerate(query_ids):
-            block = self.blocker.block_for(query_id)
-            # unique() sorts ascending (and dedups), so within-block
-            # positions map monotonically to global candidate indices and
-            # argtopk's index tie-break stays correct — blockers may emit
-            # ids in any order.
-            try:
-                # C-level translation; falls back to filtering only when a
-                # blocker emits ids outside the candidate set.
-                translated = np.fromiter(
-                    map(candidate_pos.__getitem__, block), dtype=np.intp, count=len(block)
+            block = tuple(self.blocker.block_for(query_id))
+            entry = translated.get(block)
+            if entry is None:
+                # unique() sorts ascending (and dedups), so within-block
+                # positions map monotonically to global candidate indices
+                # and topk's index tie-break stays correct — blockers may
+                # emit ids in any order.  Unknown ids map to -1 and drop.
+                positions = np.fromiter(
+                    map(candidate_pos.get, block, repeat(-1)), dtype=np.intp, count=len(block)
                 )
-            except KeyError:
-                translated = np.fromiter(
-                    (candidate_pos[cid] for cid in block if cid in candidate_pos),
-                    dtype=np.intp,
-                )
-            block_idx = np.unique(translated)
+                block_idx = np.unique(positions[positions >= 0])
+                entry = translated[block] = (block_idx.tobytes(), block_idx)
+            key, block_idx = entry
             if block_idx.size == 0:
                 empty_blocks += 1
                 if not self.fallback_to_full:
-                    indices[row] = np.empty(0, dtype=np.intp)
                     continue
-                key: Optional[bytes] = None
-            else:
-                key = block_idx.tobytes()
-            group = groups.get(key)
-            if group is None:
-                groups[key] = (None if key is None else block_idx, [row])
-            else:
-                group[1].append(row)
+                key, block_idx = None, None
+            groups.setdefault(key, (block_idx, []))[1].append(row)
 
         scored_pairs = 0
         for block_idx, rows in groups.values():
-            if block_idx is None:
-                block = candidates
-                global_idx = None
-            else:
-                block = candidates[block_idx]
-                global_idx = block_idx
+            block = candidates if block_idx is None else candidates[block_idx]
             scored_pairs += len(rows) * block.shape[0]
             row_arr = np.asarray(rows, dtype=np.intp)
             for start in range(0, row_arr.size, self.chunk_size):
                 chunk_rows = row_arr[start : start + self.chunk_size]
-                chunk_scores = queries[chunk_rows] @ block.T
-                top = argtopk(chunk_scores, k)
-                top_scores = np.take_along_axis(chunk_scores, top, axis=1)
-                if global_idx is not None:
-                    top = global_idx[top]
-                for row, idx_row, score_row in zip(chunk_rows, top, top_scores):
-                    indices[row] = idx_row
-                    scores[row] = score_row
+                top, top_scores = topk(queries[chunk_rows] @ block.T, k)
+                if block_idx is not None:
+                    top = block_idx[top]
+                for row, idx_row, score_row in zip(chunk_rows.tolist(), top, top_scores):
+                    index_rows[row] = idx_row
+                    score_rows[row] = score_row
 
         stats = RetrievalStats(
             backend=self.name,
             n_queries=n_queries,
-            n_candidates=n_candidates,
+            n_candidates=len(candidates),
             scored_pairs=scored_pairs,
             empty_blocks=empty_blocks,
         )
-        return RetrievalResult(indices=indices, scores=scores, stats=stats)
+        return RetrievalResult(
+            indices=np.concatenate([no_indices, *index_rows]),
+            scores=np.concatenate([no_scores, *score_rows]),
+            offsets=np.cumsum([0, *map(len, index_rows)]),
+            stats=stats,
+        )

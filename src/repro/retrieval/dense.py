@@ -5,19 +5,19 @@ that naively materialises the full ``n_queries × n_candidates`` score
 matrix; :class:`DenseTopK` normalises both matrices once, then streams the
 queries in chunks of ``chunk_size`` rows so at most ``chunk_size ×
 n_candidates`` scores exist at a time, reducing each chunk to its top-k
-immediately with the vectorised ``argpartition`` kernel
-(:func:`repro.embeddings.similarity.argtopk`).  Ties are broken by
-candidate index, so results are deterministic and independent of
+indices and scores immediately with :func:`repro.embeddings.similarity.topk`
+and concatenating the chunks' blocks once into one CSR result.  Ties are
+broken by candidate index, so results are deterministic and independent of
 ``chunk_size``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.embeddings.similarity import argtopk
+from repro.embeddings.similarity import check_k, topk
 from repro.retrieval.base import (
     RetrievalResult,
     RetrievalStats,
@@ -55,21 +55,7 @@ class DenseTopK:
         Same ranking contract as :meth:`retrieve`; used by callers whose
         scores are not one cosine matmul (fused scores, the baselines).
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        top = argtopk(scores, k)
-        n_queries, n_candidates = scores.shape
-        stats = RetrievalStats(
-            backend=self.name,
-            n_queries=n_queries,
-            n_candidates=n_candidates,
-            scored_pairs=n_queries * n_candidates,
-        )
-        return RetrievalResult(
-            indices=list(top),
-            scores=list(np.take_along_axis(scores, top, axis=1)),
-            stats=stats,
-        )
+        return self._result([topk(scores, k)], scores.shape[1])
 
     def retrieve(
         self,
@@ -80,25 +66,30 @@ class DenseTopK:
         query_ids: Optional[Sequence[str]] = None,
         candidate_ids: Optional[Sequence[str]] = None,
     ) -> RetrievalResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_k(k)
         validate_matrices(query_matrix, candidate_matrix)
         queries = prepare_matrix(query_matrix, self.dtype)
         candidates_t = prepare_matrix(candidate_matrix, self.dtype).T
-        n_queries = queries.shape[0]
-        n_candidates = candidates_t.shape[1]
-        indices: List[np.ndarray] = []
-        scores: List[np.ndarray] = []
-        for start in range(0, n_queries, self.chunk_size):
-            chunk = queries[start : start + self.chunk_size] @ candidates_t
-            top = argtopk(chunk, k)
-            top_scores = np.take_along_axis(chunk, top, axis=1)
-            indices.extend(top)
-            scores.extend(top_scores)
+        # At least one (possibly empty) chunk, so no queries still make a block.
+        blocks = [
+            topk(queries[start : start + self.chunk_size] @ candidates_t, k)
+            for start in range(0, max(len(queries), 1), self.chunk_size)
+        ]
+        return self._result(blocks, candidates_t.shape[1])
+
+    def _result(self, blocks: list, n_candidates: int) -> RetrievalResult:
+        """One CSR result from the :func:`topk` blocks of consecutive query rows."""
+        indices, scores = zip(*blocks)
+        n_queries = sum(map(len, indices))
         stats = RetrievalStats(
             backend=self.name,
             n_queries=n_queries,
             n_candidates=n_candidates,
             scored_pairs=n_queries * n_candidates,
         )
-        return RetrievalResult(indices=indices, scores=scores, stats=stats)
+        return RetrievalResult(
+            indices=np.concatenate(indices, axis=None),
+            scores=np.concatenate(scores, axis=None),
+            offsets=np.arange(n_queries + 1) * indices[0].shape[1],
+            stats=stats,
+        )

@@ -1,9 +1,10 @@
-"""Test oracles: straightforward reference implementations of the fit stages.
+"""Test oracles: straightforward reference implementations of the fit stages
+and of the top-k selection.
 
-The library ships one implementation per fit stage, each vectorised.  The
-modules here keep the original, loop-at-a-time formulation of every stage
-so the parity tests can check the fast code against an implementation that
-is easy to read against the paper:
+The library ships one implementation per stage, each vectorised.  The
+modules here keep an earlier formulation of every stage, mostly
+loop-at-a-time, so the parity tests can check the fast code against an
+implementation that is easy to read against the paper:
 
 ``graph``
     Algorithm 1 as a per-term ``add_node``/``add_edge`` loop over
@@ -18,6 +19,9 @@ is easy to read against the paper:
     loop with per-pair negatives and ``np.add.at`` scatter, the mini-batch
     update on separate input and output matrices, and the vocabulary and
     encoding of label sentences by ``Counter`` and per-sentence lookups.
+``topk``
+    The top-k selection of the matching step with a whole-block tie-break
+    and a ``lexsort`` of the selected pairs.
 
 Nothing under ``src/`` imports these modules.  Tests call them directly,
 or swap them into the pipeline with ``monkeypatch``.

@@ -1,11 +1,13 @@
 """Tests for the retrieval subsystem: dense/blocked backends, score fusion,
-the vectorised top-k kernel, and their wiring through matcher, blocking,
-pipeline, and CLI."""
+the vectorised top-k kernel (byte-equal to its oracle in
+``tests/oracles/topk.py``), the CSR result, and their wiring through
+matcher, blocking, pipeline, and CLI."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import cli
 from repro.core.blocking import (
@@ -18,7 +20,7 @@ from repro.core.config import RetrievalConfig, TDMatchConfig
 from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
-from repro.embeddings.similarity import argtopk, cosine_matrix
+from repro.embeddings.similarity import cosine_matrix, topk
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.retrieval import (
     BlockedTopK,
@@ -26,6 +28,7 @@ from repro.retrieval import (
     combine_scores,
     minmax_normalize_rows,
 )
+from tests.oracles.topk import topk_reference
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +72,16 @@ def ids(n, prefix):
     return [f"{prefix}{i}" for i in range(n)]
 
 
+def result_rows(result):
+    """Per-query ``(indices, scores)`` rows of a CSR result, after checking
+    that its offsets cover both flat arrays with one row per query."""
+    offsets = result.offsets
+    assert len(offsets) == result.stats.n_queries + 1
+    assert offsets[0] == 0 and np.all(np.diff(offsets) >= 0)
+    assert offsets[-1] == result.indices.size == result.scores.size
+    return [(result.indices[a:b], result.scores[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def decoded_top_k(scores, k, candidate_ids):
     """Per-row (candidate id, score) lists of the top-k, decoded by ``to_rankings``."""
     query_ids = ids(scores.shape[0], "q")
@@ -84,6 +97,35 @@ score_values = st.floats(-1.0, 1.0, allow_nan=False, width=32)
 tie_values = st.sampled_from([0.0, 0.5, 1.0])
 
 
+# Every row draws from a tie pool (signed zeros, infinities, few values) or
+# from spread floats, so some rows hold surplus boundary ties and others
+# none.
+TIE_POOL = [-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf]
+
+
+@st.composite
+def score_blocks(draw):
+    """A score block of float64 or float32 up to 64 wide, in C, Fortran or
+    strided layout, with NaN in a few rows of some blocks."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 64))
+    tied = draw(arrays(dtype, (n, m), elements=st.sampled_from(TIE_POOL)))
+    spread = draw(
+        arrays(dtype, (n, m), elements=st.floats(-1e3, 1e3, width=32) | st.sampled_from(TIE_POOL))
+    )
+    tie_rows = draw(arrays(np.bool_, (n, 1)))
+    block = np.where(tie_rows, tied, spread).astype(dtype)
+    if n and m and draw(st.integers(0, 3)) == 0:
+        for row in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            block[row, draw(st.integers(0, m - 1))] = np.nan
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        block = np.asfortranarray(block)
+    elif layout == "strided":
+        block = np.repeat(block, 2, axis=1)[:, ::2]
+    return block
+
+
 def matrix_strategy(values, max_rows=6, max_cols=10):
     return st.integers(1, max_rows).flatmap(
         lambda n: st.integers(1, max_cols).flatmap(
@@ -96,23 +138,29 @@ def matrix_strategy(values, max_rows=6, max_cols=10):
 
 # ----------------------------------------------------------------------
 class TestArgTopK:
+    """``topk``: the top-k indices and scores of each row."""
+
     def test_boundary_ties_pick_lowest_indices(self):
         scores = np.array([[1.0, 1.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(argtopk(scores, 2), [[0, 1]])
+        idx, top = topk(scores, 2)
+        np.testing.assert_array_equal(idx, [[0, 1]])
+        np.testing.assert_array_equal(top, [[1.0, 1.0]])
 
     def test_full_width(self):
         scores = np.array([[0.1, 0.9, 0.5]])
-        np.testing.assert_array_equal(argtopk(scores, 3), [[1, 2, 0]])
+        idx, top = topk(scores, 3)
+        np.testing.assert_array_equal(idx, [[1, 2, 0]])
+        np.testing.assert_array_equal(top, [[0.9, 0.5, 0.1]])
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            argtopk(np.zeros(3), 1)
+            topk(np.zeros(3), 1)
 
     def test_nan_scores_rank_last_like_reference(self):
         """External score matrices may carry NaNs; parity with old lexsort."""
         nan = float("nan")
         scores = np.array([[0.9, nan, nan, 0.5, 0.1], [nan, 0.2, 0.8, nan, nan]])
-        np.testing.assert_array_equal(argtopk(scores, 4)[:, :3], [[0, 3, 4], [2, 1, 0]])
+        np.testing.assert_array_equal(topk(scores, 4)[0][:, :3], [[0, 3, 4], [2, 1, 0]])
         cids = ids(5, "c")
         got = decoded_top_k(scores, 4, cids)
         ref = reference_top_k(scores, 4, cids)
@@ -129,6 +177,52 @@ class TestArgTopK:
     def test_parity_under_heavy_ties(self, scores, k):
         cids = ids(scores.shape[1], "c")
         assert decoded_top_k(scores, k, cids) == reference_top_k(scores, k, cids)
+
+    @given(score_blocks(), st.integers(1, 40))
+    # Rows past 16 entries: numpy's scalar argsort is a stable insertion
+    # sort up to 16 elements, so only wider tied rows expose an unstable one.
+    @example(np.tile([1.0, 0.0, 1.0, 1.0], (3, 10)), 25)
+    @example(np.array([[0.5] * 40 + [1.0] * 4, [1.0] * 44], dtype=np.float32), 30)
+    @example(np.array([[-0.0, 0.0] * 12 + [np.inf, -np.inf] * 4]).T.copy().T, 20)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_bytes_equal_oracle(self, scores, k):
+        """Indices and scores equal the earlier selection's byte for byte."""
+        idx, top = topk(scores, k)
+        ref_idx, ref_top = topk_reference(scores, k)
+        assert (idx.dtype, top.dtype) == (ref_idx.dtype, ref_top.dtype)
+        n, m = scores.shape
+        assert idx.shape == top.shape == (n, min(k, m))
+        if n:  # the oracle returned (0, 0) for a block without rows
+            assert ref_idx.shape == ref_top.shape == idx.shape
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert top.tobytes() == ref_top.tobytes()
+
+    def test_k_must_be_an_integer(self):
+        """Numpy integers are valid; bools and floats raise a TypeError
+        naming ``k``, also through every backend."""
+        scores = np.array([[0.3, 0.9, 0.1], [0.2, 0.2, 0.8]])
+        expected = topk(scores, 2)
+        for k in (np.int64(2), np.int32(2), np.uint8(2)):
+            got = topk(scores, k)
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+        queries, candidates = np.eye(2, 3), np.eye(3)
+        blocked = BlockedTopK(DictBlocker({}), fallback_to_full=False)
+        calls = [
+            lambda k: topk(scores, k),
+            lambda k: DenseTopK().retrieve_from_scores(scores, k),
+            lambda k: DenseTopK().retrieve(queries, candidates, k),
+            lambda k: blocked.retrieve(
+                queries, candidates, k, query_ids=ids(2, "q"), candidate_ids=ids(3, "c")
+            ),
+        ]
+        for call in calls:
+            for k in (True, False, np.bool_(True), 2.0, np.float64(2.0), "2", None):
+                with pytest.raises(TypeError, match="k must be an integer"):
+                    call(k)
+            for k in (0, -1, np.int64(0)):
+                with pytest.raises(ValueError, match="k must be >= 1"):
+                    call(k)
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +242,11 @@ class TestDenseTopK:
         result = DenseTopK(dtype=None).retrieve(queries, candidates, k)
         reference = reference_top_k(cosine_matrix(queries, candidates), k, ids(n_c, "c"))
         got = [
-            [(f"c{i}", float(s)) for i, s in zip(idx, sc)]
-            for idx, sc in zip(result.indices, result.scores)
+            [(f"c{i}", float(s)) for i, s in zip(idx, sc)] for idx, sc in result_rows(result)
         ]
+        assert len(got) == len(reference) == n_q
         for got_row, ref_row in zip(got, reference):
+            assert len(got_row) == min(k, n_c)
             assert [g[0] for g in got_row] == [r[0] for r in ref_row]
             np.testing.assert_allclose(
                 [g[1] for g in got_row], [r[1] for r in ref_row], rtol=1e-12
@@ -165,15 +260,16 @@ class TestDenseTopK:
         candidates = rng.normal(size=(11, 3))
         baseline = DenseTopK(chunk_size=1024, dtype=None).retrieve(queries, candidates, 4)
         chunked = DenseTopK(chunk_size=chunk_size, dtype=None).retrieve(queries, candidates, 4)
-        for a, b in zip(baseline.indices, chunked.indices):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(baseline.scores, chunked.scores):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+        assert len(result_rows(baseline)) == len(result_rows(chunked)) == 7
+        np.testing.assert_array_equal(baseline.offsets, np.arange(0, 29, 4))
+        np.testing.assert_array_equal(chunked.offsets, baseline.offsets)
+        np.testing.assert_array_equal(chunked.indices, baseline.indices)
+        np.testing.assert_allclose(chunked.scores, baseline.scores, rtol=1e-12)
         # float32 keeps the same ranking; scores may differ by BLAS rounding
         base32 = DenseTopK(chunk_size=1024).retrieve(queries, candidates, 4)
         chunk32 = DenseTopK(chunk_size=chunk_size).retrieve(queries, candidates, 4)
-        for a, b in zip(base32.scores, chunk32.scores):
-            np.testing.assert_allclose(a, b, atol=1e-5)
+        assert base32.scores.shape == chunk32.scores.shape == (28,)
+        np.testing.assert_allclose(chunk32.scores, base32.scores, atol=1e-5)
 
     def test_stats_count_all_pairs(self):
         result = DenseTopK().retrieve(np.ones((3, 2)), np.ones((5, 2)), 2)
@@ -182,7 +278,8 @@ class TestDenseTopK:
 
     def test_float32_default(self):
         result = DenseTopK().retrieve(np.ones((1, 2)), np.ones((2, 2)), 1)
-        assert result.scores[0].dtype == np.float32
+        assert result.scores.shape == (1,)
+        assert result.scores.dtype == np.float32
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -209,14 +306,17 @@ class TestBlockedTopK:
         backend = BlockedTopK(DictBlocker(blocks), fallback_to_full=True)
         result = backend.retrieve(queries, candidates, 5, query_ids=qids, candidate_ids=cids)
         scores = cosine_matrix(queries, candidates)
+        rows = result_rows(result)
+        assert len(rows) == 4
         for row, qid in enumerate(qids):
             block_cols = sorted({int(c[1:]) for c in blocks[qid]})
             cols = block_cols if block_cols else list(range(10))  # fallback
             restricted = scores[row, cols][None, :]
             ref = reference_top_k(restricted, 5, [cids[c] for c in cols])[0]
-            got_ids = [cids[i] for i in result.indices[row]]
+            idx_row, score_row = rows[row]
+            got_ids = [cids[i] for i in idx_row]
             assert got_ids == [r[0] for r in ref]
-            np.testing.assert_allclose(result.scores[row], [r[1] for r in ref], rtol=1e-12)
+            np.testing.assert_allclose(score_row, [r[1] for r in ref], rtol=1e-12)
 
     def test_scores_exactly_blocked_pairs(self):
         rng = np.random.default_rng(0)
@@ -235,7 +335,8 @@ class TestBlockedTopK:
         result = backend.retrieve(
             np.ones((2, 2)), np.ones((3, 2)), 2, query_ids=ids(2, "q"), candidate_ids=ids(3, "c")
         )
-        assert all(idx.size == 0 for idx in result.indices)
+        assert [idx.size for idx, _ in result_rows(result)] == [0, 0]
+        assert result.to_rankings(ids(2, "q"), ids(3, "c")).as_id_lists() == {"q0": [], "q1": []}
         assert result.stats.scored_pairs == 0
         assert result.stats.empty_blocks == 2
 
@@ -244,7 +345,7 @@ class TestBlockedTopK:
         result = backend.retrieve(
             np.ones((2, 2)), np.ones((3, 2)), 2, query_ids=ids(2, "q"), candidate_ids=ids(3, "c")
         )
-        assert all(idx.size == 2 for idx in result.indices)
+        assert [idx.size for idx, _ in result_rows(result)] == [2, 2]
         assert result.stats.scored_pairs == 6
         assert result.stats.empty_blocks == 2
 
@@ -255,7 +356,8 @@ class TestBlockedTopK:
         result = BlockedTopK(DictBlocker(blocks)).retrieve(
             queries, candidates, 10, query_ids=["q0"], candidate_ids=ids(4, "c")
         )
-        assert sorted(result.indices[0]) == [0, 2]
+        [(idx_row, _scores)] = result_rows(result)
+        assert sorted(idx_row.tolist()) == [0, 2]
         assert result.stats.scored_pairs == 2
 
     def test_shared_blocks_are_grouped_not_rescored(self):
@@ -269,10 +371,51 @@ class TestBlockedTopK:
         )
         assert result.stats.scored_pairs == 10
         dense = DenseTopK(dtype=None).retrieve(queries, candidates, 6)
-        for row in range(5):
-            got = list(result.indices[row])
-            expected = [i for i in dense.indices[row] if i in (1, 4)]
-            assert got == expected
+        blocked_rows, dense_rows = result_rows(result), result_rows(dense)
+        assert len(blocked_rows) == len(dense_rows) == 5
+        for (got, _), (dense_idx, _) in zip(blocked_rows, dense_rows):
+            expected = [i for i in dense_idx.tolist() if i in (1, 4)]
+            assert got.tolist() == expected and len(expected) == 2
+
+    def test_equal_blocks_in_any_spelling_rank_alike(self):
+        """Blocks equal as candidate sets, returned as distinct list objects,
+        reordered and with duplicate and ghost ids, rank and count exactly
+        like one canonical block."""
+        rng = np.random.default_rng(5)
+        queries, candidates = rng.normal(size=(6, 4)), rng.normal(size=(8, 4))
+        qids, cids = ids(6, "q"), ids(8, "c")
+        canonical = ["c1", "c3", "c6"]
+        spellings = [
+            list(canonical),
+            ["c6", "c1", "c3"],
+            ["c3", "c3", "c1", "c6", "c1"],
+            ["ghost", "c1", "c6", "c3", "ghost"],
+            list(canonical),
+            ["c6", "c3", "c1", "nobody"],
+        ]
+
+        class FreshListBlocker:
+            """Builds a new list object on every call."""
+
+            def __init__(self, blocks):
+                self.blocks = blocks
+
+            def block_for(self, query_id):
+                return list(self.blocks[query_id])
+
+        spelled = BlockedTopK(FreshListBlocker(dict(zip(qids, spellings))))
+        plain = BlockedTopK(DictBlocker({qid: canonical for qid in qids}))
+        got = spelled.retrieve(queries, candidates, 2, query_ids=qids, candidate_ids=cids)
+        want = plain.retrieve(queries, candidates, 2, query_ids=qids, candidate_ids=cids)
+        assert got.stats.scored_pairs == want.stats.scored_pairs == 6 * 3
+        assert got.stats.empty_blocks == 0
+        for name in ("indices", "scores", "offsets"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        rankings = got.to_rankings(qids, cids)
+        scores = cosine_matrix(queries, candidates)
+        for row, qid in enumerate(qids):
+            ref = reference_top_k(scores[row, [1, 3, 6]][None, :], 2, canonical)[0]
+            assert rankings[qid].ids() == [cid for cid, _ in ref]
 
     def test_requires_ids(self):
         with pytest.raises(ValueError):
