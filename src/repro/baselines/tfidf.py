@@ -38,10 +38,6 @@ class TfIdfVectorizer:
         }
         return self
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._vocab)
-
     def transform_one(self, tokens: Sequence[str]) -> Dict[int, float]:
         """Sparse TF-IDF vector of one document as {feature index: weight}."""
         if not self._vocab:

@@ -92,9 +92,6 @@ class Table:
             raise KeyError(f"no such column: {name!r}")
         return self._column_index[name]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._column_index
-
     # ------------------------------------------------------------------
     # Rows
     def add_row(self, row: Row) -> None:

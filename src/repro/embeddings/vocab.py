@@ -127,9 +127,6 @@ class Vocabulary:
         lookup = map(self._token_to_id.get, tokens, repeat(-1))
         return np.fromiter(lookup, dtype=np.int64, count=len(tokens))
 
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def count_of(self, token: str) -> int:
         idx = self._token_to_id.get(token)
         return self._counts[idx] if idx is not None else 0

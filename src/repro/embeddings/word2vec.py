@@ -35,6 +35,11 @@ Training is vectorised end to end:
   per pair slice and re-pointed in place per batch; scipy's CSC product
   adds its columns in order, so each row sums its gradient rows in batch
   order (see :func:`run_pair_batches`).
+* One epoch of int32 pairs is alive at a time (~16 bytes per pair at the
+  peak): ids are int32, positions int32 until the token or pair count
+  reaches 2³¹, and each temporary goes once consumed.  The draws are an
+  int64 trainer's: windows are drawn in int64 and narrowed, and an int32
+  ``arange`` shuffled in place draws what ``rng.permutation`` draws.
 
 Mini-batch SGD runs over (center, context) pairs with repeated indices
 within a batch accumulated (not overwritten).  The token-by-token pair loop
@@ -181,6 +186,11 @@ def run_pair_batches(
     return step
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The dtype of positions counting up to ``n``: int32 while it fits."""
+    return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+
+
 def _corpus_ids(
     sentences: Iterable[Sequence], labels: Optional[Sequence[str]]
 ) -> Tuple[np.ndarray, np.ndarray, Sequence[str]]:
@@ -208,7 +218,7 @@ def _drop_tokens(
 
 @dataclass
 class TrainingStats:
-    """Throughput record of one :meth:`Word2Vec.train` call."""
+    """Throughput record of one :meth:`Word2Vec.train` call; ``epochs`` counts those with pairs."""
 
     pairs: int
     epochs: int
@@ -372,7 +382,7 @@ class Word2Vec:
         """Build the vocabulary, or grow ``base``, then train under ``config``.
 
         A build raises :class:`ValueError` on a corpus that yields no
-        training sentence; growth returns a zero record instead.
+        training pair in any epoch; growth returns a zero record instead.
         """
         flat, lengths, labels = _corpus_ids(sentences, labels)
         if flat.size == 0:
@@ -397,19 +407,22 @@ class Word2Vec:
         original_config, self.config = self.config, config
         try:
             start = time.perf_counter()
-            pairs = self._train_vectorized(weights, flat, lengths, keep_probs)
+            pairs, epochs = self._train_vectorized(weights, flat, lengths, keep_probs)
             elapsed = time.perf_counter() - start
         finally:
             self.config = original_config
-        return TrainingStats(pairs=pairs, epochs=config.epochs, seconds=elapsed)
+        if epochs == 0 and base is None:  # subsampling left no pair in any epoch
+            raise ValueError("no training pairs could be extracted")
+        return TrainingStats(pairs=pairs, epochs=epochs, seconds=elapsed)
 
     def _encode(
         self, flat: np.ndarray, lengths: np.ndarray, labels: Sequence[str], counts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Corpus ids as vocabulary ids, without out-of-vocabulary tokens and
-        sentences left under two tokens; only labels that occur are looked up."""
+        """Corpus ids as int32 vocabulary ids (2³¹ labels would not fit in memory),
+        without out-of-vocabulary tokens and sentences left under two tokens;
+        only labels that occur are looked up."""
         present = np.flatnonzero(counts)
-        to_vocab = np.full(len(labels), -1, dtype=np.int64)
+        to_vocab = np.full(len(labels), -1, dtype=np.int32)
         to_vocab[present] = self.vocab.ids_of([labels[i] for i in present.tolist()])
         ids = to_vocab[flat]
         return _drop_tokens(ids, lengths, ids >= 0)
@@ -446,9 +459,16 @@ class Word2Vec:
         flat_ids: np.ndarray,
         lengths: np.ndarray,
         keep_probs: Optional[np.ndarray],
-    ) -> int:
+    ) -> Tuple[int, int]:
         """Train the stacked block ``weights`` in place on the encoded corpus
-        (int64 ids back to back, sentence ``lengths`` >= 2); returns the pair steps."""
+        (int32 ids back to back, sentence ``lengths`` >= 2); returns the pair
+        steps and the number of epochs that had pairs.
+
+        One epoch of int32 pairs is alive at a time, with int32 positions
+        until 2³¹ (:func:`_index_dtype`); the permutation index is an int32
+        ``arange`` shuffled in place, whose Fisher–Yates draws are
+        ``rng.permutation``'s, so the pairs train as int64 arrays would.
+        """
         # Imported lazily: repro.parallel.trainer imports this module.
         from repro.parallel import ParallelConfig, WorkerPool
         from repro.parallel.trainer import run_epoch
@@ -456,6 +476,7 @@ class Word2Vec:
         sampler = AliasSampler(self.vocab.negative_sampling_distribution())
         step = 0
         total_steps = 0
+        trained = 0
         # One pool serves every epoch; it starts no process unless the
         # plan has more than one shard and more than one worker.
         with WorkerPool(self.parallel or ParallelConfig(), label="word2vec") as pool:
@@ -463,18 +484,18 @@ class Word2Vec:
                 centers, contexts = self._extract_pairs_vectorized(
                     flat_ids, lengths, keep_probs
                 )
-                if centers.size == 0:
-                    if epoch == 0:
-                        raise ValueError("no training pairs could be extracted")
-                    continue  # an unlucky subsampling epoch; windows resample next epoch
                 n_pairs = centers.size
-                if epoch == 0:
+                if n_pairs == 0:
+                    continue  # an unlucky subsampling epoch; windows resample next epoch
+                if trained == 0:
                     # Windows resample per epoch so later epochs differ slightly
-                    # in pair count; the first epoch anchors the decay schedule.
-                    total_steps = self.config.epochs * n_pairs
-                order = self._rng.permutation(n_pairs)
+                    # in pair count; the first epoch with pairs anchors the decay.
+                    total_steps = (self.config.epochs - epoch) * n_pairs
+                order = np.arange(n_pairs, dtype=_index_dtype(n_pairs))
+                self._rng.shuffle(order)
                 centers = centers[order]
                 contexts = contexts[order]
+                del order
                 batch_size = min(
                     self.config.batch_size,
                     max(1, -(-n_pairs // MIN_NEGATIVE_REFRESHES)),
@@ -505,7 +526,9 @@ class Word2Vec:
                     self.config.min_learning_rate,
                 )
                 logger.debug("word2vec epoch %d/%d done", epoch + 1, self.config.epochs)
-        return step
+                del centers, contexts, in_ids, out_ids, negatives  # before the next extraction
+                trained += 1
+        return step, trained
 
     def _extract_pairs_vectorized(
         self,
@@ -519,39 +542,50 @@ class Word2Vec:
         pair sequence of a per-sentence loop that draws each sentence's
         windows in turn and enumerates every position's context range left
         to right: the flat ``rng.integers`` draw equals those chunked draws.
+        The pairs keep the dtype of ``flat_ids``.
         """
         if keep_probs is not None:
             keep = self._rng.random(flat_ids.size) < keep_probs[flat_ids]
             flat_ids, lengths = _drop_tokens(flat_ids, lengths, keep)
-        if flat_ids.size == 0:
-            empty = np.empty(0, dtype=np.int64)
+        n, window = flat_ids.size, self.config.window
+        empty = np.empty(0, dtype=flat_ids.dtype)
+        if n == 0:
             return empty, empty
 
-        sent_ids = np.repeat(np.arange(lengths.size), lengths)
-        sent_starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
-        )
-        positions = np.arange(flat_ids.size, dtype=np.int64)
-        lo_bound = sent_starts[sent_ids]
-        hi_bound = lo_bound + lengths[sent_ids]
-
-        reduced = self._rng.integers(1, self.config.window + 1, size=flat_ids.size)
-        lo = np.maximum(lo_bound, positions - reduced)
-        hi = np.minimum(hi_bound, positions + reduced + 1)
-        counts = hi - lo - 1  # the center itself is excluded
+        token_dtype = _index_dtype(n + window)  # a position + window + 1 <= n + window
+        # Drawn in int64 (an int32 draw is another stream), then narrowed.
+        reduced = self._rng.integers(1, window + 1, size=n).astype(token_dtype)
+        lengths = lengths.astype(token_dtype, copy=False)
+        positions = np.arange(n, dtype=token_dtype)
+        ends = np.cumsum(lengths, dtype=token_dtype)
+        # Each token's context range [lo, lo + counts], clipped to its
+        # sentence, holds its counts contexts and itself.
+        lo = np.repeat(ends - lengths, lengths)
+        np.maximum(lo, positions - reduced, out=lo)
+        counts = np.repeat(ends, lengths)
+        np.minimum(counts, positions + reduced + 1, out=counts)
+        del ends, reduced
+        counts -= lo
+        counts -= 1
 
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        # One repeat gives each pair its center's position; pair j of a
-        # center takes position lo + j, and positions at or past the center
-        # shift by one to skip it.
+        # One repeat gives each pair its center's position.  Pair j of a run
+        # takes position lo + j = its index + (lo - the run's start), and
+        # positions at or past the center shift by one to skip it.
+        pair_dtype = _index_dtype(total)
+        lo = lo.astype(pair_dtype, copy=False)
+        lo -= np.cumsum(counts, dtype=pair_dtype) - counts
         center_pos = np.repeat(positions, counts)
-        run_starts = np.cumsum(counts) - counts
-        ctx_pos = np.arange(total, dtype=np.int64) + (lo - run_starts)[center_pos]
+        del positions, counts
+        ctx_pos = np.arange(total, dtype=pair_dtype)
+        ctx_pos += lo[center_pos]
+        del lo
         ctx_pos += ctx_pos >= center_pos
-        return flat_ids[center_pos], flat_ids[ctx_pos]
+        centers = flat_ids[center_pos]
+        del center_pos
+        return centers, flat_ids[ctx_pos]
 
     # ------------------------------------------------------------------
     # Lookup

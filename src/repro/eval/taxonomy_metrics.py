@@ -33,9 +33,6 @@ class PrecisionRecallF1:
             return 0.0
         return 2 * self.precision * self.recall / (self.precision + self.recall)
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.precision, self.recall, self.f1)
-
 
 Path = Tuple[str, ...]
 

@@ -41,14 +41,6 @@ class FilterStatistics:
     second_kept: int = 0
 
     @property
-    def first_kept_fraction(self) -> float:
-        return self.first_kept / self.first_total if self.first_total else 1.0
-
-    @property
-    def second_kept_fraction(self) -> float:
-        return self.second_kept / self.second_total if self.second_total else 1.0
-
-    @property
     def kept_fraction(self) -> float:
         """Overall fraction of corpus terms that became graph connections."""
         total = self.first_total + self.second_total

@@ -9,7 +9,6 @@ Figure 2), which shortens the paths between related metadata nodes.
 
 from __future__ import annotations
 
-from typing import Iterable, List
 
 _VOWELS = "aeiou"
 
@@ -85,9 +84,6 @@ class PorterStemmer:
         word = self._step5a(word)
         word = self._step5b(word)
         return word
-
-    def stem_all(self, words: Iterable[str]) -> List[str]:
-        return [self.stem(w) for w in words]
 
     # -- step 1a ----------------------------------------------------------
     @staticmethod

@@ -32,8 +32,3 @@ STOP_WORDS: FrozenSet[str] = frozenset(
 def is_stop_word(token: str) -> bool:
     """Return True when ``token`` (already lower-cased) is a stop word."""
     return token in STOP_WORDS
-
-
-def remove_stop_words(tokens) -> list:
-    """Filter stop words from a token sequence, preserving order."""
-    return [t for t in tokens if t not in STOP_WORDS]

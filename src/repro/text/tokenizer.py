@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 _WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)?|\d+(?:[.,]\d+)*")
 
@@ -82,10 +82,6 @@ class Tokenizer:
             if len(token) >= self.min_token_length:
                 result.append(token)
         return result
-
-    def tokenize_all(self, texts: Sequence[str]) -> List[List[str]]:
-        """Tokenize a sequence of texts."""
-        return [self.tokenize(t) for t in texts]
 
 
 def is_numeric_token(token: str) -> bool:

@@ -98,8 +98,9 @@ def train_reference(
     flat_ids: np.ndarray,
     lengths: np.ndarray,
     keep_probs: Optional[np.ndarray],
-) -> int:
-    """Train ``model`` in place on the encoded corpus; returns the pair steps.
+) -> Tuple[int, int]:
+    """Train ``model`` in place on the encoded corpus; returns the pair steps
+    and the epochs trained (none without a pair).
 
     ``weights`` (the library's float32 training block) is left alone: the
     oracle trains float64 copies of its two halves.  The flat ids are split
@@ -112,7 +113,7 @@ def train_reference(
     neg_dist = model.vocab.negative_sampling_distribution()
     centers, contexts = extract_pairs(model, encoded, keep_probs)
     if centers.size == 0:
-        raise ValueError("no training pairs could be extracted")
+        return 0, 0
 
     n_pairs = centers.size
     total_steps = config.epochs * n_pairs
@@ -127,7 +128,7 @@ def train_reference(
             else:
                 _cbow_update(model, batch, centers, contexts, neg_dist, lr)
             step += batch.size
-    return step
+    return step, config.epochs
 
 
 def extract_pairs(

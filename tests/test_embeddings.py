@@ -36,7 +36,7 @@ class TestVocabulary:
         vocab = Vocabulary.from_sentences([["b", "a", "a"]])
         assert vocab.id_of("a") == 0  # higher count first
         assert vocab.id_of("b") == 1
-        assert vocab.token_of(0) == "a"
+        assert vocab.tokens == ["a", "b"]
 
     def test_encode_drops_oov(self):
         vocab = Vocabulary.from_sentences([["a", "b"]])

@@ -623,7 +623,7 @@ class TestIncrementalFit:
         model = TDMatch.load(str(path), mmap=True).model
         assert not model._input_vectors.flags.writeable
         vocab_size = len(model.vocab)
-        known = [model.vocab.token_of(i) for i in range(vocab_size)]
+        known = model.vocab.tokens
         model.fine_tune([known[i : i + 8] for i in range(0, vocab_size, 8)])
         assert len(model.vocab) == vocab_size
         assert model._input_vectors.flags.writeable

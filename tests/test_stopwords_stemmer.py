@@ -3,7 +3,7 @@
 import pytest
 
 from repro.text.stemmer import PorterStemmer, stem
-from repro.text.stopwords import STOP_WORDS, is_stop_word, remove_stop_words
+from repro.text.stopwords import STOP_WORDS, is_stop_word
 
 
 class TestStopWords:
@@ -14,13 +14,6 @@ class TestStopWords:
     def test_content_words_are_not_stop_words(self):
         for word in ("audit", "movie", "willis", "planning"):
             assert not is_stop_word(word)
-
-    def test_remove_stop_words_preserves_order(self):
-        assert remove_stop_words(["the", "sixth", "sense", "is", "great"]) == [
-            "sixth",
-            "sense",
-            "great",
-        ]
 
     def test_stop_word_set_is_lowercase(self):
         assert all(w == w.lower() for w in STOP_WORDS)
@@ -85,12 +78,6 @@ class TestPorterStemmer:
         for word in ("auditing", "matching", "reviews", "controls"):
             once = stemmer.stem(word)
             assert stemmer.stem(once) == stemmer.stem(once)
-
-    def test_stem_all(self, stemmer):
-        assert stemmer.stem_all(["cats", "running"]) == [
-            stemmer.stem("cats"),
-            stemmer.stem("running"),
-        ]
 
     def test_module_level_stem_matches_class(self, stemmer):
         assert stem("auditing") == stemmer.stem("auditing")

@@ -62,10 +62,6 @@ class TestTokenizerClass:
         tok = Tokenizer()
         assert tok("a b") == tok.tokenize("a b")
 
-    def test_tokenize_all(self):
-        tok = Tokenizer()
-        assert tok.tokenize_all(["a cat", "a dog"]) == [["a", "cat"], ["a", "dog"]]
-
     def test_lowercase_false(self):
         tok = Tokenizer(lowercase=False)
         assert tok.tokenize("Willis") == ["Willis"]

@@ -4,10 +4,14 @@ Covers the alias sampler, the numpy pair extraction (exact parity with the
 token-loop oracle of ``tests/oracles/word2vec.py`` under a shared window
 seed), the mini-batch loop (byte-identical to the oracle's sorted segment
 sum, and within float32 rounding of its per-matrix form), config
-validation, the corpus encoding (exact parity with the oracle's label path,
+validation, the epoch loop (a bound on the memory traced per pair, the
+int32 permutation's draws, epochs that subsampling leaves without pairs),
+the corpus encoding (exact parity with the oracle's label path,
 for node ids and interned strings), and end-to-end ranking parity with the
 oracle swapped into ``TDMatch`` (the ``reference`` runs).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +21,15 @@ from hypothesis import strategies as st
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
+from repro.embeddings import word2vec
 from repro.embeddings.sampling import AliasSampler
 from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.vocab import Vocabulary
-from repro.embeddings.word2vec import Word2Vec, Word2VecConfig, run_pair_batches
+from repro.embeddings.word2vec import Word2Vec, Word2VecConfig, _index_dtype, run_pair_batches
 from repro.graph.graph import MatchGraph
 from repro.graph.walk_engine import CSRWalkEngine
 from repro.graph.walks import RandomWalkConfig
+from repro.parallel import trainer as parallel_trainer
 from tests.oracles.word2vec import (
     encode_reference,
     extract_pairs,
@@ -327,6 +333,36 @@ class TestPairExtraction:
         centers, _contexts = model._extract_pairs_vectorized(flat, lengths, keep)
         assert centers.size == 0
 
+    def test_index_dtype_widens_past_int32(self):
+        """Positions stay int32 up to 2³¹ − 1 and widen at 2³¹."""
+        assert _index_dtype(0) == _index_dtype(2**31 - 1) == np.int32
+        assert _index_dtype(2**31) == _index_dtype(2**40) == np.int64
+
+    @pytest.mark.parametrize(
+        "widen_above", [0, 60, None], ids=["all-int64", "pairs-int64", "all-int32"]
+    )
+    def test_position_dtype_does_not_change_pairs(self, widen_above, monkeypatch):
+        """Widened positions (a corpus past 2³¹ tokens or pairs) emit the
+        pairs of the oracle; 60 widens the pair positions only (53 tokens
+        plus the window, over 100 pairs)."""
+        encoded = [list(range(i, i + 9)) for i in range(0, 45, 9)] + [[1, 2, 3], [4, 5, 6, 7, 8]]
+        if widen_above is not None:
+            monkeypatch.setattr(
+                word2vec,
+                "_index_dtype",
+                lambda n: np.dtype(np.int64 if n > widen_above else np.int32),
+            )
+        model = _model(4)
+        ref_c, ref_x = _reference_pairs(model, encoded, seed=5)
+        model._rng = np.random.default_rng(5)
+        flat = np.concatenate(encoded).astype(np.int32)
+        lengths = np.asarray([len(s) for s in encoded], dtype=np.int64)
+        centers, contexts = model._extract_pairs_vectorized(flat, lengths, None)
+        assert ref_c.size > 100
+        assert centers.dtype == contexts.dtype == np.int32
+        np.testing.assert_array_equal(centers, ref_c)
+        np.testing.assert_array_equal(contexts, ref_x)
+
 
 # ----------------------------------------------------------------------
 # Trainer behaviour and config validation
@@ -443,6 +479,131 @@ class TestFineTune:
 
 
 # ----------------------------------------------------------------------
+# Epoch loop: one epoch of int32 pairs at a time, the permutation's draws,
+# epochs that subsampling empties
+#: Peak bytes traced while training, per pair of one epoch (36,000 tokens,
+#: ~124k pairs an epoch).  One epoch of int32 pairs and its int32
+#: permutation index take ~19; a trainer that keeps an epoch's int64 pairs
+#: through the next extraction's int64 temporaries takes ~80.
+MAX_BYTES_PER_PAIR = 36
+#: Five two-token sentences under heavy subsampling: most epochs keep no pair.
+SPARSE_CORPUS = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"], ["i", "j"]]
+SPARSE_CONFIG = Word2VecConfig(vector_size=4, epochs=3, subsample=0.01)
+ID_LABELS = [f"t{i}" for i in range(400)]
+
+
+def _id_walks(seed, n_walks, length=12):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, len(ID_LABELS), size=length).astype(np.int32) for _ in range(n_walks)]
+
+
+def _trained_on_id_walks() -> Word2Vec:
+    config = Word2VecConfig(vector_size=16, window=3, epochs=2)
+    # The first fit of a process imports and builds lazily; keep that out of
+    # any measured peak.
+    Word2Vec(config, seed=0).train(_id_walks(1, 50), labels=ID_LABELS)
+    return Word2Vec(config, seed=1)
+
+
+def _peak_bytes_per_pair(call) -> float:
+    """Peak bytes traced above the start while ``call()`` runs, per pair of
+    one epoch of the :class:`TrainingStats` it returns."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        stats = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert stats.pairs > 0
+    return peak / (stats.pairs / stats.epochs)
+
+
+def _epoch_spy(monkeypatch):
+    """Record each extraction's pair count and each epoch's (step, total_steps)."""
+    sizes, schedule = [], []
+    extract = Word2Vec._extract_pairs_vectorized
+    run_epoch = parallel_trainer.run_epoch
+
+    def spy_extract(model, *args):
+        centers, contexts = extract(model, *args)
+        sizes.append(centers.size)
+        return centers, contexts
+
+    def spy_run_epoch(*args):
+        schedule.append(args[6:8])  # (step, total_steps), passed by position
+        return run_epoch(*args)
+
+    monkeypatch.setattr(Word2Vec, "_extract_pairs_vectorized", spy_extract)
+    monkeypatch.setattr(parallel_trainer, "run_epoch", spy_run_epoch)
+    return sizes, schedule
+
+
+class TestEpochLoop:
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 1000, 65_537])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_int32_shuffle_draws_the_permutation(self, n, seed):
+        """The trainer's int32 ``arange`` shuffled in place equals
+        ``rng.permutation(n)`` and leaves the stream where it does."""
+        order = np.arange(n, dtype=_index_dtype(n))
+        rng = np.random.default_rng(seed)
+        rng.shuffle(order)
+        expected = np.random.default_rng(seed)
+        assert order.dtype == np.int32
+        np.testing.assert_array_equal(order, expected.permutation(n))
+        assert rng.integers(2**62) == expected.integers(2**62)
+
+    def test_train_peak_per_pair_bounded(self):
+        model = _trained_on_id_walks()
+        walks = _id_walks(0, 3000)
+        per_pair = _peak_bytes_per_pair(lambda: model.train(walks, labels=ID_LABELS).stats)
+        assert per_pair <= MAX_BYTES_PER_PAIR, f"{per_pair:.1f} B per pair"
+
+    def test_fine_tune_peak_per_pair_bounded(self):
+        model = _trained_on_id_walks().train(_id_walks(0, 3000), labels=ID_LABELS)
+        # Half as many walks again, each ending in one of seven new ids.
+        walks = _id_walks(5, 1500)
+        delta = [np.append(w, 400 + i % 7).astype(np.int32) for i, w in enumerate(walks)]
+        grown = ID_LABELS + [f"new{i}" for i in range(7)]
+        per_pair = _peak_bytes_per_pair(lambda: model.fine_tune(delta, labels=grown))
+        assert len(model.vocab) == 407
+        assert per_pair <= MAX_BYTES_PER_PAIR, f"{per_pair:.1f} B per pair"
+
+    def test_empty_first_epoch_trains_on_later_ones(self, monkeypatch):
+        """At seed 0 epoch 0 keeps no pair; the epochs after it train, and
+        the first of them anchors the decay over the epochs left."""
+        sizes, schedule = _epoch_spy(monkeypatch)
+        model = Word2Vec(SPARSE_CONFIG, seed=0).train(SPARSE_CORPUS)
+        assert len(sizes) == SPARSE_CONFIG.epochs and sizes[0] == 0
+        first = next(epoch for epoch, n in enumerate(sizes) if n)
+        trained = [n for n in sizes if n]
+        assert model.stats.epochs == len(trained) == len(schedule)
+        assert model.stats.pairs == sum(trained)
+        assert schedule[0] == (0, (SPARSE_CONFIG.epochs - first) * sizes[first])
+
+    def test_no_pair_in_any_epoch(self, monkeypatch):
+        """A build raises only when no epoch keeps a pair (seed 3); growth
+        returns a zero record and leaves the vectors as they were (seed 1)."""
+        sizes, _schedule = _epoch_spy(monkeypatch)
+        with pytest.raises(ValueError, match="no training pairs"):
+            Word2Vec(SPARSE_CONFIG, seed=3).train(SPARSE_CORPUS)
+        assert sizes == [0, 0, 0]
+        model = Word2Vec(SPARSE_CONFIG, seed=1).train(cooccurrence_corpus(40))
+        before = model._input_vectors.copy(), model._output_vectors.copy()
+        sizes.clear()
+        stats = model.fine_tune([["apple", "banana"]])
+        assert sizes == [0, 0, 0]
+        assert model.stats is stats
+        assert (stats.pairs, stats.epochs, stats.pairs_per_sec) == (0, 0, 0.0)
+        np.testing.assert_array_equal(model._input_vectors, before[0])
+        np.testing.assert_array_equal(model._output_vectors, before[1])
+
+
+# ----------------------------------------------------------------------
 # Corpus encoding: node ids and interned strings against the label path
 #: Tokens that could trip an encoding: non-ASCII ones, the empty string, and
 #: "a" next to "a\x00", which sort apart as Python strings but tie in a
@@ -470,7 +631,7 @@ def _trainer_input(call, *args, **kwargs):
 
     def capture(model, weights, flat_ids, lengths, keep_probs):
         received.update(flat=flat_ids, lengths=lengths)
-        return 0
+        return 0, 1
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Word2Vec, "_train_vectorized", capture)
@@ -484,7 +645,8 @@ def _assert_encoded(model, received, tokens, counts, encoded):
     if not encoded:
         assert received == {}
         return
-    assert received["flat"].dtype == received["lengths"].dtype == np.int64
+    assert received["flat"].dtype == np.int32
+    assert received["lengths"].dtype == np.int64
     np.testing.assert_array_equal(received["flat"], np.concatenate(encoded))
     np.testing.assert_array_equal(received["lengths"], [len(e) for e in encoded])
 
