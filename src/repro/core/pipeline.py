@@ -6,7 +6,8 @@
 2. optionally merge nodes (numeric bucketing, pre-trained-embedding merge);
 3. optionally expand the graph with an external knowledge base (Algorithm 2);
 4. optionally compress it (Algorithm 3 / baselines);
-5. generate random walks and train Word2Vec on them (Algorithm 4);
+5. generate random walks, joined into one flat id corpus, and train
+   Word2Vec on them (Algorithm 4);
 6. rank, for every document of the query corpus, the documents of the other
    corpus by cosine similarity of their metadata-node vectors, gathered
    from the embedding matrix on every match, through a retrieval backend
@@ -35,6 +36,7 @@ from repro.core.matcher import MetadataMatcher
 from repro.corpus.documents import TextCorpus
 from repro.corpus.table import Table
 from repro.corpus.taxonomy import Taxonomy
+from repro.embeddings.vocab import IdCorpus
 from repro.embeddings.word2vec import Word2Vec
 from repro.eval.ranking import RankingSet
 from repro.graph.builder import BuiltGraph, GraphBuilder
@@ -149,7 +151,9 @@ class TDMatch:
         parallel = self.config.parallel
         engine = make_walk_engine(built.graph, self.config.walks, parallel=parallel)
         with self.timings.measure("walks"):
-            walks = list(engine.iter_walks(seed=derive_rng(self.seed, "walks")))
+            # One flat id array: a list would hold an array header per walk
+            # through training.
+            walks = IdCorpus.concatenate(engine.iter_walks(seed=derive_rng(self.seed, "walks")))
         with self.timings.measure("word2vec"):
             model = Word2Vec(
                 self.config.word2vec, seed=derive_rng(self.seed, "word2vec"), parallel=parallel

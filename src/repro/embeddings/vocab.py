@@ -3,16 +3,40 @@
 Maps tokens to contiguous integer ids, keeps frequency counts, and builds
 the unigram^0.75 distribution used by negative sampling.  A corpus arrives
 as integer ids into a label list (:func:`intern_sentences` gives token
-strings that form); :meth:`Vocabulary.from_counts` orders its labels by
-``(-count, label)`` when a vocabulary is built and when one grows.
+strings that form, and :class:`IdCorpus` holds id sentences back to back);
+:meth:`Vocabulary.from_counts` orders its labels by ``(-count, label)``
+when a vocabulary is built and when one grows.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+class IdCorpus(NamedTuple):
+    """Integer-id sentences back to back: one flat ``ids`` array and each
+    sentence's ``lengths``.
+
+    Word2Vec reads it as it is (``train(corpus, labels=...)``), so a walk
+    corpus need not live as one array per walk, ~120 bytes of array header
+    each on top of its ids.
+    """
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def concatenate(cls, sentences: Iterable[Sequence[int]]) -> "IdCorpus":
+        """The corpus of ``sentences`` (integer id arrays, e.g. the walks of
+        ``iter_walks``); ``lengths`` is int64, and ``ids`` keeps the
+        sentences' dtype (int64 when there is none)."""
+        sentences = list(sentences)
+        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+        ids = np.concatenate(sentences) if sentences else np.empty(0, dtype=np.int64)
+        return cls(ids, lengths)
 
 
 def intern_sentences(

@@ -35,11 +35,16 @@ Training is vectorised end to end:
   per pair slice and re-pointed in place per batch; scipy's CSC product
   adds its columns in order, so each row sums its gradient rows in batch
   order (see :func:`run_pair_batches`).
-* One epoch of int32 pairs is alive at a time (~16 bytes per pair at the
-  peak): ids are int32, positions int32 until the token or pair count
-  reaches 2³¹, and each temporary goes once consumed.  The draws are an
-  int64 trainer's: windows are drawn in int64 and narrowed, and an int32
-  ``arange`` shuffled in place draws what ``rng.permutation`` draws.
+* One epoch's pairs are alive at a time, as one C-contiguous ``(n_pairs,
+  2)`` block of int32 vocabulary ids: 8 bytes per pair, and ~12 with the
+  extraction's per-token state and the encoded corpus.  Pair extraction
+  fills the block :data:`PAIR_CHUNK_TOKENS` centers at a time, so its
+  position temporaries span one chunk; positions are int32 until the token
+  or pair count reaches 2³¹.  The permutation shuffles the block's rows in
+  place as 8-byte items (:func:`_shuffle_rows`), with no index and no
+  gathered copy.  The draws are an int64 trainer's: windows are drawn in
+  int64 and narrowed, and the row shuffle draws what ``rng.permutation``
+  draws.
 
 Mini-batch SGD runs over (center, context) pairs with repeated indices
 within a batch accumulated (not overwritten).  The token-by-token pair loop
@@ -54,13 +59,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.embeddings.sampling import AliasSampler
-from repro.embeddings.vocab import Vocabulary, intern_sentences
+from repro.embeddings.vocab import IdCorpus, Vocabulary, intern_sentences
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng
 
@@ -72,6 +77,11 @@ logger = get_logger(__name__)
 #: The cap engages on any epoch with fewer than ``batch_size × 64`` pairs
 #: (~33k at the default batch size) and is a no-op above that.
 MIN_NEGATIVE_REFRESHES = 64
+
+#: Center tokens per step of pair extraction.  Each step writes its centers'
+#: rows of the epoch's pair block, so the position temporaries (up to
+#: ``2 × window`` pairs per token) span one chunk, not the epoch.
+PAIR_CHUNK_TOKENS = 4096
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -191,15 +201,29 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
 
 
+def _shuffle_rows(pairs: np.ndarray, rng: np.random.Generator) -> None:
+    """Permute the rows of a C-contiguous ``(n, 2)`` block in place, as
+    ``pairs[rng.permutation(n)]`` would, leaving ``rng`` where it leaves it.
+
+    Each row is shuffled as one opaque item (8 bytes for int32 pairs, which
+    numpy swaps as one machine word); ``Generator.shuffle`` makes the
+    Fisher–Yates draws of ``permutation`` whatever the item size.
+    """
+    rng.shuffle(pairs.view(np.dtype((np.void, pairs.strides[0]))).reshape(-1))
+
+
 def _corpus_ids(
-    sentences: Iterable[Sequence], labels: Optional[Sequence[str]]
+    sentences: Union[Iterable[Sequence], IdCorpus], labels: Optional[Sequence[str]]
 ) -> Tuple[np.ndarray, np.ndarray, Sequence[str]]:
     """A corpus as ``(flat ids, lengths, labels)``; see :meth:`Word2Vec.train`."""
+    is_flat = isinstance(sentences, IdCorpus)
     if labels is None:
+        if is_flat:
+            raise ValueError("an IdCorpus needs the labels its ids index")
         return intern_sentences(sentences)
-    sentences = list(sentences)
-    lengths = np.fromiter((len(s) for s in sentences), dtype=np.int64, count=len(sentences))
-    flat = np.concatenate(sentences) if sentences else np.empty(0, dtype=np.int64)
+    flat, lengths = sentences if is_flat else IdCorpus.concatenate(sentences)
+    if is_flat and (lengths.sum() != flat.size or (lengths < 0).any()):
+        raise ValueError("IdCorpus lengths must be >= 0 and sum to its id count")
     if flat.size and (flat.min() < 0 or flat.max() >= len(labels)):
         raise ValueError("sentence ids must index labels")
     return flat, lengths, labels
@@ -284,10 +308,16 @@ class Word2VecConfig:
             raise ValueError("negative must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0 < self.learning_rate:
-            raise ValueError("learning_rate must be positive")
-        if self.min_learning_rate < 0:
-            raise ValueError("min_learning_rate must be >= 0")
+        # Written so that NaN fails each check: a NaN or infinite rate
+        # trains NaN weights, and a NaN subsample would turn it off.
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.min_learning_rate < np.inf:
+            raise ValueError("min_learning_rate must be >= 0 and finite")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if not self.subsample >= 0:
+            raise ValueError("subsample must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -310,12 +340,18 @@ class Word2Vec:
 
     # ------------------------------------------------------------------
     # Training
-    def train(self, sentences: Iterable[Sequence], labels: Optional[Sequence[str]] = None) -> "Word2Vec":
+    def train(
+        self,
+        sentences: Union[Iterable[Sequence], IdCorpus],
+        labels: Optional[Sequence[str]] = None,
+    ) -> "Word2Vec":
         """Train the model on ``sentences`` and return ``self``.
 
         ``sentences`` hold token strings, or — with ``labels`` — integer ids
-        into ``labels`` (the walk engine's node-id walks come with the labels
-        of the graph's CSR snapshot).  The vocabulary orders tokens by
+        into ``labels``, one sequence per sentence or all of them back to
+        back in an :class:`~repro.embeddings.vocab.IdCorpus` (the pipeline
+        joins the walk engine's node-id walks into one, with the labels of
+        the graph's CSR snapshot).  The vocabulary orders tokens by
         ``(-count, label)`` and drops those under ``min_count``; sentences
         left with fewer than two tokens yield no pairs.
         """
@@ -332,7 +368,7 @@ class Word2Vec:
     # Warm-start fine-tuning (incremental fit; see repro.serving)
     def fine_tune(
         self,
-        sentences: Iterable[Sequence],
+        sentences: Union[Iterable[Sequence], IdCorpus],
         labels: Optional[Sequence[str]] = None,
         epochs: Optional[int] = None,
         learning_rate: Optional[float] = None,
@@ -374,7 +410,7 @@ class Word2Vec:
 
     def _fit_corpus(
         self,
-        sentences: Iterable[Sequence],
+        sentences: Union[Iterable[Sequence], IdCorpus],
         labels: Optional[Sequence[str]],
         config: Word2VecConfig,
         base: Optional[Vocabulary],
@@ -464,10 +500,10 @@ class Word2Vec:
         (int32 ids back to back, sentence ``lengths`` >= 2); returns the pair
         steps and the number of epochs that had pairs.
 
-        One epoch of int32 pairs is alive at a time, with int32 positions
-        until 2³¹ (:func:`_index_dtype`); the permutation index is an int32
-        ``arange`` shuffled in place, whose Fisher–Yates draws are
-        ``rng.permutation``'s, so the pairs train as int64 arrays would.
+        One epoch's ``(n_pairs, 2)`` int32 pair block is alive at a time.
+        Its rows are permuted in place (:func:`_shuffle_rows`), which draws
+        ``rng.permutation``'s Fisher–Yates swaps, so the pairs train as an
+        int64 trainer's gathered copies would.
         """
         # Imported lazily: repro.parallel.trainer imports this module.
         from repro.parallel import ParallelConfig, WorkerPool
@@ -481,21 +517,15 @@ class Word2Vec:
         # plan has more than one shard and more than one worker.
         with WorkerPool(self.parallel or ParallelConfig(), label="word2vec") as pool:
             for epoch in range(self.config.epochs):
-                centers, contexts = self._extract_pairs_vectorized(
-                    flat_ids, lengths, keep_probs
-                )
-                n_pairs = centers.size
+                pairs = self._extract_pairs_vectorized(flat_ids, lengths, keep_probs)
+                n_pairs = len(pairs)
                 if n_pairs == 0:
                     continue  # an unlucky subsampling epoch; windows resample next epoch
                 if trained == 0:
                     # Windows resample per epoch so later epochs differ slightly
                     # in pair count; the first epoch with pairs anchors the decay.
                     total_steps = (self.config.epochs - epoch) * n_pairs
-                order = np.arange(n_pairs, dtype=_index_dtype(n_pairs))
-                self._rng.shuffle(order)
-                centers = centers[order]
-                contexts = contexts[order]
-                del order
+                _shuffle_rows(pairs, self._rng)
                 batch_size = min(
                     self.config.batch_size,
                     max(1, -(-n_pairs // MIN_NEGATIVE_REFRESHES)),
@@ -505,10 +535,9 @@ class Word2Vec:
                 negatives = sampler.sample(
                     self._rng, size=(n_batches, self.config.negative)
                 )
-                # Pairwise CBOW: the context token predicts the center.
-                in_ids, out_ids = (
-                    (centers, contexts) if self.config.sg else (contexts, centers)
-                )
+                # The block's columns, (center, context); pairwise CBOW
+                # reverses them: the context token predicts the center.
+                in_ids, out_ids = pairs.T if self.config.sg else pairs.T[::-1]
                 # All RNG consumption (windows, permutation, negatives)
                 # happened above, in the parent; the epoch runner is
                 # RNG-free, and with one shard it is the serial
@@ -526,7 +555,7 @@ class Word2Vec:
                     self.config.min_learning_rate,
                 )
                 logger.debug("word2vec epoch %d/%d done", epoch + 1, self.config.epochs)
-                del centers, contexts, in_ids, out_ids, negatives  # before the next extraction
+                del pairs, in_ids, out_ids, negatives  # before the next extraction
                 trained += 1
         return step, trained
 
@@ -535,22 +564,24 @@ class Word2Vec:
         flat_ids: np.ndarray,
         lengths: np.ndarray,
         keep_probs: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One epoch's (center, context) pairs from the flattened corpus.
+    ) -> np.ndarray:
+        """One epoch's (center, context) pairs from the flattened corpus, as
+        a C-contiguous ``(n_pairs, 2)`` block in the dtype of ``flat_ids``:
+        column 0 the centers, column 1 their contexts.
 
         With subsampling off this emits, for the same rng state, exactly the
         pair sequence of a per-sentence loop that draws each sentence's
         windows in turn and enumerates every position's context range left
         to right: the flat ``rng.integers`` draw equals those chunked draws.
-        The pairs keep the dtype of ``flat_ids``.
+        The rows are written :data:`PAIR_CHUNK_TOKENS` centers at a time.
         """
         if keep_probs is not None:
             keep = self._rng.random(flat_ids.size) < keep_probs[flat_ids]
             flat_ids, lengths = _drop_tokens(flat_ids, lengths, keep)
+            del keep
         n, window = flat_ids.size, self.config.window
-        empty = np.empty(0, dtype=flat_ids.dtype)
         if n == 0:
-            return empty, empty
+            return np.empty((0, 2), dtype=flat_ids.dtype)
 
         token_dtype = _index_dtype(n + window)  # a position + window + 1 <= n + window
         # Drawn in int64 (an int32 draw is another stream), then narrowed.
@@ -564,28 +595,34 @@ class Word2Vec:
         np.maximum(lo, positions - reduced, out=lo)
         counts = np.repeat(ends, lengths)
         np.minimum(counts, positions + reduced + 1, out=counts)
-        del ends, reduced
+        del ends, reduced, positions
         counts -= lo
         counts -= 1
 
         total = int(counts.sum())
-        if total == 0:
-            return empty, empty
-        # One repeat gives each pair its center's position.  Pair j of a run
-        # takes position lo + j = its index + (lo - the run's start), and
-        # positions at or past the center shift by one to skip it.
-        pair_dtype = _index_dtype(total)
-        lo = lo.astype(pair_dtype, copy=False)
-        lo -= np.cumsum(counts, dtype=pair_dtype) - counts
-        center_pos = np.repeat(positions, counts)
-        del positions, counts
-        ctx_pos = np.arange(total, dtype=pair_dtype)
-        ctx_pos += lo[center_pos]
-        del lo
-        ctx_pos += ctx_pos >= center_pos
-        centers = flat_ids[center_pos]
-        del center_pos
-        return centers, flat_ids[ctx_pos]
+        pairs = np.empty((total, 2), dtype=flat_ids.dtype)
+        # A chunk's positions: token positions and pair offsets.
+        index_dtype = np.promote_types(token_dtype, _index_dtype(total))
+        start = 0
+        for first in range(0, n, PAIR_CHUNK_TOKENS):
+            last = min(first + PAIR_CHUNK_TOKENS, n)
+            chunk_counts = counts[first:last]
+            # Pair j of a run takes position lo + j = its offset in the
+            # chunk + (lo - the run's offset), and positions at or past the
+            # center shift by one to skip it.
+            shift = np.cumsum(chunk_counts, dtype=index_dtype)
+            stop = start + int(shift[-1])
+            shift -= chunk_counts
+            np.subtract(lo[first:last], shift, out=shift)
+            ctx_pos = np.repeat(shift, chunk_counts)
+            ctx_pos += np.arange(stop - start, dtype=index_dtype)
+            center_pos = np.repeat(np.arange(first, last, dtype=index_dtype), chunk_counts)
+            ctx_pos += ctx_pos >= center_pos
+            pairs[start:stop, 0] = flat_ids[center_pos]
+            del center_pos
+            pairs[start:stop, 1] = flat_ids[ctx_pos]
+            start = stop
+        return pairs
 
     # ------------------------------------------------------------------
     # Lookup

@@ -6,11 +6,12 @@ iteration: a single vectorised ``rng.integers`` draw picks a neighbour
 offset for every active walk, and a boolean mask retires walks that reached
 an isolated node.  Walks live as an ``int32`` id matrix, and ``iter_walks``
 yields each walk as an ``int32`` array of node ids into the CSR snapshot:
-Word2Vec trains on those ids with the snapshot's labels, so no walk is
-decoded to label strings.  The corpus has the walk semantics of the paper
-— every resolved start node ``num_walks`` times, uniform neighbour choice
-at every step, early termination on isolated nodes — and is deterministic
-under a fixed seed.
+the pipeline joins them into one flat
+:class:`~repro.embeddings.vocab.IdCorpus`, and Word2Vec trains on those
+ids with the snapshot's labels, so no walk is decoded to label strings.
+The corpus has the walk semantics of the paper — every resolved start
+node ``num_walks`` times, uniform neighbour choice at every step, early
+termination on isolated nodes — and is deterministic under a fixed seed.
 
 :func:`make_walk_engine` picks the serial engine or, for a plan of more
 than one shard, its sharded twin

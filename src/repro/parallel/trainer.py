@@ -36,8 +36,7 @@ from repro.parallel.walks import shard_ranges
 
 def _train_shard_task(
     weights_d: SharedArray,
-    in_ids_d: SharedArray,
-    out_ids_d: SharedArray,
+    pairs_d: SharedArray,
     negatives_d: SharedArray,
     delta_d: SharedArray,
     shard: int,
@@ -55,19 +54,19 @@ def _train_shard_task(
 
     The shard trains a private copy of the block, so shards never race on
     the model; ``delta[shard]`` receives the update its batches applied.
+    ``pairs`` holds the epoch's (in, out) id pairs, one per row.
     """
-    with attached(weights_d, in_ids_d, out_ids_d, negatives_d, delta_d) as (
+    with attached(weights_d, pairs_d, negatives_d, delta_d) as (
         weights,
-        in_ids,
-        out_ids,
+        pairs,
         negatives,
         delta,
     ):
         local = np.array(weights)
         run_pair_batches(
             local,
-            in_ids[p0:p1],
-            out_ids[p0:p1],
+            pairs[p0:p1, 0],
+            pairs[p0:p1, 1],
             negatives[b0:b1],
             batch_size,
             step0,
@@ -92,9 +91,10 @@ def run_epoch(
 ) -> int:
     """Train one epoch's pairs into ``weights``, sharded over batch ranges; returns step.
 
-    ``pool.config.shards`` fixes the plan.  ``negatives`` has one row per
-    batch; shard boundaries fall on batch boundaries so each shard owns
-    whole rows of it.
+    ``in_ids`` and ``out_ids`` may be strided views, such as the two
+    columns of the epoch's pair block.  ``pool.config.shards`` fixes the
+    plan.  ``negatives`` has one row per batch; shard boundaries fall on
+    batch boundaries so each shard owns whole rows of it.
     """
     n_pairs = int(in_ids.shape[0])
     n_batches = int(negatives.shape[0])
@@ -114,8 +114,11 @@ def run_epoch(
 
     with ShmArena() as arena:
         weights_d = arena.share(weights)
-        in_ids_d = arena.share(in_ids)
-        out_ids_d = arena.share(out_ids)
+        # One segment of (in, out) rows, filled column by column: no
+        # contiguous copy of a strided column is made on the way.
+        pairs_d, pairs = arena.empty((n_pairs, 2), in_ids.dtype)
+        pairs[:, 0] = in_ids
+        pairs[:, 1] = out_ids
         negatives_d = arena.share(negatives)
         delta_d, delta = arena.empty((s_eff,) + weights.shape, weights.dtype)
         tasks = []
@@ -125,8 +128,7 @@ def run_epoch(
             tasks.append(
                 (
                     weights_d,
-                    in_ids_d,
-                    out_ids_d,
+                    pairs_d,
                     negatives_d,
                     delta_d,
                     shard,

@@ -9,7 +9,8 @@ Instead of rebuilding the graph and retraining embeddings from scratch,
    mid-stream),
 2. regenerate random walks only for start nodes inside the touched CSR
    neighbourhoods (``incremental.neighborhood_hops`` hops around the new
-   nodes), and
+   nodes), joined into one flat id corpus
+   (:class:`~repro.embeddings.vocab.IdCorpus`), and
 3. warm-start Word2Vec fine-tuning on that delta walk corpus — existing
    embedding rows are kept, new vocabulary rows are appended.
 
@@ -30,6 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import PipelineError
+from repro.embeddings.vocab import IdCorpus
 from repro.graph.builder import COLUMN_PREFIX, CONCEPT_PREFIX, DOC_PREFIX, ROW_PREFIX
 from repro.graph.csr import csr_adjacency, gather_neighbors
 from repro.graph.walk_engine import make_walk_engine
@@ -260,7 +262,11 @@ def _column_labels_of(graph, side: str) -> Dict[str, str]:
 # ----------------------------------------------------------------------
 # Walk regeneration + warm-started training
 def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
-    """Re-walk the touched neighbourhood and fine-tune the model on it."""
+    """Re-walk the touched neighbourhood and fine-tune the model on it.
+
+    The walks are joined into one :class:`~repro.embeddings.vocab.IdCorpus`
+    inside the walk timer, so no per-walk array lives through fine-tuning.
+    """
     if not new_labels:
         return
     state = pipeline.state
@@ -297,7 +303,7 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
         )
         engine = make_walk_engine(graph, walk_config)
         seed = derive_rng(pipeline.seed, f"walks-delta-{pipeline._delta_count}")
-        walks = list(engine.iter_walks(seed=seed))
+        walks = IdCorpus.concatenate(engine.iter_walks(seed=seed))
 
     with pipeline.timings.measure("incremental_word2vec"):
         freeze = config.incremental.freeze_distant

@@ -1,9 +1,5 @@
 """Tests for the baseline matchers (unsupervised and supervised)."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -24,6 +20,7 @@ from repro.corpus.table import Column, Table
 from repro.embeddings.doc2vec import Doc2VecConfig
 from repro.embeddings.word2vec import Word2VecConfig
 from repro.eval.metrics import evaluate_rankings
+from tests.hash_seeds import outputs_under_hash_seeds
 
 
 @pytest.fixture(scope="module")
@@ -221,21 +218,7 @@ class TestSupervisedBaselines:
         # Gold matches are sets of strings. With several per query (audit
         # has up to five), a sampler that followed their hash order would
         # attach the negative draws to other positives in each process.
-        outputs = []
-        repo_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [os.path.join(repo_dir, "src"), repo_dir, env.get("PYTHONPATH", "")]
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", _HASH_SEED_PROBE],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            outputs.append(result.stdout)
+        outputs = outputs_under_hash_seeds(_HASH_SEED_PROBE)
         assert outputs[0].count("\n") == 4
         assert outputs[0] == outputs[1]
 

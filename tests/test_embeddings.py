@@ -133,6 +133,27 @@ class TestWord2Vec:
         with pytest.raises(ValueError):
             Word2VecConfig(negative=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("subsample", -0.5),
+            ("subsample", float("nan")),
+            ("subsample", -float("inf")),
+            ("min_count", 0),
+            ("min_count", -1),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("min_learning_rate", float("nan")),
+            ("min_learning_rate", float("inf")),
+        ],
+    )
+    def test_config_rejects_values_that_train_wrongly(self, field, value):
+        """A negative or NaN ``subsample`` would turn subsampling off in
+        silence, ``min_count`` 0 would fail only inside ``train``, and a
+        NaN or infinite rate would train NaN weights."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Word2VecConfig(**{field: value})
+
     def test_subsampling_still_trains(self):
         config = Word2VecConfig(vector_size=16, epochs=2, subsample=1e-2)
         model = Word2Vec(config, seed=4).train(synthetic_cooccurrence_corpus(100))

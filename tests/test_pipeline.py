@@ -15,6 +15,7 @@ from repro.corpus.table import Column, Table
 from repro.embeddings.pretrained import build_synthetic_pretrained
 from repro.eval.metrics import evaluate_rankings
 from repro.kb.knowledge_base import InMemoryKnowledgeBase
+from tests.hash_seeds import outputs_under_hash_seeds
 
 
 def build_movie_world():
@@ -52,6 +53,41 @@ def fitted_pipeline():
     pipeline = TDMatch(TDMatchConfig.fast(), seed=11)
     pipeline.fit(reviews, table)
     return pipeline, gold
+
+
+#: Fits a tiny ``imdb_wt`` pipeline, plain and with MSP compression, and
+#: prints per fit the sha256 of the vocabulary and the stacked embedding
+#: block, then every query's ranking with exact scores.
+_HASH_SEED_PROBE = """
+import hashlib
+import numpy as np
+from repro.core.config import CompressionConfig, TDMatchConfig
+from repro.core.pipeline import TDMatch
+from repro.datasets import ScenarioSize, generate_scenario
+
+sc = generate_scenario("imdb_wt", size=ScenarioSize.tiny(), seed=11)
+for compression in (None, CompressionConfig(enabled=True, method="msp", ratio=1.0)):
+    config = TDMatchConfig.fast()
+    if compression is not None:
+        config.compression = compression
+    pipeline = TDMatch(config, seed=3).fit(sc.first, sc.second)
+    model = pipeline.state.model
+    digest = hashlib.sha256("\\n".join(model.vocab.tokens).encode())
+    digest.update(np.concatenate((model._input_vectors, model._output_vectors)).tobytes())
+    print(digest.hexdigest(), model.stats.pairs)
+    rankings = pipeline.match_result(k=5).rankings
+    print([(r.query_id, [(c, repr(s)) for c, s in r.candidates]) for r in rankings])
+"""
+
+
+class TestHashSeed:
+    def test_fit_ignores_hash_seed(self):
+        # Labels are interned strings in sets and dicts all through the graph
+        # build; a stage that followed their hash order would give another
+        # vocabulary, block or ranking in each process.
+        outputs = outputs_under_hash_seeds(_HASH_SEED_PROBE)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestFitAndMatch:

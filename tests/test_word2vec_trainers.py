@@ -4,11 +4,12 @@ Covers the alias sampler, the numpy pair extraction (exact parity with the
 token-loop oracle of ``tests/oracles/word2vec.py`` under a shared window
 seed), the mini-batch loop (byte-identical to the oracle's sorted segment
 sum, and within float32 rounding of its per-matrix form), config
-validation, the epoch loop (a bound on the memory traced per pair, the
-int32 permutation's draws, epochs that subsampling leaves without pairs),
+validation, the epoch loop (bounds on the memory traced per pair, the
+row shuffle's draws, epochs that subsampling leaves without pairs),
 the corpus encoding (exact parity with the oracle's label path,
-for node ids and interned strings), and end-to-end ranking parity with the
-oracle swapped into ``TDMatch`` (the ``reference`` runs).
+for node ids and interned strings, and a flat id corpus equal to its
+walks), and end-to-end ranking parity with the oracle swapped into
+``TDMatch`` (the ``reference`` runs).
 """
 
 import tracemalloc
@@ -24,7 +25,7 @@ from repro.datasets import ScenarioSize, generate_scenario
 from repro.embeddings import word2vec
 from repro.embeddings.sampling import AliasSampler
 from repro.embeddings.similarity import cosine_similarity
-from repro.embeddings.vocab import Vocabulary
+from repro.embeddings.vocab import IdCorpus, Vocabulary
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig, _index_dtype, run_pair_batches
 from repro.graph.graph import MatchGraph
 from repro.graph.walk_engine import CSRWalkEngine
@@ -266,11 +267,21 @@ def _reference_pairs(model, encoded, seed):
     return extract_pairs(model, encoded, None)
 
 
+def _pair_block(model, flat, lengths, keep_probs=None):
+    """The extraction's block, checked for its form: C-contiguous ``(n, 2)``
+    rows in the dtype of ``flat``."""
+    pairs = model._extract_pairs_vectorized(flat, lengths, keep_probs)
+    assert pairs.ndim == 2 and pairs.shape[1] == 2
+    assert pairs.flags.c_contiguous and pairs.dtype == flat.dtype
+    return pairs
+
+
 def _vectorized_pairs(model, encoded, seed):
+    """(centers, contexts): the two columns of the extraction's block."""
     model._rng = np.random.default_rng(seed)
     flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in encoded])
     lengths = np.asarray([len(s) for s in encoded], dtype=np.int64)
-    return model._extract_pairs_vectorized(flat, lengths, None)
+    return tuple(_pair_block(model, flat, lengths).T)
 
 
 def _model(window: int) -> Word2Vec:
@@ -310,9 +321,9 @@ class TestPairExtraction:
         model._rng = np.random.default_rng(0)
         flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in encoded])
         lengths = np.asarray([len(s) for s in encoded], dtype=np.int64)
-        first = model._extract_pairs_vectorized(flat, lengths, None)
-        second = model._extract_pairs_vectorized(flat, lengths, None)
-        assert first[0].size != second[0].size or not np.array_equal(first[1], second[1])
+        first = _pair_block(model, flat, lengths)
+        second = _pair_block(model, flat, lengths)
+        assert first.shape != second.shape or not np.array_equal(first, second)
 
     def test_extraction_respects_sentence_boundaries(self):
         """No pair may span two sentences."""
@@ -330,8 +341,7 @@ class TestPairExtraction:
         # token 0 is kept with ~1% probability: virtually every sentence
         # shrinks below two tokens and contributes nothing.
         keep = np.asarray([0.01, 1.0])
-        centers, _contexts = model._extract_pairs_vectorized(flat, lengths, keep)
-        assert centers.size == 0
+        assert _pair_block(model, flat, lengths, keep).shape == (0, 2)
 
     def test_index_dtype_widens_past_int32(self):
         """Positions stay int32 up to 2³¹ − 1 and widen at 2³¹."""
@@ -357,11 +367,51 @@ class TestPairExtraction:
         model._rng = np.random.default_rng(5)
         flat = np.concatenate(encoded).astype(np.int32)
         lengths = np.asarray([len(s) for s in encoded], dtype=np.int64)
-        centers, contexts = model._extract_pairs_vectorized(flat, lengths, None)
+        pairs = _pair_block(model, flat, lengths)
         assert ref_c.size > 100
-        assert centers.dtype == contexts.dtype == np.int32
-        np.testing.assert_array_equal(centers, ref_c)
-        np.testing.assert_array_equal(contexts, ref_x)
+        assert pairs.dtype == np.int32
+        np.testing.assert_array_equal(pairs[:, 0], ref_c)
+        np.testing.assert_array_equal(pairs[:, 1], ref_x)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None], ids=lambda c: f"chunk-{c}")
+    @pytest.mark.parametrize("subsample", [False, True], ids=["all-tokens", "subsampled"])
+    @pytest.mark.parametrize("widen", [False, True], ids=["int32-positions", "int64-positions"])
+    def test_block_equals_oracle_across_chunks(self, chunk, subsample, widen, monkeypatch):
+        """The block written a chunk of centers at a time holds the oracle's
+        pairs, byte for byte, whether a chunk is one token, a few, or the
+        default (the corpus spans three default chunks), with int32 or int64
+        positions.  Subsampling draws every token's keep flag before the
+        windows, so the oracle runs on the sentences those flags leave."""
+        rng = np.random.default_rng(3)
+        encoded = [rng.integers(0, 40, size=int(n)).tolist() for n in rng.integers(1, 30, size=700)]
+        if chunk is not None:
+            monkeypatch.setattr(word2vec, "PAIR_CHUNK_TOKENS", chunk)
+        if widen:
+            monkeypatch.setattr(word2vec, "_index_dtype", lambda n: np.dtype(np.int64))
+        flat = np.concatenate(encoded).astype(np.int32)
+        lengths = np.asarray([len(s) for s in encoded], dtype=np.int64)
+        if chunk is None:
+            assert flat.size > 2 * word2vec.PAIR_CHUNK_TOKENS
+        model = _model(5)
+        keep_probs = np.linspace(0.2, 1.0, 40) if subsample else None
+
+        model._rng = np.random.default_rng(11)
+        survivors = encoded
+        if subsample:
+            keep = (model._rng.random(flat.size) < keep_probs[flat]).tolist()
+            flags = iter(keep)
+            survivors = [[t for t in s if next(flags)] for s in encoded]
+            survivors = [s for s in survivors if len(s) >= 2]
+            assert 0 < sum(map(len, survivors)) < 0.8 * flat.size
+        ref_c, ref_x = extract_pairs(model, survivors, None)
+        expected = np.stack([ref_c, ref_x], axis=1).astype(np.int32)
+        ref_next = model._rng.integers(2**62)
+
+        model._rng = np.random.default_rng(11)
+        pairs = _pair_block(model, flat, lengths, keep_probs)
+        assert pairs.tobytes() == expected.tobytes()
+        # Both extractions leave the stream at the same place.
+        assert model._rng.integers(2**62) == ref_next
 
 
 # ----------------------------------------------------------------------
@@ -479,13 +529,21 @@ class TestFineTune:
 
 
 # ----------------------------------------------------------------------
-# Epoch loop: one epoch of int32 pairs at a time, the permutation's draws,
+# Epoch loop: one epoch's pair block at a time, the row shuffle's draws,
 # epochs that subsampling empties
 #: Peak bytes traced while training, per pair of one epoch (36,000 tokens,
-#: ~124k pairs an epoch).  One epoch of int32 pairs and its int32
-#: permutation index take ~19; a trainer that keeps an epoch's int64 pairs
-#: through the next extraction's int64 temporaries takes ~80.
-MAX_BYTES_PER_PAIR = 36
+#: ~124k pairs an epoch).  One epoch's int32 pair block, the extraction's
+#: per-token state and one chunk of its temporaries take ~14.7 (train) and
+#: ~16.9 (fine_tune); two int32 id arrays permuted through an int32 index
+#: took ~19, and int64 pairs kept through the next extraction ~80.
+MAX_BYTES_PER_PAIR = 20
+#: Growth of that peak per pair of an epoch between two corpora 4× apart,
+#: which leaves out what does not grow with the corpus (one chunk of
+#: extraction temporaries, the batch loop's scratch): the 8-byte block,
+#: ~2.3 of per-token extraction state and ~1.2 of encoded corpus make
+#: ~11.8; the permutation through an int32 index and a gathered copy
+#: made ~17.4.
+MAX_BYTES_PER_PAIR_SLOPE = 13
 #: Five two-token sentences under heavy subsampling: most epochs keep no pair.
 SPARSE_CORPUS = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"], ["i", "j"]]
 SPARSE_CONFIG = Word2VecConfig(vector_size=4, epochs=3, subsample=0.01)
@@ -505,9 +563,9 @@ def _trained_on_id_walks() -> Word2Vec:
     return Word2Vec(config, seed=1)
 
 
-def _peak_bytes_per_pair(call) -> float:
-    """Peak bytes traced above the start while ``call()`` runs, per pair of
-    one epoch of the :class:`TrainingStats` it returns."""
+def _peak_and_epoch_pairs(call):
+    """Peak bytes traced above the start while ``call()`` runs, and the pairs
+    per epoch of the :class:`TrainingStats` it returns."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -520,7 +578,13 @@ def _peak_bytes_per_pair(call) -> float:
         if not tracing:
             tracemalloc.stop()
     assert stats.pairs > 0
-    return peak / (stats.pairs / stats.epochs)
+    return peak, stats.pairs / stats.epochs
+
+
+def _peak_bytes_per_pair(call) -> float:
+    """Peak bytes traced while ``call()`` runs, per pair of one epoch."""
+    peak, epoch_pairs = _peak_and_epoch_pairs(call)
+    return peak / epoch_pairs
 
 
 def _epoch_spy(monkeypatch):
@@ -530,9 +594,9 @@ def _epoch_spy(monkeypatch):
     run_epoch = parallel_trainer.run_epoch
 
     def spy_extract(model, *args):
-        centers, contexts = extract(model, *args)
-        sizes.append(centers.size)
-        return centers, contexts
+        pairs = extract(model, *args)
+        sizes.append(len(pairs))
+        return pairs
 
     def spy_run_epoch(*args):
         schedule.append(args[6:8])  # (step, total_steps), passed by position
@@ -547,21 +611,39 @@ class TestEpochLoop:
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 1000, 65_537])
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_int32_shuffle_draws_the_permutation(self, n, seed):
-        """The trainer's int32 ``arange`` shuffled in place equals
-        ``rng.permutation(n)`` and leaves the stream where it does."""
-        order = np.arange(n, dtype=_index_dtype(n))
-        rng = np.random.default_rng(seed)
-        rng.shuffle(order)
+        """The trainer's in-place shuffle of an int32 pair block's rows
+        equals ``block[rng.permutation(n)]`` and leaves the stream where
+        ``permutation`` does; int64 rows (16-byte items) shuffle alike."""
+        block = np.random.default_rng(n).integers(-(2**31), 2**31, size=(n, 2)).astype(np.int32)
         expected = np.random.default_rng(seed)
-        assert order.dtype == np.int32
-        np.testing.assert_array_equal(order, expected.permutation(n))
-        assert rng.integers(2**62) == expected.integers(2**62)
+        permuted = block[expected.permutation(n)]
+        after = expected.integers(2**62)
+        for dtype in (np.int32, np.int64):
+            rows = block.astype(dtype)
+            rng = np.random.default_rng(seed)
+            word2vec._shuffle_rows(rows, rng)
+            assert rows.tobytes() == permuted.astype(dtype).tobytes()
+            assert rng.integers(2**62) == after
 
     def test_train_peak_per_pair_bounded(self):
         model = _trained_on_id_walks()
         walks = _id_walks(0, 3000)
         per_pair = _peak_bytes_per_pair(lambda: model.train(walks, labels=ID_LABELS).stats)
         assert per_pair <= MAX_BYTES_PER_PAIR, f"{per_pair:.1f} B per pair"
+
+    def test_train_peak_grows_by_the_block(self):
+        """Between 1,000 and 4,000 walks the peak grows by what one more pair
+        of an epoch holds; the fixed scratch cancels out."""
+        small, large = (
+            _peak_and_epoch_pairs(lambda: model.train(walks, labels=ID_LABELS).stats)
+            for model, walks in (
+                (_trained_on_id_walks(), _id_walks(0, 1000)),
+                (_trained_on_id_walks(), _id_walks(0, 4000)),
+            )
+        )
+        assert large[1] > 3.9 * small[1]
+        slope = (large[0] - small[0]) / (large[1] - small[1])
+        assert slope <= MAX_BYTES_PER_PAIR_SLOPE, f"{slope:.1f} B per pair"
 
     def test_fine_tune_peak_per_pair_bounded(self):
         model = _trained_on_id_walks().train(_id_walks(0, 3000), labels=ID_LABELS)
@@ -714,6 +796,60 @@ class TestCorpusEncoding:
         by_label.fine_tune([csr.decode(w) for w in delta])
         assert np.array_equal(by_id._input_vectors, by_label._input_vectors)
         assert np.array_equal(by_id._output_vectors, by_label._output_vectors)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            Word2VecConfig(vector_size=8, epochs=2),
+            Word2VecConfig(vector_size=8, epochs=2, sg=False, min_count=3, subsample=1e-2),
+        ],
+        ids=["skip-gram", "cbow-min-count-subsample"],
+    )
+    def test_id_corpus_trains_like_its_walk_list(self, config):
+        """``train`` and ``fine_tune`` read an :class:`IdCorpus` of the walks
+        as they read the walks one array each: equal blocks, vocabularies
+        and stats, byte for byte."""
+        graph = MatchGraph()
+        for i in range(40):
+            graph.add_node(f"n{i}")
+        graph.add_node("iso")  # its walks are one token long
+        rng = np.random.default_rng(1)
+        for u, v in rng.integers(0, 40, size=(90, 2)):
+            if u != v:
+                graph.add_edge(f"n{u}", f"n{v}")
+        engine = CSRWalkEngine(graph, RandomWalkConfig(num_walks=6, walk_length=10))
+        walks = list(engine.iter_walks(seed=2))
+        delta = walks[::7]
+        labels = engine.csr.labels
+
+        models = []
+        for as_corpus in (lambda w: w, IdCorpus.concatenate):
+            model = Word2Vec(config, seed=9).train(as_corpus(walks), labels=labels)
+            built = (model.stats.pairs, model.stats.epochs, model._input_vectors.tobytes())
+            tuned = model.fine_tune(as_corpus(delta), labels=labels, epochs=2)
+            models.append((built, (tuned.pairs, tuned.epochs), model))
+        (built, tuned, by_list), (built_flat, tuned_flat, by_corpus) = models
+        assert built == built_flat and built[0] > 0
+        assert tuned == tuned_flat and tuned[0] > 0
+        assert by_list.vocab.tokens == by_corpus.vocab.tokens
+        assert by_list.vocab.counts_array().tobytes() == by_corpus.vocab.counts_array().tobytes()
+        for matrix in ("_input_vectors", "_output_vectors"):
+            assert getattr(by_list, matrix).tobytes() == getattr(by_corpus, matrix).tobytes()
+
+    def test_id_corpus_concatenates_walks(self):
+        walks = _id_walks(3, 7, length=5) + [np.array([7], dtype=np.int32)]
+        corpus = IdCorpus.concatenate(iter(walks))
+        assert corpus.ids.tobytes() == np.concatenate(walks).tobytes()
+        assert corpus.lengths.tobytes() == np.array([5] * 7 + [1], dtype=np.int64).tobytes()
+        empty = IdCorpus.concatenate([])
+        assert empty.ids.dtype == empty.lengths.dtype == np.int64 and empty.ids.size == 0
+
+    def test_id_corpus_checked(self):
+        corpus = IdCorpus(np.array([0, 1, 1], dtype=np.int32), np.array([2, 2]))
+        with pytest.raises(ValueError, match="sum to its id count"):
+            Word2Vec(Word2VecConfig(vector_size=4)).train(corpus, labels=["a", "b"])
+        with pytest.raises(ValueError, match="needs the labels"):
+            Word2Vec(Word2VecConfig(vector_size=4)).train(corpus._replace(lengths=np.array([3])))
 
     def test_ids_outside_labels_rejected(self):
         with pytest.raises(ValueError, match="index labels"):
