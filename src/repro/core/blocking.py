@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional
 
 from repro.graph.graph import MatchGraph
 from repro.text.preprocess import Preprocessor
@@ -114,21 +114,25 @@ class MetadataNeighborhoodBlocking:
 
         ``candidate_labels`` maps candidate object id → metadata-node label.
         """
-        if not self.graph.has_node(query_label):
+        graph = self.graph
+        source = graph.ids.get(query_label)
+        if source is None:
             return []
-        frontier = {query_label}
-        seen = {query_label}
+        indptr, indices = graph.indptr, graph.indices
+        seen = {source}
+        frontier = [source]
         for _ in range(self.max_hops):
-            next_frontier: Set[str] = set()
+            reached = []
             for node in frontier:
-                for neighbor in self.graph.neighbors(node):
+                for neighbor in indices[indptr[node] : indptr[node + 1]].tolist():
                     if neighbor not in seen:
                         seen.add(neighbor)
-                        next_frontier.add(neighbor)
-            frontier = next_frontier
+                        reached.append(neighbor)
+            frontier = reached
             if not frontier:
                 break
-        block = [cid for cid, label in candidate_labels.items() if label in seen]
+        ids = graph.ids
+        block = [cid for cid, label in candidate_labels.items() if ids.get(label) in seen]
         if self.max_block_size is not None:
             block = block[: self.max_block_size]
         return block

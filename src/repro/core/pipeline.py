@@ -144,6 +144,7 @@ class TDMatch:
             "graph built: %d nodes, %d edges", built.graph.num_nodes(), built.graph.num_edges()
         )
 
+        # Each stage returns a new graph, which replaces the last one.
         merge_reports = self._apply_merging(built)
         expansion = self._apply_expansion(built)
         compression = self._apply_compression(built)
@@ -158,7 +159,7 @@ class TDMatch:
             model = Word2Vec(
                 self.config.word2vec, seed=derive_rng(self.seed, "word2vec"), parallel=parallel
             )
-            model.train(walks, labels=engine.csr.labels)
+            model.train(walks, labels=built.graph.labels)
         return PipelineState(
             built=built,
             model=model,
@@ -205,6 +206,7 @@ class TDMatch:
             with self.timings.measure("merge_bucketing"):
                 bucketer = NumericBucketer(width=merge_cfg.bucket_width)
                 reports.append(bucketer.apply(built.graph))
+                built.graph = reports[-1].graph
         if merge_cfg.merge_embeddings:
             with self.timings.measure("merge_embeddings"):
                 merger = EmbeddingMerger(merge_cfg.pretrained, threshold=merge_cfg.gamma)
@@ -215,6 +217,7 @@ class TDMatch:
                         )
                     merger.calibrate_threshold(merge_cfg.synonym_pairs)
                 reports.append(merger.apply(built.graph))
+                built.graph = reports[-1].graph
         return reports
 
     def _apply_expansion(self, built: BuiltGraph) -> Optional[ExpansionResult]:
@@ -222,12 +225,14 @@ class TDMatch:
         if not expansion_cfg.enabled:
             return None
         with self.timings.measure("expansion"):
-            return expand_graph(
+            result = expand_graph(
                 built.graph,
                 expansion_cfg.resource,
                 max_relations_per_node=expansion_cfg.max_relations_per_node,
                 remove_sinks=expansion_cfg.remove_sinks,
             )
+        built.graph = result.graph
+        return result
 
     def _apply_compression(self, built: BuiltGraph) -> Optional[CompressionResult]:
         compression_cfg = self.config.compression
@@ -257,7 +262,6 @@ class TDMatch:
                 result = random_node_compress(built.graph, keep_ratio=compression_cfg.ratio, seed=seed)
             else:
                 result = random_edge_compress(built.graph, keep_ratio=compression_cfg.ratio, seed=seed)
-        # The compressed graph replaces the original for walks and matching.
         built.graph = result.graph
         return result
 
@@ -367,8 +371,8 @@ class TDMatch:
     def save(self, path: str) -> str:
         """Serialise the fitted pipeline into a single index file.
 
-        The file contains everything :meth:`match` needs — CSR graph
-        snapshot, embedding matrices, vocabulary, metadata maps, and a
+        The file contains everything :meth:`match` needs — the graph's CSR
+        arrays, embedding matrices, vocabulary, metadata maps, and a
         config snapshot — and is memory-mappable: ``load(path, mmap=True)``
         opens the embeddings as shared read-only pages.
         """

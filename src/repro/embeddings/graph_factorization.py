@@ -64,9 +64,9 @@ class GraphFactorizationEmbedder:
             num_walks=self.config.num_walks, walk_length=self.config.walk_length
         )
         engine = CSRWalkEngine(graph, walk_config)
-        # The walks' node ids index the CSR snapshot's labels, so they are
-        # the matrix rows as they come.
-        nodes = engine.csr.labels
+        # The walks' node ids index the graph's labels, so they are the
+        # matrix rows as they come.
+        nodes = graph.labels
         if len(nodes) < 2:
             raise ValueError("graph must have at least two nodes")
         self._node_index = {node: i for i, node in enumerate(nodes)}

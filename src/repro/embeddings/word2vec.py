@@ -7,8 +7,8 @@ with window 3 for text-to-data tasks and CBOW with window 15 for text-only
 tasks; both variants are implemented.
 
 The trainer reads integer ids, as the word2vec C tool does; labels only
-look vectors up.  Node-id walks come with the labels of the graph's CSR
-snapshot (``train(walks, labels=...)``) and token strings are interned to
+look vectors up.  Node-id walks come with the graph's labels
+(``train(walks, labels=...)``) and token strings are interned to
 the same form; one ``np.bincount`` counts the vocabulary and one gather
 encodes the corpus.
 
@@ -350,8 +350,8 @@ class Word2Vec:
         ``sentences`` hold token strings, or — with ``labels`` — integer ids
         into ``labels``, one sequence per sentence or all of them back to
         back in an :class:`~repro.embeddings.vocab.IdCorpus` (the pipeline
-        joins the walk engine's node-id walks into one, with the labels of
-        the graph's CSR snapshot).  The vocabulary orders tokens by
+        joins the walk engine's node-id walks into one, with the graph's
+        labels).  The vocabulary orders tokens by
         ``(-count, label)`` and drops those under ``min_count``; sentences
         left with fewer than two tokens yield no pairs.
         """

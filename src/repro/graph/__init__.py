@@ -3,7 +3,8 @@
 Modules
 -------
 ``graph``
-    Lightweight undirected graph with typed nodes (data vs metadata).
+    The immutable graph: a typed node registry (data vs metadata) over CSR
+    adjacency arrays.
 ``builder``
     Algorithm 1 — joint graph creation over two corpora.
 ``filtering``
@@ -19,7 +20,7 @@ Modules
     Random-walk configuration and start-node resolution (walk half of
     Algorithm 4).
 ``csr``
-    Immutable CSR snapshot of the graph, cached against its version.
+    Frontier-array BFS over the graph's CSR arrays.
 ``walk_engine``
     The vectorised CSR walk engine and its serial/sharded dispatch.
 """
@@ -45,14 +46,9 @@ from repro.graph.compression import (
 )
 from repro.graph.walks import RandomWalkConfig
 from repro.graph.csr import (
-    CSRAdjacency,
     bfs_levels,
-    build_csr,
-    build_csr_from_edges,
-    csr_adjacency,
     gather_neighbors,
     multi_source_dag_union,
-    prime_csr_cache,
     shortest_path_dag_union,
 )
 from repro.graph.walk_engine import CSRWalkEngine, make_walk_engine
@@ -80,14 +76,9 @@ __all__ = [
     "random_node_compress",
     "random_edge_compress",
     "RandomWalkConfig",
-    "CSRAdjacency",
     "bfs_levels",
-    "build_csr",
-    "build_csr_from_edges",
-    "csr_adjacency",
     "gather_neighbors",
     "multi_source_dag_union",
-    "prime_csr_cache",
     "shortest_path_dag_union",
     "CSRWalkEngine",
     "make_walk_engine",

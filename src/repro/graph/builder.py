@@ -18,15 +18,15 @@ so that a term can never collide with a document identifier.
 
 Construction is a single interned pass: every distinct cell value /
 sentence is preprocessed once (:class:`~repro.text.preprocess.TermInterner`),
-interned id arrays are filtered with vectorised masks, nodes and deduped
-edge arrays are emitted in a handful of bulk calls, and the graph's CSR walk
-snapshot is primed directly from the edge arrays so the walk engine never
-re-interns labels.
+interned id arrays are filtered with vectorised masks, and the node
+registry and edge id arrays become the graph in one
+:meth:`MatchGraph.from_edges <repro.graph.graph.MatchGraph.from_edges>`
+call, so no label is looked up again after interning.
 
-Node insertion order follows Algorithm 1's loop — per document: metadata
-node, new column nodes, new kept terms; second-corpus documents after all
-first-corpus nodes — because insertion order fixes the CSR node ids and
-hence seeded walk corpora.  The per-term loop itself is the test oracle in
+Node order follows Algorithm 1's loop — per document: metadata node, new
+column nodes, new kept terms; second-corpus documents after all
+first-corpus nodes — because the order fixes the node ids and hence seeded
+walk corpora.  The per-term loop itself is the test oracle in
 ``tests/oracles/graph.py``.
 """
 
@@ -40,7 +40,6 @@ import numpy as np
 from repro.corpus.documents import TextCorpus
 from repro.corpus.table import Table
 from repro.corpus.taxonomy import Taxonomy
-from repro.graph.csr import build_csr_from_edges, prime_csr_cache
 from repro.graph.filtering import (
     BulkFilter,
     BulkIntersectFilter,
@@ -48,7 +47,7 @@ from repro.graph.filtering import (
     BulkTfIdfFilter,
     FilterStatistics,
 )
-from repro.graph.graph import MatchGraph, NodeKind, dedup_edge_ids
+from repro.graph.graph import MatchGraph, NodeKind
 from repro.text.preprocess import PreprocessConfig, Preprocessor, TermInterner
 
 Corpus = Union[Table, TextCorpus, Taxonomy]
@@ -357,7 +356,7 @@ class GraphBuilder:
 
         # A second-corpus metadata label may collide with a first-corpus
         # one (same corpus kind, same object id): it occupies no new graph
-        # position and is promoted to corpus "both" afterwards instead.
+        # position, and the node's corpus becomes "both" instead.
         is_new_meta = np.fromiter(
             (label not in meta_gid for label in meta_labels2), dtype=np.int64, count=n2
         )
@@ -430,28 +429,16 @@ class GraphBuilder:
             self._taxonomy_edge_ids(second, second_metadata, meta_gid, edge_u, edge_v)
 
         # ---- emit ------------------------------------------------------
-        graph = MatchGraph()
-        graph.add_nodes_bulk(labels1, kind=kinds1, corpus="first", role=roles1)
-        graph.add_nodes_bulk(labels2, kind=kinds2, corpus="second", role=roles2)
-        if promoted:
-            # Re-adding an existing label from the second corpus promotes it
-            # to corpus "both".
-            graph.add_nodes_bulk(
-                promoted, kind=NodeKind.METADATA, corpus="second", role=self._role_of(second)
-            )
-        node_labels = graph.nodes()
-        if edge_u:
-            lo, hi = dedup_edge_ids(
-                np.concatenate(edge_u), np.concatenate(edge_v), len(node_labels)
-            )
-            label_arr = np.array(node_labels, dtype=object)
-            graph.add_edges_bulk(label_arr[lo], label_arr[hi], assume_unique=True)
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
-        # Prime the CSR walk snapshot straight from the deduped edge arrays:
-        # the walk engine then skips its own label→index re-interning pass.
-        prime_csr_cache(
-            graph, build_csr_from_edges(node_labels, lo, hi, graph_version=graph.version)
+        corpora = ["first"] * total1 + ["second"] * total2
+        for label in promoted:
+            corpora[meta_gid[label]] = "both"
+        graph = MatchGraph.from_edges(
+            labels1.tolist() + labels2.tolist(),
+            kinds1.tolist() + kinds2.tolist(),
+            corpora,
+            roles1.tolist() + roles2.tolist(),
+            _concat(edge_u),
+            _concat(edge_v),
         )
 
         return BuiltGraph(

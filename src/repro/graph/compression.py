@@ -18,14 +18,16 @@ Baselines implemented for Table VIII and the related-work comparison:
   sampling literature.
 
 MSP and SSP run one numpy frontier BFS per *distinct* sampled source over
-the cached CSR snapshot, followed by a single backward sweep that takes the
+the graph's CSR arrays, followed by a single backward sweep that takes the
 union of the shortest-path DAG for every target of that source at once
 (:func:`repro.graph.csr.shortest_path_dag_union`), so no individual path is
-ever materialised.  The compressed graph keeps the source graph's node
-insertion order, which makes the CSR ids the walk engine derives from it
-independent of the order in which paths were discovered.  The per-pair
-path enumeration (one :meth:`MatchGraph.all_shortest_paths` call per
-sampled pair) is the test oracle in ``tests/oracles/compression.py``.
+ever materialised.  Every method returns a new graph made by
+:meth:`MatchGraph.keep <repro.graph.graph.MatchGraph.keep>` from a node
+mask (and, for MSP, SSP and random edges, the kept edges), so it keeps the
+source graph's node order: the node ids the walk engine reads do not
+depend on the order in which paths or samples were drawn.  The per-pair
+path enumeration (one shortest-path enumeration per sampled pair) is the
+test oracle in ``tests/oracles/compression.py``.
 """
 
 from __future__ import annotations
@@ -36,13 +38,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import (
-    bfs_levels,
-    csr_adjacency,
-    multi_source_dag_union,
-    shortest_path_dag_union,
-)
-from repro.graph.graph import MatchGraph, dedup_edge_ids
+from repro.graph.csr import bfs_levels, multi_source_dag_union, shortest_path_dag_union
+from repro.graph.graph import MatchGraph
 from repro.utils.rng import ensure_rng
 
 
@@ -72,11 +69,6 @@ class CompressionResult:
         return self.edges_after / self.edges_before if self.edges_before else 1.0
 
 
-def _copy_node(source: MatchGraph, target: MatchGraph, label: str) -> None:
-    info = source.node_info(label)
-    target.add_node(label, kind=info.kind, corpus=info.corpus, role=info.role)
-
-
 # ----------------------------------------------------------------------
 # Shared MSP / SSP machinery
 def _sample_pair_indices(
@@ -90,33 +82,6 @@ def _sample_pair_indices(
         j = int(rng.integers(0, n_second))
         pairs.append((i, j))
     return pairs
-
-
-def _build_compressed(
-    graph: MatchGraph, nodes: Set[str], edges: Set[Tuple[str, str]]
-) -> MatchGraph:
-    """Materialise the compressed graph in canonical (source) node order.
-
-    ``nodes`` are labels, ``edges`` canonical ``(u, v)`` label pairs with
-    ``u < v``.
-    """
-    compressed = MatchGraph()
-    ordered = [label for label in graph.nodes() if label in nodes]
-    infos = [graph.node_info(label) for label in ordered]
-    compressed.add_nodes_bulk(
-        ordered,
-        kind=[info.kind for info in infos],
-        corpus=[info.corpus for info in infos],
-        role=[info.role for info in infos],
-    )
-    if edges:
-        edge_list = sorted(edges)
-        compressed.add_edges_bulk(
-            [u for u, _v in edge_list],
-            [v for _u, v in edge_list],
-            assume_unique=True,
-        )
-    return compressed
 
 
 # ----------------------------------------------------------------------
@@ -161,20 +126,22 @@ def msp_compress(
     iterations = max(1, int(beta * nodes_before))
     pairs = _sample_pair_indices(rng, len(first_metadata), len(second_metadata), iterations)
 
-    compressed = _msp_bulk(graph, first_metadata, second_metadata, pairs, parallel=parallel)
+    first_ids = graph.encode(first_metadata).astype(np.int64)
+    second_ids = graph.encode(second_metadata).astype(np.int64)
+    compressed = _msp_bulk(graph, first_ids, second_ids, pairs, parallel=parallel)
     return CompressionResult(
         graph=compressed, method=f"msp({beta})", nodes_before=nodes_before, edges_before=edges_before
     )
 
 
-def _grouped_dag_union(csr, by_source: Dict[int, Set[int]], parallel=None):
+def _grouped_dag_union(graph: MatchGraph, by_source: Dict[int, Set[int]], parallel=None):
     """Run the batched DAG-union sweep over a ``{source: targets}`` grouping.
 
     A ``parallel`` plan (a :class:`repro.parallel.ParallelConfig`) of more
     than one shard runs the sweep as shard tasks over shared memory; one
     shard is this single sweep, at any worker count.  The downstream masks
-    and ``dedup_edge_ids`` make the result order- and duplicate-insensitive,
-    so the sharded sweep is output-identical.
+    and :meth:`MatchGraph.keep` make the result order- and
+    duplicate-insensitive, so the sharded sweep is output-identical.
     """
     sources = sorted(by_source)
     source_ids = np.array(sources, dtype=np.int64)
@@ -185,34 +152,17 @@ def _grouped_dag_union(csr, by_source: Dict[int, Set[int]], parallel=None):
         # Imported lazily: repro.parallel.compression imports repro.graph.csr.
         from repro.parallel.compression import parallel_grouped_dag_union
 
-        return parallel_grouped_dag_union(csr, source_ids, targets_list, parallel)
-    return multi_source_dag_union(csr, source_ids, targets_list)
-
-
-def _union_to_label_sets(csr, node_mask: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray):
-    """Decode an id-space union (with duplicate edges) into label sets."""
-    nodes = {csr.labels[i] for i in np.flatnonzero(node_mask)}
-    edges: Set[Tuple[str, str]] = set()
-    if edge_u.size:
-        lo, hi = dedup_edge_ids(edge_u, edge_v, csr.num_nodes)
-        labels = csr.labels
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            u, v = labels[a], labels[b]
-            edges.add((u, v) if u < v else (v, u))
-    return nodes, edges
+        return parallel_grouped_dag_union(graph, source_ids, targets_list, parallel)
+    return multi_source_dag_union(graph, source_ids, targets_list)
 
 
 def _msp_bulk(
     graph: MatchGraph,
-    first_metadata: Sequence[str],
-    second_metadata: Sequence[str],
+    first_ids: np.ndarray,
+    second_ids: np.ndarray,
     pairs: Sequence[Tuple[int, int]],
     parallel=None,
 ) -> MatchGraph:
-    csr = csr_adjacency(graph)
-    first_ids = csr.encode(first_metadata).astype(np.int64)
-    second_ids = csr.encode(second_metadata).astype(np.int64)
-
     # Group the sampled pairs by source node so one BFS sweep serves every
     # pair sharing that endpoint (for MSP the number of distinct sources is
     # bounded by |first_metadata|, not by the β·|V| iteration count).
@@ -220,7 +170,7 @@ def _msp_bulk(
     for i, j in pairs:
         by_source.setdefault(int(first_ids[i]), set()).add(int(second_ids[j]))
 
-    n = csr.num_nodes
+    n = graph.num_nodes()
     node_mask = np.zeros(n, dtype=bool)
     connected_mask = np.zeros(n, dtype=bool)
     edge_u_chunks: List[np.ndarray] = []
@@ -235,20 +185,18 @@ def _msp_bulk(
             connected_mask[edge_u] = True
             connected_mask[edge_v] = True
 
-    collect(*_grouped_dag_union(csr, by_source, parallel=parallel))
+    collect(*_grouped_dag_union(graph, by_source, parallel=parallel))
 
     _ensure_metadata_connected_bulk(
-        csr, first_ids, second_ids, node_mask, connected_mask, collect
+        graph, first_ids, second_ids, node_mask, connected_mask, collect
     )
 
     empty = np.empty(0, dtype=np.int64)
-    nodes, edges = _union_to_label_sets(
-        csr,
+    return graph.keep(
         node_mask,
         np.concatenate(edge_u_chunks) if edge_u_chunks else empty,
         np.concatenate(edge_v_chunks) if edge_v_chunks else empty,
     )
-    return _build_compressed(graph, nodes, edges)
 
 
 # ----------------------------------------------------------------------
@@ -261,14 +209,14 @@ def _msp_bulk(
 # metadata node (ties broken by smallest label).  Only when no other-side
 # node is reachable at all is the node kept bare.
 def _ensure_metadata_connected_bulk(
-    csr,
+    graph: MatchGraph,
     first_ids: np.ndarray,
     second_ids: np.ndarray,
     node_mask: np.ndarray,
     connected_mask: np.ndarray,
     collect,
 ) -> None:
-    labels = csr.labels
+    labels = graph.labels
     for metadata_ids, other_ids in ((first_ids, second_ids), (second_ids, first_ids)):
         for node_id in metadata_ids.tolist():
             if connected_mask[node_id]:
@@ -281,7 +229,7 @@ def _ensure_metadata_connected_bulk(
             if targets.size == 0:
                 node_mask[node_id] = True  # no possible partner: keep bare
                 continue
-            levels = bfs_levels(csr, node_id, targets=targets, stop="any")
+            levels = bfs_levels(graph, node_id, targets=targets, stop="any")
             target_levels = levels[targets]
             reachable = targets[target_levels > 0]
             if reachable.size == 0:
@@ -292,7 +240,7 @@ def _ensure_metadata_connected_bulk(
             target = min(at_min.tolist(), key=lambda i: labels[i])
             collect(
                 *shortest_path_dag_union(
-                    csr, node_id, np.array([target], dtype=np.int64), levels=levels
+                    graph, node_id, np.array([target], dtype=np.int64), levels=levels
                 )
             )
 
@@ -313,68 +261,65 @@ def ssp_compress(
     if not 0 < beta:
         raise ValueError("beta must be positive")
     rng = ensure_rng(seed)
-    nodes = graph.nodes()
-    if len(nodes) < 2:
-        raise ValueError("graph must have at least two nodes")
     nodes_before = graph.num_nodes()
+    if nodes_before < 2:
+        raise ValueError("graph must have at least two nodes")
     edges_before = graph.num_edges()
     iterations = max(1, int(beta * nodes_before))
-    pairs = _sample_pair_indices(rng, len(nodes), len(nodes), iterations)
+    pairs = _sample_pair_indices(rng, nodes_before, nodes_before, iterations)
 
-    csr = csr_adjacency(graph)
-    # Map sampled indices to snapshot ids rather than assuming the
-    # snapshot's label order matches graph.nodes() (a primed snapshot is
-    # only version-checked, not order-checked).
-    node_ids = csr.encode(nodes).astype(np.int64)
+    # Sampled indices are node ids: a graph's node list is its id order.
     by_source: Dict[int, Set[int]] = {}
     for i, j in pairs:
-        if i == j:
-            continue
-        by_source.setdefault(int(node_ids[i]), set()).add(int(node_ids[j]))
-    dag_nodes, edge_u, edge_v = _grouped_dag_union(csr, by_source, parallel=parallel)
-    node_mask = np.zeros(csr.num_nodes, dtype=bool)
-    if dag_nodes.size:
-        node_mask[dag_nodes] = True
-    node_set, edges = _union_to_label_sets(csr, node_mask, edge_u, edge_v)
-    compressed = _build_compressed(graph, node_set, edges)
+        if i != j:
+            by_source.setdefault(i, set()).add(j)
+    dag_nodes, edge_u, edge_v = _grouped_dag_union(graph, by_source, parallel=parallel)
+    node_mask = np.zeros(nodes_before, dtype=bool)
+    node_mask[dag_nodes] = True
     return CompressionResult(
-        graph=compressed, method=f"ssp({beta})", nodes_before=nodes_before, edges_before=edges_before
+        graph=graph.keep(node_mask, edge_u, edge_v),
+        method=f"ssp({beta})",
+        nodes_before=nodes_before,
+        edges_before=edges_before,
     )
 
 
 # ----------------------------------------------------------------------
 # SSuM-style summarization
-def _merge_identical_neighborhoods(compressed: MatchGraph) -> int:
+def _merge_identical_neighborhoods(graph: MatchGraph, alive: np.ndarray) -> int:
     """Merge data nodes sharing their entire neighbourhood, to a fixpoint.
 
-    Signatures are recomputed from the live graph group by group: merging
-    one super-node can change the neighbourhood of other data nodes (when
-    data nodes are adjacent to data nodes), so each group is re-verified
-    immediately before its merge and the pass repeats until no group with
-    two live members remains.  Returns the number of absorbed nodes.
+    Two nodes with one neighbourhood are never adjacent, so merging one
+    into the other only deletes it: the merge clears ``alive`` at every
+    absorbed node.  A node's signature is its sorted live neighbour labels,
+    recomputed from the CSR rows group by group: merging one super-node
+    can change the neighbourhood of other data nodes (when data nodes are
+    adjacent to data nodes), so each group is re-verified immediately
+    before its merge and the pass repeats until no group with two live
+    members remains.  Returns the number of absorbed nodes.
     """
+    labels, indptr, indices = graph.labels, graph.indptr, graph.indices
+    data = np.flatnonzero(~graph.metadata_mask()).tolist()
+
+    def signature(node: int) -> Tuple[str, ...]:
+        row = indices[indptr[node] : indptr[node + 1]]
+        return tuple(sorted(labels[v] for v in row[alive[row]].tolist()))
+
     merged = 0
     changed = True
     while changed:
         changed = False
-        signature: Dict[Tuple[str, ...], List[str]] = {}
-        for label in compressed.data_nodes():
-            key = tuple(sorted(compressed.neighbors(label)))
-            signature.setdefault(key, []).append(label)
-        for key in sorted(signature):
-            members = [
-                label
-                for label in signature[key]
-                if compressed.has_node(label)
-                and tuple(sorted(compressed.neighbors(label))) == key
-            ]
+        groups: Dict[Tuple[str, ...], List[int]] = {}
+        for node in data:
+            if alive[node]:
+                groups.setdefault(signature(node), []).append(node)
+        for key in sorted(groups):
+            members = [node for node in groups[key] if alive[node] and signature(node) == key]
             if len(members) < 2:
                 continue
-            keep = members[0]
-            for absorb in members[1:]:
-                compressed.merge_nodes(keep, absorb)
-                merged += 1
-                changed = True
+            alive[members[1:]] = False  # members[0] keeps the group
+            merged += len(members) - 1
+            changed = True
     return merged
 
 
@@ -391,19 +336,20 @@ def ssum_compress(
     lowest-connectivity data nodes — by *live* degree, maintained in a heap
     as removals shrink their neighbours — until roughly ``target_ratio`` of
     the original data nodes survive.  Metadata nodes are never grouped or
-    dropped.  This reproduces the qualitative behaviour reported in Table
-    VIII: good size reduction, but no awareness of the metadata-to-metadata
-    paths that matter for matching.
+    dropped.  Both phases only delete nodes, so the summary is the graph
+    induced by one keep mask.  This reproduces the qualitative behaviour
+    reported in Table VIII: good size reduction, but no awareness of the
+    metadata-to-metadata paths that matter for matching.
     """
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
     rng = ensure_rng(seed)
-    compressed = graph.copy()
-    nodes_before = graph.num_nodes()
-    edges_before = graph.num_edges()
+    n = graph.num_nodes()
+    is_data = ~graph.metadata_mask()
+    alive = np.ones(n, dtype=bool)
 
     # Phase 1: merge data nodes with identical neighbourhoods (super-nodes).
-    _merge_identical_neighborhoods(compressed)
+    _merge_identical_neighborhoods(graph, alive)
 
     # Phase 2: drop the lowest-connectivity data nodes until only
     # ``target_ratio`` of the original data nodes survive.  Metadata nodes
@@ -412,76 +358,79 @@ def ssum_compress(
     # a removal re-queues its data neighbours at their new degree, and
     # entries whose degree went stale are discarded on pop.  Ties are broken
     # by a seeded random rank, so results stay reproducible.
-    original_data_count = len(graph.data_nodes())
-    target_data = max(4, int(target_ratio * original_data_count))
-    data = compressed.data_nodes()
-    ranks = {label: int(rank) for label, rank in zip(data, rng.permutation(len(data)))}
-    heap = [(compressed.degree(label), ranks[label], label) for label in data]
+    indptr, indices = graph.indptr, graph.indices
+    target_data = max(4, int(target_ratio * int(is_data.sum())))
+    data = np.flatnonzero(is_data & alive)
+    ranks = np.zeros(n, dtype=np.int64)
+    ranks[data] = rng.permutation(data.size)
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    degree = np.bincount(heads[alive[indices]], minlength=n)
+    heap = [(int(degree[node]), int(ranks[node]), node) for node in data.tolist()]
     heapq.heapify(heap)
-    remaining = len(data)
+    remaining = data.size
     while remaining > target_data and heap:
-        degree, rank, label = heapq.heappop(heap)
-        if not compressed.has_node(label) or compressed.degree(label) != degree:
+        node_degree, _rank, node = heapq.heappop(heap)
+        if not alive[node] or degree[node] != node_degree:
             continue  # removed, or stale — a fresher entry is in the heap
-        data_neighbors = [v for v in compressed.neighbors(label) if compressed.is_data(v)]
-        compressed.remove_node(label)
+        alive[node] = False
         remaining -= 1
-        for neighbor in data_neighbors:
-            heapq.heappush(heap, (compressed.degree(neighbor), ranks[neighbor], neighbor))
+        row = indices[indptr[node] : indptr[node + 1]]
+        row = row[alive[row]]
+        degree[row] -= 1
+        for neighbor in row[is_data[row]].tolist():
+            heapq.heappush(heap, (int(degree[neighbor]), int(ranks[neighbor]), neighbor))
 
     return CompressionResult(
-        graph=compressed,
+        graph=graph.keep(alive),
         method=f"ssum({target_ratio})",
-        nodes_before=nodes_before,
-        edges_before=edges_before,
+        nodes_before=n,
+        edges_before=graph.num_edges(),
     )
 
 
 # ----------------------------------------------------------------------
 # Classic sampling baselines
 def random_node_compress(graph: MatchGraph, keep_ratio: float = 0.5, seed=None) -> CompressionResult:
-    """Keep a uniform sample of data nodes (metadata nodes always kept)."""
+    """Keep a uniform sample of data nodes (metadata nodes always kept).
+
+    The draw is over the data nodes in the graph's order, and the sample
+    keeps that order.
+    """
     if not 0 < keep_ratio <= 1:
         raise ValueError("keep_ratio must be in (0, 1]")
     rng = ensure_rng(seed)
-    nodes_before = graph.num_nodes()
-    edges_before = graph.num_edges()
-    data_nodes = graph.data_nodes()
-    n_keep = int(round(keep_ratio * len(data_nodes)))
-    keep_idx = set(rng.choice(len(data_nodes), size=n_keep, replace=False).tolist()) if n_keep else set()
-    keep = {data_nodes[i] for i in keep_idx}
-    keep.update(graph.metadata_nodes())
-    compressed = graph.subgraph(keep)
+    keep = graph.metadata_mask()
+    data = np.flatnonzero(~keep)
+    n_keep = int(round(keep_ratio * data.size))
+    if n_keep:
+        keep[data[rng.choice(data.size, size=n_keep, replace=False)]] = True
     return CompressionResult(
-        graph=compressed,
+        graph=graph.keep(keep),
         method=f"random-node({keep_ratio})",
-        nodes_before=nodes_before,
-        edges_before=edges_before,
+        nodes_before=graph.num_nodes(),
+        edges_before=graph.num_edges(),
     )
 
 
 def random_edge_compress(graph: MatchGraph, keep_ratio: float = 0.5, seed=None) -> CompressionResult:
-    """Keep a uniform sample of edges; isolated data nodes are dropped."""
+    """Keep a uniform sample of edges; isolated data nodes are dropped.
+
+    The draw is over the edges in ``(lo, hi)`` id order
+    (:meth:`MatchGraph.edge_ids`), and the sample keeps the graph's node
+    order.
+    """
     if not 0 < keep_ratio <= 1:
         raise ValueError("keep_ratio must be in (0, 1]")
     rng = ensure_rng(seed)
-    nodes_before = graph.num_nodes()
-    edges_before = graph.num_edges()
-    edges = list(graph.edges())
-    n_keep = int(round(keep_ratio * len(edges)))
-    keep_idx = set(rng.choice(len(edges), size=n_keep, replace=False).tolist()) if n_keep else set()
-    compressed = MatchGraph()
-    for label in graph.metadata_nodes():
-        _copy_node(graph, compressed, label)
-    for i in keep_idx:
-        u, v = edges[i]
-        for node in (u, v):
-            if not compressed.has_node(node):
-                _copy_node(graph, compressed, node)
-        compressed.add_edge(u, v)
+    lo, hi = graph.edge_ids()
+    n_keep = int(round(keep_ratio * lo.size))
+    chosen = rng.choice(lo.size, size=n_keep, replace=False) if n_keep else np.empty(0, np.int64)
+    keep = graph.metadata_mask()
+    keep[lo[chosen]] = True
+    keep[hi[chosen]] = True
     return CompressionResult(
-        graph=compressed,
+        graph=graph.keep(keep, lo[chosen], hi[chosen]),
         method=f"random-edge({keep_ratio})",
-        nodes_before=nodes_before,
-        edges_before=edges_before,
+        nodes_before=graph.num_nodes(),
+        edges_before=graph.num_edges(),
     )

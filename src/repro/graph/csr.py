@@ -1,172 +1,37 @@
-"""Immutable CSR (compressed sparse row) snapshot of a :class:`MatchGraph`.
+"""Frontier-array BFS over the CSR arrays of a :class:`~repro.graph.graph.MatchGraph`.
 
-The dict-of-sets adjacency of :class:`~repro.graph.graph.MatchGraph` is the
-right structure for incremental construction, merging, and compression, but
-it is the wrong structure for random-walk generation: Algorithm 4 takes
-``num_walks × num_nodes × walk_length`` neighbour samples, and each sample
-through the dict costs a hash lookup, a set→tuple conversion, and one Python
-``rng.integers`` call.
-
-:class:`CSRAdjacency` freezes the topology into two numpy arrays —
-``indptr`` (row offsets, one row per node) and ``indices`` (concatenated
-neighbour ids) — plus label↔id translation tables.  The vectorised walk
-engine advances thousands of walks per numpy call against these arrays.
-
-Snapshots are cached on the graph instance and keyed by the graph's
-structural :attr:`~repro.graph.graph.MatchGraph.version`, so repeated walk
-generations reuse the snapshot while any mutation (node/edge add or remove,
-merging, compression) transparently invalidates it.
+MSP and SSP compression (Algorithm 3) take the union of all shortest
+paths between sampled node pairs, and incremental fit collects the nodes a
+few hops around the new ones.  The primitives here
+do this with numpy frontier arrays over ``indptr`` and ``indices``: one
+gather per BFS level instead of a Python loop per node, and no path is
+ever materialised.  Each takes a ``graph`` argument, which may be a
+:class:`~repro.graph.graph.MatchGraph` or any object with its two arrays
+(:mod:`repro.parallel.compression` passes shared-memory views).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
 import numpy as np
 
-from repro.graph.graph import MatchGraph
 
-# Attribute under which the (version, snapshot) pair is cached on the graph.
-_CACHE_ATTR = "_csr_cache"
-
-
-@dataclass(frozen=True)
-class CSRAdjacency:
-    """Frozen CSR view of an undirected graph.
-
-    Attributes
-    ----------
-    indptr:
-        ``int64`` array of shape ``(num_nodes + 1,)``; the neighbours of
-        node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.
-    indices:
-        ``int32`` array of concatenated neighbour ids, sorted within each
-        row for deterministic layout.
-    labels:
-        Node id → label (insertion order of the source graph).
-    ids:
-        Node label → id (inverse of ``labels``).
-    graph_version:
-        The structural version of the source graph at snapshot time.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    labels: List[str]
-    ids: Dict[str, int] = field(repr=False)
-    graph_version: int = 0
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.labels)
-
-    @property
-    def num_directed_edges(self) -> int:
-        return int(self.indices.size)
-
-    def degrees(self) -> np.ndarray:
-        """Degree of every node as an ``int64`` array."""
-        return np.diff(self.indptr)
-
-    def degree_of(self, node_ids: np.ndarray) -> np.ndarray:
-        """Degrees of the given node ids (vectorised)."""
-        return self.indptr[node_ids + 1] - self.indptr[node_ids]
-
-    def neighbors_of(self, node_id: int) -> np.ndarray:
-        """Neighbour ids of one node (a view into ``indices``)."""
-        return self.indices[self.indptr[node_id] : self.indptr[node_id + 1]]
-
-    def encode(self, labels: Sequence[str]) -> np.ndarray:
-        """Translate labels to an ``int32`` id array (labels must exist)."""
-        return np.fromiter(
-            (self.ids[label] for label in labels), dtype=np.int32, count=len(labels)
-        )
-
-    def decode(self, node_ids: Sequence[int]) -> List[str]:
-        """Translate an id sequence back to labels."""
-        labels = self.labels
-        return [labels[int(i)] for i in node_ids]
-
-
-def build_csr(graph: MatchGraph) -> CSRAdjacency:
-    """Build a fresh CSR snapshot of ``graph`` (no caching)."""
-    labels = graph.nodes()
-    n = len(labels)
-    ids = {label: i for i, label in enumerate(labels)}
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, label in enumerate(labels):
-        indptr[i + 1] = indptr[i] + graph.degree(label)
-
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    for i, label in enumerate(labels):
-        row = sorted(ids[neighbor] for neighbor in graph.neighbors(label))
-        indices[indptr[i] : indptr[i + 1]] = row
-
-    snapshot = CSRAdjacency(
-        indptr=indptr,
-        indices=indices,
-        labels=labels,
-        ids=ids,
-        graph_version=graph.version,
-    )
-    return snapshot
-
-
-def build_csr_from_edges(
-    labels: Sequence[str],
-    u_ids: np.ndarray,
-    v_ids: np.ndarray,
-    graph_version: int = 0,
-) -> CSRAdjacency:
-    """Build a CSR snapshot straight from undirected edge id arrays.
-
-    ``labels`` fixes the id space (position == id, matching the node
-    insertion order of the source graph); ``u_ids``/``v_ids`` must contain
-    every undirected edge exactly once, with no self-loops (the bulk graph
-    builder guarantees this via :func:`repro.graph.graph.dedup_edge_ids`).
-    Produces exactly what :func:`build_csr` would for the same topology —
-    rows sorted by neighbour id — without iterating the dict-of-sets
-    adjacency or re-interning labels.
-    """
-    n = len(labels)
-    ids = {label: i for i, label in enumerate(labels)}
-    u = np.asarray(u_ids, dtype=np.int64)
-    v = np.asarray(v_ids, dtype=np.int64)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return CSRAdjacency(
-        indptr=indptr,
-        indices=dst[order].astype(np.int32),
-        labels=list(labels),
-        ids=ids,
-        graph_version=graph_version,
-    )
-
-
-# ----------------------------------------------------------------------
-# Frontier-array BFS primitives (used by MSP/SSP compression)
-def _gather(csr: CSRAdjacency, nodes: np.ndarray):
+def _gather(graph, nodes: np.ndarray):
     """Row lengths and concatenated CSR rows of ``nodes``.
 
     One ``np.repeat`` + one fancy index replace a Python loop over
     per-node slices.
     """
-    starts = csr.indptr[nodes]
-    counts = csr.indptr[nodes + 1] - starts
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return counts, np.empty(0, dtype=np.int64)
     cum = np.cumsum(counts)
     positions = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - counts), counts)
-    return counts, csr.indices[positions].astype(np.int64)
+    return counts, graph.indices[positions].astype(np.int64)
 
 
-def gather_neighbors(csr: CSRAdjacency, nodes: np.ndarray):
+def gather_neighbors(graph, nodes: np.ndarray):
     """Concatenated neighbour rows of ``nodes``, with their row owners.
 
     Returns ``(heads, neighbors)`` where ``neighbors`` is the concatenation
@@ -174,12 +39,12 @@ def gather_neighbors(csr: CSRAdjacency, nodes: np.ndarray):
     produced ``neighbors[i]``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    counts, neighbors = _gather(csr, nodes)
+    counts, neighbors = _gather(graph, nodes)
     return np.repeat(nodes, counts), neighbors
 
 
 def bfs_levels(
-    csr: CSRAdjacency,
+    graph,
     source: int,
     targets: np.ndarray = None,
     stop: str = "all",
@@ -196,7 +61,7 @@ def bfs_levels(
     """
     if stop not in ("all", "any"):
         raise ValueError(f"stop must be 'all' or 'any', got {stop!r}")
-    levels = np.full(csr.num_nodes, -1, dtype=np.int32)
+    levels = np.full(graph.indptr.size - 1, -1, dtype=np.int32)
     levels[source] = 0
     frontier = np.array([source], dtype=np.int64)
     if targets is not None:
@@ -208,7 +73,7 @@ def bfs_levels(
             if found.all() if stop == "all" else found.any():
                 break
         depth += 1
-        _heads, neighbors = gather_neighbors(csr, frontier)
+        _heads, neighbors = gather_neighbors(graph, frontier)
         neighbors = neighbors[levels[neighbors] < 0]
         if neighbors.size == 0:
             break
@@ -218,7 +83,7 @@ def bfs_levels(
 
 
 def shortest_path_dag_union(
-    csr: CSRAdjacency,
+    graph,
     source: int,
     targets: np.ndarray,
     levels: np.ndarray = None,
@@ -234,12 +99,13 @@ def shortest_path_dag_union(
     contribute nothing (there is no path to enumerate for them).
 
     Returns ``(nodes, edge_u, edge_v)`` — id arrays of the union's nodes
-    and of its DAG edges (unique within one call; callers accumulating
-    across sources dedup with :func:`repro.graph.graph.dedup_edge_ids`).
+    and of its DAG edges (unique within one call; edges accumulated
+    across sources may repeat, which :meth:`MatchGraph.keep
+    <repro.graph.graph.MatchGraph.keep>` drops).
     """
     targets = np.unique(np.asarray(targets, dtype=np.int64))
     if levels is None:
-        levels = bfs_levels(csr, source, targets, stop="all")
+        levels = bfs_levels(graph, source, targets, stop="all")
     target_levels = levels[targets]
     reached = targets[target_levels > 0]
     empty = np.empty(0, dtype=np.int64)
@@ -256,7 +122,7 @@ def shortest_path_dag_union(
         at_level = reached[reached_levels == lvl]
         if at_level.size:
             frontier = np.unique(np.concatenate([frontier, at_level]))
-        heads, neighbors = gather_neighbors(csr, frontier)
+        heads, neighbors = gather_neighbors(graph, frontier)
         keep = levels[neighbors] == lvl - 1
         preds = neighbors[keep]
         edge_u_chunks.append(preds)
@@ -273,7 +139,7 @@ def shortest_path_dag_union(
 
 
 def multi_source_dag_union(
-    csr: CSRAdjacency,
+    graph,
     sources: np.ndarray,
     targets_list,
     max_state_entries: int = 4_000_000,
@@ -289,11 +155,11 @@ def multi_source_dag_union(
     memory (``int32`` cells: the default caps a chunk at ~16 MB).
 
     Returns ``(nodes, edge_u, edge_v)`` id arrays — the union over all
-    groups.  Edges are unique within a group but may repeat across groups;
-    callers dedup with :func:`repro.graph.graph.dedup_edge_ids`.
+    groups.  Edges are unique within a group but may repeat across groups,
+    which :meth:`MatchGraph.keep <repro.graph.graph.MatchGraph.keep>` drops.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    n = csr.num_nodes
+    n = graph.indptr.size - 1
     total = len(sources)
     chunk = max(1, min(total, max_state_entries // max(1, n)))
     node_chunks: list = []
@@ -301,7 +167,7 @@ def multi_source_dag_union(
     edge_v_chunks: list = []
     for start in range(0, total, chunk):
         nodes, edge_u, edge_v = _dag_union_batch(
-            csr, sources[start : start + chunk], targets_list[start : start + chunk]
+            graph, sources[start : start + chunk], targets_list[start : start + chunk]
         )
         if nodes.size:
             node_chunks.append(nodes)
@@ -316,14 +182,14 @@ def multi_source_dag_union(
     )
 
 
-def _gather_rows(csr: CSRAdjacency, rows: np.ndarray, nodes: np.ndarray):
+def _gather_rows(graph, rows: np.ndarray, nodes: np.ndarray):
     """CSR row gather for (group row, node) frontier pairs."""
-    counts, neighbors = _gather(csr, nodes)
+    counts, neighbors = _gather(graph, nodes)
     return np.repeat(rows, counts), np.repeat(nodes, counts), neighbors
 
 
-def _dag_union_batch(csr: CSRAdjacency, sources: np.ndarray, targets_list):
-    n = np.int64(csr.num_nodes)
+def _dag_union_batch(graph, sources: np.ndarray, targets_list):
+    n = np.int64(graph.indptr.size - 1)
     batch = len(sources)
     levels = np.full(batch * int(n), -1, dtype=np.int32)
     levels[np.arange(batch, dtype=np.int64) * n + sources] = 0
@@ -356,7 +222,7 @@ def _dag_union_batch(csr: CSRAdjacency, sources: np.ndarray, targets_list):
         if frontier.size == 0:
             break
         depth += 1
-        rows, _heads, neighbors = _gather_rows(csr, frontier // n, frontier % n)
+        rows, _heads, neighbors = _gather_rows(graph, frontier // n, frontier % n)
         candidates = rows * n + neighbors
         candidates = candidates[levels[candidates] < 0]
         if candidates.size == 0:
@@ -386,7 +252,7 @@ def _dag_union_batch(csr: CSRAdjacency, sources: np.ndarray, targets_list):
     edge_u_parts, edge_v_parts = [], []
     for lvl in range(int(target_levels[reached].max()), 0, -1):
         frontier = np.flatnonzero(on_path & (levels == lvl))
-        rows, heads, neighbors = _gather_rows(csr, frontier // n, frontier % n)
+        rows, heads, neighbors = _gather_rows(graph, frontier // n, frontier % n)
         flat = rows * n + neighbors
         keep = levels[flat] == lvl - 1
         edge_u_parts.append(neighbors[keep])
@@ -398,33 +264,3 @@ def _dag_union_batch(csr: CSRAdjacency, sources: np.ndarray, targets_list):
         np.concatenate(edge_u_parts),
         np.concatenate(edge_v_parts),
     )
-
-
-def prime_csr_cache(graph: MatchGraph, snapshot: CSRAdjacency) -> CSRAdjacency:
-    """Install ``snapshot`` as the cached CSR view of ``graph``.
-
-    The bulk builder already holds the deduped edge arrays, so it can hand
-    the walk engine a ready snapshot; any later mutation of the graph bumps
-    its version and invalidates the primed cache as usual.
-    """
-    if snapshot.graph_version != graph.version:
-        raise ValueError(
-            "snapshot version does not match the graph "
-            f"({snapshot.graph_version} != {graph.version})"
-        )
-    setattr(graph, _CACHE_ATTR, snapshot)
-    return snapshot
-
-
-def csr_adjacency(graph: MatchGraph) -> CSRAdjacency:
-    """The CSR snapshot of ``graph``, cached against its structural version.
-
-    The first call after any mutation rebuilds the snapshot; further calls
-    return the cached object unchanged.
-    """
-    cached = getattr(graph, _CACHE_ATTR, None)
-    if cached is not None and cached.graph_version == graph.version:
-        return cached
-    snapshot = build_csr(graph)
-    setattr(graph, _CACHE_ATTR, snapshot)
-    return snapshot

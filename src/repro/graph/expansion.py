@@ -6,7 +6,9 @@ Every data node of the graph is looked up in an external knowledge resource
 entities/concepts are added as new ("external") data nodes with edges to the
 original node.  After expansion, sink nodes (degree <= 1) are removed, since
 a node connected to a single other node cannot create new paths between
-metadata nodes.
+metadata nodes.  The expanded graph is a new
+:class:`~repro.graph.graph.MatchGraph`: the new nodes are appended after
+the graph's own, and the sinks are masked out.
 """
 
 from __future__ import annotations
@@ -22,15 +24,22 @@ logger = get_logger(__name__)
 
 @dataclass
 class ExpansionResult:
-    """Summary of one expansion pass."""
+    """The expanded graph and the statistics of the pass."""
 
+    graph: MatchGraph
     nodes_before: int
     edges_before: int
     nodes_added: int
     edges_added: int
     sink_nodes_removed: int
-    nodes_after: int
-    edges_after: int
+
+    @property
+    def nodes_after(self) -> int:
+        return self.graph.num_nodes()
+
+    @property
+    def edges_after(self) -> int:
+        return self.graph.num_edges()
 
 
 def expand_graph(
@@ -39,7 +48,7 @@ def expand_graph(
     max_relations_per_node: Optional[int] = None,
     remove_sinks: bool = True,
 ) -> ExpansionResult:
-    """Expand ``graph`` in place using ``resource`` (Algorithm 2).
+    """Expand ``graph`` using ``resource`` (Algorithm 2).
 
     Parameters
     ----------
@@ -58,23 +67,18 @@ def expand_graph(
     Returns
     -------
     ExpansionResult
-        Before/after statistics of the expansion.
+        The expanded graph with its before/after statistics.
     """
-    nodes_before = graph.num_nodes()
-    edges_before = graph.num_edges()
-
-    # Iterate over a snapshot: expansion adds nodes that must not themselves
-    # be expanded (only original data nodes are looked up, per Algorithm 2).
-    # The whole pass is collected first and emitted as ONE bulk node add and
-    # ONE bulk edge add: a single graph-version bump each instead of a cache
-    # invalidation per relation.  ``add_edges_bulk`` dedups within the batch
-    # and against existing edges, matching ``add_edge``'s per-call semantics.
+    # Only the graph's own data nodes are looked up (Algorithm 2); new
+    # related entities are appended after them, in first-seen order, and
+    # every relation becomes an edge (one per pair, however often seen).
+    ids = dict(graph.ids)
     new_nodes: list = []
-    seen: set = set()
     edge_u: list = []
     edge_v: list = []
-    for label in list(graph.nodes()):
-        if graph.is_metadata(label):
+    metadata = graph.metadata_mask()
+    for node_id, label in enumerate(graph.labels):
+        if metadata[node_id]:
             continue
         related = resource.related(label)
         if max_relations_per_node is not None:
@@ -82,29 +86,37 @@ def expand_graph(
         for neighbor in related:
             if not neighbor or neighbor == label:
                 continue
-            if neighbor not in seen and not graph.has_node(neighbor):
-                seen.add(neighbor)
+            neighbor_id = ids.get(neighbor)
+            if neighbor_id is None:
+                neighbor_id = ids[neighbor] = len(ids)
                 new_nodes.append(neighbor)
-            edge_u.append(label)
-            edge_v.append(neighbor)
+            edge_u.append(node_id)
+            edge_v.append(neighbor_id)
 
-    nodes_added = graph.add_nodes_bulk(
-        new_nodes, kind=NodeKind.DATA, corpus="external", role="external"
+    nodes_added = len(new_nodes)
+    expanded = graph.append(
+        new_nodes,
+        [NodeKind.DATA] * nodes_added,
+        ["external"] * nodes_added,
+        ["external"] * nodes_added,
+        edge_u,
+        edge_v,
     )
-    edges_added = graph.add_edges_bulk(edge_u, edge_v)
-
+    edges_added = expanded.num_edges() - graph.num_edges()
     sink_removed = 0
     if remove_sinks:
-        sink_removed = graph.remove_sink_nodes(protect_metadata=True)
+        # The cleaning step: one pass over the expanded graph's degrees.
+        keep = expanded.metadata_mask() | (expanded.degrees() > 1)
+        sink_removed = int(keep.size - keep.sum())
+        expanded = expanded.keep(keep)
 
     result = ExpansionResult(
-        nodes_before=nodes_before,
-        edges_before=edges_before,
+        graph=expanded,
+        nodes_before=graph.num_nodes(),
+        edges_before=graph.num_edges(),
         nodes_added=nodes_added,
         edges_added=edges_added,
         sink_nodes_removed=sink_removed,
-        nodes_after=graph.num_nodes(),
-        edges_after=graph.num_edges(),
     )
     logger.debug(
         "expansion: +%d nodes, +%d edges, -%d sinks (now %d nodes / %d edges)",

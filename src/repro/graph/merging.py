@@ -26,9 +26,10 @@ from repro.text.tokenizer import is_numeric_token, parse_numeric_token
 
 @dataclass
 class MergeReport:
-    """What a merging pass did to the graph."""
+    """What a merging pass did: the merged graph and each ``(keep, absorbed)`` pair."""
 
     technique: str
+    graph: MatchGraph
     merged_pairs: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -91,36 +92,52 @@ class NumericBucketer:
         return f"num[{low!r},{high!r})#{index}"
 
     def apply(self, graph: MatchGraph) -> MergeReport:
-        """Merge all numeric data nodes of ``graph`` into bucket nodes."""
-        report = MergeReport(technique="bucketing")
-        numeric_nodes: List[Tuple[str, float]] = []
-        for label in graph.data_nodes():
-            if is_numeric_token(label):
-                numeric_nodes.append((label, parse_numeric_token(label)))
+        """Merge the numeric data nodes of ``graph`` into bucket nodes.
+
+        Each bucket of two or more members becomes one data node appended
+        after the graph's nodes; its members' edges move to it and the
+        members go.
+        """
+        numeric_nodes: List[Tuple[int, float]] = []
+        for node_id, (label, kind) in enumerate(zip(graph.labels, graph.kinds)):
+            if kind == NodeKind.DATA and is_numeric_token(label):
+                numeric_nodes.append((node_id, parse_numeric_token(label)))
         if not numeric_nodes:
-            return report
-        values = [v for _label, v in numeric_nodes]
+            return MergeReport(technique="bucketing", graph=graph)
+        values = [v for _node_id, v in numeric_nodes]
         width = self.width if self.width is not None else freedman_diaconis_width(values)
         if width <= 0:
             width = 1.0
         origin = float(min(values))
-        buckets: Dict[str, List[str]] = {}
-        for label, value in numeric_nodes:
-            buckets.setdefault(self.bucket_label(value, width, origin), []).append(label)
+        buckets: Dict[str, List[int]] = {}
+        for node_id, value in numeric_nodes:
+            buckets.setdefault(self.bucket_label(value, width, origin), []).append(node_id)
+        merges: Dict[str, List[int]] = {}
         for bucket, members in buckets.items():
             if len(members) < 2:
                 continue
             label = bucket
-            while graph.has_node(label):
+            while label in graph or label in merges:
                 # A pre-existing node (an arbitrary text term, or a node of
                 # another kind) already uses this label; merging into it
                 # would silently rewire unrelated structure.  Rename.
                 label += "~"
-            graph.add_node(label, kind=NodeKind.DATA, corpus="both", role="term")
-            for member in members:
-                graph.merge_nodes(label, member)
-                report.merged_pairs.append((label, member))
-        return report
+            merges[label] = members
+        if not merges:
+            return MergeReport(technique="bucketing", graph=graph)
+        n, count = graph.num_nodes(), len(merges)
+        grown = graph.append(list(merges), [NodeKind.DATA] * count, ["both"] * count, ["term"] * count)
+        relabel = np.arange(n + count, dtype=np.int64)
+        for offset, members in enumerate(merges.values()):
+            relabel[members] = n + offset
+        lo, hi = grown.edge_ids()
+        return MergeReport(
+            technique="bucketing",
+            graph=grown.keep(relabel == np.arange(n + count), relabel[lo], relabel[hi]),
+            merged_pairs=[
+                (label, graph.labels[member]) for label, members in merges.items() for member in members
+            ],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -167,23 +184,47 @@ class EmbeddingMerger:
 
     # -- merging --------------------------------------------------------
     def apply(self, graph: MatchGraph) -> MergeReport:
-        """Merge similar data nodes of ``graph`` (higher-degree node wins)."""
+        """Merge similar data nodes of ``graph`` (higher-degree node wins).
+
+        Candidate pairs merge one after the other, each on the graph the
+        earlier merges left, so the merges run on a working copy of the
+        neighbour sets; the absorbed node's edges move to the kept one.
+        """
         if self.threshold is None:
             raise ValueError("threshold γ is not set; call calibrate_threshold first")
-        report = MergeReport(technique="embedding")
-        candidates = self._candidate_pairs(graph)
-        for a, b in candidates:
-            if not (graph.has_node(a) and graph.has_node(b)):
+        ids, labels = graph.ids, graph.labels
+        indptr, indices = graph.indptr, graph.indices
+        neighbors = [set(indices[indptr[i] : indptr[i + 1]].tolist()) for i in range(len(labels))]
+        alive = np.ones(len(labels), dtype=bool)
+        merged_pairs: List[Tuple[str, str]] = []
+        for a, b in self._candidate_pairs(graph):
+            ia, ib = ids[a], ids[b]
+            if not (alive[ia] and alive[ib]):
                 continue  # one of them was already absorbed
             va = self.embeddings.vector(a)
             vb = self.embeddings.vector(b)
             if va is None or vb is None:
                 continue
             if cosine_similarity(va, vb) >= self.threshold:
-                keep, absorb = (a, b) if graph.degree(a) >= graph.degree(b) else (b, a)
-                graph.merge_nodes(keep, absorb)
-                report.merged_pairs.append((keep, absorb))
-        return report
+                keep, absorb = (ia, ib) if len(neighbors[ia]) >= len(neighbors[ib]) else (ib, ia)
+                for other in neighbors[absorb]:
+                    neighbors[other].discard(absorb)
+                    if other != keep:
+                        neighbors[other].add(keep)
+                        neighbors[keep].add(other)
+                alive[absorb] = False
+                merged_pairs.append((labels[keep], labels[absorb]))
+        if not merged_pairs:
+            return MergeReport(technique="embedding", graph=graph)
+        edges = np.array(
+            [(u, v) for u in np.flatnonzero(alive).tolist() for v in neighbors[u] if u < v],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        return MergeReport(
+            technique="embedding",
+            graph=graph.keep(alive, edges[:, 0], edges[:, 1]),
+            merged_pairs=merged_pairs,
+        )
 
     def _candidate_pairs(self, graph: MatchGraph) -> List[Tuple[str, str]]:
         """Candidate node pairs: data nodes sharing a token or a 4-char prefix."""
@@ -191,8 +232,10 @@ class EmbeddingMerger:
         for label in graph.data_nodes():
             if is_numeric_token(label):
                 continue
-            keys = set(label.split())
-            keys.add(label[:4])
+            # First-occurrence order: the buckets, and so the pairs, must not
+            # follow the hash order of a set of strings.
+            keys = dict.fromkeys(label.split())
+            keys[label[:4]] = None
             for key in keys:
                 buckets.setdefault(key, []).append(label)
         pairs: List[Tuple[str, str]] = []

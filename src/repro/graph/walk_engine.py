@@ -1,14 +1,14 @@
 """The walk engine of Algorithm 4's walk stage.
 
-:class:`CSRWalkEngine` snapshots the graph into CSR arrays
-(:mod:`repro.graph.csr`) and advances *all* walks of a batch one step per
-iteration: a single vectorised ``rng.integers`` draw picks a neighbour
-offset for every active walk, and a boolean mask retires walks that reached
-an isolated node.  Walks live as an ``int32`` id matrix, and ``iter_walks``
-yields each walk as an ``int32`` array of node ids into the CSR snapshot:
-the pipeline joins them into one flat
+:class:`CSRWalkEngine` reads the graph's CSR arrays (``indptr`` and
+``indices`` of :class:`~repro.graph.graph.MatchGraph`) and advances *all*
+walks of a batch one step per iteration: a single vectorised
+``rng.integers`` draw picks a neighbour offset for every active walk, and a
+boolean mask retires walks that reached an isolated node.  Walks live as
+an ``int32`` id matrix, and ``iter_walks`` yields each walk as an ``int32``
+array of node ids into the graph: the pipeline joins them into one flat
 :class:`~repro.embeddings.vocab.IdCorpus`, and Word2Vec trains on those
-ids with the snapshot's labels, so no walk is decoded to label strings.
+ids with the graph's labels, so no walk is decoded to label strings.
 The corpus has the walk semantics of the paper — every resolved start
 node ``num_walks`` times, uniform neighbour choice at every step, early
 termination on isolated nodes — and is deterministic under a fixed seed.
@@ -26,7 +26,6 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRAdjacency, csr_adjacency
 from repro.graph.graph import MatchGraph
 from repro.graph.walks import RandomWalkConfig, resolve_start_nodes
 from repro.utils.rng import ensure_rng
@@ -46,12 +45,12 @@ def walk_batch_ids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Advance one batch of walks to completion over raw CSR arrays.
 
-    The id-matrix core of :meth:`CSRWalkEngine.walk_batch`, taking bare
+    The id-matrix core of :meth:`CSRWalkEngine.iter_walks`, taking bare
     ``indptr``/``indices`` so worker processes can run it against
-    shared-memory views without rebuilding a :class:`CSRAdjacency`
-    (see :mod:`repro.parallel.walks`).  Returns ``(walks, lengths)``: an
-    ``int32`` matrix of shape ``(len(start_ids), walk_length)`` and the
-    effective length of each row.
+    shared-memory views (see :mod:`repro.parallel.walks`).  Returns
+    ``(walks, lengths)``: an ``int32`` matrix of shape
+    ``(len(start_ids), walk_length)`` and the effective length of each row
+    (cells past the length are undefined).
     """
     n_walks = int(start_ids.size)
     walks = np.zeros((n_walks, walk_length), dtype=np.int32)
@@ -96,61 +95,30 @@ class CSRWalkEngine:
         self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        # Build eagerly so an unbuildable snapshot fails construction
-        # instead of failing later, mid-corpus.
-        csr_adjacency(graph)
 
-    @property
-    def csr(self) -> CSRAdjacency:
-        """The current CSR snapshot (re-fetched so graph mutations between
-        engine creation and walk generation are picked up; the fetch is free
-        while the graph is unchanged thanks to the version-keyed cache)."""
-        return csr_adjacency(self.graph)
-
-    # -- id-matrix core ------------------------------------------------
-    def walk_batch(
-        self,
-        start_ids: np.ndarray,
-        rng: np.random.Generator,
-        csr: Optional[CSRAdjacency] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance one batch of walks to completion.
-
-        Returns ``(walks, lengths)``: an ``int32`` matrix of node ids of
-        shape ``(len(start_ids), walk_length)`` and the effective length of
-        each row (cells past the length are undefined).  ``csr`` pins a
-        specific snapshot (``iter_walks`` passes one so a whole corpus is
-        generated against consistent topology); ``None`` uses the current
-        snapshot of the graph.
-        """
-        if csr is None:
-            csr = self.csr
-        return walk_batch_ids(
-            csr.indptr, csr.indices, start_ids, self.config.walk_length, rng
-        )
-
-    # -- corpus --------------------------------------------------------
     def iter_walks(self, seed=None) -> Iterator[np.ndarray]:
         """Lazily yield one ``int32`` node-id array per walk, batch by batch.
 
-        The ids index the labels of the CSR snapshot taken when iteration
-        starts (:attr:`csr`, while the graph is unchanged).  The corpus is
-        deterministic for a given ``(seed, batch_size)``; changing the batch
-        size regroups the vectorised draws and therefore produces a
-        different (identically distributed) corpus.
+        The ids index the graph's labels.  The corpus is deterministic for
+        a given ``(seed, batch_size)``; changing the batch size regroups
+        the vectorised draws and therefore produces a different
+        (identically distributed) corpus.
         """
         rng = ensure_rng(seed)
         starts = resolve_start_nodes(self.graph, self.config)
         if not starts:
             return
-        # One snapshot for the whole corpus: mutations made after this
-        # point take effect on the *next* iter_walks call.
-        csr = self.csr
-        start_ids = csr.encode(starts)
+        graph = self.graph
+        start_ids = graph.encode(starts)
         for _ in range(self.config.num_walks):
             for lo in range(0, start_ids.size, self.batch_size):
-                chunk = start_ids[lo : lo + self.batch_size]
-                walks, lengths = self.walk_batch(chunk, rng, csr=csr)
+                walks, lengths = walk_batch_ids(
+                    graph.indptr,
+                    graph.indices,
+                    start_ids[lo : lo + self.batch_size],
+                    self.config.walk_length,
+                    rng,
+                )
                 for row, n in zip(walks, lengths.tolist()):
                     yield row[:n]
 

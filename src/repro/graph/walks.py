@@ -2,15 +2,15 @@
 
 For every node of the graph we start ``num_walks`` uniform random walks of
 ``walk_length`` steps; each walk is a sentence of nodes, held as node ids
-into the graph's CSR snapshot.  The union of the sentences is the training
+into the graph.  The union of the sentences is the training
 corpus of the word-embedding model.  Related metadata nodes co-occur in
 walks more often than unrelated ones, which is what makes their vectors
 close.
 
 Walks are generated by :class:`~repro.graph.walk_engine.CSRWalkEngine`,
-which advances all walks in lock-step with vectorised draws into a cached
-CSR snapshot (see :mod:`repro.graph.csr`); this module holds the walk
-configuration and the start-node resolution.  Walks are deterministic under
+which advances all walks in lock-step with vectorised draws over the
+graph's CSR arrays; this module holds the walk configuration and the
+start-node resolution.  Walks are deterministic under
 a fixed seed.
 """
 

@@ -10,8 +10,8 @@ this process at ``num_workers <= 1``, in worker processes above that), and
 concatenates the per-shard results in shard order.
 
 Pair sampling happens *before* this sweep (serially, on the stage's RNG
-stream) and the downstream merge dedups node masks and edge sets through
-``dedup_edge_ids``/set semantics, so the compressed graph is bit-identical
+stream), and the compressed graph is a node mask plus the deduped edge
+pairs (:meth:`~repro.graph.graph.MatchGraph.keep`), so it is bit-identical
 to the serial sweep at **any** shard and worker count — the strongest
 case of the parallel layer's determinism contract.
 """
@@ -29,33 +29,31 @@ from repro.parallel.walks import shard_ranges
 
 
 class _CSRView:
-    """The minimal CSR duck type :func:`multi_source_dag_union` traverses."""
+    """The two graph arrays :func:`multi_source_dag_union` traverses."""
 
-    __slots__ = ("indptr", "indices", "num_nodes")
+    __slots__ = ("indptr", "indices")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, num_nodes: int):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = indptr
         self.indices = indices
-        self.num_nodes = int(num_nodes)
 
 
 def _dag_union_task(
     indptr_d: SharedArray,
     indices_d: SharedArray,
-    num_nodes: int,
     sources: np.ndarray,
     targets_list: List[np.ndarray],
 ):
     """One shard's union sweep; results travel back as plain arrays."""
     with attached(indptr_d, indices_d) as (indptr, indices):
         nodes, edge_u, edge_v = multi_source_dag_union(
-            _CSRView(indptr, indices, num_nodes), sources, targets_list
+            _CSRView(indptr, indices), sources, targets_list
         )
         return np.array(nodes), np.array(edge_u), np.array(edge_v)
 
 
 def parallel_grouped_dag_union(
-    csr,
+    graph,
     sources: np.ndarray,
     targets_list: List[np.ndarray],
     parallel: ParallelConfig,
@@ -68,12 +66,12 @@ def parallel_grouped_dag_union(
     the caller dedups).
     """
     with ShmArena() as arena, WorkerPool(parallel, label="compression") as pool:
-        indptr_d = arena.share(csr.indptr)
-        indices_d = arena.share(csr.indices)
+        indptr_d = arena.share(graph.indptr)
+        indices_d = arena.share(graph.indices)
         results = pool.run(
             _dag_union_task,
             [
-                (indptr_d, indices_d, csr.num_nodes, sources[lo:hi], targets_list[lo:hi])
+                (indptr_d, indices_d, sources[lo:hi], targets_list[lo:hi])
                 for lo, hi in shard_ranges(len(sources), parallel.shards)
                 if hi > lo
             ],

@@ -24,8 +24,8 @@ RNG stream discipline
 
 Walks come out shard-major (shard 0's rounds first, then shard 1's, …);
 with one shard this degenerates to the serial round-major order.  Like the
-serial engine's, each is an ``int32`` array of node ids into the CSR
-snapshot: a row of the output matrix, never decoded to labels.
+serial engine's, each is an ``int32`` array of node ids into the graph: a
+row of the output matrix, never decoded to labels.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def _walk_shard_task(
 class ParallelWalkEngine(CSRWalkEngine):
     """CSR walk engine whose corpus is a set of shard tasks.
 
-    Inherits the CSR snapshot/batch machinery; only corpus generation is
-    overridden.  The full id matrix is produced first (the sharded part),
+    Only corpus generation is overridden.  The full id matrix is produced first (the sharded part),
     then ``iter_walks`` yields its rows as the serial engine yields its
     walks: one ``int32`` node-id array per walk.
     """
@@ -152,9 +151,8 @@ class ParallelWalkEngine(CSRWalkEngine):
         starts = resolve_start_nodes(self.graph, self.config)
         if not starts:
             return
-        csr = self.csr
-        start_ids = csr.encode(starts)
-        walks, lengths = self._walk_id_matrix(csr, start_ids, rng, seed)
+        start_ids = self.graph.encode(starts)
+        walks, lengths = self._walk_id_matrix(start_ids, rng, seed)
         for row, n in zip(walks, lengths.tolist()):
             yield row[:n]
 
@@ -171,7 +169,7 @@ class ParallelWalkEngine(CSRWalkEngine):
             base = int(rng.integers(0, np.iinfo(np.int64).max))
         return spawn_rngs(base, num_shards)
 
-    def _walk_id_matrix(self, csr, start_ids: np.ndarray, rng, seed):
+    def _walk_id_matrix(self, start_ids: np.ndarray, rng, seed):
         """The whole corpus as ``(walks, lengths)`` id arrays: one
         :func:`_walk_shard_task` per non-empty start range."""
         config = self.config
@@ -180,8 +178,8 @@ class ParallelWalkEngine(CSRWalkEngine):
         rngs = self._shard_rngs(rng, seed, num_shards)
         total_rows = config.num_walks * int(start_ids.size)
         with ShmArena() as arena, WorkerPool(self.parallel, label="walks") as pool:
-            indptr_d = arena.share(csr.indptr)
-            indices_d = arena.share(csr.indices)
+            indptr_d = arena.share(self.graph.indptr)
+            indices_d = arena.share(self.graph.indices)
             starts_d = arena.share(np.ascontiguousarray(start_ids))
             walks_d, walks_view = arena.empty((total_rows, config.walk_length), np.int32)
             lengths_d, lengths_view = arena.empty((total_rows,), np.int64)

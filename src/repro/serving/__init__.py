@@ -17,7 +17,6 @@ from repro.serving.index import (
     VERIFY_MODES,
     IndexCorruptionError,
     IndexFormatError,
-    LazyBuiltGraph,
     blob_ranges,
     load_pipeline,
     read_index,
@@ -32,7 +31,6 @@ __all__ = [
     "VERIFY_MODES",
     "IndexCorruptionError",
     "IndexFormatError",
-    "LazyBuiltGraph",
     "add_documents",
     "add_records",
     "blob_ranges",

@@ -3,11 +3,12 @@
 Instead of rebuilding the graph and retraining embeddings from scratch,
 ``add_documents`` / ``add_records`` / ``remove``:
 
-1. splice the delta's metadata and term nodes into the existing
-   :class:`~repro.graph.graph.MatchGraph` (honouring the filter strategy
-   frozen at fit time — an intersect filter's anchor side cannot flip
-   mid-stream),
-2. regenerate random walks only for start nodes inside the touched CSR
+1. append the delta's metadata and term nodes and their edges to the
+   :class:`~repro.graph.graph.MatchGraph`, which gives a new graph
+   (honouring the filter strategy frozen at fit time — an intersect
+   filter's anchor side cannot flip mid-stream); ``remove`` masks nodes
+   out the same way,
+2. regenerate random walks only for start nodes inside the touched
    neighbourhoods (``incremental.neighborhood_hops`` hops around the new
    nodes), joined into one flat id corpus
    (:class:`~repro.embeddings.vocab.IdCorpus`), and
@@ -15,7 +16,8 @@ Instead of rebuilding the graph and retraining embeddings from scratch,
    embedding rows are kept, new vocabulary rows are appended.
 
 The result converges to a full refit's ranking quality at a fraction of
-the cost; the benchmark suite asserts both properties.
+the cost; the benchmark suite asserts both properties.  A delta whose
+refresh fails leaves the pipeline's previous graph in place.
 
 One documented approximation: when the delta lands on the intersect
 anchor side, its *new* terms cannot retroactively pull edges from the
@@ -33,7 +35,8 @@ import numpy as np
 from repro.core.exceptions import PipelineError
 from repro.embeddings.vocab import IdCorpus
 from repro.graph.builder import COLUMN_PREFIX, CONCEPT_PREFIX, DOC_PREFIX, ROW_PREFIX
-from repro.graph.csr import csr_adjacency, gather_neighbors
+from repro.graph.csr import gather_neighbors
+from repro.graph.graph import NodeKind
 from repro.graph.walk_engine import make_walk_engine
 from repro.utils.rng import derive_rng
 
@@ -124,22 +127,26 @@ def remove(pipeline, object_ids: Iterable[str], side: str = "second") -> List[st
     labels keep their (now unreachable) embedding rows.  Returns the
     removed metadata labels.
     """
-    state = pipeline.state
-    mapping = state.built.metadata(side)
+    built = pipeline.state.built
+    mapping = built.metadata(side)
     removed = []
     with pipeline.timings.measure("incremental_remove"):
-        graph = state.built.graph
-        for object_id in object_ids:
-            object_id = str(object_id)
-            label = mapping.pop(object_id, None)
-            if label is None:
-                raise PipelineError(
-                    f"unknown {side}-side object id {object_id!r}; nothing removed "
-                    "for it (ids removed before the error have been applied)"
-                )
-            if label in graph:
-                graph.remove_node(label)
-            removed.append(label)
+        try:
+            for object_id in object_ids:
+                object_id = str(object_id)
+                label = mapping.pop(object_id, None)
+                if label is None:
+                    raise PipelineError(
+                        f"unknown {side}-side object id {object_id!r}; nothing removed "
+                        "for it (ids removed before the error have been applied)"
+                    )
+                removed.append(label)
+        finally:
+            graph = built.graph
+            keep = np.ones(graph.num_nodes(), dtype=bool)
+            keep[[graph.ids[label] for label in removed if label in graph]] = False
+            if not keep.all():
+                built.graph = graph.keep(keep)
     return removed
 
 
@@ -179,69 +186,59 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
 
     new_labels: List[str] = []
     with pipeline.timings.measure("incremental_graph"):
-        node_labels: List[str] = []
-        node_roles: List[str] = []
+        # New nodes get the ids after the graph's own, in batch order: per
+        # object its metadata node, then its new terms.
+        added: Dict[str, int] = {}
+        node_kinds: List[NodeKind] = []
         node_corpora: List[str] = []
-        node_kinds: List[str] = []
-        edges_u: List[str] = []
-        edges_v: List[str] = []
-        seen_new_terms = set()
+        node_roles: List[str] = []
+        edges_u: List[int] = []
+        edges_v: List[int] = []
+
+        def new_node(label: str, kind: NodeKind, node_role: str) -> int:
+            added[label] = graph.num_nodes() + len(added)
+            node_kinds.append(kind)
+            node_corpora.append(side)
+            node_roles.append(node_role)
+            return added[label]
+
         for object_id, terms, per_column in objects:
             object_id = str(object_id)
             label = f"{prefix}{object_id}"
-            node_labels.append(label)
-            node_roles.append(role)
-            node_corpora.append(side)
-            node_kinds.append("metadata")
-            kept_terms = []
+            meta_id = new_node(label, NodeKind.METADATA, role)
+            kept_terms: Dict[str, int] = {}
             for term in terms:
-                known = term in graph or term in seen_new_terms
-                if not known and not allow_new_terms:
-                    continue
-                if not known:
-                    seen_new_terms.add(term)
-                    node_labels.append(term)
-                    node_roles.append("term")
-                    node_corpora.append(side)
-                    node_kinds.append("data")
-                kept_terms.append(term)
-                edges_u.append(label)
-                edges_v.append(term)
-            kept_set = set(kept_terms)
+                term_id = graph.ids.get(term, added.get(term))
+                if term_id is None:
+                    if not allow_new_terms:
+                        continue
+                    term_id = new_node(term, NodeKind.DATA, "term")
+                kept_terms[term] = term_id
+                edges_u.append(meta_id)
+                edges_v.append(term_id)
             for column, col_terms in per_column.items():
                 col_label = column_labels.get(column)
                 if col_label is None:
                     continue
                 for term in col_terms:
-                    if term in kept_set:
-                        edges_u.append(col_label)
-                        edges_v.append(term)
+                    if term in kept_terms:
+                        edges_u.append(graph.ids[col_label])
+                        edges_v.append(kept_terms[term])
             mapping[object_id] = label
             new_labels.append(label)
-        if node_labels:
-            from repro.graph.graph import NodeKind
-
-            graph.add_nodes_bulk(
-                node_labels,
-                kind=[NodeKind(k) for k in node_kinds],
-                corpus=node_corpora,
-                role=node_roles,
-            )
-        if edges_u:
-            graph.add_edges_bulk(np.array(edges_u, dtype=object),
-                                 np.array(edges_v, dtype=object))
+        built.graph = graph.append(
+            list(added), node_kinds, node_corpora, node_roles, edges_u, edges_v
+        )
 
     pipeline._delta_count += 1
     try:
         _refresh_embeddings(pipeline, new_labels)
     except BaseException:
-        # Roll the splice back: a failed refresh (e.g. an index saved
-        # without output vectors) must not leave graph nodes and metadata
-        # mappings behind that have no embedding rows — a retried delta or
-        # a subsequent match() would see a half-applied batch.
-        for label in node_labels:
-            if label in graph:
-                graph.remove_node(label)
+        # Roll the delta back: a failed refresh (e.g. an index saved
+        # without output vectors) must leave no node, edge or mapping
+        # without embedding rows behind — a retried delta or a subsequent
+        # match() would see a half-applied batch.
+        built.graph = graph
         for object_id, _terms, _per_column in objects:
             mapping.pop(str(object_id), None)
         pipeline._delta_count -= 1
@@ -281,21 +278,19 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
     config = pipeline.config
 
     with pipeline.timings.measure("incremental_walks"):
-        csr = csr_adjacency(graph)
-        touched = np.zeros(len(csr.labels), dtype=bool)
+        touched = np.zeros(graph.num_nodes(), dtype=bool)
         frontier = np.array(
-            [csr.ids[label] for label in new_labels if label in csr.ids],
-            dtype=np.int64,
+            [graph.ids[label] for label in new_labels if label in graph], dtype=np.int64
         )
         touched[frontier] = True
         for _ in range(config.incremental.neighborhood_hops):
             if frontier.size == 0:
                 break
-            _, neighbors = gather_neighbors(csr, frontier)
+            _, neighbors = gather_neighbors(graph, frontier)
             fresh = np.unique(neighbors[~touched[neighbors]]) if neighbors.size else neighbors
             touched[fresh] = True
             frontier = fresh
-        start_labels = [csr.labels[i] for i in np.flatnonzero(touched)]
+        start_labels = [graph.labels[i] for i in np.flatnonzero(touched)]
         walk_config = dataclasses.replace(
             config.walks,
             start_nodes=start_labels,
@@ -316,7 +311,7 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
             snapshot_out = np.array(model._output_vectors, copy=True)
         model.fine_tune(
             walks,
-            labels=csr.labels,
+            labels=graph.labels,
             epochs=config.incremental.epochs,
             learning_rate=config.incremental.learning_rate,
         )

@@ -1,7 +1,7 @@
 """Single-file persistent index for a fitted TDmatch pipeline.
 
 :func:`save_pipeline` serialises everything :meth:`TDMatch.match` needs —
-the CSR graph snapshot, the Word2Vec embedding matrices, the vocabulary,
+the graph's CSR arrays, the Word2Vec embedding matrices, the vocabulary,
 the metadata id ↔ label maps, and a config snapshot — into one file, and
 :func:`load_pipeline` restores a ready-to-serve pipeline from it at zero
 fit cost.
@@ -40,10 +40,9 @@ over the file, so N query processes serving the same index share the
 embedding pages through the OS page cache instead of each materialising a
 private copy.
 
-The graph is restored lazily (:class:`LazyBuiltGraph`): a pure ``match()``
-workload over the dense backend never touches graph topology, so the
-:class:`~repro.graph.graph.MatchGraph` is only materialised from the CSR
-arrays on first access (blocked retrieval, incremental fit, report).
+The loaded :class:`~repro.graph.graph.MatchGraph` is the header's node
+registry over the loaded ``indptr``/``indices`` arrays themselves — the
+memory maps, with ``mmap=True`` — so a load builds no adjacency.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from repro.core.exceptions import PipelineError
 from repro.embeddings.vocab import Vocabulary
 from repro.embeddings.word2vec import Word2Vec
 from repro.graph.builder import BuiltGraph
-from repro.graph.csr import CSRAdjacency, csr_adjacency, prime_csr_cache
 from repro.graph.filtering import FilterStatistics
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.utils.io import atomic_write
@@ -322,65 +320,6 @@ def read_index(
 
 
 # ----------------------------------------------------------------------
-# Lazy graph restoration
-class LazyBuiltGraph(BuiltGraph):
-    """A :class:`BuiltGraph` whose MatchGraph materialises on first access.
-
-    ``match()`` over the dense backend only needs embedding rows, so a
-    loaded index defers rebuilding the dict-of-sets adjacency until
-    something (blocked retrieval, incremental fit, ``report()``) actually
-    asks for ``.graph``.
-    """
-
-    def __init__(self, materialize, **kwargs):
-        self._materialize_fn = materialize
-        self._graph_obj = None
-        super().__init__(graph=None, **kwargs)
-
-    @property  # type: ignore[override]
-    def graph(self):
-        if self._graph_obj is None:
-            self._graph_obj = self._materialize_fn()
-        return self._graph_obj
-
-    @graph.setter
-    def graph(self, value):
-        self._graph_obj = value
-
-    @property
-    def materialized(self) -> bool:
-        return self._graph_obj is not None
-
-
-def _materialize_graph(labels, kinds, corpora, roles, indptr, indices) -> MatchGraph:
-    """Rebuild a MatchGraph (and prime its CSR cache) from saved arrays."""
-    graph = MatchGraph()
-    graph.add_nodes_bulk(
-        labels, kind=[NodeKind(k) for k in kinds], corpus=corpora, role=roles
-    )
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int32)
-    src = np.repeat(
-        np.arange(len(labels), dtype=np.int64), np.diff(indptr)
-    )
-    dst = indices.astype(np.int64)
-    keep = src < dst  # each undirected edge appears in both directions
-    label_arr = np.array(labels, dtype=object)
-    graph.add_edges_bulk(label_arr[src[keep]], label_arr[dst[keep]], assume_unique=True)
-    prime_csr_cache(
-        graph,
-        CSRAdjacency(
-            indptr=indptr,
-            indices=indices,
-            labels=list(labels),
-            ids={label: i for i, label in enumerate(labels)},
-            graph_version=graph.version,
-        ),
-    )
-    return graph
-
-
-# ----------------------------------------------------------------------
 # Config snapshot ↔ restore
 def _jsonable(value):
     """Best-effort JSON projection of a config value.
@@ -446,15 +385,6 @@ def save_pipeline(pipeline, path: str) -> str:
     if model.vocab is None or model._input_vectors is None:
         raise PipelineError("cannot save a pipeline whose model is untrained")
     graph = built.graph
-    csr = csr_adjacency(graph)
-    kinds = []
-    corpora = []
-    roles = []
-    for label in csr.labels:
-        info = graph.node_info(label)
-        kinds.append(info.kind.value)
-        corpora.append(info.corpus)
-        roles.append(info.role)
     filter_stats = built.filter_stats
     seed = pipeline.seed if isinstance(pipeline.seed, (int, str)) else None
     header: Dict[str, object] = {
@@ -480,16 +410,16 @@ def save_pipeline(pipeline, path: str) -> str:
             "min_count": model.vocab.min_count,
         },
         "graph": {
-            "labels": csr.labels,
-            "kinds": kinds,
-            "corpora": corpora,
-            "roles": roles,
+            "labels": graph.labels,
+            "kinds": [kind.value for kind in graph.kinds],
+            "corpora": graph.corpora,
+            "roles": graph.roles,
             "num_edges": graph.num_edges(),
         },
     }
     arrays: Dict[str, np.ndarray] = {
-        "csr_indptr": csr.indptr,
-        "csr_indices": csr.indices,
+        "csr_indptr": graph.indptr,
+        "csr_indices": graph.indices,
         "w2v_input": model._input_vectors,
     }
     if pipeline.config.serving.include_output_vectors and model._output_vectors is not None:
@@ -614,14 +544,14 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
 
     graph_data = header["graph"]
     stats_data = header.get("filter_stats")
-    built = LazyBuiltGraph(
-        materialize=lambda: _materialize_graph(
+    built = BuiltGraph(
+        graph=MatchGraph(
             graph_data["labels"],
-            graph_data["kinds"],
+            [NodeKind(kind) for kind in graph_data["kinds"]],
             graph_data["corpora"],
             graph_data["roles"],
-            arrays["csr_indptr"],
-            arrays["csr_indices"],
+            np.asarray(arrays["csr_indptr"], dtype=np.int64),
+            np.asarray(arrays["csr_indices"], dtype=np.int32),
         ),
         first_metadata=_restore_metadata(path, header, "first_metadata"),
         second_metadata=_restore_metadata(path, header, "second_metadata"),

@@ -136,7 +136,7 @@ class TermInterner:
 
     Every distinct input string runs through tokenize → stem → n-grams
     exactly once; the resulting terms are interned so that downstream code
-    (filtering, graph emission, the CSR walk snapshot) can operate on int
+    (filtering, graph emission, the graph's node ids) can operate on int
     arrays and only translate back to strings at the boundary.
 
     Ids are dense and assigned in first-intern order, so ``terms[i]`` is the

@@ -7,8 +7,9 @@ loop-at-a-time, so the parity tests can check the fast code against an
 implementation that is easy to read against the paper:
 
 ``graph``
-    Algorithm 1 as a per-term ``add_node``/``add_edge`` loop over
-    string-based filter strategies.
+    The dict-of-sets graph (``ReferenceGraph``), Algorithm 1 as a per-term
+    ``add_node``/``add_edge`` loop over string-based filter strategies, and
+    the merges as ``merge_nodes`` loops.
 ``compression``
     MSP / SSP (Algorithm 3) by per-pair shortest-path enumeration.
 ``walks``

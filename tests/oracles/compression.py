@@ -1,7 +1,8 @@
 """Reference MSP / SSP compression: one path enumeration per sampled pair.
 
-Each sampled pair runs :meth:`MatchGraph.all_shortest_paths` and the union
-of the enumerated paths is collected label by label.  Pairs come from the
+Each sampled pair runs :meth:`ReferenceGraph.all_shortest_paths
+<tests.oracles.graph.ReferenceGraph.all_shortest_paths>` and the union of
+the enumerated paths is collected label by label.  Pairs come from the
 library's own sampler, so a shared seed draws the same pairs as
 :func:`repro.graph.compression.msp_compress`; with an enumeration cap that
 never truncates (the default here) the two must produce the same
@@ -12,13 +13,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.graph.compression import (
-    CompressionResult,
-    _build_compressed,
-    _sample_pair_indices,
-)
+from repro.graph.compression import CompressionResult, _sample_pair_indices
 from repro.graph.graph import MatchGraph
 from repro.utils.rng import ensure_rng
+from tests.oracles.graph import ReferenceGraph
 
 #: Large enough that path enumeration is never truncated on test graphs —
 #: the regime in which the bulk union and the enumeration are equal.
@@ -47,6 +45,17 @@ class _UnionCollector:
     def add_node(self, label: str) -> None:
         self.nodes.add(label)
 
+    def compressed(self, graph: ReferenceGraph) -> MatchGraph:
+        """The collected nodes and edges, in the source graph's node order."""
+        kept = ReferenceGraph()
+        for label in graph.nodes():
+            if label in self.nodes:
+                info = graph.node_info(label)
+                kept.add_node(label, kind=info.kind, corpus=info.corpus, role=info.role)
+        for u, v in sorted(self.edges):
+            kept.add_edge(u, v)
+        return kept.freeze()
+
 
 def msp_reference(
     graph: MatchGraph,
@@ -57,6 +66,7 @@ def msp_reference(
     max_paths_per_pair: int = UNBOUNDED,
 ) -> CompressionResult:
     """Metadata Shortest Path compression (Algorithm 3) by path enumeration."""
+    graph = ReferenceGraph.thaw(graph)
     first_metadata = [m for m in first_metadata if graph.has_node(m)]
     second_metadata = [m for m in second_metadata if graph.has_node(m)]
     rng = ensure_rng(seed)
@@ -74,7 +84,7 @@ def msp_reference(
         graph, collector, first_metadata, second_metadata, max_paths_per_pair
     )
     return CompressionResult(
-        graph=_build_compressed(graph, collector.nodes, collector.edges),
+        graph=collector.compressed(graph),
         method=f"msp({beta})",
         nodes_before=nodes_before,
         edges_before=graph.num_edges(),
@@ -88,6 +98,7 @@ def ssp_reference(
     max_paths_per_pair: int = UNBOUNDED,
 ) -> CompressionResult:
     """Shortest-path sampling over uniformly random node pairs."""
+    graph = ReferenceGraph.thaw(graph)
     rng = ensure_rng(seed)
     nodes = graph.nodes()
     nodes_before = graph.num_nodes()
@@ -101,7 +112,7 @@ def ssp_reference(
         for path in graph.all_shortest_paths(nodes[i], nodes[j], limit=max_paths_per_pair):
             collector.add_path(path)
     return CompressionResult(
-        graph=_build_compressed(graph, collector.nodes, collector.edges),
+        graph=collector.compressed(graph),
         method=f"ssp({beta})",
         nodes_before=nodes_before,
         edges_before=graph.num_edges(),
@@ -109,7 +120,7 @@ def ssp_reference(
 
 
 def _ensure_metadata_connected_reference(
-    graph: MatchGraph,
+    graph: ReferenceGraph,
     collector: _UnionCollector,
     first_metadata: Sequence[str],
     second_metadata: Sequence[str],
@@ -135,7 +146,7 @@ def _ensure_metadata_connected_reference(
 
 
 def _nearest_other_side(
-    graph: MatchGraph, label: str, other_side: Sequence[str]
+    graph: ReferenceGraph, label: str, other_side: Sequence[str]
 ) -> Optional[str]:
     """Nearest reachable other-side metadata node (smallest label on ties)."""
     other = set(other_side)

@@ -8,8 +8,8 @@ start-node multiset, uniform neighbour choice, and an early stop on
 isolated nodes.
 
 The oracle walks over labels; the library's engines yield node-id arrays
-into their CSR snapshot.  :func:`label_walks` decodes an engine's corpus
-to labels so the two can be compared.
+into their graph.  :func:`label_walks` decodes an engine's corpus to
+labels so the two can be compared.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRAdjacency, csr_adjacency
 from repro.graph.graph import MatchGraph
 from repro.graph.walk_engine import CSRWalkEngine
 from repro.graph.walks import RandomWalkConfig, resolve_start_nodes
 from repro.utils.rng import ensure_rng
+from tests.oracles.graph import ReferenceGraph
 
 
 def single_walk(graph: MatchGraph, start: str, length: int, rng) -> List[str]:
@@ -30,6 +30,7 @@ def single_walk(graph: MatchGraph, start: str, length: int, rng) -> List[str]:
 
     The walk stops early if it reaches an isolated node.
     """
+    graph = ReferenceGraph.thaw(graph)
     return _walk_from(start, length, rng, lambda label: sorted(graph.neighbors(label)))
 
 
@@ -59,6 +60,7 @@ def iter_walks_python(
     config = config or RandomWalkConfig()
     rng = ensure_rng(seed)
     starts = resolve_start_nodes(graph, config)
+    graph = ReferenceGraph.thaw(graph)
     cache: dict = {}
 
     def options_of(label: str) -> tuple:
@@ -79,7 +81,7 @@ class PythonWalkEngine:
     Stands in for the result of :func:`repro.graph.walk_engine.make_walk_engine`
     when a test swaps the oracle into the pipeline, so like the library's
     engines it yields each walk as an ``int32`` node-id array into
-    :attr:`csr`.
+    :attr:`graph`.
     """
 
     name = "python"
@@ -88,21 +90,15 @@ class PythonWalkEngine:
         self.graph = graph
         self.config = config or RandomWalkConfig()
 
-    @property
-    def csr(self) -> CSRAdjacency:
-        return csr_adjacency(self.graph)
-
     def iter_walks(self, seed=None) -> Iterator[np.ndarray]:
-        csr = self.csr
         for walk in iter_walks_python(self.graph, self.config, seed=seed):
-            yield csr.encode(walk)
+            yield self.graph.encode(walk)
 
 
 def label_walks(engine, seed=None) -> List[List[str]]:
     """``engine``'s whole corpus, each walk decoded to its node labels."""
-    walks = list(engine.iter_walks(seed=seed))
-    csr = engine.csr
-    return [csr.decode(walk) for walk in walks]
+    labels = engine.graph.labels
+    return [[labels[i] for i in walk.tolist()] for walk in engine.iter_walks(seed=seed)]
 
 
 def csr_label_walks(

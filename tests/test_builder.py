@@ -17,6 +17,7 @@ from repro.graph.builder import (
     strip_metadata_label,
 )
 from repro.text.preprocess import PreprocessConfig
+from tests.oracles.graph import ReferenceGraph
 
 
 @pytest.fixture()
@@ -50,7 +51,7 @@ def taxonomy():
 class TestTableTextGraph:
     def test_metadata_nodes_for_rows_and_documents(self, movies_table, reviews):
         built = GraphBuilder().build(reviews, movies_table)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         assert set(built.first_metadata) == {"p1", "p2"}
         assert set(built.second_metadata) == {"t1", "t2"}
         for label in built.first_metadata.values():
@@ -64,7 +65,7 @@ class TestTableTextGraph:
 
     def test_column_nodes_connect_to_cell_terms(self, movies_table, reviews):
         built = GraphBuilder().build(movies_table, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         director_col = f"{COLUMN_PREFIX}movies::director"
         assert graph.has_node(director_col)
         assert any(graph.has_edge(director_col, n) for n in ("shyamalan", "tarantino"))
@@ -76,7 +77,7 @@ class TestTableTextGraph:
 
     def test_shared_terms_bridge_corpora(self, movies_table, reviews):
         built = GraphBuilder().build(movies_table, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         t1 = built.first_metadata["t1"]
         p2 = built.second_metadata["p2"]
         # p2 mentions Shyamalan and Willis; t1 contains Shyamalan.
@@ -85,7 +86,7 @@ class TestTableTextGraph:
 
     def test_rows_connect_to_their_terms(self, movies_table, reviews):
         built = GraphBuilder().build(movies_table, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         t2 = built.first_metadata["t2"]
         assert graph.has_edge(t2, "tarantino")
 
@@ -98,7 +99,7 @@ class TestTableTextGraph:
 
     def test_metadata_nodes_never_connect_across_corpora(self, movies_table, reviews):
         built = GraphBuilder().build(movies_table, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         for first_label in built.first_metadata.values():
             for second_label in built.second_metadata.values():
                 assert not graph.has_edge(first_label, second_label)
@@ -107,7 +108,7 @@ class TestTableTextGraph:
 class TestTaxonomyGraph:
     def test_taxonomy_parent_edges(self, taxonomy, reviews):
         built = GraphBuilder().build(taxonomy, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         plan = built.first_metadata["plan"]
         iso = built.first_metadata["iso"]
         root = built.first_metadata["root"]
@@ -117,7 +118,7 @@ class TestTaxonomyGraph:
     def test_taxonomy_edges_can_be_disabled(self, taxonomy, reviews):
         config = GraphBuilderConfig(connect_structured_metadata=False)
         built = GraphBuilder(config).build(taxonomy, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         plan = built.first_metadata["plan"]
         iso = built.first_metadata["iso"]
         assert not graph.has_edge(plan, iso)
@@ -132,7 +133,7 @@ class TestTextToText:
         other = TextCorpus(name="claims")
         other.add_text("c1", "a thriller by Shyamalan")
         built = GraphBuilder().build(other, reviews)
-        graph = built.graph
+        graph = ReferenceGraph.thaw(built.graph)
         assert graph.has_node("shyamalan")
         c1 = built.first_metadata["c1"]
         p2 = built.second_metadata["p2"]

@@ -6,10 +6,11 @@ the path-enumeration oracle of ``tests/oracles/compression.py`` (identical
 compressed node *list*, edge set, metadata connectivity, and
 :class:`CompressionResult` ratios on random graphs), the
 metadata-connectivity guarantee on multi-component graphs (the
-sampled-target regression), the iterative ``all_shortest_paths`` backtrack
-(no ``RecursionError`` on chain graphs), the live-degree SSuM rewrite
-against a recomputed oracle, the seeded end-to-end ``TDMatch.match``
-identity with the oracle swapped in, and the CLI.
+sampled-target regression), the oracle's iterative ``all_shortest_paths``
+backtrack (no ``RecursionError`` on chain graphs), SSuM's keep mask against
+the ``merge_nodes`` oracle and a recomputed live-degree oracle, the
+draw orders of the random baselines, the seeded end-to-end
+``TDMatch.match`` identity with the oracle swapped in, and the CLI.
 """
 
 import numpy as np
@@ -25,18 +26,20 @@ from repro.datasets import ScenarioSize, generate_scenario
 from repro.graph.compression import (
     _merge_identical_neighborhoods,
     msp_compress,
+    random_edge_compress,
+    random_node_compress,
     ssp_compress,
     ssum_compress,
 )
 from repro.graph.csr import (
     bfs_levels,
-    csr_adjacency,
     multi_source_dag_union,
     shortest_path_dag_union,
 )
-from repro.graph.graph import MatchGraph, NodeKind
+from repro.graph.graph import NodeKind
 from repro.utils.rng import ensure_rng
 from tests.oracles.compression import UNBOUNDED, msp_reference, ssp_reference
+from tests.oracles.graph import ReferenceGraph, merge_identical_neighborhoods_reference
 
 
 def _msp_oracle(graph, first, second, beta, seed, parallel=None):
@@ -61,7 +64,7 @@ def build_graph(n_first, n_second, n_data, edges, n_shared=0):
     table↔table scenarios produce unqualified ``row::<id>`` labels on both
     sides), added twice so the promotion path itself runs.
     """
-    g = MatchGraph()
+    g = ReferenceGraph()
     shared = [f"s{i}" for i in range(n_shared)]
     first = [f"t{i}" for i in range(n_first)] + shared
     second = [f"p{i}" for i in range(n_second)] + shared
@@ -77,7 +80,7 @@ def build_graph(n_first, n_second, n_data, edges, n_shared=0):
         iu, iv = u % len(labels), v % len(labels)
         if iu != iv:
             g.add_edge(labels[iu], labels[iv])
-    return g, first, second
+    return g.freeze(), first, second
 
 
 @st.composite
@@ -101,7 +104,7 @@ def random_graph(draw):
 
 def example_graph():
     """The Figure 4 style graph used across the compression tests."""
-    g = MatchGraph()
+    g = ReferenceGraph()
     for label in ("t1", "t2"):
         g.add_node(label, kind=NodeKind.METADATA, corpus="first", role="tuple")
     for label in ("p1", "p2"):
@@ -115,6 +118,15 @@ def example_graph():
         ("p2", "shyamalan"), ("p2", "thriller"),
     ]:
         g.add_edge(u, v)
+    return g.freeze()
+
+
+def line_graph(labels, edges):
+    g = ReferenceGraph()
+    for label in labels:
+        g.add_node(label)
+    for u, v in edges:
+        g.add_edge(u, v)
     return g
 
 
@@ -122,13 +134,9 @@ def example_graph():
 # CSR BFS primitives
 class TestBfsPrimitives:
     def path_csr(self, length=6):
-        g = MatchGraph()
         labels = [f"n{i}" for i in range(length)]
-        for label in labels:
-            g.add_node(label)
-        for a, b in zip(labels, labels[1:]):
-            g.add_edge(a, b)
-        return g, csr_adjacency(g)
+        g = line_graph(labels, zip(labels, labels[1:]))
+        return g, g.freeze()
 
     def test_bfs_levels_path(self):
         _g, csr = self.path_csr(6)
@@ -136,22 +144,15 @@ class TestBfsPrimitives:
         assert levels.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_bfs_levels_unreachable(self):
-        g = MatchGraph()
-        for label in ("a", "b", "c"):
-            g.add_node(label)
-        g.add_edge("a", "b")
-        csr = csr_adjacency(g)
+        csr = line_graph("abc", [("a", "b")]).freeze()
         levels = bfs_levels(csr, 0)
         assert levels[csr.ids["c"]] == -1
 
     def test_bfs_levels_early_stop_any_still_complete(self):
         # stop="any" must finish the level it stops at.
-        g = MatchGraph()
-        for label in ("s", "a", "b", "t1", "t2"):
-            g.add_node(label)
-        for u, v in [("s", "a"), ("s", "b"), ("a", "t1"), ("b", "t2")]:
-            g.add_edge(u, v)
-        csr = csr_adjacency(g)
+        csr = line_graph(
+            ("s", "a", "b", "t1", "t2"), [("s", "a"), ("s", "b"), ("a", "t1"), ("b", "t2")]
+        ).freeze()
         targets = np.array([csr.ids["t1"], csr.ids["t2"]])
         levels = bfs_levels(csr, csr.ids["s"], targets=targets, stop="any")
         # Both targets live at level 2; the full level is assigned.
@@ -163,9 +164,8 @@ class TestBfsPrimitives:
             bfs_levels(csr, 0, stop="never")
 
     def test_dag_union_matches_all_shortest_paths(self):
-        g = example_graph()
-        csr = csr_adjacency(g)
-        paths = g.all_shortest_paths("t2", "p2", limit=UNBOUNDED)
+        csr = example_graph()
+        paths = ReferenceGraph.thaw(csr).all_shortest_paths("t2", "p2", limit=UNBOUNDED)
         expected_nodes = {node for path in paths for node in path}
         expected_edges = {
             tuple(sorted(e)) for path in paths for e in zip(path, path[1:])
@@ -182,11 +182,7 @@ class TestBfsPrimitives:
         assert got_edges == expected_edges
 
     def test_dag_union_unreachable_target_is_empty(self):
-        g = MatchGraph()
-        for label in ("a", "b", "c"):
-            g.add_node(label)
-        g.add_edge("a", "b")
-        csr = csr_adjacency(g)
+        csr = line_graph("abc", [("a", "b")]).freeze()
         nodes, eu, ev = shortest_path_dag_union(csr, 0, np.array([csr.ids["c"]]))
         assert nodes.size == 0 and eu.size == 0 and ev.size == 0
 
@@ -197,8 +193,7 @@ class TestBfsPrimitives:
         assert eu.size == 0 and ev.size == 0
 
     def test_multi_source_matches_single_source(self):
-        g = example_graph()
-        csr = csr_adjacency(g)
+        csr = example_graph()
         sources = [csr.ids["t1"], csr.ids["t2"]]
         targets = [
             np.array([csr.ids["p1"], csr.ids["p2"]]),
@@ -218,8 +213,7 @@ class TestBfsPrimitives:
         assert got_edges == expected_edges
 
     def test_multi_source_chunking_is_invariant(self):
-        g = example_graph()
-        csr = csr_adjacency(g)
+        csr = example_graph()
         sources = np.array([csr.ids["t1"], csr.ids["t2"], csr.ids["p1"]])
         targets = [
             np.array([csr.ids["p2"]]),
@@ -235,30 +229,25 @@ class TestBfsPrimitives:
 
 
 # ----------------------------------------------------------------------
-# Iterative all_shortest_paths (RecursionError regression)
+# The oracle's iterative all_shortest_paths (RecursionError regression)
 class TestIterativeBacktrack:
     def test_long_chain_does_not_recurse(self):
         length = 2000  # far beyond the default recursion limit
-        g = MatchGraph()
         labels = [f"n{i}" for i in range(length)]
-        for label in labels:
-            g.add_node(label)
-        for a, b in zip(labels, labels[1:]):
-            g.add_edge(a, b)
+        g = line_graph(labels, zip(labels, labels[1:]))
         paths = g.all_shortest_paths(labels[0], labels[-1])
         assert len(paths) == 1
         assert paths[0] == labels
 
     def test_enumeration_matches_limit_semantics(self):
         # Diamond of diamonds: 4 shortest paths; the limit truncates.
-        g = MatchGraph()
-        for label in ("s", "a", "b", "m", "c", "d", "t"):
-            g.add_node(label)
-        for u, v in [
-            ("s", "a"), ("s", "b"), ("a", "m"), ("b", "m"),
-            ("m", "c"), ("m", "d"), ("c", "t"), ("d", "t"),
-        ]:
-            g.add_edge(u, v)
+        g = line_graph(
+            ("s", "a", "b", "m", "c", "d", "t"),
+            [
+                ("s", "a"), ("s", "b"), ("a", "m"), ("b", "m"),
+                ("m", "c"), ("m", "d"), ("c", "t"), ("d", "t"),
+            ],
+        )
         paths = g.all_shortest_paths("s", "t", limit=UNBOUNDED)
         assert len(paths) == 4
         assert all(len(path) == 5 for path in paths)
@@ -316,9 +305,10 @@ class TestCompressionEngineParity:
         # original graph must end up connected in the compressed graph.
         graph, first, second = graph_spec
         result = MSP_IMPLEMENTATIONS[engine](graph, first, second, beta=0.3, seed=seed)
+        reference = ReferenceGraph.thaw(graph)
         for side, other in ((first, second), (second, first)):
             for label in side:
-                component = graph.connected_component(label)
+                component = reference.connected_component(label)
                 reachable = any(o in component for o in other if o != label)
                 assert result.graph.has_node(label)
                 if reachable:
@@ -342,7 +332,7 @@ class TestMultiComponentConnectivity:
         # Component A: t1 - x - p1; component B: t2 - y - p2.  The old code
         # sampled ONE other-side target; when it drew the wrong component's
         # node the metadata node was silently left bare.
-        g = MatchGraph()
+        g = ReferenceGraph()
         for label, corpus, role in [
             ("t1", "first", "tuple"), ("t2", "first", "tuple"),
             ("p1", "second", "document"), ("p2", "second", "document"),
@@ -352,7 +342,7 @@ class TestMultiComponentConnectivity:
             g.add_node(label, kind=NodeKind.DATA)
         for u, v in [("t1", "x"), ("x", "p1"), ("t2", "y"), ("y", "p2")]:
             g.add_edge(u, v)
-        return g
+        return g.freeze()
 
     @pytest.mark.parametrize("engine", sorted(MSP_IMPLEMENTATIONS))
     def test_every_reachable_metadata_node_connected(self, engine):
@@ -371,7 +361,7 @@ class TestMultiComponentConnectivity:
         # Regression: a label promoted to corpus "both" sits in its own
         # other-side target list; the bulk connectivity BFS used to stop at
         # the level-0 self-target and keep the node bare.
-        g = MatchGraph()
+        g = ReferenceGraph()
         g.add_node("t9", kind=NodeKind.METADATA, corpus="first", role="tuple")
         g.add_node("shared", kind=NodeKind.METADATA, corpus="first", role="tuple")
         g.add_node("shared", kind=NodeKind.METADATA, corpus="second", role="tuple")
@@ -382,6 +372,8 @@ class TestMultiComponentConnectivity:
         g.add_edge("d0", "p1")
         g.add_edge("shared", "d1")
         g.add_edge("d1", "p1")
+        g = g.freeze()
+        assert g.node_info("shared").corpus == "both"
         for seed in range(10):
             result = MSP_IMPLEMENTATIONS[engine](
                 g, ["t9", "shared"], ["p1", "shared"], beta=0.2, seed=seed
@@ -390,8 +382,9 @@ class TestMultiComponentConnectivity:
 
     @pytest.mark.parametrize("engine", sorted(MSP_IMPLEMENTATIONS))
     def test_truly_isolated_metadata_kept_bare(self, engine):
-        g = self.multi_component_graph()
+        g = ReferenceGraph.thaw(self.multi_component_graph())
         g.add_node("t_orphan", kind=NodeKind.METADATA, corpus="first", role="tuple")
+        g = g.freeze()
         result = MSP_IMPLEMENTATIONS[engine](
             g, ["t1", "t2", "t_orphan"], ["p1", "p2"], beta=0.5, seed=3
         )
@@ -400,10 +393,10 @@ class TestMultiComponentConnectivity:
 
 
 # ----------------------------------------------------------------------
-# SSuM live-degree rewrite
+# SSuM: one keep mask
 class TestSsumLiveSelection:
     def test_phase1_merges_identical_groups(self):
-        g = MatchGraph()
+        g = ReferenceGraph()
         g.add_node("m1", kind=NodeKind.METADATA)
         g.add_node("m2", kind=NodeKind.METADATA)
         for label in ("a", "b", "c", "d"):
@@ -412,9 +405,25 @@ class TestSsumLiveSelection:
             g.add_edge(u, "m1")
             g.add_edge(u, "m2")
         g.add_edge("d", "m1")
-        merged = _merge_identical_neighborhoods(g)
+        g = g.freeze()
+        alive = np.ones(g.num_nodes(), dtype=bool)
+        merged = _merge_identical_neighborhoods(g, alive)
         assert merged == 2  # b and c absorbed into a
-        assert g.has_node("d")  # different neighbourhood, untouched
+        assert g.keep(alive).nodes() == ["m1", "m2", "a", "d"]  # d: another neighbourhood
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_spec=random_graph())
+    def test_phase1_equals_merge_nodes_oracle(self, graph_spec):
+        # A merge of identical neighbourhoods only deletes the absorbed node,
+        # so the keep mask gives what the merge_nodes loop gives.
+        graph, _first, _second = graph_spec
+        alive = np.ones(graph.num_nodes(), dtype=bool)
+        merged = _merge_identical_neighborhoods(graph, alive)
+        oracle = ReferenceGraph.thaw(graph)
+        assert merge_identical_neighborhoods_reference(oracle) == merged
+        kept = graph.keep(alive)
+        assert kept.nodes() == oracle.nodes()
+        assert set(kept.edges()) == set(oracle.edges())
 
     @settings(max_examples=30, deadline=None)
     @given(graph_spec=random_graph())
@@ -423,11 +432,13 @@ class TestSsumLiveSelection:
         # nodes share their entire neighbourhood (the one-shot grouping
         # could leave such pairs when guards skipped stale members).
         graph, _first, _second = graph_spec
-        _merge_identical_neighborhoods(graph)
-        signatures = [tuple(sorted(graph.neighbors(label))) for label in graph.data_nodes()]
+        alive = np.ones(graph.num_nodes(), dtype=bool)
+        _merge_identical_neighborhoods(graph, alive)
+        kept = graph.keep(alive)
+        signatures = [tuple(kept.neighbors(label)) for label in kept.data_nodes()]
         assert len(signatures) == len(set(signatures))
         # And the pass is idempotent: a second run finds nothing to merge.
-        assert _merge_identical_neighborhoods(graph) == 0
+        assert _merge_identical_neighborhoods(graph, alive) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -439,11 +450,11 @@ class TestSsumLiveSelection:
         graph, _first, _second = graph_spec
         result = ssum_compress(graph, target_ratio=ratio, seed=seed)
 
-        # Oracle: same phase 1, then a naive recompute-per-step phase 2 —
-        # always drop the live lowest-degree data node (random seeded rank
-        # breaking ties), never below the floor.
-        oracle = graph.copy()
-        _merge_identical_neighborhoods(oracle)
+        # Oracle: phase 1 by merge_nodes, then a naive recompute-per-step
+        # phase 2 — always drop the live lowest-degree data node (random
+        # seeded rank breaking ties), never below the floor.
+        oracle = ReferenceGraph.thaw(graph)
+        merge_identical_neighborhoods_reference(oracle)
         rng = ensure_rng(seed)
         target_data = max(4, int(ratio * len(graph.data_nodes())))
         data = oracle.data_nodes()
@@ -452,14 +463,15 @@ class TestSsumLiveSelection:
             label = min(oracle.data_nodes(), key=lambda v: (oracle.degree(v), ranks[v]))
             oracle.remove_node(label)
 
-        assert sorted(result.graph.nodes()) == sorted(oracle.nodes())
+        assert result.graph.nodes() == oracle.nodes()
+        assert set(result.graph.edges()) == set(oracle.edges())
 
     def test_live_degree_drop_order(self):
         # Hub h starts with the HIGHEST degree; leaves l0..l3 have degree 1.
         # Removing the leaves drains h's live degree to 0, so h must be
         # dropped before the well-connected clique nodes — the stale
         # one-shot degree sort would have dropped a clique node instead.
-        g = MatchGraph()
+        g = ReferenceGraph()
         g.add_node("m1", kind=NodeKind.METADATA)
         for label in ("h", "l0", "l1", "l2", "l3", "c0", "c1", "c2", "c3"):
             g.add_node(label, kind=NodeKind.DATA)
@@ -470,7 +482,7 @@ class TestSsumLiveSelection:
             g.add_edge(u, "m1")
             for v in clique[i + 1:]:
                 g.add_edge(u, v)
-        result = ssum_compress(g, target_ratio=0.45, seed=0)  # keep 4 of 9
+        result = ssum_compress(g.freeze(), target_ratio=0.45, seed=0)  # keep 4 of 9
         survivors = set(result.graph.data_nodes())
         assert survivors == set(clique)
 
@@ -480,6 +492,44 @@ class TestSsumLiveSelection:
             result = ssum_compress(g, target_ratio=0.5, seed=seed)
             for label in ("t1", "t2", "p1", "p2"):
                 assert result.graph.has_node(label)
+
+
+# ----------------------------------------------------------------------
+# Random baselines: draw orders that follow ids, never a set's hash order
+class TestRandomBaselinesDrawOrder:
+    def test_random_node_draws_over_data_nodes_in_source_order(self):
+        graph = example_graph()
+        data = np.flatnonzero(~graph.metadata_mask())
+        drawn = ensure_rng(8).choice(data.size, size=round(0.5 * data.size), replace=False)
+        keep = set(graph.metadata_nodes()) | {graph.labels[i] for i in data[drawn]}
+        result = random_node_compress(graph, keep_ratio=0.5, seed=8)
+        assert result.graph.nodes() == [label for label in graph.labels if label in keep]
+        assert set(result.graph.edges()) == {
+            (u, v) for u, v in graph.edges() if u in keep and v in keep
+        }
+
+    def test_random_edge_draws_over_edges_in_lo_hi_order(self):
+        graph = example_graph()
+        lo, hi = graph.edge_ids()
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        assert pairs == sorted(pairs) and all(a < b for a, b in pairs)
+        drawn = ensure_rng(9).choice(len(pairs), size=round(0.5 * len(pairs)), replace=False)
+        chosen = [pairs[i] for i in drawn]
+        keep = set(graph.metadata_nodes()) | {graph.labels[i] for pair in chosen for i in pair}
+        result = random_edge_compress(graph, keep_ratio=0.5, seed=9)
+        assert result.graph.nodes() == [label for label in graph.labels if label in keep]
+        assert set(result.graph.edges()) == {
+            tuple(sorted((graph.labels[a], graph.labels[b]))) for a, b in chosen
+        }
+
+    def test_random_edge_drops_isolated_data_nodes_only(self):
+        g = ReferenceGraph.thaw(example_graph())
+        g.add_node("lonely", kind=NodeKind.DATA)
+        g.add_node("t_orphan", kind=NodeKind.METADATA, corpus="first", role="tuple")
+        graph = g.freeze()
+        result = random_edge_compress(graph, keep_ratio=1.0, seed=0)
+        assert set(result.graph.edges()) == set(graph.edges())
+        assert result.graph.nodes() == [label for label in graph.labels if label != "lonely"]
 
 
 # ----------------------------------------------------------------------

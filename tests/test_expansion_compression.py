@@ -1,6 +1,8 @@
 """Tests for graph expansion (Algorithm 2) and compression (Algorithm 3 + baselines)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.compression import (
     msp_compress,
@@ -10,13 +12,14 @@ from repro.graph.compression import (
     ssum_compress,
 )
 from repro.graph.expansion import expand_graph
-from repro.graph.graph import MatchGraph, NodeKind
+from repro.graph.graph import NodeKind
 from repro.kb.knowledge_base import InMemoryKnowledgeBase
+from tests.oracles.graph import ReferenceGraph
 
 
-def build_example_graph():
+def build_example_reference():
     """The Figure 4 style graph: two tuples, two paragraphs, shared terms."""
-    g = MatchGraph()
+    g = ReferenceGraph()
     for label in ("t1", "t2"):
         g.add_node(label, kind=NodeKind.METADATA, corpus="first", role="tuple")
     for label in ("p1", "p2"):
@@ -32,6 +35,10 @@ def build_example_graph():
     ]:
         g.add_edge(u, v)
     return g
+
+
+def build_example_graph():
+    return build_example_reference().freeze()
 
 
 @pytest.fixture()
@@ -54,31 +61,30 @@ class TestExpansion:
         result = expand_graph(example_graph, kb)
         assert result.nodes_added >= 1
         assert result.edges_added >= 3
-        assert example_graph.has_node("pulp fiction")
+        assert result.graph.has_node("pulp fiction")
+        assert not example_graph.has_node("pulp fiction")  # a new graph
 
     def test_expansion_creates_new_paths(self, example_graph, kb):
         # Before expansion p1 and t2 connect only through willis (length 2 path
         # of 3 nodes); after expansion comedy→tarantino adds another short path.
-        before_paths = example_graph.all_shortest_paths("p1", "t2")
-        expand_graph(example_graph, kb)
-        after_paths = example_graph.all_shortest_paths("p1", "t2")
-        assert len(after_paths) >= len(before_paths)
+        before_paths = ReferenceGraph.thaw(example_graph).all_shortest_paths("p1", "t2")
+        expanded = ReferenceGraph.thaw(expand_graph(example_graph, kb).graph)
+        assert len(expanded.all_shortest_paths("p1", "t2")) >= len(before_paths)
 
     def test_sink_nodes_removed(self, example_graph, kb):
-        expand_graph(example_graph, kb)
         # bhavna vaswani connects only to shyamalan and must be pruned.
-        assert not example_graph.has_node("bhavna vaswani")
+        assert not expand_graph(example_graph, kb).graph.has_node("bhavna vaswani")
 
     def test_sink_removal_can_be_disabled(self, example_graph, kb):
-        expand_graph(example_graph, kb, remove_sinks=False)
-        assert example_graph.has_node("bhavna vaswani")
+        expanded = expand_graph(example_graph, kb, remove_sinks=False).graph
+        assert expanded.has_node("bhavna vaswani")
 
     def test_metadata_nodes_never_expanded_or_removed(self, example_graph, kb):
         kb.add_relation("t1", "bogus", "should not appear")
-        expand_graph(example_graph, kb)
-        assert not example_graph.has_node("should not appear")
+        expanded = expand_graph(example_graph, kb).graph
+        assert not expanded.has_node("should not appear")
         for label in ("t1", "t2", "p1", "p2"):
-            assert example_graph.has_node(label)
+            assert expanded.has_node(label)
 
     def test_max_relations_cap(self, example_graph):
         kb = InMemoryKnowledgeBase()
@@ -89,56 +95,76 @@ class TestExpansion:
 
     def test_expansion_result_counts_consistent(self, example_graph, kb):
         result = expand_graph(example_graph, kb)
-        assert result.nodes_after == example_graph.num_nodes()
-        assert result.edges_after == example_graph.num_edges()
+        assert result.nodes_before == example_graph.num_nodes()
+        assert result.nodes_after == result.graph.num_nodes()
+        assert result.edges_after == result.graph.num_edges()
 
     @pytest.mark.parametrize("max_relations", [None, 1])
     @pytest.mark.parametrize("remove_sinks", [True, False])
     def test_batched_expansion_matches_per_relation_reference(
         self, kb, max_relations, remove_sinks
     ):
-        # expand_graph now emits ONE add_nodes_bulk + ONE add_edges_bulk per
-        # pass; parity against the original per-relation loop must be exact:
-        # same node insertion order, metadata, edge set, and result counts.
         kb.add_relation("comedy", "relatedTo", "drama")  # both endpoints pre-exist
         kb.add_relation("thriller", "relatedTo", "pulp fiction")  # shared new node
+        assert_expansion_matches_reference(kb, max_relations, remove_sinks)
 
-        batched = build_example_graph()
-        result = expand_graph(
-            batched, kb, max_relations_per_node=max_relations, remove_sinks=remove_sinks
-        )
+    @settings(max_examples=30, deadline=None)
+    @given(
+        relations=st.lists(
+            st.tuples(
+                st.sampled_from(["willis", "drama", "comedy", "pg", "t1"]),
+                st.sampled_from(["drama", "pg", "p1", "new one", "new two", "willis"]),
+            ),
+            max_size=10,
+        ),
+        max_relations=st.sampled_from([None, 1, 2]),
+        remove_sinks=st.booleans(),
+    )
+    def test_expansion_matches_reference_on_random_resources(
+        self, relations, max_relations, remove_sinks
+    ):
+        kb = InMemoryKnowledgeBase()
+        for head, tail in relations:
+            kb.add_relation(head, "relatedTo", tail)
+        assert_expansion_matches_reference(kb, max_relations, remove_sinks)
 
-        reference = build_example_graph()
-        nodes_added = 0
-        edges_added = 0
-        for label in list(reference.nodes()):
-            if reference.is_metadata(label):
+
+def assert_expansion_matches_reference(kb, max_relations, remove_sinks):
+    """expand_graph appends the new nodes and edges and masks the sinks out;
+    parity against the per-relation loop must be exact: same node order,
+    metadata, edge set, and result counts."""
+    result = expand_graph(
+        build_example_graph(), kb, max_relations_per_node=max_relations, remove_sinks=remove_sinks
+    )
+    batched = result.graph
+
+    reference = build_example_reference()
+    nodes_added = 0
+    edges_added = 0
+    for label in list(reference.nodes()):
+        if reference.is_metadata(label):
+            continue
+        related = kb.related(label)
+        if max_relations is not None:
+            related = list(related)[:max_relations]
+        for neighbor in related:
+            if not neighbor or neighbor == label:
                 continue
-            related = kb.related(label)
-            if max_relations is not None:
-                related = list(related)[:max_relations]
-            for neighbor in related:
-                if not neighbor or neighbor == label:
-                    continue
-                if not reference.has_node(neighbor):
-                    reference.add_node(
-                        neighbor, kind=NodeKind.DATA, corpus="external", role="external"
-                    )
-                    nodes_added += 1
-                if reference.add_edge(label, neighbor):
-                    edges_added += 1
-        sink_removed = (
-            reference.remove_sink_nodes(protect_metadata=True) if remove_sinks else 0
-        )
+            if not reference.has_node(neighbor):
+                reference.add_node(neighbor, kind=NodeKind.DATA, corpus="external", role="external")
+                nodes_added += 1
+            if reference.add_edge(label, neighbor):
+                edges_added += 1
+    sink_removed = reference.remove_sink_nodes(protect_metadata=True) if remove_sinks else 0
 
-        assert result.nodes_added == nodes_added
-        assert result.edges_added == edges_added
-        assert result.sink_nodes_removed == sink_removed
-        assert batched.nodes() == reference.nodes()
-        assert set(batched.edges()) == set(reference.edges())
-        assert batched.num_edges() == reference.num_edges()
-        for label in batched.nodes():
-            assert batched.node_info(label) == reference.node_info(label)
+    assert result.nodes_added == nodes_added
+    assert result.edges_added == edges_added
+    assert result.sink_nodes_removed == sink_removed
+    assert batched.nodes() == reference.nodes()
+    assert set(batched.edges()) == set(reference.edges())
+    assert batched.num_edges() == reference.num_edges()
+    for label in batched.nodes():
+        assert batched.node_info(label) == reference.node_info(label)
 
 
 class TestMspCompression:
@@ -153,15 +179,14 @@ class TestMspCompression:
             assert result.graph.degree(label) >= 1
 
     def test_compression_reduces_or_preserves_size(self, example_graph, kb):
-        expand_graph(example_graph, kb)
-        result = msp_compress(example_graph, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=3)
+        expanded = expand_graph(example_graph, kb).graph
+        result = msp_compress(expanded, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=3)
         assert result.nodes_after <= result.nodes_before
         assert result.node_ratio <= 1.0
 
     def test_compressed_edges_exist_in_original(self, example_graph):
         result = msp_compress(example_graph, ["t1", "t2"], ["p1", "p2"], beta=1.0, seed=4)
-        for u, v in result.graph.edges():
-            assert example_graph.has_edge(u, v)
+        assert set(result.graph.edges()) <= set(example_graph.edges())
 
     def test_deterministic_given_seed(self, example_graph):
         r1 = msp_compress(example_graph, ["t1", "t2"], ["p1", "p2"], beta=0.5, seed=7)
@@ -178,9 +203,9 @@ class TestMspCompression:
             msp_compress(example_graph, [], ["p1"], beta=0.5)
 
     def test_disconnected_metadata_is_kept_isolated(self):
-        g = build_example_graph()
+        g = build_example_reference()
         g.add_node("t_orphan", kind=NodeKind.METADATA, corpus="first", role="tuple")
-        result = msp_compress(g, ["t1", "t2", "t_orphan"], ["p1", "p2"], beta=0.5, seed=1)
+        result = msp_compress(g.freeze(), ["t1", "t2", "t_orphan"], ["p1", "p2"], beta=0.5, seed=1)
         assert result.graph.has_node("t_orphan")
 
     def test_method_label(self, example_graph):
@@ -192,17 +217,16 @@ class TestOtherCompressors:
     def test_ssp_runs_and_keeps_subset(self, example_graph):
         result = ssp_compress(example_graph, beta=0.5, seed=5)
         assert result.nodes_after <= result.nodes_before
-        for u, v in result.graph.edges():
-            assert example_graph.has_edge(u, v)
+        assert set(result.graph.edges()) <= set(example_graph.edges())
 
     def test_ssp_invalid_beta(self, example_graph):
         with pytest.raises(ValueError):
             ssp_compress(example_graph, beta=-1)
 
     def test_ssum_respects_target_ratio_roughly(self, example_graph, kb):
-        expand_graph(example_graph, kb)
-        data_before = len(example_graph.data_nodes())
-        result = ssum_compress(example_graph, target_ratio=0.5, seed=6)
+        expanded = expand_graph(example_graph, kb).graph
+        data_before = len(expanded.data_nodes())
+        result = ssum_compress(expanded, target_ratio=0.5, seed=6)
         # metadata nodes are never dropped; the data nodes shrink to roughly
         # the target ratio (with a small floor that keeps the graph walkable).
         data_after = len(result.graph.data_nodes())
@@ -226,8 +250,7 @@ class TestOtherCompressors:
     def test_random_edge_keep_ratio(self, example_graph):
         result = random_edge_compress(example_graph, keep_ratio=0.5, seed=9)
         assert result.edges_after <= result.edges_before
-        for u, v in result.graph.edges():
-            assert example_graph.has_edge(u, v)
+        assert set(result.graph.edges()) <= set(example_graph.edges())
 
     def test_random_invalid_ratio(self, example_graph):
         with pytest.raises(ValueError):

@@ -18,9 +18,10 @@ from repro.embeddings.graph_factorization import (
     GraphFactorizationEmbedder,
 )
 from repro.embeddings.similarity import cosine_similarity
-from repro.graph.graph import MatchGraph, NodeKind
+from repro.graph.graph import NodeKind
 from repro.retrieval import BlockedTopK
 from repro import cli
+from tests.oracles.graph import ReferenceGraph, graph_of
 
 
 class TestTokenBlocking:
@@ -74,7 +75,7 @@ class TestTokenBlocking:
 
 class TestMetadataNeighborhoodBlocking:
     def test_candidates_within_hops(self):
-        g = MatchGraph()
+        g = ReferenceGraph()
         g.add_node("doc::q", kind=NodeKind.METADATA)
         g.add_node("row::a", kind=NodeKind.METADATA)
         g.add_node("row::b", kind=NodeKind.METADATA)
@@ -83,23 +84,45 @@ class TestMetadataNeighborhoodBlocking:
         g.add_edge("doc::q", "shared")
         g.add_edge("row::a", "shared")
         g.add_edge("row::b", "other")
-        blocker = MetadataNeighborhoodBlocking(g, max_hops=2)
+        blocker = MetadataNeighborhoodBlocking(g.freeze(), max_hops=2)
         block = blocker.block("doc::q", {"a": "row::a", "b": "row::b"})
         assert block == ["a"]
+        assert MetadataNeighborhoodBlocking(g.freeze(), max_hops=1).block(
+            "doc::q", {"a": "row::a", "b": "row::b", "gone": "row::gone"}
+        ) == []
+
+    def test_blocks_on_a_loaded_graph_equal_the_fitted_ones(self, tmp_path):
+        # Blocking walks the graph's arrays: a memory-mapped load blocks as
+        # the fitted pipeline does.
+        from repro.datasets import ScenarioSize, generate_scenario
+
+        scenario = generate_scenario("imdb_wt", size=ScenarioSize.tiny(), seed=3)
+        fitted = TDMatch(TDMatchConfig.fast(), seed=7).fit(scenario.first, scenario.second)
+        path = str(tmp_path / "index.tdm")
+        fitted.save(path)
+        loaded = TDMatch.load(path, mmap=True)
+        queries = fitted.state.built.first_metadata.values()
+        candidates = fitted.state.built.second_metadata
+        blocks = []
+        for pipeline in (fitted, loaded):
+            blocking = MetadataNeighborhoodBlocking(pipeline.graph, max_hops=2)
+            blocks.append([blocking.block(label, candidates) for label in queries])
+        assert blocks[0] == blocks[1]
+        assert any(blocks[0])
 
     def test_unknown_query_label(self):
-        blocker = MetadataNeighborhoodBlocking(MatchGraph(), max_hops=1)
+        blocker = MetadataNeighborhoodBlocking(graph_of([]), max_hops=1)
         assert blocker.block("missing", {"a": "row::a"}) == []
 
     def test_invalid_hops(self):
         with pytest.raises(ValueError):
-            MetadataNeighborhoodBlocking(MatchGraph(), max_hops=0)
+            MetadataNeighborhoodBlocking(graph_of([]), max_hops=0)
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_invalid_max_block_size(self, size):
         with pytest.raises(ValueError, match="max_block_size"):
-            MetadataNeighborhoodBlocking(MatchGraph(), max_block_size=size)
-        assert MetadataNeighborhoodBlocking(MatchGraph(), max_block_size=None).max_block_size is None
+            MetadataNeighborhoodBlocking(graph_of([]), max_block_size=size)
+        assert MetadataNeighborhoodBlocking(graph_of([]), max_block_size=None).max_block_size is None
 
 
 class TestBlockedMatcher:
@@ -139,7 +162,7 @@ class TestGraphFactorization:
     @pytest.fixture(scope="class")
     def clustered_graph(self):
         """Two clusters of metadata nodes bridged by distinct term sets."""
-        g = MatchGraph()
+        g = ReferenceGraph()
         for cluster, terms in (("x", ["t1", "t2", "t3"]), ("y", ["u1", "u2", "u3"])):
             for i in range(3):
                 meta = f"{cluster}{i}"
@@ -147,7 +170,7 @@ class TestGraphFactorization:
                 for term in terms:
                     g.add_node(term, kind=NodeKind.DATA)
                     g.add_edge(meta, term)
-        return g
+        return g.freeze()
 
     def test_fit_produces_vectors_for_all_nodes(self, clustered_graph):
         embedder = GraphFactorizationEmbedder(
@@ -192,10 +215,8 @@ class TestGraphFactorization:
             GraphFactorizationEmbedder().vector("x")
 
     def test_too_small_graph_raises(self):
-        g = MatchGraph()
-        g.add_node("only")
         with pytest.raises(ValueError):
-            GraphFactorizationEmbedder().fit(g)
+            GraphFactorizationEmbedder().fit(graph_of(["only"]))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

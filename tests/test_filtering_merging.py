@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.embeddings.pretrained import build_synthetic_pretrained, synonym_pairs_from_clusters
 from repro.graph.filtering import BulkIntersectFilter, BulkNoFilter, BulkTfIdfFilter
-from repro.graph.graph import MatchGraph, NodeKind
+from repro.graph.graph import NodeKind
 from repro.graph.merging import (
     EmbeddingMerger,
     NumericBucketer,
     freedman_diaconis_width,
 )
+from tests.oracles.graph import bucketing_reference, embedding_merge_reference, graph_of
 
 
 def _interned(first_docs, second_docs):
@@ -99,38 +100,64 @@ class TestFreedmanDiaconis:
         assert freedman_diaconis_width([2, 2, 2, 2]) == 1.0
 
 
+def assert_same_graph(graph, expected):
+    assert graph.nodes() == expected.nodes()
+    assert set(graph.edges()) == set(expected.edges())
+    for label in graph.nodes():
+        assert graph.node_info(label) == expected.node_info(label)
+
+
 class TestNumericBucketer:
     def _graph_with_numbers(self):
-        g = MatchGraph()
-        g.add_node("t1", kind=NodeKind.METADATA)
-        for value in ("10", "11", "12", "95", "96", "text"):
-            g.add_node(value, kind=NodeKind.DATA)
-            g.add_edge("t1", value)
-        return g
+        values = ("10", "11", "12", "95", "96", "text")
+        return graph_of(
+            [("t1", NodeKind.METADATA)] + [(value, NodeKind.DATA) for value in values],
+            [("t1", value) for value in values],
+        )
 
     def test_close_numbers_merge(self):
-        g = self._graph_with_numbers()
-        report = NumericBucketer(width=5.0).apply(g)
+        report = NumericBucketer(width=5.0).apply(self._graph_with_numbers())
         assert report.num_merged >= 4
-        remaining_numeric = [n for n in g.data_nodes() if n[0].isdigit()]
+        remaining_numeric = [n for n in report.graph.data_nodes() if n[0].isdigit()]
         assert remaining_numeric == []
 
     def test_bucket_nodes_created(self):
-        g = self._graph_with_numbers()
-        NumericBucketer(width=5.0).apply(g)
-        buckets = [n for n in g.data_nodes() if n.startswith("num[")]
+        graph = NumericBucketer(width=5.0).apply(self._graph_with_numbers()).graph
+        buckets = [n for n in graph.data_nodes() if n.startswith("num[")]
         assert len(buckets) == 2
+        assert graph.nodes()[-2:] == buckets  # appended after the graph's own nodes
+        assert graph.node_info(buckets[0]).corpus == "both"
 
     def test_text_nodes_untouched(self):
-        g = self._graph_with_numbers()
-        NumericBucketer(width=5.0).apply(g)
-        assert g.has_node("text")
+        source = self._graph_with_numbers()
+        graph = NumericBucketer(width=5.0).apply(source).graph
+        assert graph.has_node("text")
+        assert source.has_node("10")  # the source graph is not modified
 
     def test_no_numbers_is_noop(self):
-        g = MatchGraph()
-        g.add_node("alpha", kind=NodeKind.DATA)
-        report = NumericBucketer().apply(g)
+        graph = graph_of([("alpha", NodeKind.DATA)])
+        report = NumericBucketer().apply(graph)
         assert report.num_merged == 0
+        assert report.graph is graph
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True),
+        edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20),
+    )
+    def test_matches_merge_nodes_oracle(self, values, edges):
+        # Members' edges move to their bucket node, including edges between
+        # members of one bucket (dropped as self-loops) and of two buckets.
+        labels = ["m1", "m2"] + [str(v) for v in values]
+        graph = graph_of(
+            [("m1", NodeKind.METADATA), ("m2", NodeKind.METADATA)] + [str(v) for v in values],
+            [(labels[u % len(labels)], labels[v % len(labels)]) for u, v in edges],
+        )
+        report = NumericBucketer(width=7.0).apply(graph)
+        buckets = {}
+        for bucket, member in report.merged_pairs:
+            buckets.setdefault(bucket, []).append(member)
+        assert_same_graph(report.graph, bucketing_reference(graph, buckets))
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
@@ -162,37 +189,31 @@ class TestNumericBucketer:
     def test_narrow_buckets_at_large_origin_stay_distinct(self):
         # Regression: width 0.001 near 1e7 — "%g" rendered both bounds as
         # "1e+07", silently merging distinct buckets into one node.
-        g = MatchGraph()
-        g.add_node("t1", kind=NodeKind.METADATA)
         values = ("10000000.0002", "10000000.0004", "10000000.0012", "10000000.0014")
-        for value in values:
-            g.add_node(value, kind=NodeKind.DATA)
-            g.add_edge("t1", value)
-        report = NumericBucketer(width=0.001).apply(g)
-        buckets = [n for n in g.data_nodes() if n.startswith("num[")]
+        graph = graph_of(
+            [("t1", NodeKind.METADATA)] + [(value, NodeKind.DATA) for value in values],
+            [("t1", value) for value in values],
+        )
+        report = NumericBucketer(width=0.001).apply(graph)
+        buckets = [n for n in report.graph.data_nodes() if n.startswith("num[")]
         assert len(buckets) == 2  # one per bucket, not one shared label
         assert report.num_merged == 4
 
     def test_bucket_label_collision_with_existing_node_renames(self):
-        g = MatchGraph()
-        g.add_node("t1", kind=NodeKind.METADATA)
-        for value in ("10", "11"):
-            g.add_node(value, kind=NodeKind.DATA)
-            g.add_edge("t1", value)
         # A pre-existing text term that happens to spell the bucket label.
         clash = NumericBucketer.bucket_label(10.0, 5.0, 10.0)
-        g.add_node(clash, kind=NodeKind.DATA)
-        g.add_node("other", kind=NodeKind.METADATA)
-        g.add_edge(clash, "other")
-        report = NumericBucketer(width=5.0).apply(g)
+        graph = graph_of(
+            [("t1", NodeKind.METADATA), "10", "11", clash, ("other", NodeKind.METADATA)],
+            [("t1", "10"), ("t1", "11"), (clash, "other")],
+        )
+        report = NumericBucketer(width=5.0).apply(graph)
+        merged = report.graph
         # The clashing node keeps its own identity and edges...
-        assert g.has_node(clash)
-        assert g.neighbors(clash) == {"other"}
+        assert merged.neighbors(clash) == ["other"]
         # ...and the bucket went in under a renamed label.
         renamed = [keep for keep, _absorbed in report.merged_pairs]
         assert all(label != clash for label in renamed)
-        assert g.has_node(clash + "~")
-        assert g.neighbors(clash + "~") == {"t1"}
+        assert merged.neighbors(clash + "~") == ["t1"]
 
 
 class TestEmbeddingMerger:
@@ -208,33 +229,68 @@ class TestEmbeddingMerger:
         assert 0.3 < gamma <= 1.0
 
     def test_apply_merges_name_variants(self, pretrained):
-        g = MatchGraph()
-        g.add_node("t1", kind=NodeKind.METADATA)
-        g.add_node("p1", kind=NodeKind.METADATA)
-        g.add_node("bruce willis", kind=NodeKind.DATA)
-        g.add_node("b willis", kind=NodeKind.DATA)
-        g.add_node("thriller", kind=NodeKind.DATA)
-        g.add_edge("t1", "bruce willis")
-        g.add_edge("p1", "b willis")
-        g.add_edge("t1", "thriller")
+        graph = graph_of(
+            [
+                ("t1", NodeKind.METADATA),
+                ("p1", NodeKind.METADATA),
+                "bruce willis",
+                "b willis",
+                "thriller",
+            ],
+            [("t1", "bruce willis"), ("p1", "b willis"), ("t1", "thriller")],
+        )
         merger = EmbeddingMerger(pretrained, threshold=0.8)
-        report = merger.apply(g)
+        report = merger.apply(graph)
         assert report.num_merged == 1
         # The surviving node bridges the two metadata nodes.
         survivor = report.merged_pairs[0][0]
-        assert g.has_edge("t1", survivor) and g.has_edge("p1", survivor)
+        assert set(report.graph.neighbors(survivor)) == {"t1", "p1"}
+        assert graph.num_nodes() == 5  # the source graph is not modified
 
     def test_apply_without_threshold_raises(self, pretrained):
         with pytest.raises(ValueError):
-            EmbeddingMerger(pretrained).apply(MatchGraph())
+            EmbeddingMerger(pretrained).apply(graph_of([]))
 
     def test_unrelated_nodes_not_merged(self, pretrained):
-        g = MatchGraph()
-        g.add_node("thriller", kind=NodeKind.DATA)
-        g.add_node("planning", kind=NodeKind.DATA)
         merger = EmbeddingMerger(pretrained, threshold=0.95)
-        report = merger.apply(g)
+        report = merger.apply(graph_of(["thriller", "planning"]))
         assert report.num_merged == 0
+
+    def test_candidate_keys_in_first_occurrence_order(self):
+        # Each label's keys (its tokens, then its 4-character prefix) are
+        # taken in first-occurrence order, not a set's hash order: the
+        # buckets, and so the candidate pairs, follow the graph.
+        graph = graph_of(["beta alpha", "alpha", "beta", "betamax"])
+        pairs = EmbeddingMerger(None, threshold=0.5)._candidate_pairs(graph)
+        assert pairs == [
+            ("beta", "beta alpha"),
+            ("beta", "betamax"),
+            ("beta alpha", "betamax"),
+            ("alpha", "beta alpha"),
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        words=st.lists(
+            st.sampled_from(["willis", "willy", "will", "bruce", "brown", "b", "wil"]),
+            min_size=2,
+            max_size=10,
+        ),
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=24),
+        threshold=st.sampled_from([0.3, 0.6, 0.9]),
+    )
+    def test_matches_merge_nodes_oracle_over_candidate_list(self, words, edges, threshold):
+        labels = list(dict.fromkeys(" ".join(words[i : i + 2]) for i in range(len(words))))
+        labels = ["m1", "m2"] + labels
+        graph = graph_of(
+            [("m1", NodeKind.METADATA), ("m2", NodeKind.METADATA)] + labels[2:],
+            [(labels[u % len(labels)], labels[v % len(labels)]) for u, v in edges],
+        )
+        clusters = {"w": ["willis", "willy", "will", "wil"], "b": ["bruce", "brown", "b"]}
+        merger = EmbeddingMerger(build_synthetic_pretrained(clusters), threshold=threshold)
+        report = merger.apply(graph)
+        expected = embedding_merge_reference(graph, merger, merger._candidate_pairs(graph))
+        assert_same_graph(report.graph, expected)
 
     def test_calibration_with_unknown_terms_only_raises(self):
         class _Empty:

@@ -1,12 +1,11 @@
 """Tests for graph construction (Algorithm 1) and its substrate.
 
-Covers the :class:`~repro.text.preprocess.TermInterner`, the bulk
-node/edge APIs of :class:`~repro.graph.graph.MatchGraph`, the interned
+Covers the :class:`~repro.text.preprocess.TermInterner`, the interned
 filters, parity with the per-term oracle of ``tests/oracles/graph.py``
 (hypothesis property: identical node list, node metadata — including the
-``"both"`` promotion — and undirected edge set for random corpus pairs
-under every filter strategy), the primed CSR fast path, and the seeded
-end-to-end identity of ``TDMatch.match`` with the oracle swapped in.
+``"both"`` promotion — undirected edge set and CSR arrays for random
+corpus pairs under every filter strategy), and the seeded end-to-end
+identity of ``TDMatch.match`` with the oracle swapped in.
 """
 
 import numpy as np
@@ -21,14 +20,12 @@ from repro.corpus.table import Column, Table
 from repro.corpus.taxonomy import Taxonomy
 from repro.datasets import ScenarioSize, generate_scenario
 from repro.graph.builder import GraphBuilder, GraphBuilderConfig
-from repro.graph.csr import build_csr, csr_adjacency
 from repro.graph.filtering import (
     BulkIntersectFilter,
     BulkNoFilter,
     BulkTfIdfFilter,
     FilterStatistics,
 )
-from repro.graph.graph import MatchGraph, NodeKind, dedup_edge_ids
 from repro.text.preprocess import (
     PreprocessConfig,
     Preprocessor,
@@ -123,161 +120,6 @@ class TestUniqueInOrder:
         result = unique_in_order([part])
         assert result.tolist() == [3, 1, 2]
         assert result is not part  # always a fresh array
-
-
-# ----------------------------------------------------------------------
-# MatchGraph bulk APIs
-class TestAddNodesBulk:
-    def test_adds_new_nodes_with_single_version_bump(self):
-        graph = MatchGraph()
-        before = graph.version
-        added = graph.add_nodes_bulk(["a", "b", "c"])
-        assert added == 3
-        assert graph.version == before + 1
-        assert graph.nodes() == ["a", "b", "c"]
-
-    def test_per_node_field_sequences(self):
-        graph = MatchGraph()
-        graph.add_nodes_bulk(
-            ["m", "t"],
-            kind=[NodeKind.METADATA, NodeKind.DATA],
-            corpus=["first", "second"],
-            role=["document", "term"],
-        )
-        assert graph.node_info("m").kind == NodeKind.METADATA
-        assert graph.node_info("t").corpus == "second"
-
-    def test_existing_nodes_promoted_to_both(self):
-        graph = MatchGraph()
-        graph.add_node("x", kind=NodeKind.METADATA, corpus="first", role="document")
-        added = graph.add_nodes_bulk(["x"], kind=NodeKind.METADATA, corpus="second")
-        assert added == 0
-        assert graph.node_info("x").corpus == "both"
-        assert graph.node_info("x").role == "document"  # role is preserved
-
-    def test_default_role_follows_kind(self):
-        graph = MatchGraph()
-        graph.add_nodes_bulk(["d"], kind=NodeKind.DATA)
-        graph.add_nodes_bulk(["m"], kind=NodeKind.METADATA)
-        assert graph.node_info("d").role == "term"
-        assert graph.node_info("m").role == "document"
-
-    def test_empty_label_raises(self):
-        with pytest.raises(ValueError):
-            MatchGraph().add_nodes_bulk([""])
-
-    def test_field_sequence_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MatchGraph().add_nodes_bulk(
-                ["a", "b", "c"], kind=[NodeKind.DATA, NodeKind.DATA]
-            )
-
-    def test_no_bump_when_nothing_new(self):
-        graph = MatchGraph()
-        graph.add_node("a")
-        before = graph.version
-        assert graph.add_nodes_bulk(["a"]) == 0
-        assert graph.version == before
-
-
-class TestAddEdgesBulk:
-    def _nodes(self, graph, labels):
-        graph.add_nodes_bulk(labels)
-
-    def test_matches_per_edge_loop(self):
-        pairs = [("a", "b"), ("b", "a"), ("a", "c"), ("a", "b"), ("c", "c")]
-        bulk = MatchGraph()
-        loop = MatchGraph()
-        for graph in (bulk, loop):
-            self._nodes(graph, ["a", "b", "c"])
-        added = bulk.add_edges_bulk([u for u, _ in pairs], [v for _, v in pairs])
-        for u, v in pairs:
-            loop.add_edge(u, v)
-        assert added == 2
-        assert set(bulk.edges()) == set(loop.edges())
-        assert bulk.num_edges() == loop.num_edges() == 2
-
-    def test_single_version_bump(self):
-        graph = MatchGraph()
-        self._nodes(graph, ["a", "b", "c"])
-        before = graph.version
-        graph.add_edges_bulk(["a", "a"], ["b", "c"])
-        assert graph.version == before + 1
-
-    def test_skips_existing_edges(self):
-        graph = MatchGraph()
-        self._nodes(graph, ["a", "b", "c"])
-        graph.add_edge("a", "b")
-        assert graph.add_edges_bulk(["a", "b"], ["b", "c"]) == 1
-        assert graph.num_edges() == 2
-
-    def test_missing_node_raises(self):
-        graph = MatchGraph()
-        self._nodes(graph, ["a"])
-        with pytest.raises(KeyError):
-            graph.add_edges_bulk(["a"], ["ghost"])
-        with pytest.raises(KeyError):
-            graph.add_edges_bulk(["a"], ["ghost"], assume_unique=True)
-        # A batch that fails part-way keeps the edges inserted before the bad
-        # pair, so it must still invalidate the cached CSR snapshot.
-        self._nodes(graph, ["b"])
-        before = graph.version
-        with pytest.raises(KeyError):
-            graph.add_edges_bulk(["a", "a"], ["b", "ghost"], assume_unique=True)
-        assert graph.has_edge("a", "b")
-        assert graph.num_edges() == 1
-        assert graph.version == before + 1
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MatchGraph().add_edges_bulk(["a"], [])
-
-    def test_assume_unique_fast_path(self):
-        graph = MatchGraph()
-        self._nodes(graph, ["a", "b", "c"])
-        assert graph.add_edges_bulk(["a", "b"], ["b", "c"], assume_unique=True) == 2
-        assert graph.has_edge("a", "b") and graph.has_edge("b", "c")
-
-    def test_numpy_object_arrays_accepted(self):
-        graph = MatchGraph()
-        self._nodes(graph, ["a", "b"])
-        u = np.array(["a"], dtype=object)
-        v = np.array(["b"], dtype=object)
-        assert graph.add_edges_bulk(u, v) == 1
-
-
-class TestDedupEdgeIds:
-    def test_normalises_and_dedups(self):
-        u = np.array([1, 2, 0, 2, 3])
-        v = np.array([2, 1, 0, 1, 1])
-        lo, hi = dedup_edge_ids(u, v, 4)
-        assert list(zip(lo.tolist(), hi.tolist())) == [(1, 2), (1, 3)]
-
-    def test_empty(self):
-        lo, hi = dedup_edge_ids(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
-        assert lo.size == 0 and hi.size == 0
-
-
-class TestCopyPreservesVersion:
-    def test_copy_carries_version(self):
-        graph = MatchGraph()
-        graph.add_nodes_bulk(["a", "b"])
-        graph.add_edge("a", "b")
-        clone = graph.copy()
-        assert clone.version == graph.version
-        clone.remove_edge("a", "b")
-        assert clone.version == graph.version + 1
-
-    def test_copied_graph_rebuilds_its_own_csr(self):
-        graph = MatchGraph()
-        graph.add_nodes_bulk(["a", "b"])
-        graph.add_edge("a", "b")
-        csr_adjacency(graph)
-        clone = graph.copy()
-        clone.add_node("c")
-        clone.add_edge("a", "c")
-        snapshot = csr_adjacency(clone)
-        assert snapshot.num_nodes == 3
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +236,8 @@ def assert_engines_agree(first, second, **config_kwargs):
         assert ref_graph.node_info(label) == bulk_graph.node_info(label)
     assert set(ref_graph.edges()) == set(bulk_graph.edges())
     assert ref_graph.num_edges() == bulk_graph.num_edges()
+    assert np.array_equal(ref_graph.indptr, bulk_graph.indptr)
+    assert np.array_equal(ref_graph.indices, bulk_graph.indices)
     assert reference.first_metadata == bulk.first_metadata
     assert reference.second_metadata == bulk.second_metadata
     assert reference.filter_stats == bulk.filter_stats
@@ -437,44 +281,6 @@ class TestEngineParity:
         second = builder.build(table, corpus)  # warm interner
         assert first.graph.nodes() == second.graph.nodes()
         assert set(first.graph.edges()) == set(second.graph.edges())
-
-
-# ----------------------------------------------------------------------
-# CSR fast path
-class TestCSRFastPath:
-    def build(self):
-        table = Table("tbl", [Column("c0"), Column("c1")])
-        table.add_record("t0", c0="alpha beta", c1="drama sense")
-        table.add_record("t1", c0="beta gamma", c1="drama")
-        corpus = TextCorpus(name="txt")
-        corpus.add_text("d0", "alpha drama willis")
-        corpus.add_text("d1", "gamma sense")
-        return GraphBuilder(GraphBuilderConfig()).build(table, corpus)
-
-    def test_bulk_build_primes_csr_cache(self):
-        built = self.build()
-        primed = getattr(built.graph, "_csr_cache", None)
-        assert primed is not None
-        assert primed.graph_version == built.graph.version
-        # csr_adjacency returns the primed snapshot without rebuilding.
-        assert csr_adjacency(built.graph) is primed
-
-    def test_primed_snapshot_equals_rebuilt(self):
-        built = self.build()
-        primed = csr_adjacency(built.graph)
-        rebuilt = build_csr(built.graph)
-        assert rebuilt.labels == primed.labels
-        assert rebuilt.ids == primed.ids
-        assert np.array_equal(rebuilt.indptr, primed.indptr)
-        assert np.array_equal(rebuilt.indices, primed.indices)
-
-    def test_mutation_invalidates_primed_snapshot(self):
-        built = self.build()
-        primed = csr_adjacency(built.graph)
-        built.graph.add_node("late")
-        refreshed = csr_adjacency(built.graph)
-        assert refreshed is not primed
-        assert "late" in refreshed.labels
 
 
 # ----------------------------------------------------------------------

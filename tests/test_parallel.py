@@ -26,7 +26,6 @@ from repro.core.config import CompressionConfig, TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
 from repro.graph.compression import msp_compress
-from repro.graph.csr import csr_adjacency
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.graph.walk_engine import CSRWalkEngine, make_walk_engine
 from repro.graph.walks import RandomWalkConfig
@@ -44,13 +43,14 @@ from repro.parallel.compression import _dag_union_task
 from repro.parallel.trainer import _train_shard_task
 from repro.parallel.walks import _walk_shard_task, walk_shard
 from repro.utils.rng import spawn_rngs
+from tests.oracles.graph import ReferenceGraph
 from tests.oracles.walks import label_walks
 
 
 # ----------------------------------------------------------------------
 # Fixtures
 def random_graph(num_nodes: int = 50, num_edges: int = 220, seed: int = 3) -> MatchGraph:
-    g = MatchGraph()
+    g = ReferenceGraph()
     rng = np.random.default_rng(seed)
     for i in range(num_nodes):
         g.add_node(f"n{i}")
@@ -58,12 +58,12 @@ def random_graph(num_nodes: int = 50, num_edges: int = 220, seed: int = 3) -> Ma
         u, v = rng.integers(0, num_nodes, 2)
         if u != v:
             g.add_edge(f"n{u}", f"n{v}")
-    return g
+    return g.freeze()
 
 
 def metadata_graph() -> MatchGraph:
     """A two-corpus graph msp_compress and the pipeline can run on."""
-    g = MatchGraph()
+    g = ReferenceGraph()
     rng = np.random.default_rng(5)
     terms = [f"term{i}" for i in range(30)]
     for t in terms:
@@ -76,7 +76,7 @@ def metadata_graph() -> MatchGraph:
         g.add_node(f"p{i}", kind=NodeKind.METADATA, corpus="second", role="document")
         for j in rng.choice(30, size=6, replace=False):
             g.add_edge(f"p{i}", terms[j])
-    return g
+    return g.freeze()
 
 
 def sentences_corpus(n: int = 80, length: int = 10, vocab: int = 40, seed: int = 1):
@@ -344,17 +344,16 @@ class TestShardStreams:
         # contract: shard i's rows are a pure function of (base seed, i,
         # its slice) — recomputing any one shard in isolation reproduces
         # exactly the rows the full multi-shard run wrote for it.
-        graph = random_graph(num_nodes=24, num_edges=90, seed=seed)
-        csr = csr_adjacency(graph)
-        start_ids = np.arange(csr.num_nodes, dtype=np.int64)
+        csr = random_graph(num_nodes=24, num_edges=90, seed=seed)
+        start_ids = np.arange(csr.num_nodes(), dtype=np.int64)
         num_walks, walk_length, batch_size = 2, 6, 7
 
-        full = np.zeros((num_walks * csr.num_nodes, walk_length), dtype=np.int32)
-        full_lengths = np.zeros(num_walks * csr.num_nodes, dtype=np.int64)
+        full = np.zeros((num_walks * csr.num_nodes(), walk_length), dtype=np.int32)
+        full_lengths = np.zeros(num_walks * csr.num_nodes(), dtype=np.int64)
         offsets = []
         row = 0
         for (lo, hi), rng in zip(
-            shard_ranges(csr.num_nodes, num_shards), spawn_rngs(base, num_shards)
+            shard_ranges(csr.num_nodes(), num_shards), spawn_rngs(base, num_shards)
         ):
             offsets.append(row)
             row += walk_shard(
@@ -362,7 +361,7 @@ class TestShardStreams:
                 num_walks, walk_length, batch_size, full, full_lengths, row_offset=row,
             )
 
-        for i, (lo, hi) in enumerate(shard_ranges(csr.num_nodes, num_shards)):
+        for i, (lo, hi) in enumerate(shard_ranges(csr.num_nodes(), num_shards)):
             rows = (hi - lo) * num_walks
             alone = np.zeros((rows, walk_length), dtype=np.int32)
             alone_lengths = np.zeros(rows, dtype=np.int64)

@@ -80,6 +80,48 @@ for compression in (None, CompressionConfig(enabled=True, method="msp", ratio=1.
 """
 
 
+#: Fits one graph stage that draws, merges or grows over labels (named by
+#: ``STAGE``) and prints the graph's size, the sha256 of the vocabulary and
+#: embedding block, and every ranking with exact scores.  The merges run on
+#: ``corona_usr``, the embedding merge over synthetic vectors: a direction
+#: seeded by a term's first two characters plus 0.6x noise seeded by the
+#: whole term.
+_STAGE_HASH_SEED_PROBE = """
+import hashlib
+import numpy as np
+from repro.core.config import CompressionConfig, ExpansionConfig, MergeConfig, TDMatchConfig
+from repro.core.pipeline import TDMatch
+from repro.datasets import ScenarioSize, generate_scenario
+from repro.utils.rng import derive_rng
+
+class PrefixVectors:
+    def vector(self, term):
+        base = derive_rng(3, "prefix", term[:2]).standard_normal(16)
+        return base + 0.6 * derive_rng(3, "term", term).standard_normal(16)
+
+config = TDMatchConfig.fast()
+if STAGE in ("embedding-merge", "bucket-numeric"):
+    sc = generate_scenario("corona_usr", size=ScenarioSize.small(), seed=3)
+    if STAGE == "embedding-merge":
+        config.merge = MergeConfig(pretrained=PrefixVectors(), gamma=0.6)
+    else:
+        config.merge = MergeConfig(bucket_numeric=True)
+else:
+    sc = generate_scenario("imdb_wt", size=ScenarioSize.tiny(), seed=3)
+    if STAGE == "expansion":
+        config.expansion = ExpansionConfig(resource=sc.kb)
+    else:
+        config.compression = CompressionConfig(enabled=True, method=STAGE, ratio=0.5)
+pipeline = TDMatch(config, seed=3).fit(sc.first, sc.second)
+model = pipeline.state.model
+digest = hashlib.sha256("\\n".join(model.vocab.tokens).encode())
+digest.update(np.concatenate((model._input_vectors, model._output_vectors)).tobytes())
+print(pipeline.graph.num_nodes(), pipeline.graph.num_edges(), digest.hexdigest())
+rankings = pipeline.match_result(k=5).rankings
+print([(r.query_id, [(c, repr(s)) for c, s in r.candidates]) for r in rankings])
+"""
+
+
 class TestHashSeed:
     def test_fit_ignores_hash_seed(self):
         # Labels are interned strings in sets and dicts all through the graph
@@ -87,6 +129,20 @@ class TestHashSeed:
         # vocabulary, block or ranking in each process.
         outputs = outputs_under_hash_seeds(_HASH_SEED_PROBE)
         assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "stage",
+        ["random-node", "random-edge", "embedding-merge", "ssum", "expansion", "bucket-numeric"],
+    )
+    def test_label_stage_ignores_hash_seed(self, stage):
+        # The random baselines draw over node ids and edge id pairs, and the
+        # embedding merge takes each label's keys in first-occurrence order;
+        # drawing from a set of labels would follow its hash order.  SSuM,
+        # expansion and bucketing build their graphs from masks and appended
+        # ids in node order.
+        outputs = outputs_under_hash_seeds(f"STAGE = {stage!r}\n" + _STAGE_HASH_SEED_PROBE)
+        assert outputs[0].count("\n") == 2
         assert outputs[0] == outputs[1]
 
 
@@ -173,6 +229,24 @@ class TestOptionalStages:
             config.compression = CompressionConfig(enabled=True, method=method, ratio=0.5)
             pipeline = TDMatch(config, seed=5).fit(reviews, table)
             assert pipeline.state.compression.method.startswith(method)
+
+    def test_each_stage_graph_replaces_the_last(self):
+        reviews, table, _gold = build_movie_world()
+        kb = InMemoryKnowledgeBase()
+        kb.add_relation("bergman", "directorOf", "silent storm")
+        kb.add_relation("petrov", "starringOf", "silent storm")
+        config = TDMatchConfig.fast()
+        config.merge = MergeConfig(bucket_numeric=True)
+        config.expansion = ExpansionConfig(resource=kb)
+        pipeline = TDMatch(config, seed=5).fit(reviews, table)
+        state = pipeline.state
+        assert state.expansion.nodes_before == state.merge_reports[-1].graph.num_nodes()
+        assert pipeline.graph is state.expansion.graph
+        assert pipeline.model.vocab.tokens  # walks ran on the expanded graph
+        config.compression = CompressionConfig(enabled=True, method="ssum", ratio=0.5)
+        pipeline = TDMatch(config, seed=5).fit(reviews, table)
+        assert pipeline.state.compression.nodes_before == pipeline.state.expansion.nodes_after
+        assert pipeline.graph is pipeline.state.compression.graph
 
     def test_numeric_bucketing_stage(self):
         table = Table("stats", [Column("country"), Column("cases", dtype="numeric")])

@@ -14,14 +14,17 @@ from repro.eval.metrics import (
     reciprocal_rank,
 )
 from repro.eval.taxonomy_metrics import node_score
-from repro.graph.graph import MatchGraph, NodeKind
+from repro.graph.expansion import expand_graph
+from repro.graph.graph import NodeKind
 from repro.graph.merging import freedman_diaconis_width
 from repro.graph.walks import RandomWalkConfig
+from repro.kb.knowledge_base import InMemoryKnowledgeBase
 from repro.retrieval import DenseTopK
 from repro.text.ngrams import generate_ngrams
 from repro.text.stemmer import PorterStemmer
 from repro.text.tokenizer import tokenize
 from repro.utils.rng import ensure_rng
+from tests.oracles.graph import ReferenceGraph
 from tests.oracles.walks import csr_label_walks, single_walk
 
 # ----------------------------------------------------------------------
@@ -40,7 +43,7 @@ def random_graph_strategy():
 
 
 def build_graph(nodes, edge_indices):
-    g = MatchGraph()
+    g = ReferenceGraph()
     for i, node in enumerate(nodes):
         kind = NodeKind.METADATA if i % 3 == 0 else NodeKind.DATA
         g.add_node(node, kind=kind)
@@ -83,7 +86,7 @@ class TestGraphProperties:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     def test_edge_count_matches_iteration(self, data):
         nodes, edges = data
-        g = build_graph(nodes, edges)
+        g = build_graph(nodes, edges).freeze()
         assert len(list(g.edges())) == g.num_edges()
         # degree sum equals twice the edge count (handshake lemma)
         assert sum(g.degree(n) for n in g.nodes()) == 2 * g.num_edges()
@@ -113,8 +116,8 @@ class TestGraphProperties:
         g = build_graph(nodes, edges)
         config = RandomWalkConfig(num_walks=1, walk_length=8, start_nodes=[nodes[0]])
         for walk in (
-            csr_label_walks(g, config, seed=seed)[0],
-            single_walk(g, nodes[0], 8, ensure_rng(seed)),
+            csr_label_walks(g.freeze(), config, seed=seed)[0],
+            single_walk(g.freeze(), nodes[0], 8, ensure_rng(seed)),
         ):
             assert walk[0] == nodes[0]
             assert len(walk) <= 8
@@ -123,13 +126,25 @@ class TestGraphProperties:
 
     @given(random_graph_strategy())
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
-    def test_subgraph_never_adds_edges(self, data):
+    def test_keep_induces_the_subgraph(self, data):
         nodes, edges = data
         g = build_graph(nodes, edges)
-        sub = g.subgraph(nodes[: len(nodes) // 2 + 1])
-        assert sub.num_nodes() <= g.num_nodes()
-        for u, v in sub.edges():
-            assert g.has_edge(u, v)
+        kept = set(nodes[: len(nodes) // 2 + 1])
+        sub = g.freeze().keep(np.array([label in kept for label in g.nodes()]))
+        assert sub.nodes() == [label for label in g.nodes() if label in kept]
+        assert set(sub.edges()) == {(u, v) for u, v in g.edges() if u in kept and v in kept}
+
+    @given(random_graph_strategy())
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+    def test_sink_removal_is_one_oracle_pass(self, data):
+        # Expansion with nothing to add still cleans: one pass removes every
+        # data node of degree <= 1, as the oracle's remove_sink_nodes does.
+        nodes, edges = data
+        g = build_graph(nodes, edges)
+        result = expand_graph(g.freeze(), InMemoryKnowledgeBase())
+        assert result.sink_nodes_removed == g.remove_sink_nodes(protect_metadata=True)
+        assert result.graph.nodes() == g.nodes()
+        assert set(result.graph.edges()) == set(g.edges())
 
     @given(random_graph_strategy())
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])

@@ -21,13 +21,14 @@ from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
 from repro.embeddings.similarity import cosine_matrix, topk
-from repro.graph.graph import MatchGraph, NodeKind
+from repro.graph.graph import NodeKind
 from repro.retrieval import (
     BlockedTopK,
     DenseTopK,
     combine_scores,
     minmax_normalize_rows,
 )
+from tests.oracles.graph import ReferenceGraph
 from tests.oracles.topk import topk_reference
 
 
@@ -513,7 +514,7 @@ class TestBlockedMatcherRegression:
 
     def test_neighborhood_blocking_pluggable(self):
         """MetadataNeighborhoodBlocking works through the blocked backend."""
-        g = MatchGraph()
+        g = ReferenceGraph()
         g.add_node("doc::q", kind=NodeKind.METADATA)
         g.add_node("row::a", kind=NodeKind.METADATA)
         g.add_node("row::b", kind=NodeKind.METADATA)
@@ -526,7 +527,7 @@ class TestBlockedMatcherRegression:
             ["q"], np.array([[1.0, 0.0]]), ["a", "b"], np.array([[1.0, 0.1], [0.9, 0.0]])
         )
         blocker = GraphQueryBlocker(
-            MetadataNeighborhoodBlocking(g, max_hops=2),
+            MetadataNeighborhoodBlocking(g.freeze(), max_hops=2),
             query_labels={"q": "doc::q"},
             candidate_labels={"a": "row::a", "b": "row::b"},
         )

@@ -23,7 +23,6 @@ from repro.serving import (
     SUPPORTED_VERSIONS,
     IndexCorruptionError,
     IndexFormatError,
-    LazyBuiltGraph,
 )
 from repro.serving.index import config_from_dict, read_index, write_index
 
@@ -346,23 +345,35 @@ class TestSaveLoadRoundtrip:
             TDMatch.load(path, mmap=False).model._input_vectors, np.memmap
         )
 
-    def test_loaded_graph_is_lazy_until_accessed(self, index_path):
-        loaded = TDMatch.load(index_path)
-        built = loaded.state.built
-        assert isinstance(built, LazyBuiltGraph)
-        assert not built.materialized
-        loaded.match(k=3)  # dense serving never touches the graph
-        assert not built.materialized
-        assert built.graph.num_nodes() > 0
-        assert built.materialized
+    def test_loaded_graph_reads_the_index_arrays(self, index_path):
+        # The loaded graph is the header's registry over the mapped arrays:
+        # a load builds no adjacency of its own.
+        graph = TDMatch.load(index_path, mmap=True).graph
+        for array in (graph.indptr, graph.indices):
+            assert not array.flags.writeable and not array.flags.owndata
 
-    def test_materialized_graph_matches_original(self, fitted, index_path):
-        loaded = TDMatch.load(index_path)
-        original = fitted.graph
-        restored = loaded.graph
-        assert restored.num_nodes() == original.num_nodes()
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_loaded_graph_equals_the_fitted_one(self, fitted, index_path, mmap):
+        original, restored = fitted.graph, TDMatch.load(index_path, mmap=mmap).graph
+        assert restored.labels == original.labels
+        assert restored.kinds == original.kinds
+        assert restored.corpora == original.corpora
+        assert restored.roles == original.roles
+        assert np.array_equal(restored.indptr, original.indptr)
+        assert np.array_equal(restored.indices, original.indices)
         assert restored.num_edges() == original.num_edges()
-        assert sorted(restored.nodes()) == sorted(original.nodes())
+
+    def test_walks_on_a_loaded_graph_equal_the_fitted_ones(self, fitted, index_path):
+        from repro.graph.walk_engine import CSRWalkEngine
+        from repro.graph.walks import RandomWalkConfig
+
+        config = RandomWalkConfig(num_walks=2, walk_length=6)
+        expected = list(CSRWalkEngine(fitted.graph, config).iter_walks(seed=5))
+        for mmap in (True, False):
+            graph = TDMatch.load(index_path, mmap=mmap).graph
+            walks = list(CSRWalkEngine(graph, config).iter_walks(seed=5))
+            assert len(walks) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(walks, expected))
 
     def test_save_unfitted_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
@@ -584,6 +595,79 @@ class TestIncrementalFit:
         assert len(add([("new", contents)], side="second")) == 1
         assert "new" in built.second_metadata
 
+    def test_rejected_batch_leaves_graph_and_index_as_they_were(self, scenario, tmp_path):
+        # An index saved without output vectors rejects add_records in the
+        # refresh, after the graph took the batch.  The rows put one existing
+        # cell value under every column, so the batch also adds edges between
+        # existing nodes (column → term); those must go with the new nodes.
+        config = TDMatchConfig.fast()
+        config.builder.filter_strategy_name = "normal"
+        config.serving.include_output_vectors = False
+        path = str(tmp_path / "table_first.tdm")
+        TDMatch(config, seed=7).fit(scenario.second, scenario.first).save(path)
+        loaded = TDMatch.load(path)
+        nodes, edges = loaded.graph.num_nodes(), loaded.graph.num_edges()
+        value = next(iter(scenario.second)).non_null_items()[0][1]
+        row = {name: value for name in scenario.second.column_names}
+        with pytest.raises(PipelineError, match="output vectors"):
+            loaded.add_records([("new-row", row)], side="first")
+        assert (loaded.graph.num_nodes(), loaded.graph.num_edges()) == (nodes, edges)
+        assert "new-row" not in loaded.state.built.first_metadata
+        resaved = str(tmp_path / "resaved.tdm")
+        loaded.save(resaved)
+        with open(path, "rb") as before, open(resaved, "rb") as after:
+            assert before.read() == after.read()
+
+    def test_a_saved_delta_loads_with_its_graph(self, text_scenario, tmp_path):
+        # Appended and masked graphs save like fitted ones: the load holds
+        # the same graph and ranks as the pipeline that was saved.
+        pipeline, held = self._reduced_fit(text_scenario)
+        pipeline.add_documents(held, side="second")
+        pipeline.remove([list(pipeline.state.built.second_metadata)[0]], side="second")
+        path = str(tmp_path / "delta.tdm")
+        pipeline.save(path)
+        loaded = TDMatch.load(path, mmap=True)
+        assert loaded.graph.labels == pipeline.graph.labels
+        assert np.array_equal(loaded.graph.indptr, pipeline.graph.indptr)
+        assert np.array_equal(loaded.graph.indices, pipeline.graph.indices)
+        expected = pipeline.match_result(k=10).to_dict()["rankings"]
+        assert loaded.match_result(k=10).to_dict()["rankings"] == expected
+
+    def test_delta_terms_follow_the_frozen_filter(self, text_scenario):
+        # An intersect filter lets only its anchor side bring new term nodes;
+        # the other side's unknown terms are dropped and its known ones linked.
+        pipeline, _ = self._reduced_fit(text_scenario)
+        anchor = pipeline.state.built.intersect_anchor
+        other = "second" if anchor == "first" else "first"
+        preprocessor = pipeline._graph_builder()._preprocessor
+        known = next(t for t in pipeline.graph.data_nodes() if preprocessor.terms(t) == [t])
+        before = set(pipeline.graph.labels)
+        [label] = pipeline.add_documents([("off-anchor", f"{known} qqqzzz")], side=other)
+        assert set(pipeline.graph.labels) - before == {label}
+        assert known in pipeline.graph.neighbors(label)
+        assert set(pipeline.graph.neighbors(label)) <= before
+        [label] = pipeline.add_documents([("on-anchor", "qqqzzz")], side=anchor)
+        assert pipeline.graph.neighbors(label) == ["qqqzzz"]
+
+    def test_delta_rows_link_terms_to_their_fit_time_columns(self, scenario):
+        config = TDMatchConfig.fast()
+        config.builder.filter_strategy_name = "normal"
+        pipeline = TDMatch(config, seed=7).fit(scenario.second, scenario.first)
+        column = scenario.second.column_names[0]
+        [col_label] = [
+            label
+            for label in pipeline.graph.metadata_nodes(role="column")
+            if label.endswith(f"::{column}")
+        ]
+        before = set(pipeline.graph.neighbors(col_label))
+        [label] = pipeline.add_records(
+            [("new-row", {column: "qqqzzz", "unseen column": "wwwxxx"})], side="first"
+        )
+        graph = pipeline.graph
+        assert {"qqqzzz", "wwwxxx"} <= set(graph.neighbors(label))
+        assert set(graph.neighbors(col_label)) == before | {"qqqzzz"}
+        assert not [c for c in graph.metadata_nodes(role="column") if "unseen" in c]
+
     def test_remove_drops_candidate(self, text_scenario):
         pipeline, _ = self._reduced_fit(text_scenario)
         victim = list(pipeline.state.built.second_metadata)[0]
@@ -596,6 +680,45 @@ class TestIncrementalFit:
             for candidate, _ in ranking.candidates
         }
         assert victim not in candidates
+
+    def test_remove_applies_the_ids_before_an_unknown_one(self, text_scenario):
+        pipeline, _ = self._reduced_fit(text_scenario)
+        first, second = list(pipeline.state.built.second_metadata)[:2]
+        label = pipeline.state.built.second_metadata[first]
+        nodes = pipeline.graph.num_nodes()
+        with pytest.raises(PipelineError, match="before the error have been applied"):
+            pipeline.remove([first, "no-such-id", second], side="second")
+        assert label not in pipeline.graph
+        assert pipeline.graph.num_nodes() == nodes - 1
+        assert second in pipeline.state.built.second_metadata
+
+    def test_removed_id_can_be_added_again(self, text_scenario):
+        pipeline, _ = self._reduced_fit(text_scenario)
+        victim = list(pipeline.state.built.second_metadata)[0]
+        pipeline.remove([victim], side="second")
+        assert pipeline.add_documents([(victim, "a brand new claim")], side="second")
+        assert victim in pipeline.state.built.second_metadata
+
+    def test_add_records_grows_a_loaded_graph_as_a_fitted_one(self, scenario, tmp_path):
+        # The delta appends to the loaded graph (memory-mapped or not) what it
+        # appends to the fitted one, and both loads then rank alike.
+        from repro.corpus.table import Table
+
+        rows = list(scenario.second.rows)
+        reduced = Table(scenario.second.name, scenario.second.columns)
+        for row in rows[2:]:
+            reduced.add_row(row)
+        fitted = TDMatch(TDMatchConfig.fast(), seed=7).fit(scenario.first, reduced)
+        path = str(tmp_path / "base.tdm")
+        fitted.save(path)
+        loads = [TDMatch.load(path, mmap=mmap) for mmap in (True, False)]
+        for pipeline in [fitted] + loads:
+            pipeline.add_records(rows[:2], side="second")
+        for pipeline in loads:
+            assert pipeline.graph.labels == fitted.graph.labels
+            assert np.array_equal(pipeline.graph.indices, fitted.graph.indices)
+        rankings = [pipeline.match_result(k=10).to_dict()["rankings"] for pipeline in loads]
+        assert rankings[0] == rankings[1]
 
     def test_remove_unknown_id_raises(self, text_scenario):
         pipeline, _ = self._reduced_fit(text_scenario)

@@ -27,10 +27,10 @@ from repro.embeddings.sampling import AliasSampler
 from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.vocab import IdCorpus, Vocabulary
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig, _index_dtype, run_pair_batches
-from repro.graph.graph import MatchGraph
 from repro.graph.walk_engine import CSRWalkEngine
 from repro.graph.walks import RandomWalkConfig
 from repro.parallel import trainer as parallel_trainer
+from tests.oracles.graph import graph_of
 from tests.oracles.word2vec import (
     encode_reference,
     extract_pairs,
@@ -772,28 +772,28 @@ class TestCorpusEncoding:
         ids=["skip-gram", "cbow-min-count-subsample"],
     )
     def test_id_walks_train_like_their_label_sentences(self, config):
-        graph = MatchGraph()
-        for i in range(12):
-            graph.add_node(f"n{i}")
-        graph.add_node("iso")  # its walks are one token long
         rng = np.random.default_rng(0)
-        for u, v in rng.integers(0, 12, size=(30, 2)):
-            if u != v:
-                graph.add_edge(f"n{u}", f"n{v}")
+        graph = graph_of(
+            [f"n{i}" for i in range(12)] + ["iso"],  # iso's walks are one token long
+            [(f"n{u}", f"n{v}") for u, v in rng.integers(0, 12, size=(30, 2)) if u != v],
+        )
         engine = CSRWalkEngine(graph, RandomWalkConfig(num_walks=4, walk_length=8))
         walks = list(engine.iter_walks(seed=4))
-        csr = engine.csr
+        labels = graph.labels
 
-        by_id = Word2Vec(config, seed=7).train(walks, labels=csr.labels)
-        by_label = Word2Vec(config, seed=7).train([csr.decode(w) for w in walks])
+        def decode(walk):
+            return [labels[i] for i in walk]
+
+        by_id = Word2Vec(config, seed=7).train(walks, labels=labels)
+        by_label = Word2Vec(config, seed=7).train([decode(w) for w in walks])
         assert by_id.vocab.tokens == by_label.vocab.tokens
         assert by_id.stats.pairs == by_label.stats.pairs > 0
         assert np.array_equal(by_id._input_vectors, by_label._input_vectors)
         assert np.array_equal(by_id._output_vectors, by_label._output_vectors)
 
         delta = [w for w in walks if w.size > 1][:10]
-        by_id.fine_tune(delta, labels=csr.labels)
-        by_label.fine_tune([csr.decode(w) for w in delta])
+        by_id.fine_tune(delta, labels=labels)
+        by_label.fine_tune([decode(w) for w in delta])
         assert np.array_equal(by_id._input_vectors, by_label._input_vectors)
         assert np.array_equal(by_id._output_vectors, by_label._output_vectors)
 
@@ -809,18 +809,15 @@ class TestCorpusEncoding:
         """``train`` and ``fine_tune`` read an :class:`IdCorpus` of the walks
         as they read the walks one array each: equal blocks, vocabularies
         and stats, byte for byte."""
-        graph = MatchGraph()
-        for i in range(40):
-            graph.add_node(f"n{i}")
-        graph.add_node("iso")  # its walks are one token long
         rng = np.random.default_rng(1)
-        for u, v in rng.integers(0, 40, size=(90, 2)):
-            if u != v:
-                graph.add_edge(f"n{u}", f"n{v}")
+        graph = graph_of(
+            [f"n{i}" for i in range(40)] + ["iso"],  # iso's walks are one token long
+            [(f"n{u}", f"n{v}") for u, v in rng.integers(0, 40, size=(90, 2)) if u != v],
+        )
         engine = CSRWalkEngine(graph, RandomWalkConfig(num_walks=6, walk_length=10))
         walks = list(engine.iter_walks(seed=2))
         delta = walks[::7]
-        labels = engine.csr.labels
+        labels = graph.labels
 
         models = []
         for as_corpus in (lambda w: w, IdCorpus.concatenate):
