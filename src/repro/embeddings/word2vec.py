@@ -28,13 +28,16 @@ Training is vectorised end to end:
 * The model trains in float32 (as gensim does) on one stacked ``(2V, D)``
   block: rows ``[0, V)`` are the input vectors, rows ``[V, 2V)`` the output
   vectors.  A mini-batch is one gather of every row it touches, one
-  ``(B, 1 + K)`` logit block through one sigmoid, and one product of a
-  one-hot CSC matrix with all its gradient rows — input, positive-output
-  and negative rows alike — added to the block's distinct rows, instead of
-  a sort or the slow buffered ``np.add.at``.  The one-hot is built once
-  per pair slice and re-pointed in place per batch; scipy's CSC product
-  adds its columns in order, so each row sums its gradient rows in batch
-  order (see :func:`run_pair_batches`).
+  ``(B, 1 + K)`` logit block through one in-place sigmoid, and one product
+  of a one-hot CSC matrix with all its gradient rows — input,
+  positive-output and negative rows alike — instead of a sort or the slow
+  buffered ``np.add.at``.  The one-hot is built once per pair slice and
+  re-pointed in place per batch.  When the block has fewer rows than a
+  batch gathers, its rows are the block's and one dense ``+=`` adds the
+  product back; on taller blocks they are the batch's distinct rows, and
+  only those are gathered, added to and scattered.  scipy's CSC product
+  adds its columns in order, so either way each row sums its gradient
+  rows in batch order (see :func:`run_pair_batches`).
 * One epoch's pairs are alive at a time, as one C-contiguous ``(n_pairs,
   2)`` block of int32 vocabulary ids: 8 bytes per pair, and ~12 with the
   extraction's per-token state and the encoded corpus.  Pair extraction
@@ -84,11 +87,17 @@ MIN_NEGATIVE_REFRESHES = 64
 PAIR_CHUNK_TOKENS = 4096
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, into ``out`` when given (``x``
+    itself works): every step runs in place on one array."""
     # The clip keeps float32 ``exp`` (which overflows past ~88) from raising
     # or warning on saturated logits; it moves no result by more than
     # sigmoid(-20) ≈ 2e-9.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -20.0, 20.0)))
+    out = np.clip(x, -20.0, 20.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def run_pair_batches(
@@ -115,45 +124,66 @@ def run_pair_batches(
 
     A batch gathers ``rows = [in ids | V + out ids | V + negatives]`` once,
     passes one ``(B, 1 + K)`` logit block (column 0 the positive pair, the
-    rest the negatives) through one sigmoid, and writes its ``2B + K``
-    gradient rows.  One product adds them back, accumulating every repeated
-    row — a token repeated within the batch, a negative drawn twice, a
-    negative that is also a positive output — without a sort:
+    rest the negatives) through one in-place sigmoid, and writes its
+    ``2B + K`` gradient rows.  One product of a one-hot CSC matrix with them
+    adds them back, accumulating every repeated row — a token repeated
+    within the batch, a negative drawn twice, a negative that is also a
+    positive output — without a sort.  The matrix has ``W = 2 min(batch_size,
+    n_pairs) + K`` columns, one entry each, and is built once per call; each
+    batch re-points its entries (``indices``) in place.  It takes one of two
+    forms:
 
-    * ``slot[rows] = positions``: the positions that kept their own slot
-      hold the batch's distinct rows, and ``slot[distinct] = 0, 1, ...``
-      numbers them;
-    * column ``j`` of a one-hot ``(W, W)`` CSC matrix, built once per call
-      with ``W = 2 min(batch_size, n_pairs) + K``, has its one entry at row
-      ``slot[rows[j]]``: each batch rewrites ``indices`` in place, and one
-      entry per column keeps them sorted and unique;
-    * ``weights[distinct] += (one_hot @ grad)[:n_distinct]``.
+    * **dense**, when the block has fewer rows than a batch gathers
+      (``2V + 1 <= W``): ``2V + 1`` rows, column ``j`` at block row
+      ``rows[j]``, and ``weights += (one_hot @ grad)[:2V]``;
+    * **sparse**, on taller blocks: ``slot[rows] = positions`` leaves the
+      batch's distinct rows at the positions that kept their own slot,
+      ``slot[distinct] = 0, 1, ...`` numbers them, column ``j`` sits at row
+      ``slot[rows[j]]`` of a ``(W, W)`` matrix, and
+      ``weights[distinct] += (one_hot @ grad)[:n_distinct]``.
 
-    scipy's ``csc_matvecs`` adds column ``j`` into its row for ``j = 0, 1,
-    ...`` in turn, so each row sums its batch positions in ascending order,
-    from zero — the order of a stable sort by row — and which duplicate
-    kept the slot only renumbers the product's rows.  A partial last batch
-    points its unused columns (stale gradient rows) at product row
-    ``W - 1``, which it never reads: it has fewer than ``W`` rows.  At
-    the perfbench ``fit`` shape (1,029 rows of width 64, ~480 distinct; a
-    2-vCPU Xeon) the relabel and the product take ~38 µs per batch, where a
-    stable argsort and a new CSR matrix per batch took ~57 µs.
+    A partial last batch points its unused columns (stale gradient rows) at
+    a product row it never reads: the spare row ``2V``, or row ``W - 1``
+    (it has fewer than ``W`` distinct rows).  scipy's ``csc_matvecs`` adds
+    column ``j`` into its row for ``j = 0, 1, ...`` in turn, from a zeroed
+    result, so in both forms each row sums its batch positions in ascending
+    order — the order of a stable sort by row — and the two forms give
+    every touched row the same bits.  The dense form also adds ``+0.0`` to
+    every untouched row, which changes a ``-0.0`` there to ``+0.0``, equal
+    as a number.  Training writes no ``-0.0`` (a float32 sum is ``-0.0``
+    only when both terms are), and a new block has random input rows and
+    ``+0.0`` output rows, so a block holds one only if the caller put it
+    there.
+
+    The rule keeps the dense product no taller than the sparse one (``W``
+    rows), so no input's peak memory rises.  Per batch of the perfbench
+    ``fit`` shape (930 block rows, 1,029 gathered rows of width 64, ~480
+    distinct; a 2-vCPU Xeon) the dense add-back takes ~31 µs against the
+    sparse form's ~68 µs; at ``2V`` ≈ 3W the two are even, and at 39W the
+    dense form takes ~1.4 ms.
 
     The parallel trainer's shard tasks run this same loop on a local block
     copy (:mod:`repro.parallel.trainer`).
     """
     n_pairs = int(in_ids.shape[0])
-    vocab_size = weights.shape[0] // 2
+    n_rows, dim = weights.shape
+    vocab_size = n_rows // 2
+    n_negatives = negatives.shape[1]
     # Scratch for every batch; a partial last batch uses the heads.
-    width = 2 * min(batch_size, n_pairs) + negatives.shape[1]
-    grad = np.empty((width, weights.shape[1]), dtype=weights.dtype)
-    slot = np.empty(weights.shape[0], dtype=np.int32)
+    batch = min(batch_size, n_pairs)
+    width = 2 * batch + n_negatives
+    grad = np.empty((width, dim), dtype=weights.dtype)
+    coef_block = np.empty((batch, 1 + n_negatives), dtype=weights.dtype)
     positions = np.arange(width + 1, dtype=np.int32)
+    # The one-hot's rows: the block's rows plus a spare one (dense), or the
+    # batch's distinct rows (sparse); see the docstring for the rule.
+    dense = n_rows + 1 <= width
+    slot = None if dense else np.empty(n_rows, dtype=np.int32)
     # One 1 per column (indptr 0, 1, ..., W); each batch re-points the
     # columns' rows (indices, int32 like indptr) in place.
     one_hot = sparse.csc_array(
-        (np.ones(width, dtype=weights.dtype), positions[:width].copy(), positions),
-        shape=(width, width),
+        (np.ones(width, dtype=weights.dtype), np.zeros(width, dtype=np.int32), positions),
+        shape=(n_rows + 1 if dense else width, width),
     )
     indices = one_hot.indices
     for i, start in enumerate(range(0, n_pairs, batch_size)):
@@ -170,28 +200,36 @@ def run_pair_batches(
         pos_vecs = vecs[n : 2 * n]
         neg_vecs = vecs[2 * n :]
 
-        logits = np.empty((n, 1 + negatives.shape[1]), dtype=weights.dtype)
-        np.einsum("bd,bd->b", in_vecs, pos_vecs, out=logits[:, 0])
-        np.matmul(in_vecs, neg_vecs.T, out=logits[:, 1:])
+        coef = coef_block[:n]                               # logits, then coefficients
+        np.einsum("bd,bd->b", in_vecs, pos_vecs, out=coef[:, 0])
+        np.matmul(in_vecs, neg_vecs.T, out=coef[:, 1:])
         # The loss gradient per logit is sigmoid - label (label 1 in column 0);
         # folding the step size into these (B, 1 + K) coefficients builds the
         # (rows, D) gradient blocks already scaled.
-        coef = _sigmoid(logits)
+        _sigmoid(coef, out=coef)
         coef[:, 0] -= 1.0
         coef *= -lr
         g_pos = coef[:, :1]                                 # (B, 1)
         g_neg = coef[:, 1:]                                 # (B, K)
+        # The negatives' share of the input rows passes through the
+        # positive output rows' slice before they are written.
+        np.matmul(g_neg, neg_vecs, out=grad[n : 2 * n])
         np.multiply(g_pos, pos_vecs, out=grad[:n])          # input rows
-        grad[:n] += g_neg @ neg_vecs
+        grad[:n] += grad[n : 2 * n]
         np.multiply(g_pos, in_vecs, out=grad[n : 2 * n])    # positive output rows
         np.matmul(g_neg.T, in_vecs, out=grad[2 * n : m])    # negative output rows
 
-        slot[rows] = positions[:m]
-        distinct = rows[slot[rows] == positions[:m]]
-        slot[distinct] = positions[: distinct.size]
-        np.take(slot, rows, out=indices[:m])
-        indices[m:] = width - 1
-        weights[distinct] += (one_hot @ grad)[: distinct.size]
+        if dense:
+            indices[:m] = rows
+            indices[m:] = n_rows
+            weights += (one_hot @ grad)[:n_rows]
+        else:
+            slot[rows] = positions[:m]
+            distinct = rows[slot[rows] == positions[:m]]
+            slot[distinct] = positions[: distinct.size]
+            np.take(slot, rows, out=indices[:m])
+            indices[m:] = width - 1
+            weights[distinct] += (one_hot @ grad)[: distinct.size]
         step += n
     return step
 

@@ -42,7 +42,10 @@ private copy.
 
 The loaded :class:`~repro.graph.graph.MatchGraph` is the header's node
 registry over the loaded ``indptr``/``indices`` arrays themselves — the
-memory maps, with ``mmap=True`` — so a load builds no adjacency.
+memory maps, with ``mmap=True`` — so a load builds no adjacency.  It does
+check, in every ``verify`` mode, that they form one: an out-of-range row
+or neighbour id raises :class:`IndexFormatError` at load, not a numpy
+``IndexError`` in a later walk or blocking step.
 """
 
 from __future__ import annotations
@@ -430,7 +433,9 @@ def save_pipeline(pipeline, path: str) -> str:
 def _check_header(path: str, header: Dict[str, object], arrays) -> None:
     """:class:`IndexFormatError` unless every header key and array the loader
     reads has the type :func:`save_pipeline` writes.  The graph registry
-    lists need one entry per CSR row; array contents are not read."""
+    lists need one entry per CSR row, and the CSR arrays must be an
+    adjacency over those rows (:func:`_check_csr`); no other array content
+    is read."""
 
     def fail(what: str) -> None:
         raise IndexFormatError(f"index {path!r}: {what}")
@@ -471,6 +476,34 @@ def _check_header(path: str, header: Dict[str, object], arrays) -> None:
     unknown = [kind for kind in graph["kinds"] if not isinstance(kind, str) or kind not in valid_kinds]
     if unknown:
         fail(f"unknown graph node kinds {unknown[:3]!r}")
+    _check_csr(path, indptr, arrays["csr_indices"])
+
+
+def _check_csr(path: str, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """:class:`IndexFormatError` unless ``indptr`` (one-dimensional, n + 1
+    entries) and ``indices`` are integer arrays where ``indptr`` starts at 0,
+    never decreases and ends at ``len(indices)``, and every index lies in
+    ``[0, n)``: walks and blocking index rows and neighbours with them
+    unchecked.  Both arrays are read whole (13 KB at perfbench's ``fit``
+    size)."""
+
+    def fail(what: str) -> None:
+        raise IndexFormatError(f"index {path!r}: malformed CSR arrays: {what}")
+
+    if indices.ndim != 1 or not all(
+        np.issubdtype(array.dtype, np.integer) for array in (indptr, indices)
+    ):
+        fail("'csr_indptr' and 'csr_indices' must be one-dimensional integer arrays")
+    n = indptr.shape[0] - 1
+    if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
+        fail(
+            f"'csr_indptr' runs from {indptr[0]} to {indptr[-1]}, "
+            f"not from 0 to {indices.shape[0]}"
+        )
+    if (indptr[1:] < indptr[:-1]).any():
+        fail("'csr_indptr' decreases")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        fail(f"'csr_indices' holds ids outside [0, {n})")
 
 
 def _restore_vocab(path: str, vocab_data: Dict[str, object], arrays) -> Vocabulary:

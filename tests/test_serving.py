@@ -312,6 +312,29 @@ class TestHostileHeaders:
         with pytest.raises(IndexFormatError):
             TDMatch.load(index_path)
 
+    # Each used to load: an id outside [0, n) then raised a raw numpy
+    # IndexError in walks or blocking, and a bad indptr read wrong rows.
+    HOSTILE_CSR = {
+        "index_out_of_range": lambda indptr, indices: indices.__setitem__(0, len(indptr) - 1),
+        "index_negative": lambda indptr, indices: indices.__setitem__(0, -1),
+        "indptr_decreasing": lambda indptr, indices: indptr.__setitem__(1, indptr[2] + 1),
+        "indptr_first_not_zero": lambda indptr, indices: indptr.__setitem__(0, 1),
+        "indptr_last_not_len": lambda indptr, indices: indptr.__setitem__(-1, len(indices) - 1),
+    }
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("verify", ["none", "header", "full"])
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE_CSR))
+    def test_hostile_csr_arrays(self, index_path, verify, mmap, mutation):
+        # Rewritten through write_index: every CRC is valid, so even
+        # verify="full" reaches the array check.
+        header, arrays = read_index(index_path)
+        del header["arrays"]
+        self.HOSTILE_CSR[mutation](arrays["csr_indptr"], arrays["csr_indices"])
+        write_index(index_path, header, arrays)
+        with pytest.raises(IndexFormatError, match="malformed CSR arrays"):
+            TDMatch.load(index_path, mmap=mmap, verify=verify)
+
     def test_config_section_must_be_an_object(self):
         with pytest.raises(TypeError, match="'retrieval' is not an object"):
             config_from_dict({"retrieval": 5})

@@ -12,7 +12,10 @@ walks), and end-to-end ranking parity with the oracle swapped into
 ``TDMatch`` (the ``reference`` runs).
 """
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +261,52 @@ class TestSortFreeBatchLoop:
         contexts = rng.integers(0, vocab, size=n_pairs)
         negatives = rng.integers(0, vocab, size=(-(-n_pairs // batch_size), k))
         _assert_matches_sorted_loop(weights, centers, contexts, negatives, batch_size)
+
+    # The add-back is dense when the block has fewer rows than a batch
+    # gathers (2V + 1 <= W, W = 2B + K), sparse on taller blocks.  With
+    # V = 20 and B = 16, K picks 2V + 1 against W: W - 1, W or W + 1.
+    @pytest.mark.parametrize("k, dense", [(10, True), (9, True), (8, False)])
+    @pytest.mark.parametrize("sg", [True, False])
+    def test_forms_at_the_rule_boundary(self, k, dense, sg):
+        """Both forms equal the oracle byte for byte on a partial last batch
+        (batches of 16, 16, 16, 5), whose unused columns hold stale rows.
+        Untouched ``-0.0`` rows tell the forms apart: the dense ``+=`` adds
+        ``+0.0`` to them, the sparse form never reads them."""
+        vocab, batch = 20, 16
+        rng = np.random.default_rng(k)
+        weights = rng.uniform(-0.5, 0.5, (2 * vocab, 8)).astype(np.float32)
+        centers, contexts = rng.integers(0, vocab - 2, size=(2, 53))
+        negatives = rng.integers(0, vocab - 2, size=(4, k))
+        in_ids, out_ids = (centers, contexts) if sg else (contexts, centers)
+        untouched = [vocab - 2, vocab - 1, 2 * vocab - 2, 2 * vocab - 1]
+        weights[untouched] = -0.0
+        assert (2 * vocab + 1 <= 2 * batch + k) == dense
+
+        expected = weights.copy()
+        args = (in_ids, out_ids, negatives, batch, 7, 10 * in_ids.size, 0.05, 0.0001)
+        assert run_pair_batches(weights, *args) == run_pair_batches_sorted(expected, *args)
+        # Equal as numbers everywhere, and as bits once zeros lose their sign.
+        np.testing.assert_array_equal(weights, expected)
+        assert (weights + 0.0).tobytes() == (expected + 0.0).tobytes()
+        assert np.signbit(expected[untouched]).all()
+        assert np.signbit(weights[untouched]).all() == (not dense)
+
+    def test_tall_block_keeps_the_sparse_form(self):
+        """A block far taller than its batch adds back through the batch's
+        distinct rows: the call's traced peak holds the ``(2V,)`` int32
+        ``slot`` (0.4 MB here), not a ``(2V + 1, D)`` float32 product
+        (6.4 MB)."""
+        vocab, dim, batch = 50_000, 16, 16
+        rng = np.random.default_rng(0)
+        weights = rng.uniform(-0.5, 0.5, (2 * vocab, dim)).astype(np.float32)
+        centers, contexts = rng.integers(0, vocab, size=(2, 40))
+        negatives = rng.integers(0, vocab, size=(3, 5))
+        expected = weights.copy()
+        args = (centers, contexts, negatives, batch, 0, 80, 0.025, 0.0001)
+        _step, peak = _traced_peak(lambda: run_pair_batches(weights, *args))
+        assert 2 * vocab * 4 <= peak < (2 * vocab + 1) * dim * 4, f"{peak / 2**20:.2f} MB"
+        run_pair_batches_sorted(expected, *args)
+        assert weights.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -548,6 +597,7 @@ MAX_BYTES_PER_PAIR_SLOPE = 13
 SPARSE_CORPUS = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"], ["i", "j"]]
 SPARSE_CONFIG = Word2VecConfig(vector_size=4, epochs=3, subsample=0.01)
 ID_LABELS = [f"t{i}" for i in range(400)]
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _id_walks(seed, n_walks, length=12):
@@ -563,20 +613,27 @@ def _trained_on_id_walks() -> Word2Vec:
     return Word2Vec(config, seed=1)
 
 
-def _peak_and_epoch_pairs(call):
-    """Peak bytes traced above the start while ``call()`` runs, and the pairs
-    per epoch of the :class:`TrainingStats` it returns."""
+def _traced_peak(call):
+    """``call()``'s result, and the peak bytes traced above the start while
+    it runs."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        stats = call()
+        result = call()
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
+    return result, peak
+
+
+def _peak_and_epoch_pairs(call):
+    """Peak bytes traced above the start while ``call()`` runs, and the pairs
+    per epoch of the :class:`TrainingStats` it returns."""
+    stats, peak = _traced_peak(call)
     assert stats.pairs > 0
     return peak, stats.pairs / stats.epochs
 
@@ -654,6 +711,24 @@ class TestEpochLoop:
         per_pair = _peak_bytes_per_pair(lambda: model.fine_tune(delta, labels=grown))
         assert len(model.vocab) == 407
         assert per_pair <= MAX_BYTES_PER_PAIR, f"{per_pair:.1f} B per pair"
+
+    def test_perfbench_fit_block_holds_no_negative_zero(self, monkeypatch):
+        """perfbench's ``fit`` inputs at seed 1 take the dense add-back,
+        which turns an untouched ``-0.0`` into ``+0.0``; the trained block
+        holds none, so the fit's bytes are the sparse form's."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH_DIR / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        size = ScenarioSize(n_entities=workloads.WORKLOADS["fit"].n_entities)
+        scenario = generate_scenario(workloads.SCENARIO, size=size, seed=1)
+        base, _delta = workloads.split_delta(scenario.second)
+        model = TDMatch(workloads.make_config(), seed=1).fit(scenario.first, base).state.model
+        block = np.concatenate((model._input_vectors, model._output_vectors))
+        assert 2 * len(model.vocab) + 1 <= 2 * model.config.batch_size + model.config.negative
+        assert not np.signbit(block[block == 0]).any()
 
     def test_empty_first_epoch_trains_on_later_ones(self, monkeypatch):
         """At seed 0 epoch 0 keeps no pair; the epochs after it train, and
