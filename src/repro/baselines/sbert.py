@@ -35,9 +35,6 @@ class SbertEncoder:
         self._sentence_encoder.fit_frequencies([self.preprocessor.tokens(t) for t in texts])
         return self
 
-    def encode_text(self, text: str) -> Optional[np.ndarray]:
-        return self._sentence_encoder.encode(self.preprocessor.tokens(text))
-
     def encode(self, tokens) -> Optional[np.ndarray]:
         """Encode an already tokenised text (PairFeatureExtractor interface)."""
         return self._sentence_encoder.encode(list(tokens))

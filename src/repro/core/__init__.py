@@ -15,7 +15,6 @@ from repro.core.blocking import (
     TextQueryBlocker,
     TokenBlocking,
 )
-from repro.core.downstream import EmbeddingPairClassifier
 from repro.core.exceptions import NotFittedError, PipelineError
 from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import MatchResult, TDMatch
@@ -35,7 +34,6 @@ __all__ = [
     "MetadataNeighborhoodBlocking",
     "TextQueryBlocker",
     "GraphQueryBlocker",
-    "EmbeddingPairClassifier",
     "NotFittedError",
     "PipelineError",
 ]

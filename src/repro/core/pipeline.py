@@ -296,14 +296,6 @@ class TDMatch:
         matrix[known] = embeddings[rows[known]]
         return list(mapping), matrix
 
-    def metadata_vectors(self, side: str = "first") -> Dict[str, np.ndarray]:
-        """Learned vectors of the metadata nodes of one corpus, by object id.
-
-        Metadata nodes that fell out of the walk vocabulary (isolated nodes)
-        get a zero vector so every document still receives a ranking.
-        """
-        return dict(zip(*self._metadata_rows(side)))
-
     # ------------------------------------------------------------------
     # Matching
     def matcher(self, query_side: str = "first") -> MetadataMatcher:

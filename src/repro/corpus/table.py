@@ -155,25 +155,5 @@ class Table:
         keep = [c.name for c in self._columns if c.name not in set(column_names)]
         return self.project(keep, name=name or f"{self.name}_dropped")
 
-    def select(self, predicate) -> "Table":
-        """Return a new table containing only rows where ``predicate(row)``."""
-        result = Table(f"{self.name}_sel", self._columns)
-        for row in self._rows:
-            if predicate(row):
-                result.add_row(row)
-        return result
-
-    def column_values(self, column: str, skip_null: bool = True) -> List[Any]:
-        """All values of a column, optionally skipping nulls."""
-        if column not in self._column_index:
-            raise KeyError(f"no such column: {column!r}")
-        values = []
-        for row in self._rows:
-            value = row.values.get(column)
-            if skip_null and (value is None or (isinstance(value, str) and not value.strip())):
-                continue
-            values.append(value)
-        return values
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Table(name={self.name!r}, columns={len(self._columns)}, rows={len(self._rows)})"

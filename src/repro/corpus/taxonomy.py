@@ -119,9 +119,6 @@ class Taxonomy:
             return None
         return self._nodes.get(parent_id)
 
-    def is_leaf(self, node_id: str) -> bool:
-        return not self._children.get(node_id)
-
     # ------------------------------------------------------------------
     # Path utilities for the Exact / Node score metrics
     def path_to_root(self, node_id: str) -> List[str]:

@@ -7,7 +7,6 @@ the S-BE style encoder (De Boom et al. weighted aggregation).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -108,13 +107,3 @@ class SentenceEncoder:
             if vec is not None:
                 matrix[i] = vec
         return matrix
-
-
-def idf_weights(documents: Iterable[Sequence[str]]) -> Dict[str, float]:
-    """Classic IDF weights, offered as an alternative to SIF weighting."""
-    doc_freq: Counter = Counter()
-    n_docs = 0
-    for tokens in documents:
-        doc_freq.update(set(tokens))
-        n_docs += 1
-    return {t: math.log((1 + n_docs) / (1 + df)) + 1.0 for t, df in doc_freq.items()}

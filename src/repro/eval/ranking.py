@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 
 @dataclass
@@ -64,17 +64,6 @@ class RankingSet:
     def as_id_lists(self) -> Dict[str, List[str]]:
         """query id → ordered candidate ids (what the metrics consume)."""
         return {qid: ranking.ids() for qid, ranking in self._rankings.items()}
-
-    @classmethod
-    def from_id_lists(cls, id_lists: Mapping[str, Sequence[str]]) -> "RankingSet":
-        """Build a ranking set from plain ordered id lists."""
-        rankings = []
-        for query_id, ids in id_lists.items():
-            ranking = Ranking(query_id=query_id)
-            for position, cid in enumerate(ids):
-                ranking.add(cid, score=float(len(ids) - position))
-            rankings.append(ranking)
-        return cls(rankings)
 
 
 GroundTruth = Mapping[str, Set[str]]

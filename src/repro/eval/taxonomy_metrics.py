@@ -17,7 +17,7 @@ per document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import List, Mapping, Sequence, Set, Tuple
 
 
 @dataclass
@@ -117,19 +117,3 @@ def node_scores(
         predicted = [tuple(p) for p in predictions.get(doc_id, [])][:k]
         per_doc.append(_per_document_node(predicted, gold_set, general_levels))
     return _aggregate(per_doc)
-
-
-def taxonomy_report(
-    predictions: Mapping[str, Sequence[Sequence[str]]],
-    gold: Mapping[str, Sequence[Sequence[str]]],
-    ks: Sequence[int] = (1, 3, 5, 10),
-    general_levels: int = 2,
-) -> Dict[int, Dict[str, PrecisionRecallF1]]:
-    """Both Exact and Node scores for every k — the structure of Table III."""
-    report: Dict[int, Dict[str, PrecisionRecallF1]] = {}
-    for k in ks:
-        report[k] = {
-            "exact": exact_scores(predictions, gold, k),
-            "node": node_scores(predictions, gold, k, general_levels),
-        }
-    return report

@@ -64,10 +64,6 @@ class CompressionResult:
     def node_ratio(self) -> float:
         return self.nodes_after / self.nodes_before if self.nodes_before else 1.0
 
-    @property
-    def edge_ratio(self) -> float:
-        return self.edges_after / self.edges_before if self.edges_before else 1.0
-
 
 # ----------------------------------------------------------------------
 # Shared MSP / SSP machinery

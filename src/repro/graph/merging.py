@@ -32,10 +32,6 @@ class MergeReport:
     graph: MatchGraph
     merged_pairs: List[Tuple[str, str]] = field(default_factory=list)
 
-    @property
-    def num_merged(self) -> int:
-        return len(self.merged_pairs)
-
 
 # ----------------------------------------------------------------------
 # Numeric bucketing

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class InMemoryKnowledgeBase(KnowledgeBase):
         self.name = name
         self._triples: List[Triple] = []
         self._neighbors: Dict[str, Set[str]] = {}
-        self._predicates: Dict[Tuple[str, str], Set[str]] = {}
         for triple in triples:
             self.add(triple)
 
@@ -62,7 +61,6 @@ class InMemoryKnowledgeBase(KnowledgeBase):
         self._triples.append(triple)
         self._neighbors.setdefault(subject, set()).add(obj)
         self._neighbors.setdefault(obj, set()).add(subject)
-        self._predicates.setdefault((subject, obj), set()).add(triple.predicate)
 
     def add_relation(self, subject: str, predicate: str, obj: str) -> None:
         self.add(Triple(subject=subject, predicate=predicate, object=obj))
@@ -74,14 +72,6 @@ class InMemoryKnowledgeBase(KnowledgeBase):
         if not neighbors:
             return []
         return sorted(neighbors)
-
-    def predicates_between(self, a: str, b: str) -> Set[str]:
-        key = (self._norm(a), self._norm(b))
-        rev = (key[1], key[0])
-        return set(self._predicates.get(key, set())) | set(self._predicates.get(rev, set()))
-
-    def has_term(self, term: str) -> bool:
-        return self._norm(term) in self._neighbors
 
     def terms(self) -> List[str]:
         return sorted(self._neighbors)

@@ -10,9 +10,7 @@ Used in two places:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
-
-from repro.kb.knowledge_base import InMemoryKnowledgeBase
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 @dataclass
@@ -27,14 +25,6 @@ class SynonymLexicon:
             raise ValueError(f"synset {name!r} needs at least two members")
         self.synsets[name] = cleaned
 
-    def synonyms_of(self, term: str) -> Set[str]:
-        term = term.strip().lower()
-        result: Set[str] = set()
-        for members in self.synsets.values():
-            if term in members:
-                result.update(m for m in members if m != term)
-        return result
-
     def pairs(self) -> List[Tuple[str, str]]:
         """All within-synset pairs — the γ calibration set."""
         out: List[Tuple[str, str]] = []
@@ -43,14 +33,6 @@ class SynonymLexicon:
                 for j in range(i + 1, len(members)):
                     out.append((members[i], members[j]))
         return out
-
-    def to_knowledge_base(self, name: str = "wordnet") -> InMemoryKnowledgeBase:
-        """Expose the lexicon with the KB lookup interface."""
-        kb = InMemoryKnowledgeBase(name=name)
-        for synset, members in self.synsets.items():
-            for member in members:
-                kb.add_relation(member, "synonymOf", synset)
-        return kb
 
     def __len__(self) -> int:
         return len(self.synsets)

@@ -34,11 +34,12 @@ and, per the ``verify`` mode, against the stored checksums:
   :class:`IndexCorruptionError` that names the first bad blob.
 
 The arrays are written as contiguous raw bytes with their offsets recorded
-in the header, which is what makes the file *memory-mappable*: with
-``mmap=True`` every array is opened as a read-only :class:`numpy.memmap`
-over the file, so N query processes serving the same index share the
-embedding pages through the OS page cache instead of each materialising a
-private copy.
+in the header, which is what makes the file *memory-mappable*:
+:func:`read_index` opens every array as a read-only :class:`numpy.memmap`
+over the file, and :func:`load_pipeline` with ``mmap=True`` serves them, so
+N query processes serving the same index share the embedding pages through
+the OS page cache instead of each materialising a private copy.  With
+``mmap=False`` it copies the checked maps; either way the file is read once.
 
 The loaded :class:`~repro.graph.graph.MatchGraph` is the header's node
 registry over the loaded ``indptr``/``indices`` arrays themselves — the
@@ -290,14 +291,13 @@ def blob_ranges(path: str) -> Dict[str, Tuple[int, int]]:
 
 
 def read_index(
-    path: str, mmap: bool = False, verify: str = "header"
+    path: str, verify: str = "header"
 ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
     """Read a container written by :func:`write_index`.
 
-    With ``mmap=True`` every array is a read-only :class:`numpy.memmap`
-    into the file (shared pages across processes); otherwise the arrays
-    are materialised as ordinary writable ndarrays.  ``verify`` selects
-    how hard to look for corruption — see the module docstring.
+    Every non-empty array is a read-only :class:`numpy.memmap` into the
+    file (shared pages across processes), so the read touches no array
+    data beyond what ``verify`` checks — see the module docstring.
     """
     if verify not in VERIFY_MODES:
         raise ValueError(f"unknown verify mode {verify!r}; valid: {list(VERIFY_MODES)}")
@@ -311,14 +311,10 @@ def read_index(
         for name, (dtype, shape, offset, nbytes, _crc) in entries.items():
             if nbytes == 0:
                 arrays[name] = np.empty(shape, dtype=dtype)
-            elif mmap:
+            else:
                 arrays[name] = np.memmap(
                     path, dtype=dtype, mode="r", offset=offset, shape=shape
                 )
-            else:
-                handle.seek(offset)
-                count = int(np.prod(shape)) if shape else 1
-                arrays[name] = np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
     return header, arrays
 
 
@@ -555,17 +551,16 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
     # this module for TDMatch.save/load.
     from repro.core.pipeline import PipelineState, TDMatch
 
-    # A memmap open reads no array data, so probe with it and only fall back
-    # to materialised copies when the final decision is mmap=False.  The
-    # requested verification already ran on the first read, so the re-read
-    # skips it.
-    header, arrays = read_index(path, mmap=True, verify=verify)
+    # The file is read once: mmap=False copies the checked memory maps, so
+    # a save that republishes the path during the load cannot hand it
+    # arrays that no check has seen.
+    header, arrays = read_index(path, verify=verify)
     _check_header(path, header, arrays)
     config = _restore_config(path, header)
     if mmap is None:
         mmap = bool(config.serving.mmap)
     if not mmap:
-        header, arrays = read_index(path, mmap=False, verify="none")
+        arrays = {name: np.array(array) for name, array in arrays.items()}
 
     seed = header.get("seed")
     pipeline = TDMatch(config, seed=seed)

@@ -9,12 +9,7 @@ from repro.text.tokenizer import Tokenizer, tokenize
 from repro.text.stopwords import STOP_WORDS, is_stop_word
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.ngrams import generate_ngrams, ngram_terms
-from repro.text.preprocess import (
-    Preprocessor,
-    PreprocessConfig,
-    TermInterner,
-    unique_in_order,
-)
+from repro.text.preprocess import Preprocessor, PreprocessConfig, TermInterner
 
 __all__ = [
     "Tokenizer",
@@ -28,5 +23,4 @@ __all__ = [
     "Preprocessor",
     "PreprocessConfig",
     "TermInterner",
-    "unique_in_order",
 ]

@@ -10,7 +10,7 @@ Sense" with n=3 the graph contains the terms ``six``, ``sense``, ``the six``,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 DEFAULT_MAX_NGRAM = 3
 
@@ -46,15 +46,3 @@ def ngram_terms(tokens: Sequence[str], max_n: int = DEFAULT_MAX_NGRAM) -> List[s
             seen.add(gram)
             ordered.append(gram)
     return ordered
-
-
-def count_new_terms(documents: Iterable[Sequence[str]], max_n: int) -> int:
-    """Number of distinct terms produced over ``documents`` for a given n.
-
-    Used by the ablation of Section V-F1 to report how many new nodes each
-    increase of n adds to the graph.
-    """
-    distinct = set()
-    for tokens in documents:
-        distinct.update(generate_ngrams(tokens, max_n=max_n))
-    return len(distinct)

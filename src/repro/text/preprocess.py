@@ -116,21 +116,6 @@ class Preprocessor:
         return cached
 
 
-def unique_in_order(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate int-id arrays and keep first occurrences in order.
-
-    The vectorised equivalent of :meth:`Preprocessor.terms_of_values`'s
-    seen-set dedup, for interned term ids.  Always returns a fresh array.
-    """
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return np.empty(0, dtype=np.int32)
-    combined = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    _values, first = np.unique(combined, return_index=True)
-    first.sort()
-    return combined[first]
-
-
 class TermInterner:
     """Value-level memo over a :class:`Preprocessor`, emitting dense int ids.
 
@@ -194,9 +179,6 @@ class TermInterner:
         """The id → term table (do not mutate)."""
         return self._terms
 
-    def term_of(self, term_id: int) -> str:
-        return self._terms[term_id]
-
     def id_of(self, term: str) -> int:
         """Intern ``term`` and return its dense id."""
         existing = self._ids.get(term)
@@ -227,15 +209,6 @@ class TermInterner:
             self._value_cache[text] = ids
             self._cached_chars += len(text)
         return ids
-
-    def term_ids_of_values(self, values: Sequence[str]) -> np.ndarray:
-        """Unique term ids over ``values`` (cells of a tuple), in order.
-
-        Mirrors :meth:`Preprocessor.terms_of_values`: values are processed
-        independently (n-grams never span cells) and duplicates keep their
-        first position.
-        """
-        return unique_in_order([self.term_ids(str(value)) for value in values])
 
     def decode(self, ids: Sequence[int]) -> List[str]:
         """Translate an id sequence back to term strings."""

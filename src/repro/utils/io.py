@@ -16,9 +16,10 @@ previous destination byte-for-byte intact; the fault-injection suite
 the :func:`install_write_fault` seam, which is consulted before every
 ``write()`` and is a no-op unless the test harness installed a fault.
 
-The repro-lint ``atomic-write`` rule flags binary-write ``open()`` calls
-against final destinations anywhere else in the tree, so new persistence
-code cannot quietly reintroduce the torn-write window.
+The ``atomic-write`` contract (``tests/test_invariants.py``) flags
+create-and-write ``open()`` calls anywhere else in ``src/`` and
+``benchmarks/``, so new persistence code cannot quietly reintroduce the
+torn-write window.
 """
 
 from __future__ import annotations

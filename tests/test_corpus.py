@@ -116,17 +116,6 @@ class TestTable:
         assert "title" not in dropped.column_names
         assert len(dropped) == 2
 
-    def test_select(self, movies):
-        recent = movies.select(lambda row: row.value("year") > 1995)
-        assert recent.row_ids == ["m1"]
-
-    def test_column_values_skips_nulls(self):
-        table = Table("t", [Column("a")])
-        table.add_record("r1", a="x")
-        table.add_record("r2", a=None)
-        table.add_record("r3", a="  ")
-        assert table.column_values("a") == ["x"]
-
     def test_non_null_items(self):
         row = Row(row_id="r", values={"a": "x", "b": None, "c": ""})
         assert row.non_null_items() == [("a", "x")]
@@ -157,8 +146,8 @@ class TestTaxonomy:
     def test_parent_and_leaf(self, taxonomy):
         assert taxonomy.parent("a1").node_id == "a"
         assert taxonomy.parent("root") is None
-        assert taxonomy.is_leaf("a1")
-        assert not taxonomy.is_leaf("a")
+        assert taxonomy.children("a1") == []
+        assert taxonomy.children("a")
 
     def test_path_to_root(self, taxonomy):
         assert taxonomy.path_to_root("a1") == ["root", "a", "a1"]

@@ -103,8 +103,7 @@ class TestCoronaScenario:
 
     def test_numeric_values_present(self):
         scenario = generate_corona_scenario(TINY, seed=3)
-        cases = scenario.second.column_values("new_cases")
-        assert all(isinstance(v, int) for v in cases)
+        assert all(isinstance(row.value("new_cases"), int) for row in scenario.second)
 
     def test_validation_passes(self):
         generate_corona_scenario(TINY, seed=3).validate()

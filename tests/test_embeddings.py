@@ -5,7 +5,7 @@ import pytest
 
 from repro.embeddings.doc2vec import Doc2Vec, Doc2VecConfig
 from repro.embeddings.pretrained import build_synthetic_pretrained
-from repro.embeddings.sentence import SentenceEncoder, idf_weights, mean_pool
+from repro.embeddings.sentence import SentenceEncoder, mean_pool
 from repro.embeddings.similarity import cosine_matrix, cosine_similarity, normalize_rows
 from repro.embeddings.vocab import Vocabulary
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
@@ -260,10 +260,6 @@ class TestSentencePooling:
         encoder = SentenceEncoder(lookup=table.get, use_sif=False)
         with pytest.raises(ValueError):
             encoder.encode_all([["a"]], dim=3)
-
-    def test_idf_weights(self):
-        weights = idf_weights([["a", "b"], ["a"]])
-        assert weights["b"] > weights["a"]
 
 
 class TestSimilarity:

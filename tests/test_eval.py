@@ -18,7 +18,6 @@ from repro.eval.taxonomy_metrics import (
     exact_scores,
     node_score,
     node_scores,
-    taxonomy_report,
 )
 
 
@@ -47,10 +46,11 @@ class TestRanking:
         assert rankings["q1"].ids() == ["a"]
         assert set(rankings.query_ids) == {"q1", "q2"}
 
-    def test_as_id_lists_and_from_id_lists_roundtrip(self):
-        id_lists = {"q1": ["a", "b"], "q2": ["c"]}
-        rankings = RankingSet.from_id_lists(id_lists)
-        assert rankings.as_id_lists() == id_lists
+    def test_as_id_lists(self):
+        rankings = RankingSet(
+            [Ranking("q1", [("a", 2.0), ("b", 1.0)]), Ranking("q2", [("c", 1.0)])]
+        )
+        assert rankings.as_id_lists() == {"q1": ["a", "b"], "q2": ["c"]}
 
 
 class TestRankingMetrics:
@@ -95,7 +95,9 @@ class TestRankingMetrics:
         assert mean_reciprocal_rank(rankings, gold) == pytest.approx(0.5)
 
     def test_evaluate_rankings_report(self):
-        rankings = RankingSet.from_id_lists({"q1": ["g", "x"], "q2": ["x", "g"]})
+        rankings = RankingSet(
+            [Ranking("q1", [("g", 2.0), ("x", 1.0)]), Ranking("q2", [("x", 2.0), ("g", 1.0)])]
+        )
         gold = {"q1": {"g"}, "q2": {"g"}}
         report = evaluate_rankings("test", rankings, gold, ks=(1, 2))
         assert report.method == "test"
@@ -155,14 +157,6 @@ class TestTaxonomyMetrics:
     def test_precision_recall_f1_zero_division(self):
         assert PrecisionRecallF1(0.0, 0.0).f1 == 0.0
 
-    def test_taxonomy_report_structure(self):
-        gold = {"d1": [["root", "x", "c1"]]}
-        predictions = {"d1": [["root", "x", "c1"]]}
-        report = taxonomy_report(predictions, gold, ks=(1, 3))
-        assert set(report) == {1, 3}
-        assert set(report[1]) == {"exact", "node"}
-        assert report[1]["exact"].f1 == 1.0
-
 
 class TestReportFormatting:
     def test_format_table_alignment_and_floats(self):
@@ -181,7 +175,7 @@ class TestReportFormatting:
         assert "a" in text and "b" in text
 
     def test_format_quality_table(self):
-        rankings = RankingSet.from_id_lists({"q": ["g"]})
+        rankings = RankingSet([Ranking("q", [("g", 1.0)])])
         report = evaluate_rankings("w-rw", rankings, {"q": {"g"}}, ks=(1,))
         text = format_quality_table([report], ks=(1,))
         assert "MAP@1" in text and "w-rw" in text

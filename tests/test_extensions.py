@@ -1,5 +1,4 @@
-"""Tests for the extension modules: blocking, graph factorization, downstream
-classifier, and the command-line interface."""
+"""Tests for the extension modules: blocking and the command-line interface."""
 
 import numpy as np
 import pytest
@@ -10,14 +9,8 @@ from repro.core.blocking import (
     TokenBlocking,
 )
 from repro.core.config import TDMatchConfig
-from repro.core.downstream import EmbeddingPairClassifier, pair_features
 from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import TDMatch
-from repro.embeddings.graph_factorization import (
-    GraphFactorizationConfig,
-    GraphFactorizationEmbedder,
-)
-from repro.embeddings.similarity import cosine_similarity
 from repro.graph.graph import NodeKind
 from repro.retrieval import BlockedTopK
 from repro import cli
@@ -156,127 +149,6 @@ class TestBlockedMatcher:
         assert stats.scored_pairs < stats.all_pairs
         assert 0.0 < stats.reduction_ratio <= 1.0
         assert stats.empty_blocks == 1
-
-
-class TestGraphFactorization:
-    @pytest.fixture(scope="class")
-    def clustered_graph(self):
-        """Two clusters of metadata nodes bridged by distinct term sets."""
-        g = ReferenceGraph()
-        for cluster, terms in (("x", ["t1", "t2", "t3"]), ("y", ["u1", "u2", "u3"])):
-            for i in range(3):
-                meta = f"{cluster}{i}"
-                g.add_node(meta, kind=NodeKind.METADATA)
-                for term in terms:
-                    g.add_node(term, kind=NodeKind.DATA)
-                    g.add_edge(meta, term)
-        return g.freeze()
-
-    def test_fit_produces_vectors_for_all_nodes(self, clustered_graph):
-        embedder = GraphFactorizationEmbedder(
-            GraphFactorizationConfig(vector_size=16, num_walks=5, walk_length=10), seed=1
-        )
-        embedder.fit(clustered_graph)
-        for node in clustered_graph.nodes():
-            assert embedder.vector(node) is not None
-            assert embedder.vector(node).shape == (16,)
-
-    def test_same_cluster_nodes_are_closer(self, clustered_graph):
-        embedder = GraphFactorizationEmbedder(
-            GraphFactorizationConfig(vector_size=16, num_walks=8, walk_length=12), seed=2
-        )
-        embedder.fit(clustered_graph)
-        same = cosine_similarity(embedder.vector("x0"), embedder.vector("x1"))
-        cross = cosine_similarity(embedder.vector("x0"), embedder.vector("y1"))
-        assert same > cross
-
-    def test_same_seed_same_vectors(self, clustered_graph):
-        # ARPACK's start vector comes from the seed; drawn at random, the
-        # singular vectors flip sign from fit to fit.
-        config = GraphFactorizationConfig(vector_size=16, num_walks=5, walk_length=10)
-        nodes = clustered_graph.nodes()
-        first = GraphFactorizationEmbedder(config, seed=1).fit(clustered_graph)
-        second = GraphFactorizationEmbedder(config, seed=1).fit(clustered_graph)
-        assert np.array_equal(
-            np.stack([first.vector(n) for n in nodes]),
-            np.stack([second.vector(n) for n in nodes]),
-        )
-
-    def test_unknown_node_returns_none(self, clustered_graph):
-        embedder = GraphFactorizationEmbedder(
-            GraphFactorizationConfig(vector_size=8, num_walks=3, walk_length=8), seed=3
-        )
-        embedder.fit(clustered_graph)
-        assert embedder.vector("ghost") is None
-        assert set(embedder.vectors_for(["x0", "ghost"])) == {"x0"}
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            GraphFactorizationEmbedder().vector("x")
-
-    def test_too_small_graph_raises(self):
-        with pytest.raises(ValueError):
-            GraphFactorizationEmbedder().fit(graph_of(["only"]))
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            GraphFactorizationConfig(vector_size=0)
-        with pytest.raises(ValueError):
-            GraphFactorizationConfig(shift=0)
-
-
-class TestDownstreamClassifier:
-    @pytest.fixture()
-    def vectors(self):
-        rng = np.random.default_rng(0)
-        # Matching pairs share a direction; negatives are random.
-        queries, candidates, gold = {}, {}, {}
-        for i in range(12):
-            direction = rng.normal(size=16)
-            queries[f"q{i}"] = direction + 0.05 * rng.normal(size=16)
-            candidates[f"c{i}"] = direction + 0.05 * rng.normal(size=16)
-            gold[f"q{i}"] = {f"c{i}"}
-        return queries, candidates, gold
-
-    def test_pair_features_shape(self, vectors):
-        queries, candidates, _gold = vectors
-        features = pair_features(queries["q0"], candidates["c0"])
-        assert features.shape == (6,)
-
-    def test_classifier_ranks_gold_first(self, vectors):
-        queries, candidates, gold = vectors
-        classifier = EmbeddingPairClassifier(queries, candidates, seed=1).fit(gold)
-        rankings = classifier.rank(k=3)
-        hits = sum(1 for q in gold if rankings[q].ids(1)[0] in gold[q])
-        assert hits >= len(gold) * 0.7
-
-    def test_match_probability_ordering(self, vectors):
-        queries, candidates, gold = vectors
-        classifier = EmbeddingPairClassifier(queries, candidates, seed=1).fit(gold)
-        positive = classifier.match_probability("q0", "c0")
-        negative = classifier.match_probability("q0", "c5")
-        assert positive > negative
-
-    def test_unknown_pair_probability_zero(self, vectors):
-        queries, candidates, gold = vectors
-        classifier = EmbeddingPairClassifier(queries, candidates, seed=1).fit(gold)
-        assert classifier.match_probability("q0", "ghost") == 0.0
-
-    def test_unfitted_raises(self, vectors):
-        queries, candidates, _gold = vectors
-        classifier = EmbeddingPairClassifier(queries, candidates, seed=1)
-        with pytest.raises(RuntimeError):
-            classifier.rank()
-
-    def test_empty_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingPairClassifier({}, {"c": np.zeros(4)})
-
-    def test_fit_without_usable_gold_raises(self, vectors):
-        queries, candidates, _gold = vectors
-        classifier = EmbeddingPairClassifier(queries, candidates, seed=1)
-        with pytest.raises(ValueError):
-            classifier.fit({"ghost": {"c0"}})
 
 
 class TestCli:

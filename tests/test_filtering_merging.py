@@ -117,7 +117,7 @@ class TestNumericBucketer:
 
     def test_close_numbers_merge(self):
         report = NumericBucketer(width=5.0).apply(self._graph_with_numbers())
-        assert report.num_merged >= 4
+        assert len(report.merged_pairs) >= 4
         remaining_numeric = [n for n in report.graph.data_nodes() if n[0].isdigit()]
         assert remaining_numeric == []
 
@@ -137,7 +137,7 @@ class TestNumericBucketer:
     def test_no_numbers_is_noop(self):
         graph = graph_of([("alpha", NodeKind.DATA)])
         report = NumericBucketer().apply(graph)
-        assert report.num_merged == 0
+        assert len(report.merged_pairs) == 0
         assert report.graph is graph
 
     @settings(max_examples=40, deadline=None)
@@ -197,7 +197,7 @@ class TestNumericBucketer:
         report = NumericBucketer(width=0.001).apply(graph)
         buckets = [n for n in report.graph.data_nodes() if n.startswith("num[")]
         assert len(buckets) == 2  # one per bucket, not one shared label
-        assert report.num_merged == 4
+        assert len(report.merged_pairs) == 4
 
     def test_bucket_label_collision_with_existing_node_renames(self):
         # A pre-existing text term that happens to spell the bucket label.
@@ -241,7 +241,7 @@ class TestEmbeddingMerger:
         )
         merger = EmbeddingMerger(pretrained, threshold=0.8)
         report = merger.apply(graph)
-        assert report.num_merged == 1
+        assert len(report.merged_pairs) == 1
         # The surviving node bridges the two metadata nodes.
         survivor = report.merged_pairs[0][0]
         assert set(report.graph.neighbors(survivor)) == {"t1", "p1"}
@@ -254,7 +254,7 @@ class TestEmbeddingMerger:
     def test_unrelated_nodes_not_merged(self, pretrained):
         merger = EmbeddingMerger(pretrained, threshold=0.95)
         report = merger.apply(graph_of(["thriller", "planning"]))
-        assert report.num_merged == 0
+        assert len(report.merged_pairs) == 0
 
     def test_candidate_keys_in_first_occurrence_order(self):
         # Each label's keys (its tokens, then its 4-character prefix) are

@@ -26,12 +26,7 @@ from repro.graph.filtering import (
     BulkTfIdfFilter,
     FilterStatistics,
 )
-from repro.text.preprocess import (
-    PreprocessConfig,
-    Preprocessor,
-    TermInterner,
-    unique_in_order,
-)
+from repro.text.preprocess import PreprocessConfig, Preprocessor, TermInterner
 from tests.oracles.graph import build_reference, make_string_filter
 
 
@@ -73,7 +68,7 @@ class TestTermInterner:
         interner = self.make()
         first = interner.id_of("drama")
         assert interner.id_of("drama") == first
-        assert interner.term_of(first) == "drama"
+        assert interner.decode([first]) == ["drama"]
 
     def test_reset_drops_everything(self):
         interner = self.make()
@@ -97,29 +92,6 @@ class TestTermInterner:
         assert not interner.reset_if_larger_than(max_cached_chars=1000)
         assert interner.reset_if_larger_than(max_cached_chars=10)
         assert len(interner) == 0
-
-    def test_term_ids_of_values_matches_reference_terms_of_values(self):
-        preprocessor = Preprocessor(PreprocessConfig())
-        interner = TermInterner(preprocessor)
-        values = ["The Sixth Sense", "Shyamalan", "Thriller", "The Sixth Sense"]
-        expected = preprocessor.terms_of_values(values)
-        assert interner.decode(interner.term_ids_of_values(values)) == expected
-
-
-class TestUniqueInOrder:
-    def test_keeps_first_occurrence_order(self):
-        parts = [np.array([3, 1, 3], dtype=np.int32), np.array([2, 1], dtype=np.int32)]
-        assert unique_in_order(parts).tolist() == [3, 1, 2]
-
-    def test_empty(self):
-        assert unique_in_order([]).size == 0
-        assert unique_in_order([np.empty(0, dtype=np.int32)]).size == 0
-
-    def test_single_array_with_duplicates_is_deduped(self):
-        part = np.array([3, 1, 3, 1, 2], dtype=np.int32)
-        result = unique_in_order([part])
-        assert result.tolist() == [3, 1, 2]
-        assert result is not part  # always a fresh array
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.ngrams import count_new_terms, generate_ngrams, ngram_terms
+from repro.text.ngrams import generate_ngrams, ngram_terms
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 
 
@@ -36,10 +36,6 @@ class TestNgrams:
 
     def test_ngram_terms_preserves_first_occurrence_order(self):
         assert ngram_terms(["b", "a", "b"], max_n=1) == ["b", "a"]
-
-    def test_count_new_terms_grows_with_n(self):
-        docs = [["a", "b", "c"], ["b", "c", "d"]]
-        assert count_new_terms(docs, 1) < count_new_terms(docs, 2) <= count_new_terms(docs, 3)
 
 
 class TestPreprocessor:

@@ -153,13 +153,13 @@ class TestFitAndMatch:
         report = evaluate_rankings("w-rw", rankings, gold, ks=(1,))
         assert report.mrr >= 0.75
 
-    def test_metadata_vectors_cover_all_documents(self, fitted_pipeline):
+    def test_matcher_rows_cover_all_documents(self, fitted_pipeline):
         pipeline, _gold = fitted_pipeline
-        first = pipeline.metadata_vectors("first")
-        second = pipeline.metadata_vectors("second")
-        assert set(first) == {"r1", "r2", "r3", "r4"}
-        assert set(second) == {"m1", "m2", "m3", "m4"}
-        assert all(v.shape == (pipeline.config.word2vec.vector_size,) for v in first.values())
+        matcher = pipeline.matcher("first")
+        assert sorted(matcher.query_ids) == ["r1", "r2", "r3", "r4"]
+        assert sorted(matcher.candidate_ids) == ["m1", "m2", "m3", "m4"]
+        size = pipeline.config.word2vec.vector_size
+        assert matcher.query_matrix.shape == matcher.candidate_matrix.shape == (4, size)
 
     def test_match_from_second_side(self, fitted_pipeline):
         pipeline, _gold = fitted_pipeline
@@ -181,7 +181,7 @@ class TestFitAndMatch:
     def test_invalid_side_rejected(self, fitted_pipeline):
         pipeline, _gold = fitted_pipeline
         with pytest.raises(ValueError):
-            pipeline.metadata_vectors("third")
+            pipeline.matcher("third")
         with pytest.raises(ValueError):
             pipeline.match(query_side="third")
 

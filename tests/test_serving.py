@@ -71,7 +71,7 @@ class TestIndexContainer:
     def test_mmap_arrays_are_read_only_memmaps(self, tmp_path):
         path = str(tmp_path / "raw.tdm")
         write_index(path, {}, {"a": np.arange(5, dtype=np.float32)})
-        _, arrays = read_index(path, mmap=True)
+        _, arrays = read_index(path)
         assert isinstance(arrays["a"], np.memmap)
         assert not arrays["a"].flags.writeable
 
@@ -329,11 +329,36 @@ class TestHostileHeaders:
         # Rewritten through write_index: every CRC is valid, so even
         # verify="full" reaches the array check.
         header, arrays = read_index(index_path)
+        arrays = {name: np.array(array) for name, array in arrays.items()}
         del header["arrays"]
         self.HOSTILE_CSR[mutation](arrays["csr_indptr"], arrays["csr_indices"])
         write_index(index_path, header, arrays)
         with pytest.raises(IndexFormatError, match="malformed CSR arrays"):
             TDMatch.load(index_path, mmap=mmap, verify=verify)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_a_republish_during_a_load_is_not_served(self, index_path, monkeypatch, mmap):
+        # A save that atomically replaces the index after the load's checked
+        # read must not reach the served pipeline: a load reads the file once.
+        hostile = index_path + ".hostile"
+        header, arrays = read_index(index_path)
+        arrays = {name: np.array(array) for name, array in arrays.items()}
+        del header["arrays"]
+        arrays["csr_indices"][0] = 1_000_000
+        write_index(hostile, header, arrays)
+        calls = []
+
+        def read_then_republish(*args, **kwargs):
+            calls.append(args)
+            result = read_index(*args, **kwargs)
+            if os.path.exists(hostile):
+                os.replace(hostile, index_path)
+            return result
+
+        monkeypatch.setattr("repro.serving.index.read_index", read_then_republish)
+        graph = TDMatch.load(index_path, mmap=mmap).graph
+        assert len(calls) == 1
+        assert graph.indices.max() < graph.num_nodes()
 
     def test_config_section_must_be_an_object(self):
         with pytest.raises(TypeError, match="'retrieval' is not an object"):
@@ -429,7 +454,7 @@ class TestSaveLoadRoundtrip:
             header["engine"] = "reference"
 
         _rewrite_header(legacy_path, add_engine_keys)
-        header, _arrays = read_index(legacy_path, mmap=True)
+        header, _arrays = read_index(legacy_path)
         assert header["engine"] == header["config"]["builder"]["engine"] == "reference"
         for verify in ("none", "header", "full"):
             for mmap in (False, True):

@@ -97,12 +97,6 @@ class TestInMemoryKnowledgeBase:
     def test_unknown_term_returns_empty(self):
         assert InMemoryKnowledgeBase().related("ghost") == []
 
-    def test_predicates_between(self):
-        kb = InMemoryKnowledgeBase()
-        kb.add_relation("a", "rel1", "b")
-        kb.add_relation("b", "rel2", "a")
-        assert kb.predicates_between("a", "b") == {"rel1", "rel2"}
-
     def test_triple_validation(self):
         with pytest.raises(ValueError):
             Triple(subject="", predicate="p", object="o")
@@ -116,10 +110,9 @@ class TestInMemoryKnowledgeBase:
         assert len(merged) == 2
         assert set(merged.related("y")) == {"x", "z"}
 
-    def test_terms_and_has_term(self):
+    def test_terms(self):
         kb = InMemoryKnowledgeBase()
         kb.add_relation("a", "r", "b")
-        assert kb.has_term("a") and not kb.has_term("c")
         assert kb.terms() == ["a", "b"]
 
 
@@ -150,10 +143,6 @@ class TestSyntheticKbBuilders:
 
 
 class TestSynonymLexicon:
-    def test_synonyms_of(self):
-        lex = build_synonym_lexicon({"plan": ["plan", "planning", "scheme"]})
-        assert lex.synonyms_of("plan") == {"planning", "scheme"}
-
     def test_pairs(self):
         lex = build_synonym_lexicon({"plan": ["plan", "planning", "scheme"]})
         assert len(lex.pairs()) == 3
@@ -166,10 +155,3 @@ class TestSynonymLexicon:
     def test_small_clusters_skipped_by_builder(self):
         lex = build_synonym_lexicon({"a": ["one"], "b": ["x", "y"]})
         assert len(lex) == 1
-
-    def test_to_knowledge_base(self):
-        lex = build_synonym_lexicon({"plan": ["plan", "planning"]})
-        kb = lex.to_knowledge_base()
-        assert "plan" in kb.related("planning")
-        # the member identical to the synset name collapses to a self-relation
-        assert len(kb) == 1
