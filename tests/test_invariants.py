@@ -265,23 +265,25 @@ def test_the_module_implementing_a_rule_is_exempt_from_it_alone(rule):
     ]
 
 
+@pytest.mark.parametrize("case", sorted(VIOLATIONS))
 @pytest.mark.parametrize(
     "comment, silenced",
     [
-        ("# repro-lint: disable={rule}", True),
-        ("# repro-lint: disable=all", True),
-        ("#repro-lint: disable=timer-discipline, {rule}", True),
-        ("# repro-lint: disable={other}", False),
-        ("; _ = '# repro-lint: disable=all'", False),  # in a string, not a comment
+        pytest.param("# repro-lint: disable={rule}", True, id="own-rule"),
+        pytest.param("# repro-lint: disable=all", True, id="all"),
+        pytest.param("#repro-lint: disable=timer-discipline, {rule}", True, id="rule-list"),
+        pytest.param("# repro-lint: disable={other}", False, id="other-rule"),
+        # In a string literal, not a comment.
+        pytest.param("; _ = '# repro-lint: disable=all'", False, id="in-string"),
     ],
 )
-def test_suppression_comment(comment, silenced):
-    for case, (rule, source, lines) in VIOLATIONS.items():
-        other = "timer-discipline" if rule != "timer-discipline" else "atomic-write"
-        marker = comment.format(rule=rule, other=other)
-        marked = "\n".join(f"{line}  {marker}" for line in source.splitlines())
-        expected = [] if silenced else [(line, rule) for line in lines]
-        assert violations(marked) == expected, case
+def test_suppression_comment(comment, silenced, case):
+    rule, source, lines = VIOLATIONS[case]
+    other = "timer-discipline" if rule != "timer-discipline" else "atomic-write"
+    marker = comment.format(rule=rule, other=other)
+    marked = "\n".join(f"{line}  {marker}" for line in source.splitlines())
+    expected = [] if silenced else [(line, rule) for line in lines]
+    assert violations(marked) == expected
 
 
 def test_a_suppression_covers_only_its_own_line():
