@@ -11,7 +11,7 @@ The paper matches documents between two *corpora*.  A corpus is one of:
 from repro.corpus.documents import Document, TextCorpus
 from repro.corpus.table import Column, Row, Table
 from repro.corpus.taxonomy import ConceptNode, Taxonomy
-from repro.corpus.serialization import serialize_row, serialize_table
+from repro.corpus.serialization import serialize_row
 
 __all__ = [
     "Document",
@@ -22,5 +22,4 @@ __all__ = [
     "ConceptNode",
     "Taxonomy",
     "serialize_row",
-    "serialize_table",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.corpus.table import Row, Table
+from repro.corpus.table import Row
 
 COL_TOKEN = "[COL]"
 VAL_TOKEN = "[VAL]"
@@ -51,13 +51,3 @@ def serialize_row(
         else:
             parts.append(text)
     return " ".join(parts)
-
-
-def serialize_table(
-    table: Table,
-    columns: Optional[Sequence[str]] = None,
-    include_markers: bool = True,
-) -> List[str]:
-    """Serialize every row of ``table``; the output order matches row order."""
-    cols = list(columns) if columns is not None else table.column_names
-    return [serialize_row(row, columns=cols, include_markers=include_markers) for row in table]

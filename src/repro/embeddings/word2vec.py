@@ -39,15 +39,19 @@ Training is vectorised end to end:
   adds its columns in order, so either way each row sums its gradient
   rows in batch order (see :func:`run_pair_batches`).
 * One epoch's pairs are alive at a time, as one C-contiguous ``(n_pairs,
-  2)`` block of int32 vocabulary ids: 8 bytes per pair, and ~12 with the
-  extraction's per-token state and the encoded corpus.  Pair extraction
-  fills the block :data:`PAIR_CHUNK_TOKENS` centers at a time, so its
-  position temporaries span one chunk; positions are int32 until the token
-  or pair count reaches 2³¹.  The permutation shuffles the block's rows in
-  place as 8-byte items (:func:`_shuffle_rows`), with no index and no
-  gathered copy.  The draws are an int64 trainer's: windows are drawn in
-  int64 and narrowed, and the row shuffle draws what ``rng.permutation``
-  draws.
+  2)`` block of vocabulary ids in the narrowest signed type that holds
+  them (:func:`_id_dtype`: int16 up to 32,768 tokens, int32 above): 4
+  bytes per pair in int16, and ~7 of peak growth per pair with the
+  extraction's per-token state and the encoded corpus (8 and ~12 in
+  int32).  Pair extraction fills the block :data:`PAIR_CHUNK_TOKENS`
+  centers at a time, so its position temporaries span one chunk;
+  positions are int32 until the token or pair count reaches 2³¹.  The
+  permutation shuffles the block's rows in place as opaque items
+  (:func:`_shuffle_rows`), with no index and no gathered copy.  The draws
+  are an int64 trainer's: windows are drawn in int64 and narrowed, and the
+  row shuffle draws what ``rng.permutation`` draws.  A batch widens its
+  ids to ``intp`` before it offsets the output rows, so int16 and int32
+  ids train the same bytes.
 
 Mini-batch SGD runs over (center, context) pairs with repeated indices
 within a batch accumulated (not overwritten).  The token-by-token pair loop
@@ -162,6 +166,12 @@ def run_pair_batches(
     sparse form's ~68 µs; at ``2V`` ≈ 3W the two are even, and at 39W the
     dense form takes ~1.4 ms.
 
+    The ids may be any integer type (the trainer's are int16 up to 32,768
+    tokens, see :func:`_id_dtype`).  ``rows`` is ``intp``: the ids widen
+    before the output rows move up by ``V``, as adding ``V`` in int16 would
+    wrap once ``V > 16,384``, to negative rows that numpy indexes from the
+    end without a word.
+
     The parallel trainer's shard tasks run this same loop on a local block
     copy (:mod:`repro.parallel.trainer`).
     """
@@ -191,9 +201,11 @@ def run_pair_batches(
         progress = min(1.0, step / max(total_steps, 1))
         lr = max(min_learning_rate, learning_rate * (1.0 - progress))
         n = stop - start
+        # Widened before the output rows move up by V: int16 ids would wrap.
         rows = np.concatenate(
-            (in_ids[start:stop], out_ids[start:stop] + vocab_size, negatives[i] + vocab_size)
+            (in_ids[start:stop], out_ids[start:stop], negatives[i]), dtype=np.intp
         )
+        rows[n:] += vocab_size
         m = rows.size
         vecs = weights[rows]                                # (2B + K, D)
         in_vecs = vecs[:n]
@@ -239,13 +251,23 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
 
 
+def _id_dtype(vocab_size: int) -> np.dtype:
+    """The dtype of the ids of a ``vocab_size``-token vocabulary: the
+    narrowest signed type holding the largest id and the ``-1``
+    out-of-vocabulary mark, int16 up to 32,768 tokens and int32 above
+    (2³¹ labels would not fit in memory)."""
+    return np.dtype(np.int16 if vocab_size <= np.iinfo(np.int16).max + 1 else np.int32)
+
+
 def _shuffle_rows(pairs: np.ndarray, rng: np.random.Generator) -> None:
     """Permute the rows of a C-contiguous ``(n, 2)`` block in place, as
     ``pairs[rng.permutation(n)]`` would, leaving ``rng`` where it leaves it.
 
-    Each row is shuffled as one opaque item (8 bytes for int32 pairs, which
-    numpy swaps as one machine word); ``Generator.shuffle`` makes the
-    Fisher–Yates draws of ``permutation`` whatever the item size.
+    Each row is shuffled as one opaque item: 8 bytes for int32 pairs, which
+    numpy swaps as one machine word, and 4 for int16 pairs, which take its
+    slower generic swap (best of 15 per 248k rows on a 2-vCPU Xeon: ~6.8
+    against ~4.8 ms).  ``Generator.shuffle`` makes the Fisher–Yates draws
+    of ``permutation`` whatever the item size, so both orders are the same.
     """
     rng.shuffle(pairs.view(np.dtype((np.void, pairs.strides[0]))).reshape(-1))
 
@@ -272,10 +294,19 @@ def _drop_tokens(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Keep the tokens ``keep`` marks, then drop sentences left under two
     tokens (they yield no pairs) with their surviving tokens."""
-    token_sentence = np.repeat(np.arange(lengths.size), lengths)
-    kept = np.bincount(token_sentence[keep], minlength=lengths.size)
+    # running[i] counts the kept tokens before token i; read at the sentence
+    # bounds, it gives each sentence's count without a per-token sentence
+    # index.
+    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    running = np.zeros(keep.size + 1, dtype=_index_dtype(keep.size))
+    np.cumsum(keep, dtype=running.dtype, out=running[1:])
+    kept = np.diff(running[bounds].astype(np.int64))
+    del running
     sentence_ok = kept >= 2
-    return flat_ids[keep & sentence_ok[token_sentence]], kept[sentence_ok]
+    mask = np.repeat(sentence_ok, lengths)
+    mask &= keep
+    return flat_ids[mask], kept[sentence_ok]
 
 
 @dataclass
@@ -492,11 +523,11 @@ class Word2Vec:
     def _encode(
         self, flat: np.ndarray, lengths: np.ndarray, labels: Sequence[str], counts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Corpus ids as int32 vocabulary ids (2³¹ labels would not fit in memory),
-        without out-of-vocabulary tokens and sentences left under two tokens;
-        only labels that occur are looked up."""
+        """Corpus ids as vocabulary ids in :func:`_id_dtype` (int16 up to
+        32,768 tokens), without out-of-vocabulary tokens and sentences left
+        under two tokens; only labels that occur are looked up."""
         present = np.flatnonzero(counts)
-        to_vocab = np.full(len(labels), -1, dtype=np.int32)
+        to_vocab = np.full(len(labels), -1, dtype=_id_dtype(len(self.vocab)))
         to_vocab[present] = self.vocab.ids_of([labels[i] for i in present.tolist()])
         ids = to_vocab[flat]
         return _drop_tokens(ids, lengths, ids >= 0)
@@ -535,13 +566,13 @@ class Word2Vec:
         keep_probs: Optional[np.ndarray],
     ) -> Tuple[int, int]:
         """Train the stacked block ``weights`` in place on the encoded corpus
-        (int32 ids back to back, sentence ``lengths`` >= 2); returns the pair
-        steps and the number of epochs that had pairs.
+        (ids in :func:`_id_dtype` back to back, sentence ``lengths`` >= 2);
+        returns the pair steps and the number of epochs that had pairs.
 
-        One epoch's ``(n_pairs, 2)`` int32 pair block is alive at a time.
-        Its rows are permuted in place (:func:`_shuffle_rows`), which draws
-        ``rng.permutation``'s Fisher–Yates swaps, so the pairs train as an
-        int64 trainer's gathered copies would.
+        One epoch's ``(n_pairs, 2)`` pair block, in the ids' dtype, is alive
+        at a time.  Its rows are permuted in place (:func:`_shuffle_rows`),
+        which draws ``rng.permutation``'s Fisher–Yates swaps, so the pairs
+        train as an int64 trainer's gathered copies would.
         """
         # Imported lazily: repro.parallel.trainer imports this module.
         from repro.parallel import ParallelConfig, WorkerPool

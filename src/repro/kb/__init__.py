@@ -11,7 +11,6 @@ relations among many irrelevant ones).
 from repro.kb.knowledge_base import InMemoryKnowledgeBase, KnowledgeBase, Triple
 from repro.kb.conceptnet import build_concept_kb
 from repro.kb.dbpedia import build_entity_kb
-from repro.kb.wordnet import SynonymLexicon, build_synonym_lexicon
 
 __all__ = [
     "KnowledgeBase",
@@ -19,6 +18,4 @@ __all__ = [
     "Triple",
     "build_concept_kb",
     "build_entity_kb",
-    "SynonymLexicon",
-    "build_synonym_lexicon",
 ]

@@ -54,7 +54,8 @@ def _train_shard_task(
 
     The shard trains a private copy of the block, so shards never race on
     the model; ``delta[shard]`` receives the update its batches applied.
-    ``pairs`` holds the epoch's (in, out) id pairs, one per row.
+    ``pairs`` holds the epoch's (in, out) id pairs, one per row, in the
+    trainer's id dtype (int16 up to 32,768 tokens, else int32).
     """
     with attached(weights_d, pairs_d, negatives_d, delta_d) as (
         weights,
@@ -92,7 +93,8 @@ def run_epoch(
     """Train one epoch's pairs into ``weights``, sharded over batch ranges; returns step.
 
     ``in_ids`` and ``out_ids`` may be strided views, such as the two
-    columns of the epoch's pair block.  ``pool.config.shards`` fixes the
+    columns of the epoch's pair block; the shared pair segment takes their
+    dtype (int16 up to 32,768 tokens).  ``pool.config.shards`` fixes the
     plan.  ``negatives`` has one row per batch; shard boundaries fall on
     batch boundaries so each shard owns whole rows of it.
     """

@@ -6,7 +6,7 @@ words, and stemmed before it becomes a *term* (data node) of the graph.
 """
 
 from repro.text.tokenizer import Tokenizer, tokenize
-from repro.text.stopwords import STOP_WORDS, is_stop_word
+from repro.text.stopwords import STOP_WORDS
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.ngrams import generate_ngrams, ngram_terms
 from repro.text.preprocess import Preprocessor, PreprocessConfig, TermInterner
@@ -15,7 +15,6 @@ __all__ = [
     "Tokenizer",
     "tokenize",
     "STOP_WORDS",
-    "is_stop_word",
     "PorterStemmer",
     "stem",
     "generate_ngrams",

@@ -27,8 +27,3 @@ STOP_WORDS: FrozenSet[str] = frozenset(
     yourselves also however although though yet still just even much many
     """.split()
 )
-
-
-def is_stop_word(token: str) -> bool:
-    """Return True when ``token`` (already lower-cased) is a stop word."""
-    return token in STOP_WORDS

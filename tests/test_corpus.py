@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corpus.documents import Document, TextCorpus
-from repro.corpus.serialization import serialize_row, serialize_table
+from repro.corpus.serialization import serialize_row
 from repro.corpus.table import Column, Row, Table
 from repro.corpus.taxonomy import ConceptNode, Taxonomy
 
@@ -199,9 +199,3 @@ class TestSerialization:
     def test_serialize_row_column_order(self):
         row = Row(row_id="r", values={"a": "1", "b": "2"})
         assert serialize_row(row, columns=["b", "a"], include_markers=False) == "2 1"
-
-    def test_serialize_table_matches_row_order(self):
-        table = Table("t", [Column("a")])
-        table.add_record("r1", a="x")
-        table.add_record("r2", a="y")
-        assert serialize_table(table, include_markers=False) == ["x", "y"]

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.text.stemmer import PorterStemmer, stem
-from repro.text.stopwords import STOP_WORDS, is_stop_word
+from repro.text.stopwords import STOP_WORDS
 
 
 class TestStopWords:
     def test_common_words_are_stop_words(self):
         for word in ("the", "and", "is", "of", "to"):
-            assert is_stop_word(word)
+            assert word in STOP_WORDS
 
     def test_content_words_are_not_stop_words(self):
         for word in ("audit", "movie", "willis", "planning"):
-            assert not is_stop_word(word)
+            assert word not in STOP_WORDS
 
     def test_stop_word_set_is_lowercase(self):
         assert all(w == w.lower() for w in STOP_WORDS)

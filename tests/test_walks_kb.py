@@ -8,7 +8,6 @@ from repro.graph.walks import RandomWalkConfig
 from repro.kb.conceptnet import build_concept_kb
 from repro.kb.dbpedia import build_entity_kb
 from repro.kb.knowledge_base import InMemoryKnowledgeBase, Triple
-from repro.kb.wordnet import SynonymLexicon, build_synonym_lexicon
 from tests.oracles.graph import graph_of
 from tests.oracles.walks import csr_label_walks
 
@@ -140,18 +139,3 @@ class TestSyntheticKbBuilders:
             seed=1,
         )
         assert len(kb.related("a")) >= 10
-
-
-class TestSynonymLexicon:
-    def test_pairs(self):
-        lex = build_synonym_lexicon({"plan": ["plan", "planning", "scheme"]})
-        assert len(lex.pairs()) == 3
-
-    def test_small_synset_rejected(self):
-        lex = SynonymLexicon()
-        with pytest.raises(ValueError):
-            lex.add_synset("solo", ["only"])
-
-    def test_small_clusters_skipped_by_builder(self):
-        lex = build_synonym_lexicon({"a": ["one"], "b": ["x", "y"]})
-        assert len(lex) == 1

@@ -5,10 +5,11 @@ token-loop oracle of ``tests/oracles/word2vec.py`` under a shared window
 seed), the mini-batch loop (byte-identical to the oracle's sorted segment
 sum, and within float32 rounding of its per-matrix form), config
 validation, the epoch loop (bounds on the memory traced per pair, the
-row shuffle's draws, epochs that subsampling leaves without pairs),
-the corpus encoding (exact parity with the oracle's label path,
-for node ids and interned strings, and a flat id corpus equal to its
-walks), and end-to-end ranking parity with the oracle swapped into
+row shuffle's draws, epochs that subsampling leaves without pairs), the
+id dtype (int16 and int32 ids train the same bytes), the corpus encoding
+(exact parity with the oracle's label path, for node ids and interned
+strings, a flat id corpus equal to its walks, and a bound on its memory
+per token), and end-to-end ranking parity with the oracle swapped into
 ``TDMatch`` (the ``reference`` runs).
 """
 
@@ -29,7 +30,13 @@ from repro.embeddings import word2vec
 from repro.embeddings.sampling import AliasSampler
 from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.vocab import IdCorpus, Vocabulary
-from repro.embeddings.word2vec import Word2Vec, Word2VecConfig, _index_dtype, run_pair_batches
+from repro.embeddings.word2vec import (
+    Word2Vec,
+    Word2VecConfig,
+    _id_dtype,
+    _index_dtype,
+    run_pair_batches,
+)
 from repro.graph.walk_engine import CSRWalkEngine
 from repro.graph.walks import RandomWalkConfig
 from repro.parallel import trainer as parallel_trainer
@@ -581,18 +588,19 @@ class TestFineTune:
 # Epoch loop: one epoch's pair block at a time, the row shuffle's draws,
 # epochs that subsampling empties
 #: Peak bytes traced while training, per pair of one epoch (36,000 tokens,
-#: ~124k pairs an epoch).  One epoch's int32 pair block, the extraction's
-#: per-token state and one chunk of its temporaries take ~14.7 (train) and
-#: ~16.9 (fine_tune); two int32 id arrays permuted through an int32 index
-#: took ~19, and int64 pairs kept through the next extraction ~80.
-MAX_BYTES_PER_PAIR = 20
+#: ~124k pairs an epoch).  One epoch's int16 pair block, the extraction's
+#: per-token state and one chunk of its temporaries take ~9.8 (train) and
+#: ~11.9 (fine_tune); int32 ids took ~14.7 and ~16.9, two int32 id arrays
+#: permuted through an int32 index ~19, and int64 pairs kept through the
+#: next extraction ~80.
+MAX_BYTES_PER_PAIR = 13
 #: Growth of that peak per pair of an epoch between two corpora 4× apart,
 #: which leaves out what does not grow with the corpus (one chunk of
-#: extraction temporaries, the batch loop's scratch): the 8-byte block,
-#: ~2.3 of per-token extraction state and ~1.2 of encoded corpus make
-#: ~11.8; the permutation through an int32 index and a gathered copy
-#: made ~17.4.
-MAX_BYTES_PER_PAIR_SLOPE = 13
+#: extraction temporaries, the batch loop's scratch): the 4-byte block,
+#: ~2.3 of per-token extraction state and ~0.6 of encoded corpus make
+#: ~7.2; int32 ids (an 8-byte block, ~1.2 of corpus) made ~11.8, and the
+#: permutation through an int32 index and a gathered copy ~17.4.
+MAX_BYTES_PER_PAIR_SLOPE = 9
 #: Five two-token sentences under heavy subsampling: most epochs keep no pair.
 SPARSE_CORPUS = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"], ["i", "j"]]
 SPARSE_CONFIG = Word2VecConfig(vector_size=4, epochs=3, subsample=0.01)
@@ -670,12 +678,13 @@ class TestEpochLoop:
     def test_int32_shuffle_draws_the_permutation(self, n, seed):
         """The trainer's in-place shuffle of an int32 pair block's rows
         equals ``block[rng.permutation(n)]`` and leaves the stream where
-        ``permutation`` does; int64 rows (16-byte items) shuffle alike."""
+        ``permutation`` does; int16 rows (4-byte items, numpy's generic
+        swap) and int64 rows (16-byte items) shuffle alike."""
         block = np.random.default_rng(n).integers(-(2**31), 2**31, size=(n, 2)).astype(np.int32)
         expected = np.random.default_rng(seed)
         permuted = block[expected.permutation(n)]
         after = expected.integers(2**62)
-        for dtype in (np.int32, np.int64):
+        for dtype in (np.int16, np.int32, np.int64):
             rows = block.astype(dtype)
             rng = np.random.default_rng(seed)
             word2vec._shuffle_rows(rows, rng)
@@ -761,6 +770,64 @@ class TestEpochLoop:
 
 
 # ----------------------------------------------------------------------
+# Vocabulary ids in the narrowest type: int16 up to 32,768 tokens
+class TestIdDtype:
+    def test_helper_at_the_boundary(self):
+        """32,768 tokens keep their largest id (32,767) and the ``-1`` mark
+        in int16; one more token takes int32."""
+        assert _id_dtype(1) == _id_dtype(32_768) == np.int16
+        assert _id_dtype(32_769) == _id_dtype(2**31) == np.int32
+
+    # 1e-4 keeps each token with probability 0.17-0.96 here, so
+    # subsampling drops tokens and whole sentences.
+    @pytest.mark.parametrize("subsample", [0.0, 1e-4], ids=["all-tokens", "subsampled"])
+    @pytest.mark.parametrize("sg", [True, False], ids=["skip-gram", "cbow"])
+    def test_fit_is_the_same_in_int16_and_int32(self, sg, subsample, monkeypatch):
+        """A fit with its ids forced to int16 and to int32 trains equal
+        blocks, byte for byte, over equal pair counts."""
+        config = Word2VecConfig(vector_size=8, window=3, epochs=2, sg=sg, subsample=subsample)
+        walks = _id_walks(2, 300)
+        run_epoch = parallel_trainer.run_epoch
+        fits = []
+        for dtype in (np.int16, np.int32):
+            seen = set()
+
+            def spy_run_epoch(pool, weights, in_ids, *args):
+                seen.add(in_ids.dtype)
+                return run_epoch(pool, weights, in_ids, *args)
+
+            monkeypatch.setattr(word2vec, "_id_dtype", lambda n, dtype=dtype: np.dtype(dtype))
+            monkeypatch.setattr(parallel_trainer, "run_epoch", spy_run_epoch)
+            model = Word2Vec(config, seed=6).train(walks, labels=ID_LABELS)
+            assert seen == {np.dtype(dtype)}
+            block = np.concatenate((model._input_vectors, model._output_vectors))
+            fits.append((model.stats.pairs, block.tobytes()))
+        assert fits[0][0] > 0
+        assert fits[0] == fits[1]
+
+    def test_batch_rows_widen_before_the_output_offset(self):
+        """int16 ids of a 20,000-token vocabulary, output ids at or above
+        16,384: ``out + V`` in int16 would wrap to negative rows, which
+        numpy indexes from the end without a word.  The rows widen first,
+        so the block equals the sorted loop's on int64 ids, byte for byte
+        (the sparse add-back: 2V + 1 far above the batch's rows)."""
+        vocab, dim, batch = 20_000, 8, 16
+        rng = np.random.default_rng(0)
+        weights = rng.uniform(-0.5, 0.5, (2 * vocab, dim)).astype(np.float32)
+        pairs = np.stack(
+            (rng.integers(0, vocab, size=53), rng.integers(16_384, vocab, size=53)), axis=1
+        ).astype(_id_dtype(vocab))
+        assert pairs.dtype == np.int16
+        negatives = rng.integers(16_384, vocab, size=(4, 5))  # batches of 16, 16, 16, 5
+        expected = weights.copy()
+        args = (negatives, batch, 7, 10 * len(pairs), 0.05, 0.0001)
+        step = run_pair_batches(weights, pairs[:, 0], pairs[:, 1], *args)
+        wide = pairs.astype(np.int64)
+        assert step == run_pair_batches_sorted(expected, wide[:, 0], wide[:, 1], *args)
+        assert weights.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
 # Corpus encoding: node ids and interned strings against the label path
 #: Tokens that could trip an encoding: non-ASCII ones, the empty string, and
 #: "a" next to "a\x00", which sort apart as Python strings but tie in a
@@ -774,6 +841,11 @@ LABEL_ORDERS = st.permutations(ENCODING_TOKENS + ["unused"])
 #: fine_tune's base: min_count=2 keeps "b" and "\u00fc" only, so growth
 #: must add back tokens the build cut.
 BASE_CORPUS = [["b", "a", "b", "\u00fc"], ["\u00fc", "b"], ["a\x00"]]
+#: Peak bytes traced while ``_encode`` runs, per token of the 36,000-token
+#: id corpus: int16 ids, their keep mask, one running count of kept tokens
+#: and the kept ids take ~11.8; int32 ids with an int64 sentence index per
+#: token, gathered again for the kept ones, took ~21.8.
+MAX_ENCODE_BYTES_PER_TOKEN = 14
 
 
 def _as_ids(corpus, labels):
@@ -802,7 +874,7 @@ def _assert_encoded(model, received, tokens, counts, encoded):
     if not encoded:
         assert received == {}
         return
-    assert received["flat"].dtype == np.int32
+    assert received["flat"].dtype == _id_dtype(len(model.vocab))
     assert received["lengths"].dtype == np.int64
     np.testing.assert_array_equal(received["flat"], np.concatenate(encoded))
     np.testing.assert_array_equal(received["lengths"], [len(e) for e in encoded])
@@ -907,6 +979,18 @@ class TestCorpusEncoding:
         assert by_list.vocab.counts_array().tobytes() == by_corpus.vocab.counts_array().tobytes()
         for matrix in ("_input_vectors", "_output_vectors"):
             assert getattr(by_list, matrix).tobytes() == getattr(by_corpus, matrix).tobytes()
+
+    def test_encode_peak_per_token_bounded(self):
+        flat, lengths = IdCorpus.concatenate(_id_walks(0, 3000))
+        counts = np.bincount(flat, minlength=len(ID_LABELS))
+        model = Word2Vec(Word2VecConfig(vector_size=4))
+        model.vocab = Vocabulary.from_counts(ID_LABELS, counts, min_count=1)
+        (ids, kept), peak = _traced_peak(lambda: model._encode(flat, lengths, ID_LABELS, counts))
+        # Every label occurs, so every token and sentence stays.
+        np.testing.assert_array_equal(ids, model.vocab.ids_of([ID_LABELS[i] for i in flat]))
+        assert kept.tobytes() == lengths.tobytes()
+        per_token = peak / flat.size
+        assert per_token <= MAX_ENCODE_BYTES_PER_TOKEN, f"{per_token:.1f} B per token"
 
     def test_id_corpus_concatenates_walks(self):
         walks = _id_walks(3, 7, length=5) + [np.array([7], dtype=np.int32)]
