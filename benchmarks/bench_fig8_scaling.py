@@ -135,7 +135,7 @@ def _speedup_series():
     queries, candidates, query_ids, candidate_ids, blocks = _cluster_problem(
         n_queries, n_candidates, dim, n_clusters
     )
-    dense = DenseTopK(chunk_size=512)
+    dense = DenseTopK(chunk_size=512, dtype=np.float32)
     blocked = BlockedTopK(_ClusterBlocker(blocks), dtype=np.float32)
     kwargs = {"query_ids": query_ids, "candidate_ids": candidate_ids}
     dense_s, dense_result = _best_of(lambda: dense.retrieve(queries, candidates, 10, **kwargs))

@@ -13,7 +13,7 @@ every probe below and prints one JSON object: per probe the node and edge
 counts of the fitted graph, every query's ranking with ``repr`` scores, and
 the sha256 of the vocabulary (tokens and counts) and of both embedding
 blocks.  ``--compare A B`` prints each probe as identical, or as different
-with the first differing field named, and exits 1 unless every probe is
+with every differing field named, and exits 1 unless every probe is
 identical.
 
 The probes (``imdb_wt`` at tiny size unless named otherwise):
@@ -215,7 +215,7 @@ def compare(path_a: str, path_b: str) -> int:
             continue
         fields = [key for key in sorted(set(a[name]) | set(b[name])) if a[name].get(key) != b[name].get(key)]
         if fields:
-            print(f"{name}: different ({fields[0]})")
+            print(f"{name}: different ({', '.join(fields)})")
             differences += 1
         else:
             print(f"{name}: identical")

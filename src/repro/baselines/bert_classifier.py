@@ -98,6 +98,6 @@ class BertLargeClassifier:
         probs = np.empty((len(document_ids), len(self._labels)))
         for row, doc_id in enumerate(document_ids):
             probs[row] = self._model.predict_proba(self._featurize(documents[doc_id])[None, :])
-        return DenseTopK(dtype=None).retrieve_from_scores(probs, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(probs, k).to_rankings(
             document_ids, self._labels
         )

@@ -41,6 +41,6 @@ class Doc2VecMatcher:
         query_matrix = np.stack([doc_vec(f"q::{q}") for q in query_ids])
         candidate_matrix = np.stack([doc_vec(f"c::{c}") for c in candidate_ids])
         scores = cosine_matrix(query_matrix, candidate_matrix)
-        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             query_ids, candidate_ids
         )

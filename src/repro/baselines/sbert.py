@@ -66,6 +66,6 @@ class SbertMatcher:
         query_ids = list(queries)
         candidate_ids = list(candidates)
         scores = self.score_matrix(queries, candidates)
-        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             query_ids, candidate_ids
         )

@@ -166,6 +166,6 @@ class SupervisedPairMatcher:
             scores[row] = self._score_model(
                 np.stack([self._pair_features(query_text, c, candidates[c]) for c in candidate_ids])
             )
-        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             query_ids, candidate_ids
         )

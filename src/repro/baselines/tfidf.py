@@ -92,7 +92,7 @@ class TfIdfMatcher:
         for row, tokens in enumerate(query_corpus.tokens):
             query_vector = vectorizer.transform_one(tokens)
             scores[row] = [vectorizer.cosine(query_vector, cvec) for cvec in candidate_vectors]
-        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             query_corpus.ids, candidate_corpus.ids
         )
 
@@ -134,6 +134,6 @@ class BM25Matcher:
                         continue
                     length_norm = 1 - self.b + self.b * len(candidate_corpus.tokens[i]) / max(avg_len, 1e-9)
                     scores[row, i] += term_idf * tf * (self.k1 + 1) / (tf + self.k1 * length_norm)
-        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             query_corpus.ids, candidate_corpus.ids
         )

@@ -40,6 +40,6 @@ class Word2VecMatcher:
         query_matrix = encoder.encode_all(query_tokens, dim=self.config.vector_size)
         candidate_matrix = encoder.encode_all(candidate_tokens, dim=self.config.vector_size)
         scores = cosine_matrix(query_matrix, candidate_matrix)
-        return DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        return DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             query_ids, candidate_ids
         )

@@ -11,9 +11,10 @@ Two blockers are provided:
   documents; a candidate is in the block of a query when they share at
   least ``min_shared_terms`` terms (rare terms can be weighted by IDF).
 * :class:`MetadataNeighborhoodBlocking` — graph-native blocking: candidates
-  whose metadata node is within ``max_hops`` hops of the query's metadata
-  node in the match graph.  This reuses the structure the pipeline already
-  built and therefore needs no extra text processing.
+  whose metadata node is within two hops of the query's metadata node in
+  the match graph, i.e. that share a term with it.  This reuses the
+  structure the pipeline already built and therefore needs no extra text
+  processing.
 
 Both are lifted to the per-query-id
 :class:`~repro.retrieval.base.QueryBlocker` interface by
@@ -22,9 +23,8 @@ Both are lifted to the per-query-id
 builds the graph-native one (``RetrievalConfig.backend="blocked"``); token
 blocking needs the corpus texts, so it is passed in as
 ``TDMatch.match(blocker=...)``.  Either way only the blocked pairs are
-*scored* (exactly ``RetrievalStats.scored_pairs`` of them) and, with
-``fallback_to_full``, a query whose block is empty ranks every candidate.
-``max_block_size`` (``None`` or >= 1) truncates each block.
+*scored* (exactly ``RetrievalStats.scored_pairs`` of them), and a query
+whose block is empty ranks every candidate.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from typing import Dict, List, Mapping, Optional
 from repro.graph.graph import MatchGraph
 from repro.text.preprocess import Preprocessor
 
+#: How far from a query's metadata node neighbourhood blocking reaches: a
+#: metadata node two hops away shares a term with it.
+BLOCK_HOPS = 2
+
 
 class TokenBlocking:
     """Inverted-index blocking on shared (optionally IDF-weighted) terms."""
@@ -44,16 +48,12 @@ class TokenBlocking:
         self,
         min_shared_terms: int = 1,
         use_idf: bool = True,
-        max_block_size: Optional[int] = None,
         preprocessor: Optional[Preprocessor] = None,
     ):
         if min_shared_terms < 1:
             raise ValueError("min_shared_terms must be >= 1")
-        if max_block_size is not None and max_block_size < 1:
-            raise ValueError("max_block_size must be >= 1 or None")
         self.min_shared_terms = min_shared_terms
         self.use_idf = use_idf
-        self.max_block_size = max_block_size
         self.preprocessor = preprocessor or Preprocessor()
         self._index: Dict[str, List[str]] = {}
         self._idf: Dict[str, float] = {}
@@ -78,8 +78,7 @@ class TokenBlocking:
     def block(self, query_text: str) -> List[str]:
         """Candidate ids sharing enough terms with ``query_text``.
 
-        The block is sorted by decreasing (weighted) overlap and truncated
-        to ``max_block_size`` when configured.
+        The block is sorted by decreasing (weighted) overlap.
         """
         if not self._fitted:
             raise RuntimeError("call fit() with the candidate texts first")
@@ -92,22 +91,14 @@ class TokenBlocking:
                 weighted[candidate_id] += self._idf.get(token, 1.0) if self.use_idf else 1.0
         block = [cid for cid, count in overlap.items() if count >= self.min_shared_terms]
         block.sort(key=lambda cid: (-weighted[cid], cid))
-        if self.max_block_size is not None:
-            block = block[: self.max_block_size]
         return block
 
 
 class MetadataNeighborhoodBlocking:
-    """Graph-native blocking: candidates within ``max_hops`` of the query node."""
+    """Graph-native blocking: candidates within :data:`BLOCK_HOPS` of the query node."""
 
-    def __init__(self, graph: MatchGraph, max_hops: int = 2, max_block_size: Optional[int] = None):
-        if max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
-        if max_block_size is not None and max_block_size < 1:
-            raise ValueError("max_block_size must be >= 1 or None")
+    def __init__(self, graph: MatchGraph):
         self.graph = graph
-        self.max_hops = max_hops
-        self.max_block_size = max_block_size
 
     def block(self, query_label: str, candidate_labels: Mapping[str, str]) -> List[str]:
         """Candidate object ids whose metadata label is near ``query_label``.
@@ -121,7 +112,7 @@ class MetadataNeighborhoodBlocking:
         indptr, indices = graph.indptr, graph.indices
         seen = {source}
         frontier = [source]
-        for _ in range(self.max_hops):
+        for _ in range(BLOCK_HOPS):
             reached = []
             for node in frontier:
                 for neighbor in indices[indptr[node] : indptr[node + 1]].tolist():
@@ -132,10 +123,7 @@ class MetadataNeighborhoodBlocking:
             if not frontier:
                 break
         ids = graph.ids
-        block = [cid for cid, label in candidate_labels.items() if ids.get(label) in seen]
-        if self.max_block_size is not None:
-            block = block[: self.max_block_size]
-        return block
+        return [cid for cid, label in candidate_labels.items() if ids.get(label) in seen]
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +132,7 @@ class TextQueryBlocker:
     """Adapts :class:`TokenBlocking` to the ``QueryBlocker`` interface.
 
     ``query_texts`` maps query id → text; queries without a text get an
-    empty block (triggering the fallback when enabled).
+    empty block (which falls back to every candidate).
     """
 
     def __init__(self, blocking: TokenBlocking, query_texts: Mapping[str, str]):

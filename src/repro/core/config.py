@@ -32,9 +32,8 @@ class MergeConfig:
     Parameters
     ----------
     bucket_numeric:
-        Merge numeric data nodes with equal-width buckets.
-    bucket_width:
-        Explicit width; None uses the Freedman–Diaconis rule.
+        Merge numeric data nodes with equal-width buckets, whose width
+        follows the Freedman–Diaconis rule.
     pretrained:
         A pre-trained embedding resource for synonym/typo merging; None
         disables embedding-based merging.
@@ -45,7 +44,6 @@ class MergeConfig:
     """
 
     bucket_numeric: bool = False
-    bucket_width: Optional[float] = None
     pretrained: Optional[object] = None
     gamma: Optional[float] = None
     synonym_pairs: Optional[list] = None
@@ -57,11 +55,10 @@ class MergeConfig:
 
 @dataclass
 class ExpansionConfig:
-    """Graph expansion options (Algorithm 2)."""
+    """Graph expansion options (Algorithm 2): every relation the resource
+    knows is added, then the sinks are removed."""
 
     resource: Optional[object] = None
-    max_relations_per_node: Optional[int] = None
-    remove_sinks: bool = True
 
     @property
     def enabled(self) -> bool:
@@ -94,33 +91,22 @@ class RetrievalConfig:
     """Matching-step retrieval options (Section IV-B; see :mod:`repro.retrieval`).
 
     ``backend`` is "dense" (exact chunked all-pairs top-k) or "blocked"
-    (score only the candidates within ``max_hops`` of the query's metadata
-    node in the match graph, at most ``max_block_size`` of them).  Token
-    blocking needs the corpus texts, so it is passed as a ready-made
-    blocker to ``TDMatch.match(blocker=...)`` instead.  ``chunk_size``
-    bounds dense scoring memory at ``chunk_size × n_candidates`` scores;
-    ``dtype`` "float32" halves memory/doubles matmul throughput at the cost
-    of bit-compatibility with the float64 reference.
+    (score only the candidates within two hops of the query's metadata
+    node in the match graph; a query with an empty block scores every
+    candidate).  Token blocking needs the corpus texts, so it is passed as
+    a ready-made blocker to ``TDMatch.match(blocker=...)`` instead.
+    ``chunk_size`` bounds dense scoring memory at ``chunk_size ×
+    n_candidates`` scores.  Scores keep the embeddings' float64 precision.
     """
 
     backend: str = "dense"
     chunk_size: int = 1024
-    dtype: str = "float64"
-    max_hops: int = 2
-    max_block_size: Optional[int] = None
-    fallback_to_full: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in ("dense", "blocked"):
             raise ValueError(f"unknown retrieval backend {self.backend!r}; valid: ['blocked', 'dense']")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"unknown retrieval dtype {self.dtype!r}; valid: ['float32', 'float64']")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
-        if self.max_block_size is not None and self.max_block_size < 1:
-            raise ValueError("max_block_size must be >= 1 or None")
 
 
 @dataclass
@@ -129,34 +115,24 @@ class ServingConfig:
 
     ``mmap`` makes :meth:`TDMatch.load` open the embedding matrices as
     read-only memory maps by default, so N query processes serving the same
-    index share the pages instead of each materialising a copy.
-    ``include_output_vectors`` keeps Word2Vec's output matrix in the saved
-    index; dropping it halves the file but disables warm-start fine-tuning
-    on the loaded index.
+    index share the pages instead of each materialising a copy.  The
+    index keeps Word2Vec's output matrix, which warm-start fine-tuning of
+    the loaded index needs.
     """
 
     mmap: bool = False
-    include_output_vectors: bool = True
 
 
 @dataclass
 class IncrementalConfig:
     """Incremental-fit options (``TDMatch.add_documents`` and friends).
 
+    A delta restarts ``walks.num_walks`` walks from each new node and each
+    of its direct neighbours, and fine-tunes Word2Vec on them with the
+    pipeline's ``word2vec`` epochs and learning rate.
+
     Parameters
     ----------
-    epochs:
-        Word2Vec fine-tuning epochs over the delta walk corpus; None uses
-        the ``word2vec.epochs`` of the pipeline.
-    learning_rate:
-        Fine-tuning step size; None uses ``word2vec.learning_rate``.
-    num_walks:
-        Walks per touched start node; None uses ``walks.num_walks``.
-    neighborhood_hops:
-        How far from the delta's term nodes walk regeneration reaches:
-        1 restarts walks from the new nodes and their direct neighbours
-        (the documents sharing a term with the delta), 2 adds the
-        neighbours' neighbours, and so on.
     freeze_distant:
         Restore the embedding rows of nodes *outside* the touched
         neighbourhood after fine-tuning (default).  Delta walks still pass
@@ -166,21 +142,7 @@ class IncrementalConfig:
         neighbourhood.  Set to False to let the whole space drift.
     """
 
-    epochs: Optional[int] = None
-    learning_rate: Optional[float] = None
-    num_walks: Optional[int] = None
-    neighborhood_hops: int = 1
     freeze_distant: bool = True
-
-    def __post_init__(self) -> None:
-        if self.epochs is not None and self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.num_walks is not None and self.num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
-        if self.neighborhood_hops < 0:
-            raise ValueError("neighborhood_hops must be >= 0")
 
 
 @dataclass

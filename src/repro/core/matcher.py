@@ -56,7 +56,7 @@ class MetadataMatcher:
     ) -> Tuple[RankingSet, RetrievalStats]:
         """Top-k ranking per query plus the backend's work statistics;
         ``backend=None`` is exact dense top-k in the matrices' own precision."""
-        backend = backend if backend is not None else DenseTopK(dtype=None)
+        backend = backend if backend is not None else DenseTopK()
         result = backend.retrieve(
             self.query_matrix,
             self.candidate_matrix,
@@ -81,5 +81,5 @@ class MetadataMatcher:
         if other_scores.shape != (len(self.query_ids), len(self.candidate_ids)):
             raise ValueError("score matrix shape does not match query/candidate ids")
         fused = combine_scores([self.score_matrix(), other_scores], weights=weights)
-        result = DenseTopK(dtype=None).retrieve_from_scores(fused, k)
+        result = DenseTopK().retrieve_from_scores(fused, k)
         return result.to_rankings(self.query_ids, self.candidate_ids)

@@ -204,8 +204,7 @@ class TDMatch:
         merge_cfg = self.config.merge
         if merge_cfg.bucket_numeric:
             with self.timings.measure("merge_bucketing"):
-                bucketer = NumericBucketer(width=merge_cfg.bucket_width)
-                reports.append(bucketer.apply(built.graph))
+                reports.append(NumericBucketer().apply(built.graph))
                 built.graph = reports[-1].graph
         if merge_cfg.merge_embeddings:
             with self.timings.measure("merge_embeddings"):
@@ -225,12 +224,7 @@ class TDMatch:
         if not expansion_cfg.enabled:
             return None
         with self.timings.measure("expansion"):
-            result = expand_graph(
-                built.graph,
-                expansion_cfg.resource,
-                max_relations_per_node=expansion_cfg.max_relations_per_node,
-                remove_sinks=expansion_cfg.remove_sinks,
-            )
+            result = expand_graph(built.graph, expansion_cfg.resource)
         built.graph = result.graph
         return result
 
@@ -307,14 +301,12 @@ class TDMatch:
 
     def _graph_query_blocker(self, query_side: str) -> QueryBlocker:
         """Graph-native blocker over the fitted match graph."""
-        cfg = self.config.retrieval
         built = self.state.built
         candidate_side = "second" if query_side == "first" else "first"
-        blocking = MetadataNeighborhoodBlocking(
-            self.graph, max_hops=cfg.max_hops, max_block_size=cfg.max_block_size
-        )
         return GraphQueryBlocker(
-            blocking, built.metadata(query_side), built.metadata(candidate_side)
+            MetadataNeighborhoodBlocking(self.graph),
+            built.metadata(query_side),
+            built.metadata(candidate_side),
         )
 
     def retrieval_backend(
@@ -329,14 +321,11 @@ class TDMatch:
         match graph.
         """
         cfg = self.config.retrieval
-        dtype = np.float32 if cfg.dtype == "float32" else None
         if blocker is None and cfg.backend == "blocked":
             blocker = self._graph_query_blocker(query_side)
         if blocker is None:
-            return DenseTopK(chunk_size=cfg.chunk_size, dtype=dtype)
-        return BlockedTopK(
-            blocker, fallback_to_full=cfg.fallback_to_full, dtype=dtype, chunk_size=cfg.chunk_size
-        )
+            return DenseTopK(chunk_size=cfg.chunk_size)
+        return BlockedTopK(blocker, chunk_size=cfg.chunk_size)
 
     def match(
         self,

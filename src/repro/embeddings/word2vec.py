@@ -65,7 +65,7 @@ per-matrix update.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -424,7 +424,7 @@ class Word2Vec:
         ``(-count, label)`` and drops those under ``min_count``; sentences
         left with fewer than two tokens yield no pairs.
         """
-        self.stats = self._fit_corpus(sentences, labels, self.config, base=None)
+        self.stats = self._fit_corpus(sentences, labels, base=None)
         logger.debug(
             "word2vec: %d pairs in %.3fs (%.0f pairs/s)",
             self.stats.pairs,
@@ -439,16 +439,14 @@ class Word2Vec:
         self,
         sentences: Union[Iterable[Sequence], IdCorpus],
         labels: Optional[Sequence[str]] = None,
-        epochs: Optional[int] = None,
-        learning_rate: Optional[float] = None,
     ) -> TrainingStats:
         """Continue training an already-trained model on a delta corpus.
 
         ``sentences`` and ``labels`` are read as in :meth:`train`.  The
         vocabulary grows: unseen tokens are appended (existing ids — and
         therefore existing embedding rows — never move) and receive freshly
-        initialised input rows / zero output rows, then training runs
-        ``epochs`` epochs over the delta sentences only.  Existing rows that
+        initialised input rows / zero output rows, then training runs the
+        configured epochs over the delta sentences only.  Existing rows that
         appear in the delta are updated; everything else is untouched,
         which is what makes a small delta orders of magnitude cheaper than
         retraining.
@@ -458,33 +456,25 @@ class Word2Vec:
         never written.  Returns (and stores in :attr:`stats`) the
         fine-tuning throughput record.  Raises :class:`RuntimeError`, with
         the model unchanged, when the model is untrained or has no output
-        vectors (an index saved with ``serving.include_output_vectors=False``).
+        vectors (an index written without its ``w2v_output`` array).
         """
         if self.vocab is None or self._input_vectors is None:
             raise RuntimeError("model is not trained")
         if self._output_vectors is None:
             raise RuntimeError(
-                "model has no output vectors (saved with "
-                "serving.include_output_vectors=False); fine-tuning needs them"
+                "model has no output vectors (the index holds no 'w2v_output'); "
+                "fine-tuning needs them"
             )
-        config = replace(
-            self.config,
-            epochs=epochs if epochs is not None else self.config.epochs,
-            learning_rate=(
-                learning_rate if learning_rate is not None else self.config.learning_rate
-            ),
-        )
-        self.stats = self._fit_corpus(sentences, labels, config, base=self.vocab)
+        self.stats = self._fit_corpus(sentences, labels, base=self.vocab)
         return self.stats
 
     def _fit_corpus(
         self,
         sentences: Union[Iterable[Sequence], IdCorpus],
         labels: Optional[Sequence[str]],
-        config: Word2VecConfig,
         base: Optional[Vocabulary],
     ) -> TrainingStats:
-        """Build the vocabulary, or grow ``base``, then train under ``config``.
+        """Build the vocabulary, or grow ``base``, then train.
 
         A build raises :class:`ValueError` on a corpus that yields no
         training pair in any epoch; growth returns a zero record instead.
@@ -495,7 +485,9 @@ class Word2Vec:
                 raise ValueError("cannot train on an empty corpus")
             return TrainingStats(pairs=0, epochs=0, seconds=0.0)
         counts = np.bincount(flat, minlength=len(labels))
-        self.vocab = Vocabulary.from_counts(labels, counts, min_count=config.min_count, base=base)
+        self.vocab = Vocabulary.from_counts(
+            labels, counts, min_count=self.config.min_count, base=base
+        )
         if len(self.vocab) == 0:
             raise ValueError("vocabulary is empty after applying min_count")
         flat, lengths = self._encode(flat, lengths, labels, counts)
@@ -504,18 +496,13 @@ class Word2Vec:
         weights = self._new_block(kept=0 if base is None else len(base))
         if lengths.size == 0:
             return TrainingStats(pairs=0, epochs=0, seconds=0.0)
+        subsample = self.config.subsample
         keep_probs = (
-            self.vocab.subsample_keep_probabilities(config.subsample)
-            if config.subsample > 0
-            else None
+            self.vocab.subsample_keep_probabilities(subsample) if subsample > 0 else None
         )
-        original_config, self.config = self.config, config
-        try:
-            start = time.perf_counter()
-            pairs, epochs = self._train_vectorized(weights, flat, lengths, keep_probs)
-            elapsed = time.perf_counter() - start
-        finally:
-            self.config = original_config
+        start = time.perf_counter()
+        pairs, epochs = self._train_vectorized(weights, flat, lengths, keep_probs)
+        elapsed = time.perf_counter() - start
         if epochs == 0 and base is None:  # subsampling left no pair in any epoch
             raise ValueError("no training pairs could be extracted")
         return TrainingStats(pairs=pairs, epochs=epochs, seconds=elapsed)

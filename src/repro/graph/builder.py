@@ -127,25 +127,19 @@ class GraphBuilderConfig:
     preprocess:
         Text pre-processing options (n-gram size, stemming, ...).
     filter_strategy_name:
-        "intersect" (paper default), "tfidf", or "normal".
-    tfidf_top_k:
-        Top-k terms per document for the TF-IDF filter.
+        "intersect" (paper default), "tfidf" (the top 10 TF-IDF terms of
+        each document), or "normal".
     connect_structured_metadata:
         Add edges between related metadata nodes of a structured corpus
         (taxonomy parent/child); the ablation of Section V-F2 turns this off.
-    add_column_nodes:
-        Create a metadata node per table column (Algorithm 1 lines 5-10).
+
+    A first-corpus table always gets a metadata node per column
+    (Algorithm 1 lines 5-10).
     """
 
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     filter_strategy_name: str = "intersect"
-    tfidf_top_k: int = 10
     connect_structured_metadata: bool = True
-    add_column_nodes: bool = True
-
-    def __post_init__(self) -> None:
-        if self.tfidf_top_k < 1:
-            raise ValueError("tfidf_top_k must be >= 1")
 
     def make_filter(
         self,
@@ -163,7 +157,7 @@ class GraphBuilderConfig:
         if self.filter_strategy_name == "normal":
             return BulkNoFilter()
         if self.filter_strategy_name == "tfidf":
-            return BulkTfIdfFilter(first_docs, second_docs, terms, top_k=self.tfidf_top_k)
+            return BulkTfIdfFilter(first_docs, second_docs, terms)
         raise ValueError(f"unknown filter strategy: {self.filter_strategy_name!r}")
 
 
@@ -228,8 +222,7 @@ class GraphBuilder:
         # Safe only between builds: every id array below is derived from a
         # single interning generation.
         interner.reset_if_larger_than()
-        want_cells = isinstance(first, Table) and self.config.add_column_nodes
-        first_docs, cells = self._corpus_term_ids(first, interner, want_cells)
+        first_docs, cells = self._corpus_term_ids(first, interner, isinstance(first, Table))
         second_docs, _ = self._corpus_term_ids(second, interner, False)
         num_terms = len(interner)
 
@@ -255,10 +248,7 @@ class GraphBuilder:
             object_id: metadata_label(first, object_id) for object_id, _ids in first_docs
         }
         meta_labels1 = list(first_metadata.values())
-        kept1_list = [
-            bulk_filter.keep_first(index, ids)
-            for index, (_oid, ids) in enumerate(first_docs)
-        ]
+        kept1_list = [bulk_filter.keep_first(ids) for _oid, ids in first_docs]
         kept_counts1 = np.fromiter((k.size for k in kept1_list), dtype=np.int64, count=n1)
         kept1 = _concat(kept1_list)
         stats.first_total = sum(int(ids.size) for _oid, ids in first_docs)
@@ -346,10 +336,7 @@ class GraphBuilder:
         }
         meta_labels2 = list(second_metadata.values())
         allow_new = bulk_filter.second_may_create_nodes
-        kept2_list = [
-            bulk_filter.keep_second(index, ids)
-            for index, (_oid, ids) in enumerate(second_docs)
-        ]
+        kept2_list = [bulk_filter.keep_second(ids) for _oid, ids in second_docs]
         kept_counts2 = np.fromiter((k.size for k in kept2_list), dtype=np.int64, count=n2)
         kept2 = _concat(kept2_list)
         stats.second_total = sum(int(ids.size) for _oid, ids in second_docs)

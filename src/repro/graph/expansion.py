@@ -14,7 +14,6 @@ the graph's own, and the sinks are masked out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.graph.graph import MatchGraph, NodeKind
 from repro.utils.logging import get_logger
@@ -42,13 +41,12 @@ class ExpansionResult:
         return self.graph.num_edges()
 
 
-def expand_graph(
-    graph: MatchGraph,
-    resource,
-    max_relations_per_node: Optional[int] = None,
-    remove_sinks: bool = True,
-) -> ExpansionResult:
+def expand_graph(graph: MatchGraph, resource) -> ExpansionResult:
     """Expand ``graph`` using ``resource`` (Algorithm 2).
+
+    Every relation the resource knows is added (the paper observes DBpedia
+    has >800 relations for some entities — pruning is left to the
+    compression step), then the degree<=1 non-metadata nodes are removed.
 
     Parameters
     ----------
@@ -56,13 +54,6 @@ def expand_graph(
         The graph produced by :class:`~repro.graph.builder.GraphBuilder`.
     resource:
         A knowledge base exposing ``related(term) -> Iterable[str]``.
-    max_relations_per_node:
-        Optional cap on the number of relations fetched per data node;
-        ``None`` fetches everything the resource knows (the paper observes
-        DBpedia has >800 relations for some entities — pruning is left to
-        the compression step).
-    remove_sinks:
-        Remove degree<=1 non-metadata nodes after expansion (paper default).
 
     Returns
     -------
@@ -80,10 +71,7 @@ def expand_graph(
     for node_id, label in enumerate(graph.labels):
         if metadata[node_id]:
             continue
-        related = resource.related(label)
-        if max_relations_per_node is not None:
-            related = list(related)[:max_relations_per_node]
-        for neighbor in related:
+        for neighbor in resource.related(label):
             if not neighbor or neighbor == label:
                 continue
             neighbor_id = ids.get(neighbor)
@@ -103,15 +91,12 @@ def expand_graph(
         edge_v,
     )
     edges_added = expanded.num_edges() - graph.num_edges()
-    sink_removed = 0
-    if remove_sinks:
-        # The cleaning step: one pass over the expanded graph's degrees.
-        keep = expanded.metadata_mask() | (expanded.degrees() > 1)
-        sink_removed = int(keep.size - keep.sum())
-        expanded = expanded.keep(keep)
+    # The cleaning step: one pass over the expanded graph's degrees.
+    keep = expanded.metadata_mask() | (expanded.degrees() > 1)
+    sink_removed = int(keep.size - keep.sum())
 
     result = ExpansionResult(
-        graph=expanded,
+        graph=expanded.keep(keep),
         nodes_before=graph.num_nodes(),
         edges_before=graph.num_edges(),
         nodes_added=nodes_added,

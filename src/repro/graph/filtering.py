@@ -24,6 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+#: Terms the TF-IDF filter keeps per document.
+TFIDF_TOP_K = 10
+
 
 @dataclass
 class FilterStatistics:
@@ -62,12 +65,12 @@ class BulkFilter(ABC):
     second_may_create_nodes: bool = True
 
     @abstractmethod
-    def keep_first(self, doc_index: int, ids: np.ndarray) -> np.ndarray:
-        """Ids of first-corpus document ``doc_index`` that become nodes."""
+    def keep_first(self, ids: np.ndarray) -> np.ndarray:
+        """Ids of a first-corpus document that become nodes."""
 
     @abstractmethod
-    def keep_second(self, doc_index: int, ids: np.ndarray) -> np.ndarray:
-        """Ids of second-corpus document ``doc_index`` that become nodes."""
+    def keep_second(self, ids: np.ndarray) -> np.ndarray:
+        """Ids of a second-corpus document that become nodes."""
 
 
 class BulkNoFilter(BulkFilter):
@@ -75,10 +78,10 @@ class BulkNoFilter(BulkFilter):
 
     name = "normal"
 
-    def keep_first(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
+    def keep_first(self, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         return ids
 
-    def keep_second(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
+    def keep_second(self, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         return ids
 
 
@@ -108,19 +111,19 @@ class BulkIntersectFilter(BulkFilter):
             self._mask = in_second
         self.second_may_create_nodes = self.anchor == "second"
 
-    def keep_first(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
+    def keep_first(self, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         if self.anchor == "first":
             return ids
         return ids[self._mask[ids]]
 
-    def keep_second(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
+    def keep_second(self, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         if self.anchor == "second":
             return ids
         return ids[self._mask[ids]]
 
 
 class BulkTfIdfFilter(BulkFilter):
-    """Per-document TF-IDF top-k over id arrays.
+    """Per-document TF-IDF top-:data:`TFIDF_TOP_K` over id arrays.
 
     The score of a term is its idf, taken from a ``math.log`` table indexed
     by document frequency; ties break on the lexicographic rank of the term
@@ -134,11 +137,7 @@ class BulkTfIdfFilter(BulkFilter):
         first_docs: Sequence[np.ndarray],
         second_docs: Sequence[np.ndarray],
         terms: Sequence[str],
-        top_k: int = 10,
     ):
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        self.top_k = top_k
         num_terms = len(terms)
         # Rank only the terms present in the current corpora: a persistent
         # interner may carry terms from earlier builds, and sorting those
@@ -175,10 +174,10 @@ class BulkTfIdfFilter(BulkFilter):
         if ids.size == 0:
             return ids
         order = np.lexsort((self._lex_rank[ids], -idf[ids]))
-        return ids[order[: self.top_k]]
+        return ids[order[:TFIDF_TOP_K]]
 
-    def keep_first(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
+    def keep_first(self, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         return self._top(ids, self._idf_first)
 
-    def keep_second(self, doc_index: int, ids: np.ndarray) -> np.ndarray:  # noqa: D102
+    def keep_second(self, ids: np.ndarray) -> np.ndarray:  # noqa: D102
         return self._top(ids, self._idf_second)

@@ -53,19 +53,8 @@ def freedman_diaconis_width(values: Sequence[float]) -> float:
 
 
 class NumericBucketer:
-    """Merges numeric data nodes into equal-width buckets.
-
-    Parameters
-    ----------
-    width:
-        Explicit bucket width; when None the Freedman–Diaconis rule is used
-        on the numeric values present in the graph.
-    """
-
-    def __init__(self, width: Optional[float] = None):
-        if width is not None and width <= 0:
-            raise ValueError("bucket width must be positive")
-        self.width = width
+    """Merges numeric data nodes into equal-width buckets whose width
+    follows the Freedman–Diaconis rule on the graph's numeric values."""
 
     @staticmethod
     def bucket_index(value: float, width: float, origin: float) -> int:
@@ -101,8 +90,8 @@ class NumericBucketer:
         if not numeric_nodes:
             return MergeReport(technique="bucketing", graph=graph)
         values = [v for _node_id, v in numeric_nodes]
-        width = self.width if self.width is not None else freedman_diaconis_width(values)
-        if width <= 0:
+        width = freedman_diaconis_width(values)
+        if width <= 0:  # an IQR that underflows to zero
             width = 1.0
         origin = float(min(values))
         buckets: Dict[str, List[int]] = {}

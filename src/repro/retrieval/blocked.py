@@ -49,11 +49,9 @@ class BlockedTopK:
     blocker:
         A :class:`~repro.retrieval.base.QueryBlocker`; ``block_for(qid)``
         returns the candidate ids in the query's block (unknown ids are
-        ignored, duplicates deduplicated).
-    fallback_to_full:
-        When a block is empty, score the query against *all* candidates
-        (dense fallback) instead of returning an empty ranking.  Fallback
-        queries contribute ``n_candidates`` to ``scored_pairs``.
+        ignored, duplicates deduplicated).  A query whose block is empty
+        is scored against *all* candidates (dense fallback) and contributes
+        ``n_candidates`` to ``scored_pairs``.
     dtype:
         Floating dtype for the normalised matrices; ``None`` keeps the
         input dtype.
@@ -67,14 +65,12 @@ class BlockedTopK:
     def __init__(
         self,
         blocker: QueryBlocker,
-        fallback_to_full: bool = True,
         dtype: Optional[type] = None,
         chunk_size: int = 1024,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.blocker = blocker
-        self.fallback_to_full = fallback_to_full
         self.dtype = dtype
         self.chunk_size = chunk_size
 
@@ -108,7 +104,7 @@ class BlockedTopK:
         # Translate each distinct block once, keyed by its id tuple, then
         # group queries sharing an identical block: one gather + one matmul
         # per distinct block instead of per query.  ``None`` keys the dense
-        # fallback group (empty blocks with fallback enabled).
+        # fallback group (the empty blocks).
         translated: Dict[Tuple[str, ...], Tuple[bytes, np.ndarray]] = {}
         groups: Dict[Optional[bytes], Tuple[Optional[np.ndarray], List[int]]] = {}
         for row, query_id in enumerate(query_ids):
@@ -127,8 +123,6 @@ class BlockedTopK:
             key, block_idx = entry
             if block_idx.size == 0:
                 empty_blocks += 1
-                if not self.fallback_to_full:
-                    continue
                 key, block_idx = None, None
             groups.setdefault(key, (block_idx, []))[1].append(row)
 

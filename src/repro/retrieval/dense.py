@@ -35,15 +35,15 @@ class DenseTopK:
         Number of query rows scored per matmul; bounds peak memory at
         ``chunk_size × n_candidates`` scores.
     dtype:
-        Floating dtype for the normalised matrices.  ``np.float32``
-        (default) halves memory and roughly doubles matmul throughput;
-        pass ``None`` to keep the input dtype (the pipeline does this to
-        stay bit-compatible with the reference float64 scores).
+        Floating dtype for the normalised matrices; ``None`` (default)
+        keeps the input dtype.  ``np.float32`` halves memory and roughly
+        doubles matmul throughput, at the cost of bit-compatibility with
+        the float64 scores.
     """
 
     name = "dense"
 
-    def __init__(self, chunk_size: int = 1024, dtype: Optional[type] = np.float32):
+    def __init__(self, chunk_size: int = 1024, dtype: Optional[type] = None):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.chunk_size = chunk_size

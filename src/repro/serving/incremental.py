@@ -9,8 +9,8 @@ Instead of rebuilding the graph and retraining embeddings from scratch,
    filter's anchor side cannot flip mid-stream); ``remove`` masks nodes
    out the same way,
 2. regenerate random walks only for start nodes inside the touched
-   neighbourhoods (``incremental.neighborhood_hops`` hops around the new
-   nodes), joined into one flat id corpus
+   neighbourhood (the new nodes and their direct neighbours), joined into
+   one flat id corpus
    (:class:`~repro.embeddings.vocab.IdCorpus`), and
 3. warm-start Word2Vec fine-tuning on that delta walk corpus — existing
    embedding rows are kept, new vocabulary rows are appended.
@@ -270,32 +270,21 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
     model = state.model
     if model._output_vectors is None:
         raise PipelineError(
-            "this index was saved without output vectors "
-            "(serving.include_output_vectors=False); incremental fit needs "
-            "them to continue training — refit or re-save with output vectors"
+            "this index holds no output vectors ('w2v_output'); incremental "
+            "fit needs them to continue training — refit and save it again"
         )
     graph = state.built.graph
     config = pipeline.config
 
     with pipeline.timings.measure("incremental_walks"):
+        # The new nodes and their direct neighbours: the objects that
+        # share a term with the delta, and the delta's terms.
         touched = np.zeros(graph.num_nodes(), dtype=bool)
-        frontier = np.array(
-            [graph.ids[label] for label in new_labels if label in graph], dtype=np.int64
-        )
-        touched[frontier] = True
-        for _ in range(config.incremental.neighborhood_hops):
-            if frontier.size == 0:
-                break
-            _, neighbors = gather_neighbors(graph, frontier)
-            fresh = np.unique(neighbors[~touched[neighbors]]) if neighbors.size else neighbors
-            touched[fresh] = True
-            frontier = fresh
+        new_ids = np.array([graph.ids[label] for label in new_labels], dtype=np.int64)
+        touched[new_ids] = True
+        touched[gather_neighbors(graph, new_ids)[1]] = True
         start_labels = [graph.labels[i] for i in np.flatnonzero(touched)]
-        walk_config = dataclasses.replace(
-            config.walks,
-            start_nodes=start_labels,
-            num_walks=config.incremental.num_walks or config.walks.num_walks,
-        )
+        walk_config = dataclasses.replace(config.walks, start_nodes=start_labels)
         engine = make_walk_engine(graph, walk_config)
         seed = derive_rng(pipeline.seed, f"walks-delta-{pipeline._delta_count}")
         walks = IdCorpus.concatenate(engine.iter_walks(seed=seed))
@@ -309,12 +298,7 @@ def _refresh_embeddings(pipeline, new_labels: Sequence[str]) -> None:
             # confinement — see IncrementalConfig.freeze_distant).
             snapshot_in = np.array(model._input_vectors, copy=True)
             snapshot_out = np.array(model._output_vectors, copy=True)
-        model.fine_tune(
-            walks,
-            labels=graph.labels,
-            epochs=config.incremental.epochs,
-            learning_rate=config.incremental.learning_rate,
-        )
+        model.fine_tune(walks, labels=graph.labels)
         if freeze:
             tunable = np.zeros(old_size, dtype=bool)
             for label in start_labels:

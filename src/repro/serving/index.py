@@ -421,7 +421,7 @@ def save_pipeline(pipeline, path: str) -> str:
         "csr_indices": graph.indices,
         "w2v_input": model._input_vectors,
     }
-    if pipeline.config.serving.include_output_vectors and model._output_vectors is not None:
+    if model._output_vectors is not None:  # None on a load of an index without them
         arrays["w2v_output"] = model._output_vectors
     return write_index(path, header, arrays)
 

@@ -5,14 +5,13 @@ value and every text sentence is tokenised, lower-cased, stripped of stop
 words, and stemmed before it becomes a *term* (data node) of the graph.
 """
 
-from repro.text.tokenizer import Tokenizer, tokenize
+from repro.text.tokenizer import tokenize
 from repro.text.stopwords import STOP_WORDS
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.ngrams import generate_ngrams, ngram_terms
 from repro.text.preprocess import Preprocessor, PreprocessConfig, TermInterner
 
 __all__ = [
-    "Tokenizer",
     "tokenize",
     "STOP_WORDS",
     "PorterStemmer",

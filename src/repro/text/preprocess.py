@@ -20,42 +20,35 @@ import numpy as np
 from repro.text.ngrams import DEFAULT_MAX_NGRAM, ngram_terms
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOP_WORDS
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import tokenize
+
+#: Alphabetic tokens shorter than this are dropped.  Numbers of any length
+#: stay, so that years and counts survive to numeric bucketing.
+MIN_TOKEN_LENGTH = 2
 
 
 @dataclass
 class PreprocessConfig:
     """Configuration of the pre-processing stage.
 
+    Tokens are always lower-cased, and stop words and alphabetic tokens
+    under :data:`MIN_TOKEN_LENGTH` characters are dropped.
+
     Parameters
     ----------
     max_ngram:
         Maximum number of tokens per term (paper default: 3).
-    remove_stopwords:
-        Drop stop words before term generation.
     apply_stemming:
         Stem tokens with the Porter stemmer; stemming also acts as the first
         node-merging technique of Section II-C.
-    lowercase:
-        Lower-case tokens.
-    min_token_length:
-        Minimum character length for alphabetic tokens.
-    keep_numbers:
-        Keep numeric tokens (merged later via bucketing).
     """
 
     max_ngram: int = DEFAULT_MAX_NGRAM
-    remove_stopwords: bool = True
     apply_stemming: bool = True
-    lowercase: bool = True
-    min_token_length: int = 2
-    keep_numbers: bool = True
 
     def __post_init__(self) -> None:
         if self.max_ngram < 1:
             raise ValueError("max_ngram must be >= 1")
-        if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
 
 
 @dataclass
@@ -65,20 +58,17 @@ class Preprocessor:
     config: PreprocessConfig = field(default_factory=PreprocessConfig)
 
     def __post_init__(self) -> None:
-        self._tokenizer = Tokenizer(
-            lowercase=self.config.lowercase,
-            min_token_length=self.config.min_token_length,
-            keep_numbers=self.config.keep_numbers,
-        )
         self._stemmer = PorterStemmer()
         self._stem_cache: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def tokens(self, text: str) -> List[str]:
         """Raw tokens of ``text`` after stop-word removal and stemming."""
-        tokens = self._tokenizer.tokenize(text)
-        if self.config.remove_stopwords:
-            tokens = [t for t in tokens if t not in STOP_WORDS]
+        # No stop word starts with a digit.
+        tokens = [
+            t for t in tokenize(text)
+            if t[0].isdigit() or (len(t) >= MIN_TOKEN_LENGTH and t not in STOP_WORDS)
+        ]
         if self.config.apply_stemming:
             tokens = [self._stem(t) for t in tokens]
         return tokens

@@ -34,7 +34,7 @@ from repro.graph.builder import (
     metadata_label,
 )
 from repro.embeddings.similarity import cosine_similarity
-from repro.graph.filtering import FilterStatistics
+from repro.graph.filtering import TFIDF_TOP_K, FilterStatistics
 from repro.graph.graph import MatchGraph, NodeInfo, NodeKind
 from repro.text.preprocess import Preprocessor
 
@@ -329,12 +329,12 @@ class FilterStrategy(ABC):
         """Inspect the full term lists of both corpora before filtering."""
 
     @abstractmethod
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:
-        """Terms of first-corpus document ``doc_index`` that become nodes."""
+    def keep_first(self, terms: Sequence[str]) -> List[str]:
+        """Terms of a first-corpus document that become nodes."""
 
     @abstractmethod
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:
-        """Terms of second-corpus document ``doc_index`` that become nodes."""
+    def keep_second(self, terms: Sequence[str]) -> List[str]:
+        """Terms of a second-corpus document that become nodes."""
 
 
 class NoFilter(FilterStrategy):
@@ -345,10 +345,10 @@ class NoFilter(FilterStrategy):
     def prepare(self, first_corpus_terms, second_corpus_terms) -> None:
         return None
 
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:
+    def keep_first(self, terms: Sequence[str]) -> List[str]:
         return list(terms)
 
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:
+    def keep_second(self, terms: Sequence[str]) -> List[str]:
         return list(terms)
 
 
@@ -380,12 +380,12 @@ class IntersectFilter(FilterStrategy):
             self.anchor = "second"
             self._anchor_vocabulary = second_vocab
 
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:
+    def keep_first(self, terms: Sequence[str]) -> List[str]:
         if self.anchor == "first":
             return list(terms)
         return [t for t in terms if t in self._anchor_vocabulary]
 
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:
+    def keep_second(self, terms: Sequence[str]) -> List[str]:
         if self.anchor == "second":
             return list(terms)
         return [t for t in terms if t in self._anchor_vocabulary]
@@ -396,8 +396,7 @@ class TfIdfFilter(FilterStrategy):
 
     name = "tfidf"
 
-    def __init__(self, top_k: int = 10):
-        self.top_k = top_k
+    def __init__(self) -> None:
         self._idf_first: Dict[str, float] = {}
         self._idf_second: Dict[str, float] = {}
 
@@ -419,12 +418,12 @@ class TfIdfFilter(FilterStrategy):
         counts = Counter(terms)
         scored = [(counts[t] * idf.get(t, 1.0), t) for t in counts]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [t for _score, t in scored[: self.top_k]]
+        return [t for _score, t in scored[:TFIDF_TOP_K]]
 
-    def keep_first(self, doc_index: int, terms: Sequence[str]) -> List[str]:
+    def keep_first(self, terms: Sequence[str]) -> List[str]:
         return self._top_terms(terms, self._idf_first)
 
-    def keep_second(self, doc_index: int, terms: Sequence[str]) -> List[str]:
+    def keep_second(self, terms: Sequence[str]) -> List[str]:
         return self._top_terms(terms, self._idf_second)
 
 
@@ -435,7 +434,7 @@ def make_string_filter(config: GraphBuilderConfig) -> FilterStrategy:
     if config.filter_strategy_name == "normal":
         return NoFilter()
     if config.filter_strategy_name == "tfidf":
-        return TfIdfFilter(top_k=config.tfidf_top_k)
+        return TfIdfFilter()
     raise ValueError(f"unknown filter strategy: {config.filter_strategy_name!r}")
 
 
@@ -460,14 +459,14 @@ def build_reference(config: GraphBuilderConfig, first, second) -> BuiltGraph:
 
     # ---- first corpus (Algorithm 1, lines 3-25) -------------------
     role = GraphBuilder._role_of(first)
-    for index, (object_id, terms) in enumerate(first_terms):
+    for object_id, terms in first_terms:
         label = metadata_label(first, object_id)
         graph.add_node(label, kind=NodeKind.METADATA, corpus="first", role=role)
         first_metadata[object_id] = label
-        kept = filter_strategy.keep_first(index, terms)
+        kept = filter_strategy.keep_first(terms)
         stats.first_total += len(terms)
         stats.first_kept += len(kept)
-        column_labels = _column_labels_for(config, preprocessor, first, object_id, graph)
+        column_labels = _column_labels_for(preprocessor, first, object_id, graph)
         for term in kept:
             graph.add_node(term, kind=NodeKind.DATA, corpus="first", role="term")
             graph.add_edge(label, term)
@@ -480,11 +479,11 @@ def build_reference(config: GraphBuilderConfig, first, second) -> BuiltGraph:
     # ---- second corpus (Algorithm 1, lines 27-34) ------------------
     role = GraphBuilder._role_of(second)
     allow_new = _second_may_create_nodes(filter_strategy)
-    for index, (object_id, terms) in enumerate(second_terms):
+    for object_id, terms in second_terms:
         label = metadata_label(second, object_id)
         graph.add_node(label, kind=NodeKind.METADATA, corpus="second", role=role)
         second_metadata[object_id] = label
-        kept = filter_strategy.keep_second(index, terms)
+        kept = filter_strategy.keep_second(terms)
         stats.second_total += len(terms)
         for term in kept:
             if graph.has_node(term):
@@ -528,7 +527,6 @@ def _corpus_terms(preprocessor: Preprocessor, corpus) -> List[Tuple[str, List[st
 
 
 def _column_labels_for(
-    config: GraphBuilderConfig,
     preprocessor: Preprocessor,
     corpus,
     object_id: str,
@@ -538,7 +536,7 @@ def _column_labels_for(
 
     Also adds the column metadata nodes to the graph on first use.
     """
-    if not isinstance(corpus, Table) or not config.add_column_nodes:
+    if not isinstance(corpus, Table):
         return {}
     row = corpus[object_id]
     mapping: Dict[str, List[str]] = {}

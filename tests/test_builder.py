@@ -70,11 +70,6 @@ class TestTableTextGraph:
         assert graph.has_node(director_col)
         assert any(graph.has_edge(director_col, n) for n in ("shyamalan", "tarantino"))
 
-    def test_column_nodes_can_be_disabled(self, movies_table, reviews):
-        config = GraphBuilderConfig(add_column_nodes=False)
-        built = GraphBuilder(config).build(movies_table, reviews)
-        assert built.graph.metadata_nodes(role="column") == []
-
     def test_shared_terms_bridge_corpora(self, movies_table, reviews):
         built = GraphBuilder().build(movies_table, reviews)
         graph = ReferenceGraph.thaw(built.graph)
@@ -146,7 +141,7 @@ class TestTextToText:
         assert built.graph.has_node("star") or built.graph.has_node("stars")
 
     def test_filter_strategy_tfidf(self, movies_table, reviews):
-        config = GraphBuilderConfig(filter_strategy_name="tfidf", tfidf_top_k=3)
+        config = GraphBuilderConfig(filter_strategy_name="tfidf")
         built = GraphBuilder(config).build(movies_table, reviews)
         assert built.graph.num_nodes() > 0
 

@@ -15,7 +15,7 @@ from repro.retrieval import DenseTopK
 def top_k(scores, k, candidate_ids):
     """The top-k candidate ids of each row, decoded by ``to_rankings``."""
     query_ids = [f"q{i}" for i in range(scores.shape[0])]
-    rankings = DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+    rankings = DenseTopK().retrieve_from_scores(scores, k).to_rankings(
         query_ids, candidate_ids
     )
     return [rankings[qid].ids() for qid in query_ids]

@@ -75,10 +75,6 @@ class TestExpansion:
         # bhavna vaswani connects only to shyamalan and must be pruned.
         assert not expand_graph(example_graph, kb).graph.has_node("bhavna vaswani")
 
-    def test_sink_removal_can_be_disabled(self, example_graph, kb):
-        expanded = expand_graph(example_graph, kb, remove_sinks=False).graph
-        assert expanded.has_node("bhavna vaswani")
-
     def test_metadata_nodes_never_expanded_or_removed(self, example_graph, kb):
         kb.add_relation("t1", "bogus", "should not appear")
         expanded = expand_graph(example_graph, kb).graph
@@ -86,27 +82,39 @@ class TestExpansion:
         for label in ("t1", "t2", "p1", "p2"):
             assert expanded.has_node(label)
 
-    def test_max_relations_cap(self, example_graph):
-        kb = InMemoryKnowledgeBase()
-        for i in range(20):
-            kb.add_relation("willis", "linksTo", f"filler {i} word")
-        result = expand_graph(example_graph, kb, max_relations_per_node=3, remove_sinks=False)
-        assert result.nodes_added <= 3
-
     def test_expansion_result_counts_consistent(self, example_graph, kb):
         result = expand_graph(example_graph, kb)
         assert result.nodes_before == example_graph.num_nodes()
         assert result.nodes_after == result.graph.num_nodes()
         assert result.edges_after == result.graph.num_edges()
 
-    @pytest.mark.parametrize("max_relations", [None, 1])
-    @pytest.mark.parametrize("remove_sinks", [True, False])
-    def test_batched_expansion_matches_per_relation_reference(
-        self, kb, max_relations, remove_sinks
-    ):
-        kb.add_relation("comedy", "relatedTo", "drama")  # both endpoints pre-exist
-        kb.add_relation("thriller", "relatedTo", "pulp fiction")  # shared new node
-        assert_expansion_matches_reference(kb, max_relations, remove_sinks)
+    def test_every_relation_of_a_node_is_added(self, example_graph):
+        kb = InMemoryKnowledgeBase()
+        for i in range(20):
+            kb.add_relation("willis", "linksTo", f"filler {i} word")
+        result = expand_graph(example_graph, kb)
+        assert result.nodes_added == result.edges_added == 20
+        # Each filler hangs off willis alone, as pg, tarantino, drama and
+        # comedy hang off one metadata node each.
+        assert result.sink_nodes_removed == 20 + 4
+        assert not any(label.startswith("filler") for label in result.graph.labels)
+
+    @pytest.mark.parametrize(
+        "relations",
+        [
+            [],
+            [("comedy", "drama")],  # both endpoints pre-exist
+            [("thriller", "pulp fiction")],  # shared new node
+            [("comedy", "drama"), ("thriller", "pulp fiction")],
+            [("t1", "bogus")],  # metadata nodes are not expanded
+            [("drama", " ")],  # an empty neighbour is skipped
+        ],
+        ids=["fixture", "existing", "shared-new", "both", "metadata", "empty"],
+    )
+    def test_batched_expansion_matches_per_relation_reference(self, kb, relations):
+        for head, tail in relations:
+            kb.add_relation(head, "relatedTo", tail)
+        assert_expansion_matches_reference(kb)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -117,25 +125,19 @@ class TestExpansion:
             ),
             max_size=10,
         ),
-        max_relations=st.sampled_from([None, 1, 2]),
-        remove_sinks=st.booleans(),
     )
-    def test_expansion_matches_reference_on_random_resources(
-        self, relations, max_relations, remove_sinks
-    ):
+    def test_expansion_matches_reference_on_random_resources(self, relations):
         kb = InMemoryKnowledgeBase()
         for head, tail in relations:
             kb.add_relation(head, "relatedTo", tail)
-        assert_expansion_matches_reference(kb, max_relations, remove_sinks)
+        assert_expansion_matches_reference(kb)
 
 
-def assert_expansion_matches_reference(kb, max_relations, remove_sinks):
+def assert_expansion_matches_reference(kb):
     """expand_graph appends the new nodes and edges and masks the sinks out;
     parity against the per-relation loop must be exact: same node order,
     metadata, edge set, and result counts."""
-    result = expand_graph(
-        build_example_graph(), kb, max_relations_per_node=max_relations, remove_sinks=remove_sinks
-    )
+    result = expand_graph(build_example_graph(), kb)
     batched = result.graph
 
     reference = build_example_reference()
@@ -144,10 +146,7 @@ def assert_expansion_matches_reference(kb, max_relations, remove_sinks):
     for label in list(reference.nodes()):
         if reference.is_metadata(label):
             continue
-        related = kb.related(label)
-        if max_relations is not None:
-            related = list(related)[:max_relations]
-        for neighbor in related:
+        for neighbor in kb.related(label):
             if not neighbor or neighbor == label:
                 continue
             if not reference.has_node(neighbor):
@@ -155,7 +154,7 @@ def assert_expansion_matches_reference(kb, max_relations, remove_sinks):
                 nodes_added += 1
             if reference.add_edge(label, neighbor):
                 edges_added += 1
-    sink_removed = reference.remove_sink_nodes(protect_metadata=True) if remove_sinks else 0
+    sink_removed = reference.remove_sink_nodes(protect_metadata=True)
 
     assert result.nodes_added == nodes_added
     assert result.edges_added == edges_added

@@ -34,15 +34,17 @@ class TestTokenBlocking:
 
     def test_min_shared_terms(self, candidates):
         blocker = TokenBlocking(min_shared_terms=2).fit(candidates)
-        assert "m1" in blocker.block("Bergman thriller")
-        assert blocker.block("thriller only") == ["m1"] or "m1" in blocker.block("thriller only") or True
+        assert blocker.block("Bergman thriller") == ["m1"]
         # with two required terms a single shared term is not enough
-        assert "m3" not in blocker.block("a comedy tonight" if True else "")
+        assert blocker.block("thriller only") == []
+        assert blocker.block("a comedy tonight") == []
+        assert blocker.block("a comedy directed tonight") == ["m3"]
 
-    def test_max_block_size(self, candidates):
-        blocker = TokenBlocking(max_block_size=1).fit(candidates)
-        block = blocker.block("directed directed directed")
-        assert len(block) <= 1
+    def test_block_sorts_every_sharing_candidate_by_overlap(self, candidates):
+        # "directed" is in every text; "thriller" only in m1's.
+        blocker = TokenBlocking().fit(candidates)
+        assert blocker.block("directed") == ["m1", "m2", "m3"]
+        assert blocker.block("directed drama") == ["m2", "m1", "m3"]
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -51,15 +53,6 @@ class TestTokenBlocking:
     def test_invalid_min_shared(self):
         with pytest.raises(ValueError):
             TokenBlocking(min_shared_terms=0)
-
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_invalid_max_block_size(self, candidates, size):
-        # -1 used to drop the last candidate of every block, 0 to empty it.
-        with pytest.raises(ValueError, match="max_block_size"):
-            TokenBlocking(max_block_size=size)
-        assert TokenBlocking(max_block_size=None).fit(candidates).block("directed") == [
-            "m1", "m2", "m3"
-        ]
 
     def test_empty_query_returns_empty_block(self, candidates):
         blocker = TokenBlocking().fit(candidates)
@@ -77,12 +70,32 @@ class TestMetadataNeighborhoodBlocking:
         g.add_edge("doc::q", "shared")
         g.add_edge("row::a", "shared")
         g.add_edge("row::b", "other")
-        blocker = MetadataNeighborhoodBlocking(g.freeze(), max_hops=2)
-        block = blocker.block("doc::q", {"a": "row::a", "b": "row::b"})
+        blocker = MetadataNeighborhoodBlocking(g.freeze())
+        block = blocker.block("doc::q", {"a": "row::a", "b": "row::b", "gone": "row::gone"})
         assert block == ["a"]
-        assert MetadataNeighborhoodBlocking(g.freeze(), max_hops=1).block(
-            "doc::q", {"a": "row::a", "b": "row::b", "gone": "row::gone"}
-        ) == []
+
+    def test_block_reaches_two_hops(self):
+        # q - x - a - y - b: a shares a term with q, b only with a.
+        g = graph_of(
+            [("doc::q", NodeKind.METADATA), ("row::a", NodeKind.METADATA),
+             ("row::b", NodeKind.METADATA), "x", "y"],
+            [("doc::q", "x"), ("row::a", "x"), ("row::a", "y"), ("row::b", "y")],
+        )
+        blocker = MetadataNeighborhoodBlocking(g)
+        assert blocker.block("doc::q", {"a": "row::a", "b": "row::b"}) == ["a"]
+        assert blocker.block("row::a", {"q": "doc::q", "b": "row::b"}) == ["q", "b"]
+
+    def test_block_holds_every_candidate_in_reach(self):
+        # Fifty rows share one term with q; the block keeps all of them, in
+        # the order of the candidate mapping.
+        rows = [f"row::{i}" for i in range(50)]
+        g = graph_of(
+            [("doc::q", NodeKind.METADATA), "x"] + [(row, NodeKind.METADATA) for row in rows],
+            [("doc::q", "x")] + [(row, "x") for row in rows],
+        )
+        candidates = {str(i): row for i, row in reversed(list(enumerate(rows)))}
+        block = MetadataNeighborhoodBlocking(g).block("doc::q", candidates)
+        assert block == [str(i) for i in reversed(range(50))]
 
     def test_blocks_on_a_loaded_graph_equal_the_fitted_ones(self, tmp_path):
         # Blocking walks the graph's arrays: a memory-mapped load blocks as
@@ -98,24 +111,14 @@ class TestMetadataNeighborhoodBlocking:
         candidates = fitted.state.built.second_metadata
         blocks = []
         for pipeline in (fitted, loaded):
-            blocking = MetadataNeighborhoodBlocking(pipeline.graph, max_hops=2)
+            blocking = MetadataNeighborhoodBlocking(pipeline.graph)
             blocks.append([blocking.block(label, candidates) for label in queries])
         assert blocks[0] == blocks[1]
         assert any(blocks[0])
 
     def test_unknown_query_label(self):
-        blocker = MetadataNeighborhoodBlocking(graph_of([]), max_hops=1)
+        blocker = MetadataNeighborhoodBlocking(graph_of([]))
         assert blocker.block("missing", {"a": "row::a"}) == []
-
-    def test_invalid_hops(self):
-        with pytest.raises(ValueError):
-            MetadataNeighborhoodBlocking(graph_of([]), max_hops=0)
-
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_invalid_max_block_size(self, size):
-        with pytest.raises(ValueError, match="max_block_size"):
-            MetadataNeighborhoodBlocking(graph_of([]), max_block_size=size)
-        assert MetadataNeighborhoodBlocking(graph_of([]), max_block_size=None).max_block_size is None
 
 
 class TestBlockedMatcher:
@@ -130,22 +133,21 @@ class TestBlockedMatcher:
         return matcher, blocker
 
     @staticmethod
-    def _match(setup, fallback_to_full):
+    def _match(setup):
         matcher, blocker = setup
-        backend = BlockedTopK(blocker, fallback_to_full=fallback_to_full)
-        return matcher.match_with_stats(k=3, backend=backend)
+        return matcher.match_with_stats(k=3, backend=BlockedTopK(blocker))
 
     def test_blocked_match_restricts_candidates(self, setup):
-        rankings, _ = self._match(setup, fallback_to_full=False)
+        rankings, _ = self._match(setup)
         assert rankings["q1"].ids() == ["a"]
-        assert rankings["q2"].ids() == []  # empty block, no fallback
 
     def test_fallback_to_full_ranking(self, setup):
-        rankings, _ = self._match(setup, fallback_to_full=True)
+        rankings, _ = self._match(setup)
         assert len(rankings["q2"]) == 3
 
     def test_statistics_reduction(self, setup):
-        _, stats = self._match(setup, fallback_to_full=False)
+        _, stats = self._match(setup)
+        assert stats.scored_pairs == 1 + 3  # q1's block, q2's fallback
         assert stats.scored_pairs < stats.all_pairs
         assert 0.0 < stats.reduction_ratio <= 1.0
         assert stats.empty_blocks == 1

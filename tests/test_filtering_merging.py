@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.embeddings.pretrained import build_synthetic_pretrained, synonym_pairs_from_clusters
-from repro.graph.filtering import BulkIntersectFilter, BulkNoFilter, BulkTfIdfFilter
+from repro.graph.filtering import (
+    TFIDF_TOP_K,
+    BulkIntersectFilter,
+    BulkNoFilter,
+    BulkTfIdfFilter,
+)
 from repro.graph.graph import NodeKind
 from repro.graph.merging import (
     EmbeddingMerger,
@@ -50,8 +55,8 @@ class TestIntersectFilter:
     def test_non_anchor_terms_filtered(self):
         terms, first, second = _interned([["a", "b"]], [["a", "c"]])
         filt = BulkIntersectFilter(first, second, len(terms))
-        assert _decode(terms, filt.keep_second(0, second[0])) == ["a"]
-        assert _decode(terms, filt.keep_first(0, first[0])) == ["a", "b"]
+        assert _decode(terms, filt.keep_second(second[0])) == ["a"]
+        assert _decode(terms, filt.keep_first(first[0])) == ["a", "b"]
 
     def test_tie_prefers_first_corpus(self):
         terms, first, second = _interned([["a", "b"]], [["c", "d"]])
@@ -62,25 +67,24 @@ class TestNoFilter:
     def test_everything_kept(self):
         terms, first, second = _interned([["a", "x"]], [["b", "y"]])
         filt = BulkNoFilter()
-        assert _decode(terms, filt.keep_first(0, first[0])) == ["a", "x"]
-        assert _decode(terms, filt.keep_second(0, second[0])) == ["b", "y"]
+        assert _decode(terms, filt.keep_first(first[0])) == ["a", "x"]
+        assert _decode(terms, filt.keep_second(second[0])) == ["b", "y"]
 
 
 class TestTfIdfFilter:
     def test_top_k_terms_kept(self):
-        terms, first, second = _interned([["rare", "common"], ["common"]], [["common", "rare"]])
-        filt = BulkTfIdfFilter(first, second, terms, top_k=1)
-        assert len(filt.keep_first(0, first[0])) == 1
+        long_doc = [f"term{i:02d}" for i in range(TFIDF_TOP_K + 2)]
+        terms, first, second = _interned([long_doc, ["term00"]], [long_doc])
+        filt = BulkTfIdfFilter(first, second, terms)
+        assert len(filt.keep_first(first[0])) == TFIDF_TOP_K == 10
 
     def test_rare_term_beats_common_term(self):
-        docs = [["rare", "common"], ["common"], ["common"], ["common", "other"]]
+        # Equal scores keep the lexicographically first terms.
+        common = [f"common{i}" for i in range(TFIDF_TOP_K)]
+        docs = [["rare"] + common, common, common, common + ["other"]]
         terms, first, second = _interned(docs, docs)
-        filt = BulkTfIdfFilter(first, second, terms, top_k=1)
-        assert _decode(terms, filt.keep_first(0, first[0])) == ["rare"]
-
-    def test_invalid_top_k(self):
-        with pytest.raises(ValueError):
-            BulkTfIdfFilter([], [], [], top_k=0)
+        filt = BulkTfIdfFilter(first, second, terms)
+        assert _decode(terms, filt.keep_first(first[0])) == ["rare"] + common[:-1]
 
 
 class TestFreedmanDiaconis:
@@ -109,28 +113,29 @@ def assert_same_graph(graph, expected):
 
 class TestNumericBucketer:
     def _graph_with_numbers(self):
-        values = ("10", "11", "12", "95", "96", "text")
+        # Freedman–Diaconis width 84.5 from 10: two buckets of four.
+        values = ("10", "11", "12", "13", "95", "96", "97", "98", "text")
         return graph_of(
             [("t1", NodeKind.METADATA)] + [(value, NodeKind.DATA) for value in values],
             [("t1", value) for value in values],
         )
 
     def test_close_numbers_merge(self):
-        report = NumericBucketer(width=5.0).apply(self._graph_with_numbers())
-        assert len(report.merged_pairs) >= 4
+        report = NumericBucketer().apply(self._graph_with_numbers())
+        assert len(report.merged_pairs) == 8
         remaining_numeric = [n for n in report.graph.data_nodes() if n[0].isdigit()]
         assert remaining_numeric == []
 
     def test_bucket_nodes_created(self):
-        graph = NumericBucketer(width=5.0).apply(self._graph_with_numbers()).graph
+        graph = NumericBucketer().apply(self._graph_with_numbers()).graph
         buckets = [n for n in graph.data_nodes() if n.startswith("num[")]
-        assert len(buckets) == 2
+        assert buckets == ["num[10.0,94.5)#0", "num[94.5,179.0)#1"]
         assert graph.nodes()[-2:] == buckets  # appended after the graph's own nodes
         assert graph.node_info(buckets[0]).corpus == "both"
 
     def test_text_nodes_untouched(self):
         source = self._graph_with_numbers()
-        graph = NumericBucketer(width=5.0).apply(source).graph
+        graph = NumericBucketer().apply(source).graph
         assert graph.has_node("text")
         assert source.has_node("10")  # the source graph is not modified
 
@@ -153,15 +158,11 @@ class TestNumericBucketer:
             [("m1", NodeKind.METADATA), ("m2", NodeKind.METADATA)] + [str(v) for v in values],
             [(labels[u % len(labels)], labels[v % len(labels)]) for u, v in edges],
         )
-        report = NumericBucketer(width=7.0).apply(graph)
+        report = NumericBucketer().apply(graph)
         buckets = {}
         for bucket, member in report.merged_pairs:
             buckets.setdefault(bucket, []).append(member)
         assert_same_graph(report.graph, bucketing_reference(graph, buckets))
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            NumericBucketer(width=0.0)
 
     def test_bucket_label_format(self):
         label = NumericBucketer.bucket_label(12.0, 5.0, 10.0)
@@ -187,26 +188,28 @@ class TestNumericBucketer:
         assert (la == lb) == (ia == ib)
 
     def test_narrow_buckets_at_large_origin_stay_distinct(self):
-        # Regression: width 0.001 near 1e7 — "%g" rendered both bounds as
-        # "1e+07", silently merging distinct buckets into one node.
-        values = ("10000000.0002", "10000000.0004", "10000000.0012", "10000000.0014")
+        # Regression: a bucket width of ~0.02 near 1e7 — "%g" rendered both
+        # buckets' bounds as "1e+07", silently merging them into one node.
+        values = [f"10000000.0{cluster}0{digit}" for cluster in "012" for digit in "123"]
         graph = graph_of(
             [("t1", NodeKind.METADATA)] + [(value, NodeKind.DATA) for value in values],
             [("t1", value) for value in values],
         )
-        report = NumericBucketer(width=0.001).apply(graph)
+        assert freedman_diaconis_width([float(v) for v in values]) == pytest.approx(0.019, abs=1e-3)
+        report = NumericBucketer().apply(graph)
         buckets = [n for n in report.graph.data_nodes() if n.startswith("num[")]
         assert len(buckets) == 2  # one per bucket, not one shared label
-        assert len(report.merged_pairs) == 4
+        assert len(report.merged_pairs) == 9
 
     def test_bucket_label_collision_with_existing_node_renames(self):
-        # A pre-existing text term that happens to spell the bucket label.
-        clash = NumericBucketer.bucket_label(10.0, 5.0, 10.0)
+        # A pre-existing text term that happens to spell the bucket label
+        # of 10 and 11 (12 lands in the next bucket).
+        clash = NumericBucketer.bucket_label(10.0, freedman_diaconis_width([10, 11, 12]), 10.0)
         graph = graph_of(
-            [("t1", NodeKind.METADATA), "10", "11", clash, ("other", NodeKind.METADATA)],
-            [("t1", "10"), ("t1", "11"), (clash, "other")],
+            [("t1", NodeKind.METADATA), "10", "11", "12", clash, ("other", NodeKind.METADATA)],
+            [("t1", "10"), ("t1", "11"), ("t1", "12"), (clash, "other")],
         )
-        report = NumericBucketer(width=5.0).apply(graph)
+        report = NumericBucketer().apply(graph)
         merged = report.graph
         # The clashing node keeps its own identity and edges...
         assert merged.neighbors(clash) == ["other"]

@@ -100,14 +100,7 @@ class TestConfigValidation:
     def test_preprocess_config_validates(self):
         with pytest.raises(ValueError):
             PreprocessConfig(max_ngram=0)
-        with pytest.raises(ValueError):
-            PreprocessConfig(min_token_length=0)
-        PreprocessConfig(max_ngram=1, min_token_length=1)  # valid
-
-    def test_builder_config_validates(self):
-        with pytest.raises(ValueError):
-            GraphBuilderConfig(tfidf_top_k=0)
-        GraphBuilderConfig(tfidf_top_k=1)  # valid
+        PreprocessConfig(max_ngram=1)  # valid
 
 
 # ----------------------------------------------------------------------
@@ -139,14 +132,20 @@ class TestBulkFilters:
     def test_tfidf_matches_reference_order(self):
         preprocessor = Preprocessor(PreprocessConfig())
         interner = TermInterner(preprocessor)
-        texts = ["drama film noir", "drama thriller", "noir classic film"]
+        # Six words make 15 terms, so the top 10 drops some.
+        texts = [
+            "drama film noir classic thriller story",
+            "drama thriller night",
+            "noir classic film drama mystery crime",
+        ]
         docs = [interner.term_ids(t) for t in texts]
-        reference = make_string_filter(GraphBuilderConfig(filter_strategy_name="tfidf", tfidf_top_k=2))
+        reference = make_string_filter(GraphBuilderConfig(filter_strategy_name="tfidf"))
         reference.prepare([preprocessor.terms(t) for t in texts], [])
-        bulk = BulkTfIdfFilter(docs, [], interner.terms, top_k=2)
-        for index, (ids, text) in enumerate(zip(docs, texts)):
-            expected = reference.keep_first(index, preprocessor.terms(text))
-            assert interner.decode(bulk.keep_first(index, ids)) == expected
+        bulk = BulkTfIdfFilter(docs, [], interner.terms)
+        for ids, text in zip(docs, texts):
+            expected = reference.keep_first(preprocessor.terms(text))
+            assert interner.decode(bulk.keep_first(ids)) == expected
+        assert [len(bulk.keep_first(ids)) for ids in docs] == [10, 6, 10]
 
 
 # ----------------------------------------------------------------------
@@ -224,11 +223,6 @@ class TestEngineParity:
     def test_bulk_matches_reference(self, strategy, first, second):
         assert_engines_agree(first, second, filter_strategy_name=strategy)
 
-    @given(first=tables(), second=text_corpora())
-    @settings(max_examples=20, deadline=None)
-    def test_parity_without_column_nodes(self, first, second):
-        assert_engines_agree(first, second, add_column_nodes=False)
-
     @given(first=taxonomies(), second=taxonomies())
     @settings(max_examples=20, deadline=None)
     def test_parity_without_structured_metadata(self, first, second):
@@ -302,7 +296,7 @@ class TestPipelineIntegration:
         pipeline.fit(scenario.first, scenario.second)
         assert pipeline._builder is builder  # warm interner reused
         assert pipeline.graph.nodes() == nodes
-        pipeline.config.builder.tfidf_top_k += 1  # unused by the intersect filter
+        pipeline.config.builder.connect_structured_metadata = False  # no taxonomy here
         pipeline.fit(scenario.first, scenario.second)
         assert pipeline._builder is not builder  # config change rebuilds
         assert pipeline.graph.nodes() == nodes

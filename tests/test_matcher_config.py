@@ -1,5 +1,8 @@
 """Tests for the metadata matcher, score combination, and configuration objects."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,19 @@ from repro.core.config import (
 )
 from repro.core.matcher import MetadataMatcher
 from repro.retrieval import combine_scores
+
+#: Leaf config fields deleted because nothing outside the tests set them;
+#: each is now the constant every run used.
+REMOVED_FIELDS = (
+    "retrieval.dtype", "retrieval.max_hops", "retrieval.max_block_size",
+    "retrieval.fallback_to_full", "serving.include_output_vectors",
+    "incremental.epochs", "incremental.learning_rate", "incremental.num_walks",
+    "incremental.neighborhood_hops", "builder.add_column_nodes",
+    "builder.tfidf_top_k", "builder.preprocess.remove_stopwords",
+    "builder.preprocess.lowercase", "builder.preprocess.min_token_length",
+    "builder.preprocess.keep_numbers", "expansion.max_relations_per_node",
+    "expansion.remove_sinks", "merge.bucket_width",
+)
 
 
 class TestMetadataMatcher:
@@ -124,6 +140,35 @@ class TestConfigs:
             TDMatchConfig.fast(walks__bogus=1)
         with pytest.raises(AttributeError):
             TDMatchConfig.fast(bogus=1)
+
+    def test_override_of_a_removed_field_names_it(self):
+        with pytest.raises(AttributeError, match="retrieval config has no field 'max_hops'"):
+            TDMatchConfig.fast(retrieval__max_hops=3)
+
+    def test_leaf_fields(self):
+        """Every leaf field is one that a run, a benchmark or an example sets."""
+
+        def leaves(config, prefix=""):
+            for f in dataclasses.fields(config):
+                value = getattr(config, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        names = set(leaves(TDMatchConfig()))
+        assert len(names) == 36
+        assert not names & set(REMOVED_FIELDS)
+
+    @pytest.mark.parametrize("path", REMOVED_FIELDS)
+    def test_a_removed_field_is_rejected_by_name(self, path):
+        *sections, name = path.split(".")
+        section = functools.reduce(getattr, sections, TDMatchConfig())
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            type(section)(**{name: None})
+        if len(sections) == 1:  # overrides reach one level down
+            with pytest.raises(AttributeError, match=f"{sections[0]} config has no field '{name}'"):
+                TDMatchConfig.fast(**{f"{sections[0]}__{name}": None})
 
     def test_compression_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.text.ngrams import generate_ngrams, ngram_terms
 from repro.text.preprocess import PreprocessConfig, Preprocessor
+from repro.text.stopwords import STOP_WORDS
 
 
 class TestNgrams:
@@ -73,18 +74,22 @@ class TestPreprocessor:
         preprocessor = Preprocessor(PreprocessConfig(apply_stemming=False))
         assert "planning" in preprocessor.tokens("planning")
 
-    def test_no_stopword_removal_config(self):
-        preprocessor = Preprocessor(PreprocessConfig(remove_stopwords=False))
-        assert "the" in preprocessor.tokens("the plan")
+    def test_one_letter_words_dropped(self):
+        # MIN_TOKEN_LENGTH is 2: "x" goes, "ox" stays.
+        preprocessor = Preprocessor(PreprocessConfig(apply_stemming=False))
+        assert preprocessor.tokens("X ray of an ox") == ["ray", "ox"]
 
-    def test_keep_numbers_false(self):
-        preprocessor = Preprocessor(PreprocessConfig(keep_numbers=False))
-        assert "1999" not in preprocessor.tokens("in 1999")
+    def test_one_digit_numbers_kept(self):
+        preprocessor = Preprocessor(PreprocessConfig(apply_stemming=False))
+        assert preprocessor.tokens("in 4 days") == ["4", "days"]
 
-    def test_min_token_length(self):
-        preprocessor = Preprocessor(PreprocessConfig(min_token_length=4))
-        tokens = preprocessor.tokens("big risk rises")
-        assert "big" not in tokens
+    def test_tokens_lower_cased(self):
+        preprocessor = Preprocessor(PreprocessConfig(apply_stemming=False))
+        assert preprocessor.tokens("PULP Fiction by TARANTINO") == ["pulp", "fiction", "tarantino"]
+
+    def test_no_stop_word_starts_with_a_digit(self):
+        # tokens() keeps every token that starts with a digit unchecked.
+        assert [word for word in STOP_WORDS if word[:1].isdigit()] == []
 
     def test_stem_cache_consistency(self, preprocessor):
         first = preprocessor.tokens("auditing auditing")

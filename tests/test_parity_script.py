@@ -27,12 +27,22 @@ def test_identical_probes(tmp_path, capsys):
     assert capsys.readouterr().out == "default: identical\n"
 
 
-def test_first_differing_field_is_named(tmp_path, capsys):
-    other = dict(PROBE, edges=3, rankings=[["q", [["c", "0.25"]]]])
+def test_a_single_differing_field_is_named(tmp_path, capsys):
     a = write(tmp_path, "a.json", {"default": PROBE})
-    b = write(tmp_path, "b.json", {"default": other})
+    b = write(tmp_path, "b.json", {"default": dict(PROBE, edges=3)})
     assert compare(a, b) == 1
     assert capsys.readouterr().out == "default: different (edges)\n"
+
+
+def test_every_differing_field_is_named(tmp_path, capsys):
+    # A field on one side only (index_sha256) differs too.
+    other = dict(PROBE, edges=3, rankings=[["q", [["c", "0.25"]]]], output_sha256="c")
+    a = write(tmp_path, "a.json", {"default": PROBE})
+    b = write(tmp_path, "b.json", {"default": dict(other, index_sha256="x")})
+    assert compare(a, b) == 1
+    assert capsys.readouterr().out == (
+        "default: different (edges, index_sha256, output_sha256, rankings)\n"
+    )
 
 
 def test_a_probe_missing_on_one_side_differs(tmp_path, capsys):

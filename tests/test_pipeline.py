@@ -257,9 +257,10 @@ class TestOptionalStages:
         claims.add_text("c1", "italy reported 100 cases")
         claims.add_text("c2", "france reported 900 cases")
         config = TDMatchConfig.fast()
-        config.merge = MergeConfig(bucket_numeric=True, bucket_width=10.0)
+        config.merge = MergeConfig(bucket_numeric=True)
         pipeline = TDMatch(config, seed=5).fit(claims, table)
-        assert any(r.technique == "bucketing" for r in pipeline.state.merge_reports)
+        [report] = [r for r in pipeline.state.merge_reports if r.technique == "bucketing"]
+        assert sorted(absorbed for _bucket, absorbed in report.merged_pairs) == ["100", "102"]
 
     def test_embedding_merge_stage_with_calibration(self):
         reviews, table, _gold = build_movie_world()

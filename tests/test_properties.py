@@ -21,7 +21,9 @@ from repro.graph.walks import RandomWalkConfig
 from repro.kb.knowledge_base import InMemoryKnowledgeBase
 from repro.retrieval import DenseTopK
 from repro.text.ngrams import generate_ngrams
+from repro.text.preprocess import MIN_TOKEN_LENGTH, PreprocessConfig, Preprocessor
 from repro.text.stemmer import PorterStemmer
+from repro.text.stopwords import STOP_WORDS
 from repro.text.tokenizer import tokenize
 from repro.utils.rng import ensure_rng
 from tests.oracles.graph import ReferenceGraph
@@ -32,6 +34,7 @@ from tests.oracles.walks import csr_label_walks, single_walk
 labels = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 token_lists = st.lists(labels, min_size=0, max_size=12)
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=15)
+short_and_stop_words = ["The", "a", "I", "x", "of", "an", "ox", "it's", "4", "1,250", "8.6", "--"]
 
 
 def random_graph_strategy():
@@ -61,6 +64,13 @@ class TestTextProperties:
         tokens = tokenize(text)
         assert all(t == t.lower() for t in tokens)
         assert all(t for t in tokens)
+
+    @given(st.lists(st.sampled_from(short_and_stop_words) | words, max_size=12).map(" ".join))
+    @settings(max_examples=60)
+    def test_tokens_drop_stop_words_and_short_words_but_keep_numbers(self, text):
+        kept = [t for t in tokenize(text) if t[0].isdigit() or len(t) >= MIN_TOKEN_LENGTH]
+        expected = [t for t in kept if t not in STOP_WORDS]
+        assert Preprocessor(PreprocessConfig(apply_stemming=False)).tokens(text) == expected
 
     @given(words)
     @settings(max_examples=80)
@@ -220,7 +230,7 @@ class TestNumericProperties:
         rng = np.random.default_rng(seed)
         scores = rng.normal(size=(3, n_candidates))
         ids = [f"c{i}" for i in range(n_candidates)]
-        rankings = DenseTopK(dtype=None).retrieve_from_scores(scores, k).to_rankings(
+        rankings = DenseTopK().retrieve_from_scores(scores, k).to_rankings(
             ["q0", "q1", "q2"], ids
         )
         for ranking in rankings:

@@ -86,7 +86,7 @@ def result_rows(result):
 def decoded_top_k(scores, k, candidate_ids):
     """Per-row (candidate id, score) lists of the top-k, decoded by ``to_rankings``."""
     query_ids = ids(scores.shape[0], "q")
-    result = DenseTopK(dtype=None).retrieve_from_scores(scores, k)
+    result = DenseTopK().retrieve_from_scores(scores, k)
     rankings = result.to_rankings(query_ids, candidate_ids)
     return [rankings[qid].candidates for qid in query_ids]
 
@@ -208,7 +208,7 @@ class TestArgTopK:
             assert got[0].tobytes() == expected[0].tobytes()
             assert got[1].tobytes() == expected[1].tobytes()
         queries, candidates = np.eye(2, 3), np.eye(3)
-        blocked = BlockedTopK(DictBlocker({}), fallback_to_full=False)
+        blocked = BlockedTopK(DictBlocker({}))
         calls = [
             lambda k: topk(scores, k),
             lambda k: DenseTopK().retrieve_from_scores(scores, k),
@@ -240,7 +240,7 @@ class TestDenseTopK:
         rng = np.random.default_rng(seed)
         queries = rng.normal(size=(n_q, dim))
         candidates = rng.normal(size=(n_c, dim))
-        result = DenseTopK(dtype=None).retrieve(queries, candidates, k)
+        result = DenseTopK().retrieve(queries, candidates, k)
         reference = reference_top_k(cosine_matrix(queries, candidates), k, ids(n_c, "c"))
         got = [
             [(f"c{i}", float(s)) for i, s in zip(idx, sc)] for idx, sc in result_rows(result)
@@ -259,16 +259,18 @@ class TestDenseTopK:
         rng = np.random.default_rng(seed)
         queries = rng.normal(size=(7, 3))
         candidates = rng.normal(size=(11, 3))
-        baseline = DenseTopK(chunk_size=1024, dtype=None).retrieve(queries, candidates, 4)
-        chunked = DenseTopK(chunk_size=chunk_size, dtype=None).retrieve(queries, candidates, 4)
+        baseline = DenseTopK(chunk_size=1024).retrieve(queries, candidates, 4)
+        chunked = DenseTopK(chunk_size=chunk_size).retrieve(queries, candidates, 4)
         assert len(result_rows(baseline)) == len(result_rows(chunked)) == 7
         np.testing.assert_array_equal(baseline.offsets, np.arange(0, 29, 4))
         np.testing.assert_array_equal(chunked.offsets, baseline.offsets)
         np.testing.assert_array_equal(chunked.indices, baseline.indices)
         np.testing.assert_allclose(chunked.scores, baseline.scores, rtol=1e-12)
         # float32 keeps the same ranking; scores may differ by BLAS rounding
-        base32 = DenseTopK(chunk_size=1024).retrieve(queries, candidates, 4)
-        chunk32 = DenseTopK(chunk_size=chunk_size).retrieve(queries, candidates, 4)
+        base32 = DenseTopK(chunk_size=1024, dtype=np.float32).retrieve(queries, candidates, 4)
+        chunk32 = DenseTopK(chunk_size=chunk_size, dtype=np.float32).retrieve(
+            queries, candidates, 4
+        )
         assert base32.scores.shape == chunk32.scores.shape == (28,)
         np.testing.assert_allclose(chunk32.scores, base32.scores, atol=1e-5)
 
@@ -277,8 +279,14 @@ class TestDenseTopK:
         assert result.stats.scored_pairs == 15
         assert result.stats.reduction_ratio == 0.0
 
-    def test_float32_default(self):
-        result = DenseTopK().retrieve(np.ones((1, 2)), np.ones((2, 2)), 1)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_default_keeps_the_input_dtype(self, dtype):
+        result = DenseTopK().retrieve(np.ones((1, 2), dtype), np.ones((2, 2), dtype), 1)
+        assert result.scores.shape == (1,)
+        assert result.scores.dtype == dtype
+
+    def test_float32_casts_float64_input(self):
+        result = DenseTopK(dtype=np.float32).retrieve(np.ones((1, 2)), np.ones((2, 2)), 1)
         assert result.scores.shape == (1,)
         assert result.scores.dtype == np.float32
 
@@ -304,7 +312,7 @@ class TestBlockedTopK:
         candidates = rng.normal(size=(10, 3))
         qids, cids = ids(4, "q"), ids(10, "c")
         blocks = {f"q{i}": [f"c{j}" for j in row] for i, row in enumerate(raw_blocks)}
-        backend = BlockedTopK(DictBlocker(blocks), fallback_to_full=True)
+        backend = BlockedTopK(DictBlocker(blocks))
         result = backend.retrieve(queries, candidates, 5, query_ids=qids, candidate_ids=cids)
         scores = cosine_matrix(queries, candidates)
         rows = result_rows(result)
@@ -331,18 +339,8 @@ class TestBlockedTopK:
         assert result.stats.empty_blocks == 0
         assert result.stats.reduction_ratio == pytest.approx(1 - 6 / 18)
 
-    def test_empty_block_without_fallback_returns_empty(self):
-        backend = BlockedTopK(DictBlocker({}), fallback_to_full=False)
-        result = backend.retrieve(
-            np.ones((2, 2)), np.ones((3, 2)), 2, query_ids=ids(2, "q"), candidate_ids=ids(3, "c")
-        )
-        assert [idx.size for idx, _ in result_rows(result)] == [0, 0]
-        assert result.to_rankings(ids(2, "q"), ids(3, "c")).as_id_lists() == {"q0": [], "q1": []}
-        assert result.stats.scored_pairs == 0
-        assert result.stats.empty_blocks == 2
-
     def test_empty_block_with_fallback_scores_everything(self):
-        backend = BlockedTopK(DictBlocker({}), fallback_to_full=True)
+        backend = BlockedTopK(DictBlocker({}))
         result = backend.retrieve(
             np.ones((2, 2)), np.ones((3, 2)), 2, query_ids=ids(2, "q"), candidate_ids=ids(3, "c")
         )
@@ -371,7 +369,7 @@ class TestBlockedTopK:
             queries, candidates, 2, query_ids=ids(5, "q"), candidate_ids=ids(6, "c")
         )
         assert result.stats.scored_pairs == 10
-        dense = DenseTopK(dtype=None).retrieve(queries, candidates, 6)
+        dense = DenseTopK().retrieve(queries, candidates, 6)
         blocked_rows, dense_rows = result_rows(result), result_rows(dense)
         assert len(blocked_rows) == len(dense_rows) == 5
         for (got, _), (dense_idx, _) in zip(blocked_rows, dense_rows):
@@ -498,18 +496,14 @@ class TestBlockedMatcherRegression:
             raise AssertionError("score_matrix() computed during blocked match")
 
         monkeypatch.setattr(MetadataMatcher, "score_matrix", boom)
-        rankings, _ = matcher.match_with_stats(
-            k=3, backend=BlockedTopK(blocker, fallback_to_full=True)
-        )
+        rankings, _ = matcher.match_with_stats(k=3, backend=BlockedTopK(blocker))
         assert len(rankings) == 2
 
     def test_compared_pairs_equals_scored_pairs(self, setup):
         matcher, blocker = setup
-        _, stats = matcher.match_with_stats(
-            k=3, backend=BlockedTopK(blocker, fallback_to_full=False)
-        )
-        # q1 blocks to {a}; q2 blocks to nothing and does not fall back.
-        assert stats.scored_pairs == 1
+        _, stats = matcher.match_with_stats(k=3, backend=BlockedTopK(blocker))
+        # q1 blocks to {a}; q2 blocks to nothing and falls back to all three.
+        assert stats.scored_pairs == 1 + 3
         assert stats.empty_blocks == 1
 
     def test_neighborhood_blocking_pluggable(self):
@@ -527,13 +521,11 @@ class TestBlockedMatcherRegression:
             ["q"], np.array([[1.0, 0.0]]), ["a", "b"], np.array([[1.0, 0.1], [0.9, 0.0]])
         )
         blocker = GraphQueryBlocker(
-            MetadataNeighborhoodBlocking(g.freeze(), max_hops=2),
+            MetadataNeighborhoodBlocking(g.freeze()),
             query_labels={"q": "doc::q"},
             candidate_labels={"a": "row::a", "b": "row::b"},
         )
-        rankings, stats = matcher.match_with_stats(
-            k=2, backend=BlockedTopK(blocker, fallback_to_full=False)
-        )
+        rankings, stats = matcher.match_with_stats(k=2, backend=BlockedTopK(blocker))
         assert rankings["q"].ids() == ["a"]  # b is outside the 2-hop block
         assert stats.scored_pairs == 1
 
@@ -560,7 +552,7 @@ class TestBackendScenarioParity:
         }
 
         dense64 = matcher.match(k=5)
-        dense32, _ = matcher.match_with_stats(k=5, backend=DenseTopK())
+        dense32, _ = matcher.match_with_stats(k=5, backend=DenseTopK(dtype=np.float32))
         all_blocks = {qid: list(matcher.candidate_ids) for qid in matcher.query_ids}
         blocked, _ = matcher.match_with_stats(
             k=5, backend=BlockedTopK(DictBlocker(all_blocks))
@@ -613,22 +605,13 @@ class TestRetrievalConfig:
     def test_defaults(self):
         config = RetrievalConfig()
         assert config.backend == "dense"
-        assert config.dtype == "float64"
+        assert config.chunk_size == 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetrievalConfig(backend="ann")
         with pytest.raises(ValueError):
             RetrievalConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            RetrievalConfig(dtype="float16")
-        with pytest.raises(ValueError):
-            RetrievalConfig(max_hops=0)
-        for size in (0, -3):
-            with pytest.raises(ValueError, match="max_block_size"):
-                RetrievalConfig(max_block_size=size)
-        assert RetrievalConfig(max_block_size=None).max_block_size is None
-        assert RetrievalConfig(max_block_size=1).max_block_size == 1
 
     def test_override_syntax(self):
         config = TDMatchConfig.fast(retrieval__backend="blocked", retrieval__chunk_size=64)

@@ -118,6 +118,17 @@ def _raw_index(tmp_path, arrays=None) -> str:
     return path
 
 
+def _drop_output_vectors(path: str, **serving) -> None:
+    """Re-write the index at ``path`` without its ``w2v_output`` array, as a
+    save with ``serving.include_output_vectors=False`` wrote it before that
+    field was removed; ``serving`` items go into the header's config."""
+    header, arrays = read_index(path)
+    arrays = {name: np.array(array) for name, array in arrays.items() if name != "w2v_output"}
+    del header["arrays"]
+    header["config"]["serving"].update(serving)
+    write_index(path, header, arrays)
+
+
 def _rewrite_header(path: str, mutate) -> None:
     """Decode the v2 container, let ``mutate`` edit the header dict, repack.
 
@@ -501,6 +512,46 @@ class TestSaveLoadRoundtrip:
             assert "pairs_per_sec" not in report["model"]
             assert report["model"]["mmap"] is mmap
 
+    # Config fields deleted once nothing outside the tests set them, at the
+    # values every index saved before then holds.
+    REMOVED_CONFIG_KEYS = {
+        "retrieval": {
+            "dtype": "float64", "max_hops": 2, "max_block_size": None, "fallback_to_full": True,
+        },
+        "serving": {"include_output_vectors": True},
+        "incremental": {
+            "epochs": None, "learning_rate": None, "num_walks": None, "neighborhood_hops": 1,
+        },
+        "builder": {"add_column_nodes": True, "tfidf_top_k": 10},
+        "expansion": {"max_relations_per_node": None, "remove_sinks": True},
+        "merge": {"bucket_width": None},
+    }
+    REMOVED_PREPROCESS_KEYS = {
+        "remove_stopwords": True, "lowercase": True, "min_token_length": 2, "keep_numbers": True,
+    }
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_index_with_removed_config_keys_still_loads(
+        self, fitted, scenario, index_path, tmp_path, mmap
+    ):
+        legacy_path = str(tmp_path / "removed-keys.tdm")
+        header, arrays = read_index(index_path)
+        arrays = {name: np.array(array) for name, array in arrays.items()}
+        del header["arrays"]
+        for section, keys in self.REMOVED_CONFIG_KEYS.items():
+            header["config"][section].update(keys)
+        header["config"]["builder"]["preprocess"].update(self.REMOVED_PREPROCESS_KEYS)
+        write_index(legacy_path, header, arrays)
+        legacy = TDMatch.load(legacy_path, mmap=mmap, verify="full")
+        expected = fitted.match_result(k=10).to_dict()["rankings"]
+        assert legacy.match_result(k=10).to_dict()["rankings"] == expected
+        assert not hasattr(legacy.config.retrieval, "max_hops")
+        assert not hasattr(legacy.config.builder.preprocess, "lowercase")
+        row = list(scenario.second.rows)[0]
+        assert legacy.add_records([("legacy-new-row", dict(row.non_null_items()))]) == [
+            "row::legacy-new-row"
+        ]
+
     def test_index_with_removed_blocking_key_still_loads(self, index_path, tmp_path):
         legacy_path = str(tmp_path / "blocking.tdm")
         shutil.copyfile(index_path, legacy_path)
@@ -545,22 +596,38 @@ class TestSaveLoadRoundtrip:
 # Output-vector-free (serving-only) indexes
 class TestServingOnlyIndex:
     @pytest.fixture
-    def slim_path(self, scenario, tmp_path):
-        config = TDMatchConfig.fast()
-        config.serving.include_output_vectors = False
-        pipeline = TDMatch(config, seed=7).fit(scenario.first, scenario.second)
-        path = str(tmp_path / "slim.tdm")
-        pipeline.save(path)
-        return path
+    def slim_path(self, index_path):
+        _drop_output_vectors(index_path, include_output_vectors=False)
+        return index_path
 
-    def test_slim_index_serves_matches(self, slim_path):
-        loaded = TDMatch.load(slim_path)
-        assert len(list(loaded.match(k=3))) > 0
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_slim_index_serves_matches(self, fitted, slim_path, mmap):
+        loaded = TDMatch.load(slim_path, mmap=mmap)
+        assert loaded.model._output_vectors is None
+        assert (
+            loaded.match_result(k=10).to_dict()["rankings"]
+            == fitted.match_result(k=10).to_dict()["rankings"]
+        )
 
-    def test_slim_index_rejects_incremental_fit(self, slim_path):
-        loaded = TDMatch.load(slim_path)
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_slim_index_rejects_incremental_fit(self, scenario, slim_path, mmap):
+        loaded = TDMatch.load(slim_path, mmap=mmap)
+        built, model = loaded.state.built, loaded.model
+        before = (
+            loaded.graph, dict(built.second_metadata), list(model.vocab.tokens),
+            loaded._delta_count, loaded.match_result(k=10).to_dict()["rankings"],
+        )
+        row = list(scenario.second.rows)[0]
+        with pytest.raises(PipelineError, match="output vectors"):
+            loaded.add_records([("new-row", dict(row.non_null_items()))], side="second")
         with pytest.raises(PipelineError, match="output vectors"):
             loaded.add_documents([("new", "some text")], side="first")
+        after = (
+            loaded.graph, dict(built.second_metadata), list(model.vocab.tokens),
+            loaded._delta_count, loaded.match_result(k=10).to_dict()["rankings"],
+        )
+        assert after[0] is before[0]
+        assert after[1:] == before[1:]
 
     def test_slim_model_fine_tune_raises_before_growing_vocab(self, slim_path):
         model = TDMatch.load(slim_path).model
@@ -620,6 +687,33 @@ class TestIncrementalFit:
         assert len(labels) == 1
         assert rows[0].row_id in pipeline.state.built.second_metadata
 
+    def test_delta_walks_start_at_the_new_nodes_and_their_neighbours(self, scenario, monkeypatch):
+        from repro.corpus.table import Table
+        from repro.serving import incremental
+
+        rows = list(scenario.second.rows)
+        reduced = Table(scenario.second.name, scenario.second.columns)
+        for row in rows[1:]:
+            reduced.add_row(row)
+        pipeline = TDMatch(TDMatchConfig.fast(), seed=7).fit(scenario.first, reduced)
+        before = set(pipeline.graph.labels)
+        walk_configs, make_walk_engine = [], incremental.make_walk_engine
+
+        def spy(graph, config, **kwargs):
+            walk_configs.append(config)
+            return make_walk_engine(graph, config, **kwargs)
+
+        monkeypatch.setattr(incremental, "make_walk_engine", spy)
+        pipeline.add_records([rows[0]], side="second")
+        graph = pipeline.graph
+        new = [label for label in graph.labels if label not in before]
+        reached = set(new).union(*(graph.neighbors(label) for label in new))
+        [walks] = walk_configs
+        assert walks.start_nodes == [label for label in graph.labels if label in reached]
+        assert len(walks.start_nodes) > len(new)
+        assert walks.num_walks == pipeline.config.walks.num_walks
+        assert pipeline.model.stats.epochs == pipeline.config.word2vec.epochs
+
     @pytest.mark.parametrize("kind", ["documents", "records"])
     @pytest.mark.parametrize("batch", ["existing", "new+existing", "new+new"])
     def test_duplicate_id_raises(self, text_scenario, scenario, kind, batch):
@@ -644,15 +738,15 @@ class TestIncrementalFit:
         assert "new" in built.second_metadata
 
     def test_rejected_batch_leaves_graph_and_index_as_they_were(self, scenario, tmp_path):
-        # An index saved without output vectors rejects add_records in the
+        # An index without output vectors rejects add_records in the
         # refresh, after the graph took the batch.  The rows put one existing
         # cell value under every column, so the batch also adds edges between
         # existing nodes (column → term); those must go with the new nodes.
         config = TDMatchConfig.fast()
         config.builder.filter_strategy_name = "normal"
-        config.serving.include_output_vectors = False
         path = str(tmp_path / "table_first.tdm")
         TDMatch(config, seed=7).fit(scenario.second, scenario.first).save(path)
+        _drop_output_vectors(path)
         loaded = TDMatch.load(path)
         nodes, edges = loaded.graph.num_nodes(), loaded.graph.num_edges()
         value = next(iter(scenario.second)).non_null_items()[0][1]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.text.tokenizer import (
-    Tokenizer,
     is_numeric_token,
     parse_numeric_token,
     tokenize,
@@ -29,9 +28,6 @@ class TestTokenizeFunction:
     def test_apostrophes_inside_words(self):
         assert tokenize("don't stop") == ["don't", "stop"]
 
-    def test_lowercase_can_be_disabled(self):
-        assert tokenize("Pulp Fiction", lowercase=False) == ["Pulp", "Fiction"]
-
     def test_smart_quotes_are_normalised(self):
         assert tokenize("it’s fine") == ["it's", "fine"]
 
@@ -43,28 +39,6 @@ class TestTokenizeFunction:
 
     def test_unicode_dashes(self):
         assert tokenize("tension—filled") == ["tension", "filled"]
-
-
-class TestTokenizerClass:
-    def test_min_token_length_drops_short_alpha_tokens(self):
-        tok = Tokenizer(min_token_length=3)
-        assert tok.tokenize("an old ox ran") == ["old", "ran"]
-
-    def test_min_token_length_keeps_numbers(self):
-        tok = Tokenizer(min_token_length=3)
-        assert tok.tokenize("in 42 days") == ["42", "days"]
-
-    def test_keep_numbers_false_drops_numbers(self):
-        tok = Tokenizer(keep_numbers=False)
-        assert tok.tokenize("42 days") == ["days"]
-
-    def test_callable_interface(self):
-        tok = Tokenizer()
-        assert tok("a b") == tok.tokenize("a b")
-
-    def test_lowercase_false(self):
-        tok = Tokenizer(lowercase=False)
-        assert tok.tokenize("Willis") == ["Willis"]
 
 
 class TestNumericHelpers:

@@ -970,7 +970,7 @@ class TestCorpusEncoding:
         for as_corpus in (lambda w: w, IdCorpus.concatenate):
             model = Word2Vec(config, seed=9).train(as_corpus(walks), labels=labels)
             built = (model.stats.pairs, model.stats.epochs, model._input_vectors.tobytes())
-            tuned = model.fine_tune(as_corpus(delta), labels=labels, epochs=2)
+            tuned = model.fine_tune(as_corpus(delta), labels=labels)
             models.append((built, (tuned.pairs, tuned.epochs), model))
         (built, tuned, by_list), (built_flat, tuned_flat, by_corpus) = models
         assert built == built_flat and built[0] > 0
